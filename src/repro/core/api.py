@@ -7,7 +7,9 @@ coarse-grained RPCs (block allocation, sealing, bitmap flushes).
 The write path is Algorithm 1: out-of-place KV + delta writes, then a
 single RDMA_CAS on the slot's Atomic field as the commit point, with the
 8-bit ``ver`` / 56-bit ``epoch`` slot-versioning protocol (lock the Meta
-field on rollover, invalidate the orphan KV pair on CAS failure).
+field on rollover; on CAS failure re-stamp the orphan KV pair with the
+next Slot Version and CAS again, invalidating it only when the slot
+alone cannot decide the retry).
 
 The read path uses the local index cache (§3.5.1): with the ``addr_value``
 policy a hit costs one KV read plus one 16 B slot-validation read and
@@ -22,7 +24,7 @@ P-parity server and rebuilds just the slot region element-wise.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from ..checkpoint.differential import xor_bytes
 from ..config import SystemConfig
@@ -54,6 +56,7 @@ from .kvpair import (
     encode_kv,
     kv_wire_size,
     parse_kv,
+    stored_size,
     wv_toggle,
 )
 
@@ -70,6 +73,17 @@ PREFETCH_MARGIN = 8
 #: Precompiled slot layouts for bucket decoding (hot read path).
 _WIDE_SLOT = struct.Struct("<QQ")
 _COMPACT_SLOT = struct.Struct("<Q")
+
+
+class _Orphan(NamedTuple):
+    """A written KV pair whose commit CAS lost (not referenced by any
+    slot), with what re-stamping its Slot Version needs."""
+
+    kv: GlobalAddress
+    delta: Optional[GlobalAddress]
+    #: Slot Version field of the slot's previous contents (0 in a fresh
+    #: block): the delta block holds ``old ^ current``.
+    old_field: int
 
 
 class AcesoClient:
@@ -93,7 +107,8 @@ class AcesoClient:
         #: Observability bundle; spans/metrics no-op when None or disabled.
         self.obs = obs
         self._track = f"cli{cli_id}"
-        self.cache = IndexCache(config.ft.cache_policy)
+        self.cache = IndexCache(config.ft.cache_policy,
+                                epoch_of=master.mn_incarnation)
         self.blocks = ClientBlockManager(cli_id)
         self.classer = SizeClasser(config.cluster.block_size)
         self.num_mns = config.cluster.num_mns
@@ -369,7 +384,7 @@ class AcesoClient:
         if record is not None:
             entry.atomic_word = current_word
             entry.meta_word = meta_word
-            entry.len_units = max(len_units, 1)
+            entry.len_units = len(raw) // SIZE_UNIT
             self.cache.store(key, entry)
             return record
         self.cache.invalidate(key)
@@ -425,12 +440,12 @@ class AcesoClient:
             else:
                 addr = atomic_word & ((1 << 48) - 1)
                 len_units = (atomic_word >> 48) & 0xFF
-            record, _raw = yield from self._read_kv_checked(
+            record, raw = yield from self._read_kv_checked(
                 addr, max(len_units, 1) * SIZE_UNIT, key
             )
             if record is not None:
                 self.cache.store(key, CacheEntry(
-                    atomic_word=atomic_word, len_units=max(len_units, 1),
+                    atomic_word=atomic_word, len_units=len(raw) // SIZE_UNIT,
                     meta_word=meta_word, slot_node=home,
                     slot_offset=index.slot_offset(bucket, slot),
                     bucket=bucket, slot=slot,
@@ -456,8 +471,15 @@ class AcesoClient:
     def _read_kv_checked(self, packed_addr: int, length: int,
                          key: bytes) -> Generator:
         """Read a KV pair, tolerating a stale ``len`` (§3.2.2) and lost
-        blocks (degraded read)."""
+        blocks (degraded read).  Returns ``(record, raw)``; ``raw`` is
+        exactly the record's slab slot when ``record`` is not None."""
         ga = GlobalAddress.unpack(packed_addr)
+        block_id, intra = self._locate_block_slot(ga)
+        if block_id is None:
+            return None, None
+        # A stale len may overshoot the block; no record crosses its end.
+        room = self.config.cluster.block_size - intra
+        length = min(length, room)
         try:
             raw = yield self._post_read(ga.node_id, ga.offset, length)
         except NodeFailedError:
@@ -466,12 +488,20 @@ class AcesoClient:
             if raw is None:
                 return None, None
         record = parse_kv(raw)
-        if record is None and length < 4096:
-            # Possibly a stale length: re-read with a generous size.
-            try:
-                raw = yield self._post_read(ga.node_id, ga.offset, length * 4)
-            except (NodeFailedError, IndexError):
-                return None, None
+        if record is None:
+            # Possibly a stale length (a size-changing commit repairs the
+            # slot's len a round trip after its CAS): the record's own
+            # header names its extent.
+            size = stored_size(raw)
+            if size is None or size == length or size > room:
+                return None, raw
+            if size > length:
+                try:
+                    raw = yield self._post_read(ga.node_id, ga.offset, size)
+                except NodeFailedError:
+                    return None, None
+            else:
+                raw = raw[:size]
             record = parse_kv(raw)
         if record is None or record.key != key or record.invalidated:
             return None, raw
@@ -559,6 +589,13 @@ class AcesoClient:
         retries = 0
         while retries < RETRY_BUDGET:
             yield from self._ensure_home_writable(home)
+            # Incarnation of the home index the located slot was verified
+            # under: a cached slot address carries the one it was stored
+            # under (taken before the lookup below; no yield in between).
+            cached = self.cache.peek(key)
+            slot_epoch = (cached.home_epoch
+                          if cached is not None and cached.slot_offset >= 0
+                          else self.master.mn_incarnation(home))
             try:
                 located = yield from self._locate_for_write(key, home, op)
             except NodeFailedError:
@@ -588,6 +625,11 @@ class AcesoClient:
                         )
                     retries += 1
                     if not took_over:
+                        # The lock was released (or the takeover lost):
+                        # the located Atomic/Meta pair is stale, and if
+                        # it came from the cache every retry would poll
+                        # against the same locked word.
+                        self.cache.invalidate(key)
                         continue
                     meta_word = took_over
                     meta_old = MetaField.unpack(meta_word)
@@ -608,7 +650,10 @@ class AcesoClient:
                         retries += 1
                         continue
                     if not ok:
+                        # Another client rolled the slot over first; a
+                        # cached pair would lose this CAS forever.
                         retries += 1
+                        self.cache.invalidate(key)
                         yield self.env.timeout(LOCK_POLL)
                         continue
                     meta_old = locked_meta
@@ -624,19 +669,8 @@ class AcesoClient:
                 kv_wire_size(len(key), len(value))
             )
             block, wslot = yield from self._get_write_slot(size_class)
-            grant = block.grant
-            stale = (
-                self.master.mn_incarnation(grant.data_node)
-                != block.epoch[0]
-                or (grant.delta_node >= 0
-                    and self.master.mn_incarnation(grant.delta_node)
-                    != block.epoch[1])
-            )
-            if stale or not self.master.mn_block_writable(grant.data_node):
-                # Stale grant (the data or delta node crashed since the
-                # grant was issued, so the recovered node may re-hand out
-                # this space) or the Block Area is still being rebuilt —
-                # a KV/delta write landing now could be overwritten or
+            if not self._grant_writable(block):
+                # A KV/delta write landing now could be overwritten or
                 # clobber another client's block (§3.4.1).  Abandon the
                 # grant and allocate a fresh block.
                 self.blocks.retire_if(size_class.slot_size, block)
@@ -709,36 +743,48 @@ class AcesoClient:
                         )
                 except NodeFailedError:
                     pass  # commit already landed; recovery fixes the Meta
-                self._mark_old_obsolete(atomic_old, meta_old, fresh_insert)
-                self.cache.store(key, CacheEntry(
-                    atomic_word=new_atomic.pack(),
-                    len_units=size_class.len_units,
-                    meta_word=meta_final.pack(),
-                    slot_node=home, slot_offset=slot_offset,
-                    bucket=bucket, slot=slot,
-                ))
-                self._maybe_seal(size_class, block)
-                self.stats.record_op(op, self.env.now - t0, cas=cas_count,
-                                     retries=retries)
-                sp.set(retries=retries, cas=cas_count)
-                return
-            # --- CAS failed: invalidate the orphan KV (line 18) ----------
-            self.stats.bump("commit_conflicts")
-            with self._phase("cas_retry"):
-                yield from self._invalidate_kv(kv_addr, delta_addr,
-                                               kv_bytes, delta_bytes)
-                dead_block, dead_intra = self._locate_block_slot(kv_addr)
-                if dead_block is not None:
-                    self.blocks.mark_obsolete(kv_addr.node_id, dead_block,
-                                              dead_intra, now=self.env.now)
-                if rolled:
-                    yield self._post_cas(
-                        home, index.meta_offset(bucket, slot),
-                        meta_old.pack(), meta_final.pack(),
-                    )
-                self.cache.invalidate(key)
+            else:
+                # --- CAS lost: re-stamp the orphan KV and CAS again, or
+                # invalidate it (line 18) and start over -----------------
+                self.stats.bump("commit_conflicts")
+                orphan = _Orphan(kv_addr, delta_addr, int.from_bytes(
+                    old_bytes[VERSION_FIELD_OFFSET:VERSION_FIELD_OFFSET + 8],
+                    "little"))
+                # Inserts race for an empty slot and a rollover holds the
+                # Meta lock: neither can be served from the slot alone.
+                keep = self.wide and not (fresh_insert or rolled)
+                with self._phase("cas_retry"):
+                    won, rounds = yield from self._resolve_conflict(
+                        home, slot_offset, slot_epoch, fp, size_class,
+                        block, orphan,
+                        RETRY_BUDGET - retries - 1 if keep else 0)
+                    if won is None and rolled:
+                        yield self._post_cas(
+                            home, index.meta_offset(bucket, slot),
+                            meta_old.pack(),
+                            MetaField(epoch_eff, meta_old.len_units).pack(),
+                        )
+                cas_count += rounds
+                retries += rounds
+                if won is None:
+                    self.cache.invalidate(key)
+                    self._maybe_seal(size_class, block)
+                    retries += 1
+                    continue
+                atomic_old, new_atomic, meta_final = won
+            self._mark_old_obsolete(atomic_old, fresh_insert)
+            self.cache.store(key, CacheEntry(
+                atomic_word=new_atomic.pack(),
+                len_units=size_class.len_units,
+                meta_word=meta_final.pack(),
+                slot_node=home, slot_offset=slot_offset,
+                bucket=bucket, slot=slot,
+            ))
             self._maybe_seal(size_class, block)
-            retries += 1
+            self.stats.record_op(op, self.env.now - t0, cas=cas_count,
+                                 retries=retries)
+            sp.set(retries=retries, cas=cas_count)
+            return
         raise RetryBudgetExceeded(f"{op} {key!r} exceeded {RETRY_BUDGET} retries")
 
     def _delta_write_event(self, delta_addr: GlobalAddress, data: bytes):
@@ -801,35 +847,116 @@ class AcesoClient:
         bucket, slot = free[hash64(key, b"slotpick") % len(free)]
         return bucket, slot, 0, 0, True
 
-    def _invalidate_kv(self, kv_addr: GlobalAddress,
-                       delta_addr: Optional[GlobalAddress],
-                       kv_bytes: bytes, delta_bytes: bytes) -> Generator:
-        """Mark an uncommitted KV pair invalid (Slot Version := -1,
-        Algorithm 1 line 18) and patch its delta to match, so the delta
-        block always holds ``old_content ^ current_content`` and parity
-        folding stays consistent."""
-        marker = INVALID_SLOT_VERSION.to_bytes(8, "little")
+    def _grant_writable(self, block: OpenBlock) -> bool:
+        """Whether KV/delta writes through *block*'s grant may still land:
+        false once its data or delta node crashed after the grant was
+        issued (the recovered node may re-hand out the space) or while the
+        data node's Block Area is being rebuilt."""
+        grant = block.grant
+        master = self.master
+        return (
+            master.mn_incarnation(grant.data_node) == block.epoch[0]
+            and (grant.delta_node < 0
+                 or master.mn_incarnation(grant.delta_node) == block.epoch[1])
+            and master.mn_block_writable(grant.data_node)
+        )
+
+    def _stamp_orphan(self, orphan: _Orphan, version: int) -> Generator:
+        """Overwrite the Slot Version field of an uncommitted KV pair and
+        patch its delta to match (two parallel 8 B writes).
+
+        ``INVALID_SLOT_VERSION`` is Algorithm 1 line 18; any other value
+        turns the orphan into a fresh in-flight write of that version.
+        The KV checksum excludes this field, and the delta block holds
+        ``old_content ^ current_content``, so the delta's field becomes
+        ``old_field ^ version`` and parity folding stays consistent.
+        Returns False when a target node failed.
+        """
+        kv, delta = orphan.kv, orphan.delta
         events = [self._post_write(
-            kv_addr.node_id, kv_addr.offset + VERSION_FIELD_OFFSET, marker
+            kv.node_id, kv.offset + VERSION_FIELD_OFFSET,
+            version.to_bytes(8, "little"),
         )]
-        if delta_addr is not None:
-            lo, hi = VERSION_FIELD_OFFSET, VERSION_FIELD_OFFSET + 8
-            # The KV's version field changes from `version_bytes` to the
-            # marker, so the delta's field changes by their XOR.
-            version_bytes = kv_bytes[lo:hi]
-            new_field = xor_bytes(delta_bytes[lo:hi],
-                                  xor_bytes(version_bytes, marker))
+        if delta is not None:
             events.append(self._post_write(
-                delta_addr.node_id, delta_addr.offset + VERSION_FIELD_OFFSET,
-                new_field,
+                delta.node_id, delta.offset + VERSION_FIELD_OFFSET,
+                (orphan.old_field ^ version).to_bytes(8, "little"),
             ))
         try:
             yield self.env.all_of(events)
         except NodeFailedError:
-            pass
+            return False
+        return True
+
+    def _resolve_conflict(self, home: int, slot_offset: int,
+                          slot_epoch: int, fp: int, size_class,
+                          block: OpenBlock, orphan: _Orphan,
+                          budget: int) -> Generator:
+        """Conflict path of Algorithm 1: commit the KV pair already
+        written instead of writing a new one.
+
+        Each round re-reads the 16 B slot, re-stamps the orphan with the
+        successor of the Slot Version it found and CASes again — three
+        small round trips, no bucket query, no KV-sized verb, no new
+        block slot.  The orphan is unreferenced until its CAS wins, so
+        changing its version is invisible to readers; to recovery it is
+        an in-flight write of the stamped version, as it was before the
+        first CAS.
+
+        Returns ``(commit, rounds)``: ``commit`` is ``(superseded Atomic,
+        new Atomic, Meta)`` when a CAS won.  Otherwise the orphan has been
+        invalidated (Algorithm 1 line 18) and ``commit`` is None: the
+        caller starts over with a bucket query.  That happens after
+        *budget* rounds, when the slot needs or holds the rollover lock,
+        was vacated or re-keyed, records another size class than this
+        write (the re-read ``len`` may predate a winner's repair still in
+        flight, and a commit here never repairs it), when the home index
+        or the block grant went through a crash, or on a node failure.
+        """
+        master = self.master
+        rounds = 0
+        while rounds < budget:
+            try:
+                raw = yield self._post_read(home, slot_offset, 16)
+            except NodeFailedError:
+                break
+            atomic_word, meta_word = _WIDE_SLOT.unpack(raw)
+            atomic = AtomicField.unpack(atomic_word)
+            meta = MetaField.unpack(meta_word)
+            if (atomic.fp != fp or atomic.addr == 0 or atomic.ver == 0xFF
+                    or meta.locked
+                    or meta.len_units != size_class.len_units
+                    or not master.mn_writable(home)
+                    or master.mn_incarnation(home) != slot_epoch
+                    or not self._grant_writable(block)):
+                break
+            rounds += 1
+            self.stats.bump("restamp_retries")
+            new_atomic = AtomicField(fp=fp, ver=atomic.ver + 1,
+                                     addr=orphan.kv.pack())
+            stamped = yield from self._stamp_orphan(
+                orphan, slot_version(meta.epoch, new_atomic.ver))
+            if not stamped:
+                break
+            try:
+                ok, _observed = yield self._post_cas(
+                    home, slot_offset, atomic_word, new_atomic.pack())
+            except NodeFailedError:
+                break
+            if ok:
+                return (atomic, new_atomic, meta), rounds
+            self.stats.bump("commit_conflicts")
+        # Give up: never leave the orphan carrying a committable version.
+        if self._grant_writable(block):
+            yield from self._stamp_orphan(orphan, INVALID_SLOT_VERSION)
+        dead_block, dead_intra = self._locate_block_slot(orphan.kv)
+        if dead_block is not None:
+            self.blocks.mark_obsolete(orphan.kv.node_id, dead_block,
+                                      dead_intra, now=self.env.now)
+        return None, rounds
 
     def _mark_old_obsolete(self, atomic_old: AtomicField,
-                           meta_old: MetaField, fresh_insert: bool) -> None:
+                           fresh_insert: bool) -> None:
         """Queue the superseded KV pair's bitmap update (§3.3.3 step 1)."""
         if fresh_insert or atomic_old.addr == 0:
             return

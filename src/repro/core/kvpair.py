@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..index.slot import INVALID_SLOT_VERSION
+from ..memory.slab import SIZE_UNIT
 
 __all__ = ["KVRecord", "encode_kv", "parse_kv", "kv_wire_size",
-           "HEADER_SIZE", "VERSION_FIELD_OFFSET", "FLAG_TOMBSTONE",
-           "wv_toggle", "wv_consistent"]
+           "stored_size", "HEADER_SIZE", "VERSION_FIELD_OFFSET",
+           "FLAG_TOMBSTONE", "wv_toggle", "wv_consistent"]
 
 HEADER_SIZE = 24
 #: Byte offset of the Slot Version field (target of invalidation writes).
@@ -55,6 +56,22 @@ def _payload_crc(flags: int, key: bytes, value: bytes) -> int:
 def kv_wire_size(key_len: int, val_len: int) -> int:
     """Bytes a KV pair needs before slab rounding (header + payload + wv)."""
     return HEADER_SIZE + key_len + val_len + 1
+
+
+def stored_size(buf: bytes) -> Optional[int]:
+    """Slab-slot size of the record whose header starts *buf*, from its
+    own length fields; ``None`` when nothing was ever written there.
+
+    This is what lets a reader see through a stale ``len`` in the index
+    slot (§3.2.2): the slot is the record's wire size rounded up to the
+    slab unit, whatever length was read.
+    """
+    if len(buf) < HEADER_SIZE:
+        return None
+    wv_front, _flags, key_len, val_len, _version = _HEADER.unpack_from(buf, 0)
+    if wv_front == 0:
+        return None
+    return -(-kv_wire_size(key_len, val_len) // SIZE_UNIT) * SIZE_UNIT
 
 
 def wv_toggle(previous: int) -> int:

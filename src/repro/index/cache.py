@@ -41,16 +41,27 @@ class CacheEntry:
     slot_offset: int = -1           # Atomic-word offset (addr_value only)
     bucket: int = -1
     slot: int = -1
+    #: Crash incarnation of ``slot_node`` the entry was stored under (set
+    #: by :meth:`IndexCache.store`).  Index recovery may vacate or re-key
+    #: a slot, so an entry from an older incarnation proves nothing about
+    #: which key the slot holds now.
+    home_epoch: int = 0
 
 
 class IndexCache:
-    """LRU map: key -> :class:`CacheEntry`."""
+    """LRU map: key -> :class:`CacheEntry`.
 
-    def __init__(self, policy: str, capacity: int = 1 << 16):
+    *epoch_of* maps a node id to its current crash incarnation; entries
+    are stamped with it as they are stored.
+    """
+
+    def __init__(self, policy: str, capacity: int = 1 << 16,
+                 epoch_of=None):
         if policy not in ("addr_value", "value_only", "none"):
             raise ValueError(f"unknown cache policy {policy!r}")
         self.policy = policy
         self.capacity = capacity
+        self._epoch_of = epoch_of
         self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -70,6 +81,11 @@ class IndexCache:
         self.hits += 1
         return entry
 
+    def peek(self, key: bytes) -> Optional[CacheEntry]:
+        """The entry :meth:`lookup` would return, without counting a hit
+        or refreshing its LRU position."""
+        return self._entries.get(key)
+
     def store(self, key: bytes, entry: CacheEntry) -> None:
         """Remember a slot.
 
@@ -81,6 +97,8 @@ class IndexCache:
         """
         if not self.enabled:
             return
+        if self._epoch_of is not None and entry.slot_node >= 0:
+            entry.home_epoch = self._epoch_of(entry.slot_node)
         self._entries[key] = entry
         self._entries.move_to_end(key)
         if len(self._entries) > self.capacity:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional
 
 from ..errors import NodeFailedError
-from ..sim import Environment, Event, Process, Store, ThroughputServer
+from ..sim import (Environment, Event, Interrupt, Process, Store,
+                   ThroughputServer)
 from .network import Fabric
 from .nic import RNIC
 from .verbs import Opcode, Verb
@@ -88,6 +89,10 @@ class RpcServer:
                     if hasattr(outcome, "send"):  # generator handler
                         outcome = yield from outcome
                     result = outcome
+                except Interrupt:
+                    # stop() — the node crashed mid-handler.  Serving on
+                    # would run queued requests against its wiped state.
+                    raise
                 except Exception as exc:
                     # Handler errors travel back to the caller; they must
                     # never kill the serving loop.

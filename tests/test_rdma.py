@@ -378,6 +378,39 @@ def test_rpc_times_out_on_dead_server(env):
     assert p.value is not None
 
 
+def test_rpc_stop_mid_handler_serves_nothing_more(env):
+    """stop() while a generator handler is suspended (the node crashed)
+    ends the serving loop: requests already queued must not run against
+    the crashed node's wiped state."""
+    fabric, cli, server = make_rpc_pair(env)
+    served = []
+
+    def handler(i):
+        yield env.timeout(10e-6)
+        served.append(i)
+
+    server.register("slow", handler)
+    loop = server.start()
+
+    def proc(i):
+        try:
+            yield from rpc_call(env, fabric, cli, server, "slow", i,
+                                timeout=1e-4)
+        except NodeFailedError:
+            pass
+
+    def crash():
+        yield env.timeout(8e-6)     # first handler running, second queued
+        server.stop()
+
+    for i in range(2):
+        env.process(proc(i))
+    env.process(crash())
+    env.run()
+    assert served == []
+    assert not loop.is_alive
+
+
 def test_rpc_duplicate_handler_rejected(env):
     fabric, cli, server = make_rpc_pair(env)
     server.register("m", lambda: 1)
