@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..config import SystemConfig
-from ..errors import NodeFailedError
 from ..index.race import RaceIndex
 from ..memory.blocks import BlockMeta, BlockStore
 from ..memory.region import MemoryRegion
@@ -144,9 +143,6 @@ class MemoryNode:
         """
         if offset + length <= self.index_region.size:
             return self.index_region.read(offset, length)
-        block_id, intra = self.blocks.locate(offset)
-        if not self.blocks.meta[block_id].valid:
-            raise NodeFailedError(self.node_id, f"block {block_id} lost")
         return self.blocks.read(offset, length)
 
     def write_bytes(self, offset: int, data: bytes) -> None:

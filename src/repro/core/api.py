@@ -24,6 +24,7 @@ P-parity server and rebuilds just the slot region element-wise.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from ..checkpoint.differential import xor_bytes
@@ -73,6 +74,8 @@ PREFETCH_MARGIN = 8
 #: Precompiled slot layouts for bucket decoding (hot read path).
 _WIDE_SLOT = struct.Struct("<QQ")
 _COMPACT_SLOT = struct.Struct("<Q")
+#: The 48-bit ``addr`` field of an Atomic (or compact) slot word.
+_ADDR_MASK = (1 << 48) - 1
 
 
 class _Orphan(NamedTuple):
@@ -174,7 +177,7 @@ class AcesoClient:
         home = self._home(key)
         for attempt in range(RETRY_BUDGET):
             try:
-                record = yield from self._search_inner(key)
+                record = yield from self._search_inner(key, home)
             except NodeFailedError as exc:
                 self.stats.bump("search_interrupted")
                 self.cache.invalidate(key)
@@ -231,23 +234,23 @@ class AcesoClient:
     def _mn_nic(self, node: int):
         return self.mns[node].nic
 
+    # These three and ``_query_buckets`` are the only places a client
+    # posts verbs (tests count an op's verbs by wrapping them).
+
     def _post_read(self, node: int, offset: int, length: int):
         mn = self.mns[node]
-        return self.fabric.read(self.nic, mn.nic, length,
-                                execute=lambda: mn.read_bytes(offset, length),
-                                track=self._track)
+        return self.fabric.read(self.nic, mn.nic, length, mn.read_bytes,
+                                (offset, length), "client", self._track)
 
     def _post_write(self, node: int, offset: int, data: bytes):
         mn = self.mns[node]
-        return self.fabric.write(self.nic, mn.nic, len(data),
-                                 execute=lambda: mn.write_bytes(offset, data),
-                                 track=self._track)
+        return self.fabric.write(self.nic, mn.nic, len(data), mn.write_bytes,
+                                 (offset, data), "client", self._track)
 
     def _post_cas(self, node: int, offset: int, expected: int, new: int):
         mn = self.mns[node]
-        return self.fabric.cas(self.nic, mn.nic,
-                               execute=lambda: mn.cas_u64(offset, expected, new),
-                               track=self._track)
+        return self.fabric.cas(self.nic, mn.nic, mn.cas_u64,
+                               (offset, expected, new), "client", self._track)
 
     def _rpc(self, server, method, *args, response_size=64,
              timeout=10e-3):
@@ -289,13 +292,10 @@ class AcesoClient:
         b1, b2 = index.candidate_buckets(key)
         mn = self.mns[home]
         size = index.bucket_size
-
-        def reader(bucket):
-            offset = index.bucket_offset(bucket)
-            return lambda: mn.read_bytes(offset, size)
-
-        verbs = [Verb(Opcode.READ, size, reader(b1)),
-                 Verb(Opcode.READ, size, reader(b2))]
+        verbs = [Verb(Opcode.READ, size,
+                      partial(mn.read_bytes, index.bucket_offset(b1), size)),
+                 Verb(Opcode.READ, size,
+                      partial(mn.read_bytes, index.bucket_offset(b2), size))]
         raws = yield self.fabric.post_batch(self.nic, mn.nic, verbs,
                                             track=self._track)
         return [(b1, raws[0]), (b2, raws[1])]
@@ -332,30 +332,29 @@ class AcesoClient:
     # SEARCH path
     # ------------------------------------------------------------------
 
-    def _search_inner(self, key: bytes) -> Generator:
-        home = self._home(key)
-        entry = self.cache.lookup(key) if self.cache.enabled else None
-        if self.cache.enabled:
+    def _search_inner(self, key: bytes, home: int) -> Generator:
+        """Pick the read path by what the cache knows; returns that
+        path's generator (not a generator itself: one frame less on
+        every resume of every SEARCH)."""
+        cache = self.cache
+        if cache.enabled:
+            entry = cache.lookup(key)
             self._cache_metric(entry is not None)
-        if entry is not None and self.cache.policy == "addr_value":
-            record = yield from self._search_cached_addr(key, home, entry)
-            return record
-        if entry is not None and self.cache.policy == "value_only":
-            record = yield from self._search_cached_value(key, home, entry)
-            return record
-        record = yield from self._search_via_index(key, home)
-        return record
+            if entry is not None:
+                if cache.policy == "addr_value":
+                    return self._search_cached_addr(key, home, entry)
+                return self._search_cached_value(key, home, entry)
+        return self._search_via_index(key, home)
 
     def _search_cached_addr(self, key: bytes, home: int,
                             entry: CacheEntry) -> Generator:
         """Aceso's cache hit: KV read + 16 B slot read, in parallel."""
-        atomic = AtomicField.unpack(entry.atomic_word)
-        kv_len = entry.len_units * SIZE_UNIT
-        kv_ev = self._kv_read_event(atomic.addr, kv_len)
-        slot_size = 16 if self.wide else 8
-        slot_ev = self._post_read(entry.slot_node, entry.slot_offset, slot_size)
-        outcome = yield self.env.all_of([kv_ev, slot_ev])
-        kv_raw, slot_raw = outcome
+        ga = GlobalAddress.unpack(entry.atomic_word & _ADDR_MASK)
+        kv_ev = self._post_read(ga.node_id, ga.offset,
+                                entry.len_units * SIZE_UNIT)
+        slot_ev = self._post_read(entry.slot_node, entry.slot_offset,
+                                  16 if self.wide else 8)
+        kv_raw, slot_raw = yield self.env.all_of([kv_ev, slot_ev])
         current_word = int.from_bytes(slot_raw[:8], "little")
         if current_word == entry.atomic_word:
             record = self._parse_or_none(kv_raw, key)
@@ -398,10 +397,9 @@ class AcesoClient:
         slot address to check with a single-word read, so the whole
         bucket comes back (the read amplification §3.5.1 removes)."""
         atomic_word = entry.atomic_word
-        addr = atomic_word & ((1 << 48) - 1)
-        kv_len = entry.len_units * SIZE_UNIT
-        kv_ev = self._kv_read_event(addr, kv_len)
-        mn = self.mns[home]
+        ga = GlobalAddress.unpack(atomic_word & _ADDR_MASK)
+        kv_ev = self._post_read(ga.node_id, ga.offset,
+                                entry.len_units * SIZE_UNIT)
         index = self._index_of(home)
         bucket = entry.bucket if entry.bucket >= 0 \
             else index.candidate_buckets(key)[0]
@@ -438,7 +436,7 @@ class AcesoClient:
                 addr = atomic.addr
                 len_units = MetaField.unpack(meta_word).len_units
             else:
-                addr = atomic_word & ((1 << 48) - 1)
+                addr = atomic_word & _ADDR_MASK
                 len_units = (atomic_word >> 48) & 0xFF
             record, raw = yield from self._read_kv_checked(
                 addr, max(len_units, 1) * SIZE_UNIT, key
@@ -460,13 +458,10 @@ class AcesoClient:
         if raw is None:
             return None
         record = parse_kv(raw)
-        if record is None or record.key != key or record.invalidated:
+        if record is None or record.key != key \
+                or record.slot_version == INVALID_SLOT_VERSION:
             return None
         return record
-
-    def _kv_read_event(self, packed_addr: int, length: int):
-        ga = GlobalAddress.unpack(packed_addr)
-        return self._post_read(ga.node_id, ga.offset, length)
 
     def _read_kv_checked(self, packed_addr: int, length: int,
                          key: bytes) -> Generator:
@@ -830,7 +825,7 @@ class AcesoClient:
         _match, free, matches = self._find_slot(key, buckets)
         # Verify fingerprint candidates actually hold this key.
         for bucket, slot, atomic_word, meta_word in matches:
-            addr = atomic_word & ((1 << 48) - 1)
+            addr = atomic_word & _ADDR_MASK
             len_units = ((meta_word & 0xFF) if self.wide
                          else (atomic_word >> 48) & 0xFF)
             record, _ = yield from self._read_kv_checked(

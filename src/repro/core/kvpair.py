@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..index.slot import INVALID_SLOT_VERSION
 from ..memory.slab import SIZE_UNIT
@@ -45,12 +44,17 @@ FLAG_TOMBSTONE = 0x01
 
 _HEADER = struct.Struct("<BBHIQ")
 _CRC = struct.Struct("<I")
+#: Header and checksum (20 bytes) in one pass, for the reader.
+_HEADER_CRC = struct.Struct("<BBHIQI")
+#: The checksum's 2-byte head: flags, low byte of the key length.
+_CRC_HEAD = struct.Struct("<BB")
+_crc32 = zlib.crc32
+_new = tuple.__new__
 
 
 def _payload_crc(flags: int, key: bytes, value: bytes) -> int:
-    seed = zlib.crc32(bytes([flags, len(key) & 0xFF]))
-    seed = zlib.crc32(key, seed)
-    return zlib.crc32(value, seed)
+    seed = _crc32(_CRC_HEAD.pack(flags, len(key) & 0xFF))
+    return _crc32(value, _crc32(key, seed))
 
 
 def kv_wire_size(key_len: int, val_len: int) -> int:
@@ -92,8 +96,7 @@ def wv_consistent(buf: bytes) -> bool:
     return buf[0] != 0 and buf[0] == buf[-1]
 
 
-@dataclass(frozen=True)
-class KVRecord:
+class KVRecord(NamedTuple):
     """A decoded KV pair."""
 
     key: bytes
@@ -137,23 +140,26 @@ def parse_kv(buf: bytes) -> Optional[KVRecord]:
     and non-zero (§3.4.2); invalidated records (version -1) parse fine and
     are flagged via :attr:`KVRecord.invalidated`.
     """
-    if len(buf) < HEADER_SIZE + 1:
+    size = len(buf)
+    if size < HEADER_SIZE + 1:
         return None
-    wv_front, flags, key_len, val_len, version = _HEADER.unpack_from(buf, 0)
+    wv_front, flags, key_len, val_len, version, crc = \
+        _HEADER_CRC.unpack_from(buf, 0)
     if wv_front == 0:
         return None  # never written
-    wv_back = buf[-1]
-    if wv_back != wv_front:
+    if buf[-1] != wv_front:
         return None  # torn write
-    if HEADER_SIZE + key_len + val_len + 1 > len(buf):
+    mid = HEADER_SIZE + key_len
+    end = mid + val_len
+    if end >= size:
         return None  # corrupt lengths
-    key = bytes(buf[HEADER_SIZE:HEADER_SIZE + key_len])
-    value = bytes(buf[HEADER_SIZE + key_len:HEADER_SIZE + key_len + val_len])
-    if not key:
+    if not key_len:
         return None
-    (crc,) = _CRC.unpack_from(buf, _HEADER.size)
-    if crc != _payload_crc(flags, key, value):
+    key = bytes(buf[HEADER_SIZE:mid])
+    value = bytes(buf[mid:end])
+    # ``_payload_crc``, written out: this runs once per KV read.
+    if crc != _crc32(value, _crc32(key, _crc32(
+            _CRC_HEAD.pack(flags, key_len & 0xFF)))):
         return None  # corrupted (e.g. a raced stripe reconstruction)
-    return KVRecord(key=key, value=value, slot_version=version,
-                    write_version=wv_front,
-                    tombstone=bool(flags & FLAG_TOMBSTONE))
+    return _new(KVRecord, (key, value, version, wv_front,
+                           bool(flags & FLAG_TOMBSTONE)))

@@ -60,15 +60,13 @@ class IndexCache:
         if policy not in ("addr_value", "value_only", "none"):
             raise ValueError(f"unknown cache policy {policy!r}")
         self.policy = policy
+        #: False under the "none" policy: nothing is stored or found.
+        self.enabled = policy != "none"
         self.capacity = capacity
         self._epoch_of = epoch_of
         self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.policy != "none"
 
     def lookup(self, key: bytes) -> Optional[CacheEntry]:
         if not self.enabled:

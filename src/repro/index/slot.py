@@ -19,6 +19,7 @@ The FUSEE baseline keeps the original compact 8-byte slot:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "AtomicField",
@@ -36,6 +37,11 @@ COMPACT_SLOT_SIZE = 8
 
 _ADDR_MASK = (1 << 48) - 1
 _EPOCH_MASK = (1 << 56) - 1
+
+# The slot words are decoded on every op: ``unpack`` builds the tuple
+# directly (its masks already confine every field), range validation is
+# ``pack``'s job.
+_new = tuple.__new__
 
 #: The "version -1" marker written into a KV pair whose commit CAS failed
 #: (Algorithm 1 line 18): all-ones, never produced by a real version.
@@ -56,8 +62,7 @@ def split_slot_version(version: int) -> tuple:
     return (version >> 8) & _EPOCH_MASK, version & 0xFF
 
 
-@dataclass(frozen=True)
-class AtomicField:
+class AtomicField(NamedTuple):
     """The CAS-able half of a wide slot."""
 
     fp: int = 0
@@ -75,8 +80,8 @@ class AtomicField:
 
     @classmethod
     def unpack(cls, word: int) -> "AtomicField":
-        return cls(fp=(word >> 56) & 0xFF, ver=(word >> 48) & 0xFF,
-                   addr=word & _ADDR_MASK)
+        return _new(cls, ((word >> 56) & 0xFF, (word >> 48) & 0xFF,
+                          word & _ADDR_MASK))
 
     @property
     def empty(self) -> bool:
@@ -87,8 +92,7 @@ class AtomicField:
         return AtomicField(self.fp, (self.ver + 1) & 0xFF, self.addr)
 
 
-@dataclass(frozen=True)
-class MetaField:
+class MetaField(NamedTuple):
     """The infrequently-updated half of a wide slot."""
 
     epoch: int = 0
@@ -103,7 +107,7 @@ class MetaField:
 
     @classmethod
     def unpack(cls, word: int) -> "MetaField":
-        return cls(epoch=(word >> 8) & _EPOCH_MASK, len_units=word & 0xFF)
+        return _new(cls, ((word >> 8) & _EPOCH_MASK, word & 0xFF))
 
     @property
     def locked(self) -> bool:

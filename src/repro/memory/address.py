@@ -15,6 +15,8 @@ NODE_BITS = 8
 OFFSET_BITS = 40
 _OFFSET_MASK = (1 << OFFSET_BITS) - 1
 _NODE_MASK = (1 << NODE_BITS) - 1
+_PACKED_MASK = (1 << (NODE_BITS + OFFSET_BITS)) - 1
+_new = tuple.__new__
 
 #: Packed value representing "no address" (offset 0 on node 0 is reserved).
 NULL_ADDR = 0
@@ -35,10 +37,9 @@ class GlobalAddress(NamedTuple):
 
     @classmethod
     def unpack(cls, packed: int) -> "GlobalAddress":
-        if not 0 <= packed < (1 << (NODE_BITS + OFFSET_BITS)):
+        if not 0 <= packed <= _PACKED_MASK:
             raise ValueError(f"packed address out of range: {packed:#x}")
-        return cls(node_id=(packed >> OFFSET_BITS) & _NODE_MASK,
-                   offset=packed & _OFFSET_MASK)
+        return _new(cls, (packed >> OFFSET_BITS, packed & _OFFSET_MASK))
 
     def __add__(self, delta: int) -> "GlobalAddress":  # type: ignore[override]
         return GlobalAddress(self.node_id, self.offset + delta)

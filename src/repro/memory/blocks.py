@@ -24,7 +24,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..errors import AllocationError
+from ..errors import AllocationError, NodeFailedError
 from .address import GlobalAddress
 
 __all__ = ["Role", "FreeBitmap", "BlockMeta", "BlockStore"]
@@ -304,17 +304,41 @@ class BlockStore:
             self._buffers[block_id] = buf
         return buf
 
+    # ``read`` and ``write`` are what one-sided verbs run at completion:
+    # ``locate`` and ``buffer`` written out, each check made once.
+
     def read(self, offset: int, length: int) -> bytes:
-        block_id, intra = self.locate(offset)
-        if intra + length > self.block_size:
+        """Bytes at a node-local offset.  A block whose contents are
+        still lost (crashed and not yet recovered) raises
+        :class:`NodeFailedError`, which sends the client down the
+        degraded-read path (§3.4.1)."""
+        rel = offset - self.base_offset
+        block_size = self.block_size
+        if rel < 0 or rel >= self.num_blocks * block_size:
+            raise IndexError(f"offset {offset} outside block area")
+        block_id, intra = divmod(rel, block_size)
+        if not self.meta[block_id].valid:
+            raise NodeFailedError(self.node_id, f"block {block_id} lost")
+        if intra + length > block_size:
             raise IndexError("read crosses block boundary")
-        return bytes(self.buffer(block_id)[intra:intra + length])
+        buf = self._buffers.get(block_id)
+        if buf is None:
+            buf = self._buffers[block_id] = bytearray(block_size)
+        return bytes(buf[intra:intra + length])
 
     def write(self, offset: int, data: bytes) -> None:
-        block_id, intra = self.locate(offset)
-        if intra + len(data) > self.block_size:
+        rel = offset - self.base_offset
+        block_size = self.block_size
+        if rel < 0 or rel >= self.num_blocks * block_size:
+            raise IndexError(f"offset {offset} outside block area")
+        block_id, intra = divmod(rel, block_size)
+        end = intra + len(data)
+        if end > block_size:
             raise IndexError("write crosses block boundary")
-        self.buffer(block_id)[intra:intra + len(data)] = data
+        buf = self._buffers.get(block_id)
+        if buf is None:
+            buf = self._buffers[block_id] = bytearray(block_size)
+        buf[intra:end] = data
 
     def set_block(self, block_id: int, data: bytes) -> None:
         if len(data) != self.block_size:

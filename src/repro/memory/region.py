@@ -29,22 +29,31 @@ class MemoryRegion:
 
     # -- bounds ------------------------------------------------------------
 
+    def _out_of_bounds(self, offset: int, length: int) -> IndexError:
+        return IndexError(
+            f"{self.name}: access [{offset}, {offset + length}) outside "
+            f"[0, {self.size})"
+        )
+
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
-            raise IndexError(
-                f"{self.name}: access [{offset}, {offset + length}) outside "
-                f"[0, {self.size})"
-            )
+            raise self._out_of_bounds(offset, length)
 
     # -- bulk --------------------------------------------------------------
+    # ``read``, ``write`` and ``cas_u64`` are what one-sided verbs run at
+    # completion: they make the bounds check in line, once.
 
     def read(self, offset: int, length: int) -> bytes:
-        self._check(offset, length)
-        return bytes(self._buf[offset:offset + length])
+        end = offset + length
+        if offset < 0 or length < 0 or end > self.size:
+            raise self._out_of_bounds(offset, length)
+        return bytes(self._buf[offset:end])
 
     def write(self, offset: int, data: bytes) -> None:
-        self._check(offset, len(data))
-        self._buf[offset:offset + len(data)] = data
+        end = offset + len(data)
+        if offset < 0 or end > self.size:
+            raise self._out_of_bounds(offset, len(data))
+        self._buf[offset:end] = data
 
     def fill(self, offset: int, length: int, byte: int = 0) -> None:
         self._check(offset, length)
@@ -81,9 +90,11 @@ class MemoryRegion:
 
     def cas_u64(self, offset: int, expected: int, new: int) -> Tuple[bool, int]:
         """Atomic compare-and-swap; returns (swapped?, value before)."""
-        old = self.read_u64(offset)
+        if offset < 0 or offset + 8 > self.size:
+            raise self._out_of_bounds(offset, 8)
+        old = _U64.unpack_from(self._buf, offset)[0]
         if old == expected:
-            self.write_u64(offset, new)
+            _U64.pack_into(self._buf, offset, new & 0xFFFFFFFFFFFFFFFF)
             return True, old
         return False, old
 

@@ -164,10 +164,8 @@ class Observability:
             self.metrics.window = resolve_metrics_window(window)
         cluster.fabric.obs = self
         for node_id, mn in cluster.mns.items():
-            mn.nic.obs = self
             mn.nic.obs_label = f"mn{node_id}"
         for node_id, cn in cluster.cns.items():
-            cn.nic.obs = self
             cn.nic.obs_label = f"cn{node_id}"
         return self
 

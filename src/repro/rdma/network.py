@@ -15,23 +15,65 @@ A verb posted from ``src`` to ``dst``:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..errors import NodeFailedError
 from ..sim import Deferred, Environment, Event
 from .nic import RNIC
-from .verbs import WIRE_HEADER, Opcode, Verb
-
-try:
-    # Compiled fused-verb resolver (liveness check + side-effect
-    # dispatch as one C callable, no closure cells per posted verb).
-    # Gated on the compiled event core's importability, like the
-    # scheduler itself; the closure fallback below is bit-identical.
-    from ..sim.sched._sched_core import VerbFinish as _VerbFinish
-except ImportError:
-    _VerbFinish = None
+from .verbs import ATOMIC_SIZE, WIRE_HEADER, Opcode, Verb
 
 __all__ = ["Fabric"]
+
+# What the opcode-named wrappers hand the post path in place of a Verb.
+_READ, _WRITE = (Opcode.READ,), (Opcode.WRITE,)
+_CAS, _FAA = (Opcode.CAS,), (Opcode.FAA,)
+_ATOMIC_WIRE = ATOMIC_SIZE + WIRE_HEADER
+#: Service-time shapes of an atomic: a plain message at the source, a
+#: PCIe read-modify-write (no doorbell) at the destination.
+_ATOMIC_SRC, _ATOMIC_DST = (_ATOMIC_WIRE, 1, 0), (_ATOMIC_WIRE, 0, 1)
+
+
+def _raise_dead(node_id: int):
+    raise NodeFailedError(node_id, "post")
+
+
+def _execute_all(verbs: Sequence[Verb]) -> list:
+    return [v.execute() if v.execute else None for v in verbs]
+
+
+class _Completion(Deferred):
+    """The completion of one posted verb (or doorbell group).  Its
+    dispatch is the verb: the destination's liveness is checked — a verb
+    in flight when its destination dies is lost — and the side effect
+    ``resolver(*args)`` runs right here, then the waiters.  ``_trace``
+    (tracing on) emits the group's span, given the error text or "" (a
+    side effect that raises emits none).  ``Fabric._submit`` fills the
+    three slots right after construction."""
+
+    __slots__ = ("_alive", "_dst_id", "_trace")
+
+    def _run_callbacks(self) -> None:
+        trace = self._trace
+        if not self._alive.get(self._dst_id, False):
+            self._ok = False
+            self._value = NodeFailedError(self._dst_id, "in flight")
+            if trace is not None:
+                trace("node failed in flight")
+        else:
+            fn = self._resolver
+            try:
+                if fn is not None:
+                    self._value = fn(*self._args)
+                if trace is not None:
+                    trace("")
+            except BaseException as exc:
+                self._ok = False
+                self._value = exc
+        self._triggered = True
+        callbacks, self.callbacks = self.callbacks, None
+        if callbacks:
+            for cb in callbacks:
+                cb(self)
 
 
 class Fabric:
@@ -56,9 +98,6 @@ class Fabric:
         self._alive[nic.node_id] = True
         return nic
 
-    def nic(self, node_id: int) -> RNIC:
-        return self._nics[node_id]
-
     def is_alive(self, node_id: int) -> bool:
         return self._alive.get(node_id, False)
 
@@ -70,76 +109,113 @@ class Fabric:
 
     # -- posting -----------------------------------------------------------
 
-    def _dead_post(self, dst: RNIC, rtt: float) -> Event:
-        """Destination already dead: the QP errors out after a timeout on
-        the order of an RTT."""
-        node_id = dst.node_id
+    def _submit(self, src: RNIC, dst: RNIC, src_service: float,
+                dst_service: float, wire: int, opcodes: Sequence[Opcode],
+                fn: Optional[Callable[..., Any]], args: tuple,
+                traffic_class: str, track: Optional[str]) -> Event:
+        """The one submission path, for every verb and doorbell group
+        (millions of calls per simulated second).  ``src_service`` /
+        ``dst_service`` are the group's occupancy of each NIC, ``wire``
+        its bytes at the destination, ``fn(*args)`` its side effect, run
+        by the completion event; ``opcodes`` (one per message) is read by
+        tracing only."""
+        env = self.env
+        now = env.now
+        rtt = src.config.rtt
+        alive = self._alive
+        dst_id = dst.node_id
+        if not alive.get(dst_id, False):
+            # Already dead: the QP errors out about an RTT later.
+            return Deferred(env, now + rtt, _raise_dead, (dst_id,))
+        bbc = self.bytes_by_class
+        bbc[traffic_class] = bbc.get(traffic_class, 0) + wire
+        obs = self.obs
+        trace = None
+        if obs is not None and obs.enabled:
+            trace = self._trace_post(src, dst, src_service, dst_service,
+                                     wire, opcodes, traffic_class, track)
+        # Each NIC's FIFO drain instant: ``ThroughputServer.submit_at``
+        # written out (NIC pipes have parallelism 1) and re-based through
+        # ``now`` as the event-per-side engine did (``now + delay``), so
+        # timestamps stay bit-identical to it.
+        pipe = src._pipe
+        free = pipe._free_at
+        done = (now if now > free else free) + src_service
+        pipe._free_at = done
+        pipe._busy_time += src_service
+        pipe._jobs += 1
+        t_src = now + (done - now)
+        pipe = dst._pipe
+        free = pipe._free_at
+        done = (now if now > free else free) + dst_service
+        pipe._free_at = done
+        pipe._busy_time += dst_service
+        pipe._jobs += 1
+        t_dst = now + (done - now)
+        # Half an RTT of propagation each way once both NICs have drained.
+        completion = _Completion(
+            env, (t_src if t_src > t_dst else t_dst) + rtt, fn, args)
+        completion._alive = alive
+        completion._dst_id = dst_id
+        completion._trace = trace
+        return completion
 
-        def raise_dead():
-            raise NodeFailedError(node_id, "post")
+    def _trace_post(self, src: RNIC, dst: RNIC, src_service: float,
+                    dst_service: float, wire: int,
+                    opcodes: Sequence[Opcode], traffic_class: str,
+                    track: Optional[str]) -> Callable[[str], None]:
+        """Tracing hook of the post path, called *before* the group
+        enters the FIFOs (the wait it will see is the backlog already
+        there, which separates wait from service in its span): records
+        the per-class and per-NIC series, returns the emitter of the
+        group's verb span for the completion to call."""
+        env = self.env
+        obs = self.obs
+        metrics = obs.metrics
+        metrics.add(f"bytes.{traffic_class}", wire)
+        if any(op is not Opcode.READ for op in opcodes):
+            # Write-path occupancy per side — the series behind the
+            # paper's §2.4 asymmetry (writes are MN-IOPS-bound).
+            metrics.add(f"nic.{src.obs_label}.wbusy", src_service)
+            metrics.add(f"nic.{dst.obs_label}.wbusy", dst_service)
+        t_post = env.now
+        queue_wait = max(src.backlog(), dst.backlog())
+        src.record_submit(metrics, src_service)
+        dst.record_submit(metrics, dst_service)
+        name = (opcodes[0].name if len(opcodes) == 1
+                else f"batch[{len(opcodes)}]")
+        span_track = track or f"nic.{src.obs_label}"
+        rtt = src.config.rtt
+        tracer = obs.tracer
 
-        return Deferred(self.env, self.env.now + rtt, raise_dead)
+        def trace_verb(error: str) -> None:
+            span = tracer.complete(
+                name, "verb", span_track, t_post, env.now,
+                bytes=wire, tc=traffic_class,
+                queue_us=round(queue_wait * 1e6, 3),
+                service_us=round(dst_service * 1e6, 3),
+                rtt_us=round(rtt * 1e6, 3),
+            )
+            if error:
+                span.set(error=error)
+
+        return trace_verb
 
     def post(self, src: RNIC, dst: RNIC, verb: Verb,
              traffic_class: str = "client",
              track: Optional[str] = None) -> Event:
-        """Post one verb; the returned event triggers with ``verb.execute()``'s
-        result (or ``None``) at completion time.
-
-        This is the hot path (millions of calls per simulated second), so
-        it avoids the batch machinery: memoized service times, direct FIFO
-        completion-time arithmetic on both NICs, and a single scheduled
-        :class:`Deferred` that runs the verb's side effect at completion.
-        """
-        env = self.env
-        rtt = src.config.rtt
-        alive = self._alive
-        if not alive.get(dst.node_id, False):
-            return self._dead_post(dst, rtt)
-
+        """Post one verb; the returned event triggers with
+        ``verb.execute()``'s result (or ``None``) at completion time.
+        ``track`` names the trace track of the verb's span (clients pass
+        their own so verb spans nest under the op span; the default is
+        the source NIC's track)."""
         wire = verb.payload + WIRE_HEADER
-        if verb.opcode.is_atomic:
-            # The destination performs a PCIe read-modify-write.
-            dst_key = (wire, 0, 1)
-        else:
-            dst_key = (wire, 1, 0)
-        dst_service = dst._svc_cache.get(dst_key)
-        if dst_service is None:
-            dst_service = dst.service_time(wire, doorbells=dst_key[1],
-                                           atomics=dst_key[2])
-        src_key = (verb.src_size(src.config.inline_max), 1, 0)
-        src_service = src._svc_cache.get(src_key)
-        if src_service is None:
-            src_service = src.service_time(src_key[0])
-        bbc = self.bytes_by_class
-        bbc[traffic_class] = bbc.get(traffic_class, 0) + wire
-
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            return self._post_traced(src, dst, [verb], src_service,
-                                     dst_service, wire, traffic_class, track)
-
-        # Per-side completion instants re-based through ``now`` exactly the
-        # way the event-per-side path computed them (``now + delay``), so
-        # timestamps are bit-identical to the unfused engine.
-        now = env.now
-        t_src = now + (src._pipe.submit_at(src_service) - now)
-        t_dst = now + (dst._pipe.submit_at(dst_service) - now)
-        t_done = (t_src if t_src > t_dst else t_dst) + rtt
-        execute = verb.execute
-        dst_id = dst.node_id
-
-        if _VerbFinish is not None:
-            return Deferred(env, t_done,
-                            _VerbFinish(alive, dst_id, execute,
-                                        NodeFailedError))
-
-        def finish():
-            if not alive.get(dst_id, False):
-                raise NodeFailedError(dst_id, "in flight")
-            return execute() if execute is not None else None
-
-        return Deferred(env, t_done, finish)
+        return self._submit(
+            src, dst,
+            src._svc_cache[(verb.src_size(src.config.inline_max), 1, 0)],
+            dst._svc_cache[(wire, 0, 1) if verb.opcode.is_atomic
+                           else (wire, 1, 0)],
+            wire, (verb.opcode,), verb.execute, (), traffic_class, track)
 
     def post_batch(self, src: RNIC, dst: RNIC, verbs: Sequence[Verb],
                    traffic_class: str = "client",
@@ -152,127 +228,38 @@ class Fabric:
         once for the whole group, which is the point of doorbell batching
         (§2.4).  With batching disabled, each message pays its own
         overhead on each side.  The returned event triggers with the list
-        of per-verb results — or the single result when one verb was
-        posted.
-
-        ``track`` names the trace track a verb span is emitted on when
-        tracing is enabled (clients pass their own track so verb spans
-        nest under the op span; the default is the source NIC's track).
+        of per-verb results (the single result for a single verb).
         """
         if not verbs:
             raise ValueError("empty verb batch")
         if len(verbs) == 1:
             return self.post(src, dst, verbs[0],
                              traffic_class=traffic_class, track=track)
-        env = self.env
-        rtt = src.config.rtt
-        alive = self._alive
-        if not alive.get(dst.node_id, False):
-            return self._dead_post(dst, rtt)
-
         inline_max = src.config.inline_max
-        src_bytes = 0
-        dst_bytes = 0
-        atomics = 0
+        src_bytes = dst_bytes = atomics = 0
+        opcodes = []
         for v in verbs:
             src_bytes += v.src_size(inline_max)
             dst_bytes += v.payload + WIRE_HEADER
+            opcodes.append(v.opcode)
             if v.opcode.is_atomic:
                 atomics += 1
-        bbc = self.bytes_by_class
-        bbc[traffic_class] = bbc.get(traffic_class, 0) + dst_bytes
         if src.config.doorbell_batching:
-            # True doorbell batching: one op cost for the group plus the
-            # per-byte cost of everything on the wire, on both sides.
-            doorbells = 1 if atomics < len(verbs) else 0
-            src_service = src.service_time(src_bytes, doorbells=1)
-            dst_service = dst.service_time(dst_bytes, doorbells=doorbells,
-                                           atomics=atomics)
+            # One op cost for the group plus the per-byte cost of
+            # everything on the wire, on both sides.
+            src_service = src._svc_cache[(src_bytes, 1, 0)]
+            dst_service = dst._svc_cache[
+                (dst_bytes, 1 if atomics < len(verbs) else 0, atomics)]
         else:
-            src_service = src.service_time(src_bytes,
-                                           doorbells=len(verbs))
+            src_service = src._svc_cache[(src_bytes, len(verbs), 0)]
             dst_service = 0.0
-            dst_cache = dst._svc_cache
             for v in verbs:
                 wire = v.payload + WIRE_HEADER
-                key = (wire, 0, 1) if v.opcode.is_atomic else (wire, 1, 0)
-                svc = dst_cache.get(key)
-                if svc is None:
-                    svc = dst.service_time(wire, doorbells=key[1],
-                                           atomics=key[2])
-                dst_service += svc
-
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            return self._post_traced(src, dst, verbs, src_service,
-                                     dst_service, dst_bytes, traffic_class,
-                                     track)
-
-        now = env.now
-        t_src = now + (src._pipe.submit_at(src_service) - now)
-        t_dst = now + (dst._pipe.submit_at(dst_service) - now)
-        t_done = (t_src if t_src > t_dst else t_dst) + rtt
-        dst_id = dst.node_id
-
-        def finish():
-            if not alive.get(dst_id, False):
-                raise NodeFailedError(dst_id, "in flight")
-            return [v.execute() if v.execute else None for v in verbs]
-
-        return Deferred(env, t_done, finish)
-
-    def _post_traced(self, src: RNIC, dst: RNIC, verbs: Sequence[Verb],
-                     src_service: float, dst_service: float, dst_bytes: int,
-                     traffic_class: str, track: Optional[str]) -> Event:
-        """The tracing-enabled post path: identical timing to the fast
-        path, plus per-NIC metrics and one verb span per group."""
-        env = self.env
-        obs = self.obs
-        tracer = obs.tracer
-        rtt = src.config.rtt
-        alive = self._alive
-        single = len(verbs) == 1
-
-        obs.metrics.add(f"bytes.{traffic_class}", dst_bytes)
-        if any(v.opcode != Opcode.READ for v in verbs):
-            # Write-path occupancy per side — the series behind the
-            # paper's §2.4 asymmetry (writes are MN-IOPS-bound).
-            obs.metrics.add(f"nic.{src.obs_label}.wbusy", src_service)
-            obs.metrics.add(f"nic.{dst.obs_label}.wbusy", dst_service)
-        # Captured before submission: the queueing delay a new group
-        # sees is the backlog already in the FIFOs, which separates
-        # wait from service in the emitted span.
-        t_post = env.now
-        queue_wait = max(src.backlog(), dst.backlog())
-
-        t_src = t_post + (src.occupy_at(src_service) - t_post)
-        t_dst = t_post + (dst.occupy_at(dst_service) - t_post)
-        t_done = (t_src if t_src > t_dst else t_dst) + rtt
-        dst_id = dst.node_id
-
-        def trace_verb(error: str = "") -> None:
-            name = (verbs[0].opcode.name if single
-                    else f"batch[{len(verbs)}]")
-            span = tracer.complete(
-                name, "verb", track or f"nic.{src.obs_label}",
-                t_post, env.now,
-                bytes=dst_bytes, tc=traffic_class,
-                queue_us=round(queue_wait * 1e6, 3),
-                service_us=round(dst_service * 1e6, 3),
-                rtt_us=round(rtt * 1e6, 3),
-            )
-            if error:
-                span.set(error=error)
-
-        def finish():
-            if not alive.get(dst_id, False):
-                trace_verb(error="node failed in flight")
-                raise NodeFailedError(dst_id, "in flight")
-            results = [v.execute() if v.execute else None for v in verbs]
-            trace_verb()
-            return results[0] if single else results
-
-        return Deferred(env, t_done, finish)
+                dst_service += dst._svc_cache[
+                    (wire, 0, 1) if v.opcode.is_atomic else (wire, 1, 0)]
+        return self._submit(src, dst, src_service, dst_service, dst_bytes,
+                            opcodes, _execute_all, (verbs,), traffic_class,
+                            track)
 
     def transfer(self, src: RNIC, dst: RNIC, size: int, *,
                  chunk: int = 16 * 1024, execute=None,
@@ -325,28 +312,40 @@ class Fabric:
         post_next()
         return done
 
-    # -- convenience wrappers (the hot paths) -------------------------------
+    # -- the opcode-named wrappers (the hot paths) -------------------------
+    # No Verb is built: the side effect travels as ``execute, args`` and
+    # is called as ``execute(*args)`` by the completion event.
 
     def read(self, src: RNIC, dst: RNIC, size: int, execute=None,
-             traffic_class: str = "client",
+             args: tuple = (), traffic_class: str = "client",
              track: Optional[str] = None) -> Event:
-        return self.post(src, dst, Verb(Opcode.READ, size, execute),
-                         traffic_class=traffic_class, track=track)
+        key = (size + WIRE_HEADER, 1, 0)    # the payload flows back
+        return self._submit(src, dst, src._svc_cache[key],
+                            dst._svc_cache[key], key[0], _READ, execute,
+                            args, traffic_class, track)
 
     def write(self, src: RNIC, dst: RNIC, size: int, execute=None,
-              traffic_class: str = "client",
+              args: tuple = (), traffic_class: str = "client",
               track: Optional[str] = None) -> Event:
-        return self.post(src, dst, Verb(Opcode.WRITE, size, execute),
-                         traffic_class=traffic_class, track=track)
+        key = (size + WIRE_HEADER, 1, 0)
+        # A small WRITE is inlined into the work request: the source
+        # skips the DMA fetch and moves the header only.
+        src_key = (WIRE_HEADER, 1, 0) if size <= src.config.inline_max \
+            else key
+        return self._submit(src, dst, src._svc_cache[src_key],
+                            dst._svc_cache[key], key[0], _WRITE, execute,
+                            args, traffic_class, track)
 
-    def cas(self, src: RNIC, dst: RNIC, execute,
+    def cas(self, src: RNIC, dst: RNIC, execute, args: tuple = (),
             traffic_class: str = "client",
             track: Optional[str] = None) -> Event:
-        return self.post(src, dst, Verb(Opcode.CAS, 8, execute),
-                         traffic_class=traffic_class, track=track)
+        return self._submit(src, dst, src._svc_cache[_ATOMIC_SRC],
+                            dst._svc_cache[_ATOMIC_DST], _ATOMIC_WIRE, _CAS,
+                            execute, args, traffic_class, track)
 
-    def faa(self, src: RNIC, dst: RNIC, execute,
+    def faa(self, src: RNIC, dst: RNIC, execute, args: tuple = (),
             traffic_class: str = "client",
             track: Optional[str] = None) -> Event:
-        return self.post(src, dst, Verb(Opcode.FAA, 8, execute),
-                         traffic_class=traffic_class, track=track)
+        return self._submit(src, dst, src._svc_cache[_ATOMIC_SRC],
+                            dst._svc_cache[_ATOMIC_DST], _ATOMIC_WIRE, _FAA,
+                            execute, args, traffic_class, track)

@@ -12,7 +12,7 @@ transfers are bandwidth-bound.  Queueing delay emerges from the FIFO.
 
 Service times are memoized per NIC: a workload issues millions of verbs
 drawn from a handful of ``(bytes, doorbells, atomics)`` shapes, so the
-max/multiply arithmetic collapses to one dict lookup on the hot path.
+max/multiply arithmetic collapses to one dict subscript on the hot path.
 """
 
 from __future__ import annotations
@@ -23,12 +23,30 @@ from ..sim import Environment, Event, ThroughputServer
 __all__ = ["RNIC"]
 
 
+class _ServiceTimes(dict):
+    """``(wire_bytes, doorbells, atomics) -> seconds`` for one NIC, each
+    shape computed on first use.  Cleared when the NIC's costs change
+    (``FailureInjector._scale_nic``)."""
+
+    __slots__ = ("_nic",)
+
+    def __init__(self, nic: "RNIC"):
+        self._nic = nic
+
+    def __missing__(self, key):
+        wire_bytes, doorbells, atomics = key
+        nic = self._nic
+        seconds = self[key] = max(
+            doorbells * nic._op_cost + atomics * nic._atomic_cost,
+            wire_bytes * nic._byte_cost)
+        return seconds
+
+
 class RNIC:
     """One NIC attached to one node."""
 
     __slots__ = ("env", "config", "node_id", "name", "_pipe", "_op_cost",
-                 "_atomic_cost", "_byte_cost", "_svc_cache", "obs",
-                 "obs_label")
+                 "_atomic_cost", "_byte_cost", "_svc_cache", "obs_label")
 
     def __init__(self, env: Environment, config: NICConfig, node_id: int,
                  name: str = ""):
@@ -40,11 +58,11 @@ class RNIC:
         self._op_cost = 1.0 / config.iops
         self._atomic_cost = 1.0 / config.atomic_iops
         self._byte_cost = 1.0 / config.bandwidth
-        #: Memoized ``(wire_bytes, doorbells, atomics) -> seconds``.
-        self._svc_cache = {}
-        #: Observability bundle + series label, wired by the cluster
-        #: (``Observability.attach_cluster``); None keeps submits free.
-        self.obs = None
+        #: Memoized ``(wire_bytes, doorbells, atomics) -> seconds``; the
+        #: Fabric's post path subscripts it directly.
+        self._svc_cache = _ServiceTimes(self)
+        #: Label of this NIC's metric series and trace track, set by the
+        #: cluster (``Observability.attach_cluster``).
         self.obs_label = self.name
 
     def service_time(self, wire_bytes: int, *, doorbells: int = 1,
@@ -56,34 +74,22 @@ class RNIC:
         counts CAS/FAA messages in the group, each costing a PCIe
         read-modify-write at the destination.
         """
-        key = (wire_bytes, doorbells, atomics)
-        cached = self._svc_cache.get(key)
-        if cached is None:
-            cached = self._svc_cache[key] = max(
-                doorbells * self._op_cost + atomics * self._atomic_cost,
-                wire_bytes * self._byte_cost)
-        return cached
+        return self._svc_cache[(wire_bytes, doorbells, atomics)]
 
     def submit(self, wire_bytes: int, *, doorbells: int = 1) -> Event:
-        """Occupy the NIC for one message; returns its drain event."""
-        return self.submit_time(
+        """Occupy the NIC for one message; returns its drain event.  (The
+        Fabric folds both NICs' drains into one completion event instead,
+        see ``Fabric._submit``.)"""
+        return self._pipe.submit(
             self.service_time(wire_bytes, doorbells=doorbells))
 
-    def submit_time(self, service_time: float) -> Event:
-        """Occupy the NIC for a precomputed duration."""
-        return self.env.timeout(self.occupy_at(service_time) - self.env.now)
-
-    def occupy_at(self, service_time: float) -> float:
-        """Occupy the NIC for a precomputed duration; returns the drain
-        *time* without creating an event (the Fabric's fast path)."""
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            metrics = obs.metrics
-            metrics.add(f"nic.{self.obs_label}.busy", service_time)
-            metrics.add(f"nic.{self.obs_label}.msgs", 1)
-            metrics.peak(f"nic.{self.obs_label}.backlog",
-                         self._pipe.backlog())
-        return self._pipe.submit_at(service_time)
+    def record_submit(self, metrics, service_time: float) -> None:
+        """This NIC's series of one submission (tracing on), taken before
+        it enters the FIFO: the backlog is what the submission found."""
+        label = self.obs_label
+        metrics.add(f"nic.{label}.busy", service_time)
+        metrics.add(f"nic.{label}.msgs", 1)
+        metrics.peak(f"nic.{label}.backlog", self._pipe.backlog())
 
     # -- introspection (benchmarks) ---------------------------------------
 

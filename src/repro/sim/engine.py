@@ -25,6 +25,7 @@ backwards; ``Timeout`` already rejects negative delays).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .sched import make_scheduler
@@ -62,6 +63,8 @@ class Interrupt(Exception):
 #: distinguishes "cancelled, never run callbacks" from "already
 #: dispatched" (``None``).  A tuple so accidental ``append`` fails loudly.
 _CANCELLED = ()
+
+_VALUE_OF = attrgetter("_value")
 
 
 class Event:
@@ -185,22 +188,22 @@ class Timeout(Event):
 class Deferred(Event):
     """An event that *resolves* at a scheduled future time.
 
-    Where a :class:`Timeout` carries a preset value, a Deferred runs its
-    ``resolver`` when dispatched: the return value succeeds the event, a
-    raised exception fails it.  Callbacks then run in the same dispatch —
-    one queue entry covers schedule + resolution + callback fan-out, which
-    is what makes it the fast path for RDMA verb completions (the old
-    shape was two NIC-drain timeouts, an RTT timeout, and a separate
-    trigger push for the result event).
+    Where a :class:`Timeout` carries a preset value, a Deferred calls
+    ``resolver(*args)`` when dispatched: the return value succeeds the
+    event, a raised exception fails it.  Callbacks then run in the same
+    dispatch — one queue entry covers schedule + resolution + callback
+    fan-out, which is what makes it the fast path for RDMA verb
+    completions (the old shape was two NIC-drain timeouts, an RTT
+    timeout, and a separate trigger push for the result event).
 
     Unlike a Timeout, a Deferred stays untriggered until dispatch, so
     ``triggered``/``value`` behave like a plain :class:`Event`.
     """
 
-    __slots__ = ("_resolver", "_qseq")
+    __slots__ = ("_resolver", "_args", "_qseq")
 
     def __init__(self, env: "Environment", at: float,
-                 resolver: Callable[[], Any]):
+                 resolver: Callable[..., Any], args: tuple = ()):
         """Schedule resolution at *absolute* simulated time ``at`` (callers
         computing FIFO completion times already hold the absolute instant;
         round-tripping through a delay would perturb the float)."""
@@ -210,11 +213,12 @@ class Deferred(Event):
         self._ok = True
         self._triggered = False
         self._resolver = resolver
+        self._args = args
         self._qseq = env._push(at, self)
 
     def _run_callbacks(self) -> None:
         try:
-            value = self._resolver()
+            value = self._resolver(*self._args)
             ok = True
         except BaseException as exc:
             value = exc
@@ -291,47 +295,50 @@ class Process(Event):
         interrupt_ev.add_callback(self._resume_interrupt)
 
     def _resume_interrupt(self, event: Event) -> None:
-        if self._triggered:
-            return
         self._waiting_on = None
-        self._step(event)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
+        """Send *event*'s outcome into the generator and wait on what it
+        yields next.  One frame per wake-up: this runs once per yield of
+        every process, so it reads the event's slots (the callers hand
+        it triggered events only) and registers itself inline."""
         if self._triggered:
             return
-        if self._waiting_on is not None and event is not self._waiting_on:
+        waiting = self._waiting_on
+        if waiting is not None and event is not waiting:
             return  # stale wakeup (we were interrupted while waiting)
         self._waiting_on = None
-        self._step(event)
-
-    def _step(self, event: Event) -> None:
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._triggered = True
-            self._ok = False
-            self._value = exc
-            self.env.failed.append(self)
-            self.env._queue_trigger(self)
+            self._crash(exc)
             return
         if not isinstance(target, Event):
-            exc = SimulationError(
+            self._crash(SimulationError(
                 f"process {self.name!r} yielded non-event: {target!r}"
-            )
-            self._triggered = True
-            self._ok = False
-            self._value = exc
-            self.env.failed.append(self)
-            self.env._queue_trigger(self)
+            ))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # Event.add_callback, inlined.
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)
+        elif callbacks is not _CANCELLED:
+            callbacks.append(self._resume)
+
+    def _crash(self, exc: BaseException) -> None:
+        self._triggered = True
+        self._ok = False
+        self._value = exc
+        self.env.failed.append(self)
+        self.env._queue_trigger(self)
 
 
 class AllOf(Event):
@@ -356,12 +363,16 @@ class AllOf(Event):
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._pending -= 1
         if self._pending == 0:
-            self.succeed([ev.value for ev in self._events])
+            # Event.succeed, inlined (one fan-in per doorbell group).
+            self._triggered = True
+            self._value = list(map(_VALUE_OF, self._events))
+            env = self.env
+            env._push(env.now, self)
 
 
 class AnyOf(Event):
@@ -466,8 +477,9 @@ class Environment:
         higher seqs and so land in the next batch, and a member
         cancelled by an earlier callback has its slot nulled in the
         live batch list (hence the ``None`` check).  Backends exposing
-        a fused ``run_loop`` (the compiled event core) take the whole
-        loop instead.
+        a ``run_loop`` take the whole loop instead: the compiled event
+        core, and the default ``adaptive`` backend, whose small
+        populations are served faster one entry per turn.
         """
         sched = self.sched
         run_loop = getattr(sched, "run_loop", None)
@@ -511,7 +523,7 @@ class Environment:
         pop = self.sched.pop
         has_limit = limit != float("inf")
         pop_limit = limit if has_limit else None
-        while not event.triggered:
+        while not event._triggered:
             entry = pop(pop_limit)
             if entry is None:
                 if not strict:
@@ -524,6 +536,6 @@ class Environment:
                 raise SimulationError(f"time limit {limit} exceeded")
             self.now = entry[0]
             entry[2]._run_callbacks()
-        if not event.ok:
-            raise event.value
-        return event.value
+        if not event._ok:
+            raise event._value
+        return event._value

@@ -1,8 +1,6 @@
-/* Compiled event core for the repro simulator.
- *
- * Two things live here, both optional at runtime (the scheduler layer
- * gates on this module's importability and the pure-python paths stay
- * bit-identical):
+/* Compiled event core for the repro simulator, optional at runtime
+ * (the scheduler layer gates on this module's importability and the
+ * pure-python paths stay bit-identical):
  *
  *   FlatHeapCore
  *       The flat-heap scheduler with its storage in C: parallel
@@ -14,12 +12,6 @@
  *       pop -> _run_callbacks dispatch cycle with the queue walk, the
  *       tombstone filtering and the time bookkeeping all in C, calling
  *       out to Python only for the event callbacks themselves.
- *
- *   VerbFinish
- *       A C callable replacing the per-verb `finish` closure on the
- *       fused-verb completion path in rdma/network.py: liveness check
- *       plus side-effect dispatch without materializing a function
- *       object and closure cells per posted verb.
  *
  * Built by tools/build_sched.py (no hard dependency anywhere).
  */
@@ -529,110 +521,6 @@ static PyTypeObject FlatHeapCoreType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* VerbFinish                                                         */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *alive;    /* the fabric's node-liveness dict */
-    PyObject *dst_id;   /* destination node id (key into alive) */
-    PyObject *execute;  /* verb side effect, or None */
-    PyObject *exc;      /* NodeFailedError class */
-} VerbFinish;
-
-static int
-VerbFinish_init(VerbFinish *self, PyObject *args, PyObject *kwargs)
-{
-    PyObject *alive, *dst_id, *execute, *exc;
-    if (kwargs && PyDict_Size(kwargs)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "VerbFinish takes no keyword arguments");
-        return -1;
-    }
-    if (!PyArg_ParseTuple(args, "O!OOO:VerbFinish",
-                          &PyDict_Type, &alive, &dst_id, &execute, &exc))
-        return -1;
-    Py_INCREF(alive);
-    Py_XSETREF(self->alive, alive);
-    Py_INCREF(dst_id);
-    Py_XSETREF(self->dst_id, dst_id);
-    Py_INCREF(execute);
-    Py_XSETREF(self->execute, execute);
-    Py_INCREF(exc);
-    Py_XSETREF(self->exc, exc);
-    return 0;
-}
-
-static PyObject *
-VerbFinish_call(VerbFinish *self, PyObject *args, PyObject *kwargs)
-{
-    PyObject *v = PyDict_GetItemWithError(self->alive, self->dst_id);
-    int live = 0;
-    if (v != NULL) {
-        live = PyObject_IsTrue(v);
-        if (live < 0)
-            return NULL;
-    }
-    else if (PyErr_Occurred())
-        return NULL;
-    if (!live) {
-        PyObject *inst = PyObject_CallFunction(self->exc, "Os",
-                                               self->dst_id, "in flight");
-        if (inst == NULL)
-            return NULL;
-        PyErr_SetObject((PyObject *)Py_TYPE(inst), inst);
-        Py_DECREF(inst);
-        return NULL;
-    }
-    if (self->execute == Py_None)
-        Py_RETURN_NONE;
-    return PyObject_CallNoArgs(self->execute);
-}
-
-static int
-VerbFinish_traverse(VerbFinish *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->alive);
-    Py_VISIT(self->dst_id);
-    Py_VISIT(self->execute);
-    Py_VISIT(self->exc);
-    return 0;
-}
-
-static int
-VerbFinish_clear(VerbFinish *self)
-{
-    Py_CLEAR(self->alive);
-    Py_CLEAR(self->dst_id);
-    Py_CLEAR(self->execute);
-    Py_CLEAR(self->exc);
-    return 0;
-}
-
-static void
-VerbFinish_dealloc(VerbFinish *self)
-{
-    PyObject_GC_UnTrack(self);
-    VerbFinish_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyTypeObject VerbFinishType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "_sched_core.VerbFinish",
-    .tp_basicsize = sizeof(VerbFinish),
-    .tp_dealloc = (destructor)VerbFinish_dealloc,
-    .tp_call = (ternaryfunc)VerbFinish_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "VerbFinish(alive, dst_id, execute, exc_class): the fused\n"
-              "verb-completion resolver (liveness check + side effect).",
-    .tp_traverse = (traverseproc)VerbFinish_traverse,
-    .tp_clear = (inquiry)VerbFinish_clear,
-    .tp_init = (initproc)VerbFinish_init,
-    .tp_new = PyType_GenericNew,
-};
-
-/* ------------------------------------------------------------------ */
 /* module                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -664,8 +552,6 @@ PyInit__sched_core(void)
     if (r < 0)
         return NULL;
     PyType_Modified(&FlatHeapCoreType);
-    if (PyType_Ready(&VerbFinishType) < 0)
-        return NULL;
     PyObject *m = PyModule_Create(&sched_core_module);
     if (m == NULL)
         return NULL;
@@ -673,13 +559,6 @@ PyInit__sched_core(void)
     if (PyModule_AddObject(m, "FlatHeapCore",
                            (PyObject *)&FlatHeapCoreType) < 0) {
         Py_DECREF(&FlatHeapCoreType);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&VerbFinishType);
-    if (PyModule_AddObject(m, "VerbFinish",
-                           (PyObject *)&VerbFinishType) < 0) {
-        Py_DECREF(&VerbFinishType);
         Py_DECREF(m);
         return NULL;
     }

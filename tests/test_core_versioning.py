@@ -300,6 +300,89 @@ def test_op_cost_of_a_lost_commit_cas():
     assert cluster.run_op(c0.search(key)) in (b"a" * 100, b"b" * 100)
 
 
+def timed_search(cluster, client, key):
+    """(value, round trips, CN NIC submissions) of one SEARCH on an idle
+    cluster.  Round trips come from the simulated latency: each costs one
+    RTT of propagation plus NIC service, which for these sizes stays
+    under half an RTT."""
+    env, nic = cluster.env, client.nic
+    t0, posted = env.now, nic.messages
+    value = cluster.run_op(client.search(key))
+    rtt = cluster.config.cluster.nic.rtt
+    return value, int((env.now - t0) // rtt), nic.messages - posted
+
+
+def test_op_cost_search_cache_hit():
+    """§3.5.1: a cached SEARCH is one round trip of two parallel verbs —
+    the KV read and the 16 B slot read — and never a bucket query."""
+    cluster = make_aceso()
+    c = cluster.clients[0]
+    key, value = b"cost-hit", b"x" * 100
+    cluster.run_op(c.insert(key, value))
+    log = VerbLog(c)
+    got, round_trips, posted = timed_search(cluster, c, key)
+    assert got == value
+    assert sorted(log.verbs) == [("READ", 16),
+                                 ("READ", slot_bytes(key, value))]
+    assert log.bucket_queries == 0
+    assert (round_trips, posted) == (1, 2)
+
+
+def test_op_cost_search_stale_hit():
+    """Another client committed in between: the slot read shows the new
+    address, so the cost is one more KV read — a second round trip, still
+    no bucket query."""
+    cluster = make_aceso()
+    writer, reader = cluster.clients
+    key, value = b"cost-stale", b"x" * 100
+    cluster.run_op(writer.insert(key, value))
+    assert cluster.run_op(reader.search(key)) == value
+    cluster.run_op(writer.update(key, b"y" * 100))
+    log = VerbLog(reader)
+    got, round_trips, posted = timed_search(cluster, reader, key)
+    assert got == b"y" * 100
+    size = slot_bytes(key, value)
+    assert log.verbs == [("READ", size), ("READ", 16), ("READ", size)]
+    assert log.bucket_queries == 0
+    assert (round_trips, posted) == (2, 3)
+    assert cluster.stats.counters["cache_slot_changed"] == 1
+
+
+def test_op_cost_search_cold_miss():
+    """Nothing cached: one bucket query — both candidate buckets in one
+    doorbell batch, a single submission — then the KV read."""
+    cluster = make_aceso()
+    writer, cold = cluster.clients
+    key, value = b"cost-cold", b"x" * 100
+    cluster.run_op(writer.insert(key, value))
+    log = VerbLog(cold)
+    got, round_trips, posted = timed_search(cluster, cold, key)
+    assert got == value
+    assert log.verbs == [("READ", slot_bytes(key, value))]
+    assert log.bucket_queries == 1
+    assert (round_trips, posted) == (2, 2)
+
+
+def test_op_cost_search_fusee_value_only_hit():
+    """The baseline's cache holds no slot address: a hit validates by
+    re-reading the slot's whole bucket next to the KV read (the read
+    amplification §3.5.1 removes) — one round trip, no bucket query."""
+    from tests.conftest import make_fusee
+    cluster = make_fusee()
+    c = cluster.clients[0]
+    key, value = b"cost-fusee", b"x" * 100
+    cluster.run_op(c.insert(key, value))
+    assert c.cache.policy == "value_only"
+    log = VerbLog(c)
+    got, round_trips, posted = timed_search(cluster, c, key)
+    assert got == value
+    bucket_size = cluster.mns[0].index.bucket_size
+    assert sorted(log.verbs) == sorted([("READ", slot_bytes(key, value)),
+                                        ("READ", bucket_size)])
+    assert log.bucket_queries == 0
+    assert (round_trips, posted) == (1, 2)
+
+
 def committed_versions(cluster, key):
     """Hook the home MN's CAS: the Slot Version stored in the KV pair each
     successful commit CAS on *key*'s slot points at, in commit order."""

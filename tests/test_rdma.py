@@ -474,3 +474,175 @@ def test_batch_group_pays_one_doorbell_per_side():
     # 1 Mops) on the posting side alone; wire/propagation is shared.
     assert unbatched > 2 * batched
     assert unbatched - batched >= 2.9e-6
+
+
+# ------------------------------------------------------------------ one post path
+
+CFG = NICConfig()
+BACKLOG = 100_000                # bytes of the WRITE that fills both FIFOs
+
+
+def service(wire, doorbells=1, atomics=0):
+    """NIC occupancy of one message group, from the config alone."""
+    return max(doorbells / CFG.iops + atomics / CFG.atomic_iops,
+               wire / CFG.bandwidth)
+
+
+def post_read(fabric, a, b):
+    wire = 1024 + WIRE_HEADER
+    return fabric.read(a, b, 1024), service(wire), service(wire)
+
+
+def post_inline_write(fabric, a, b):
+    # The source moves the header only: no DMA fetch of the payload.
+    return (fabric.write(a, b, 256), service(WIRE_HEADER),
+            service(256 + WIRE_HEADER))
+
+
+def post_dma_write(fabric, a, b):
+    wire = 257 + WIRE_HEADER
+    return fabric.write(a, b, 257), service(wire), service(wire)
+
+
+def post_cas(fabric, a, b):
+    wire = ATOMIC_SIZE + WIRE_HEADER
+    return (fabric.cas(a, b, lambda: (True, 0)), service(wire),
+            service(wire, doorbells=0, atomics=1))
+
+
+def post_doorbell_batch(fabric, a, b):
+    # One doorbell for the group on both sides, every byte on the wire.
+    wire = 2 * (128 + WIRE_HEADER)
+    verbs = [Verb(Opcode.READ, 128), Verb(Opcode.READ, 128)]
+    return fabric.post_batch(a, b, verbs), service(wire), service(wire)
+
+
+POSTS = [post_read, post_inline_write, post_dma_write, post_cas,
+         post_doorbell_batch]
+
+
+def completion_instant(post, backlogged, traced):
+    """(measured, hand-computed) completion instant of one post at
+    t = 1 us, into idle NICs or behind a 100 kB WRITE posted at t = 0."""
+    from repro.obs import Observability
+    env = Environment()
+    fabric, (a, b) = make_fabric(env)
+    if traced:
+        fabric.obs = Observability(env, enabled=True)
+    free_at = 0.0
+    if backlogged:
+        fabric.write(a, b, BACKLOG)
+        free_at = service(BACKLOG + WIRE_HEADER)     # both FIFOs, from t = 0
+    now = 1e-6
+    env.run(until=now)
+    assert (a.backlog() > 0) == backlogged
+    event, src_service, dst_service = post(fabric, a, b)
+    done_at = []
+    event.add_callback(lambda ev: done_at.append(env.now))
+    env.run()
+    # Each side drains after what was queued before it; the two drain
+    # instants are re-based through ``now``, the later one plus one RTT
+    # is the completion.
+    start = max(now, free_at)
+    t_src = now + (start + src_service - now)
+    t_dst = now + (start + dst_service - now)
+    return done_at[0], max(t_src, t_dst) + CFG.rtt, fabric
+
+
+@pytest.mark.parametrize("backlogged", [False, True],
+                         ids=["idle", "backlogged"])
+@pytest.mark.parametrize("post", POSTS, ids=lambda f: f.__name__[5:])
+def test_post_path_completion_instant(post, backlogged):
+    """Every kind of post completes at the hand-computed FIFO instant,
+    exactly (``==``, not approx), with tracing on and off."""
+    plain, expected, _ = completion_instant(post, backlogged, traced=False)
+    traced, _, fabric = completion_instant(post, backlogged, traced=True)
+    assert plain == expected
+    assert traced == expected
+    spans = [s for s in fabric.obs.tracer.spans if s.cat == "verb"]
+    assert len(spans) == 1 + backlogged          # one span per group
+    assert spans[-1].end == expected
+    if backlogged:
+        assert spans[-1].args["queue_us"] > 0
+
+
+def test_post_path_counts_one_submission_per_side():
+    """``messages`` and ``busy_time`` count one submission per group per
+    side, doorbell batches included (perfbench reads both)."""
+    env = Environment()
+    fabric, (a, b) = make_fabric(env)
+    posted = [post(fabric, a, b) for post in POSTS]
+    env.run()
+    assert a.messages == b.messages == len(POSTS)
+    assert a.busy_time == pytest.approx(sum(src for _, src, _ in posted))
+    assert b.busy_time == pytest.approx(sum(dst for _, _, dst in posted))
+
+
+def test_verb_in_flight_when_destination_dies_never_executes():
+    env = Environment()
+    fabric, (a, b) = make_fabric(env)
+    ran = []
+    outcomes = []
+    events = [
+        fabric.read(a, b, 64, ran.append, ("read",)),
+        fabric.write(a, b, 64, ran.append, ("write",)),
+        fabric.cas(a, b, ran.append, ("cas",)),
+        fabric.post_batch(a, b, [Verb(Opcode.READ, 8, lambda: ran.append(0)),
+                                 Verb(Opcode.READ, 8, lambda: ran.append(1))]),
+    ]
+    for ev in events:
+        ev.add_callback(lambda ev: outcomes.append((ev.ok, ev.value)))
+    env.run(until=CFG.rtt / 2)
+    fabric.kill(1)
+    env.run()
+    assert ran == []
+    assert len(outcomes) == len(events)
+    for ok, value in outcomes:
+        assert not ok
+        assert isinstance(value, NodeFailedError) and value.node_id == 1
+
+
+def test_post_to_dead_node_fails_one_rtt_later():
+    env = Environment()
+    fabric, (a, b) = make_fabric(env)
+    fabric.kill(1)
+    env.run(until=3e-6)
+    ran = []
+    failed_at = []
+    for event in (fabric.read(a, b, 64, ran.append, ("read",)),
+                  fabric.post_batch(a, b, [Verb(Opcode.READ, 8),
+                                           Verb(Opcode.READ, 8)])):
+        event.add_callback(lambda ev: failed_at.append((env.now, ev.ok)))
+    env.run()
+    assert failed_at == [(3e-6 + CFG.rtt, False)] * 2
+    assert ran == []
+    # nothing was charged: the post never reached a NIC
+    assert a.messages == b.messages == 0
+    assert fabric.bytes_by_class == {}
+
+
+def test_gray_nic_scaling_reaches_the_next_verb():
+    """``FailureInjector`` scales a NIC's costs and drops its memoized
+    service times: the very next verb pays the scaled time, and a
+    restore brings the configured one back."""
+    from repro.cluster.failures import FailureEvent, FailureInjector
+    from tests.conftest import make_aceso
+    cluster = make_aceso()
+    env, fabric = cluster.env, cluster.fabric
+    cfg = cluster.config.cluster.nic
+    cn, mn = cluster.cns[min(cluster.cns)], cluster.mns[0]
+    injector = FailureInjector(env, cluster)
+
+    def read_latency():
+        assert cn.nic.backlog() == mn.nic.backlog() == 0
+        t0 = env.now
+        env.run_until_event(fabric.read(cn.nic, mn.nic, 64))
+        return env.now - t0
+
+    # A 64 B READ is IOPS-bound: one op cost at the slower side, one RTT.
+    assert read_latency() == pytest.approx(1 / cfg.iops + cfg.rtt)
+    injector.fire_now(FailureEvent(at=env.now, kind="nic_degrade",
+                                   node_id=0, factor=8.0))
+    assert read_latency() == pytest.approx(8 / cfg.iops + cfg.rtt)
+    injector.fire_now(FailureEvent(at=env.now, kind="nic_restore", node_id=0))
+    assert read_latency() == pytest.approx(1 / cfg.iops + cfg.rtt)

@@ -5,9 +5,8 @@ Two build products, tried in order of payoff:
 
 1. ``repro.sim.sched._sched_core`` — the full C event core
    (``_sched_core.c``: flat-heap storage, sift loops, batch
-   bookkeeping, and the engine's ``run_loop`` dispatch cycle all in C,
-   plus the ``VerbFinish`` resolver for the fused-verb completion
-   path).  Needs only a C compiler + Python headers (via setuptools).
+   bookkeeping, and the engine's ``run_loop`` dispatch cycle all in
+   C).  Needs only a C compiler + Python headers (via setuptools).
 2. ``repro.sim.sched._flatheap_core_compiled`` — a mypyc/Cython
    compile of the pure-python sift kernels, for environments with
    those compilers but where building the hand-written extension
