@@ -9,7 +9,9 @@ single RDMA_CAS on the slot's Atomic field as the commit point, with the
 8-bit ``ver`` / 56-bit ``epoch`` slot-versioning protocol (lock the Meta
 field on rollover; on CAS failure re-stamp the orphan KV pair with the
 next Slot Version and CAS again, invalidating it only when the slot
-alone cannot decide the retry).
+alone cannot decide the retry).  The slot read that opens Algorithm 1 is
+one 16 B READ at the cached slot address, and is skipped while the client
+has not seen another writer change the key (``CacheEntry.heat``).
 
 The read path uses the local index cache (§3.5.1): with the ``addr_value``
 policy a hit costs one KV read plus one 16 B slot-validation read and
@@ -357,6 +359,8 @@ class AcesoClient:
         kv_raw, slot_raw = yield self.env.all_of([kv_ev, slot_ev])
         current_word = int.from_bytes(slot_raw[:8], "little")
         if current_word == entry.atomic_word:
+            if entry.heat:
+                entry.looked(False)
             record = self._parse_or_none(kv_raw, key)
             if record is not None:
                 return record
@@ -366,6 +370,7 @@ class AcesoClient:
             return record
         # Slot changed: read the new KV directly — no bucket query needed.
         self.stats.bump("cache_slot_changed")
+        entry.looked(True)
         new_atomic = AtomicField.unpack(current_word)
         if new_atomic.empty:
             # The slot was vacated (e.g. recovery re-placed the key in a
@@ -588,9 +593,15 @@ class AcesoClient:
             # under: a cached slot address carries the one it was stored
             # under (taken before the lookup below; no yield in between).
             cached = self.cache.peek(key)
-            slot_epoch = (cached.home_epoch
-                          if cached is not None and cached.slot_offset >= 0
+            if cached is not None and cached.slot_offset < 0:
+                cached = None
+            slot_epoch = (cached.home_epoch if cached is not None
                           else self.master.mn_incarnation(home))
+            # A cached pair used as it is makes the commit CAS a look at
+            # the slot (a refreshed one, heat > 0, was looked at already);
+            # only a lost CAS moves a heat of 0.
+            trusted = cached if cached is not None and not cached.heat \
+                else None
             try:
                 located = yield from self._locate_for_write(key, home, op)
             except NodeFailedError:
@@ -687,10 +698,11 @@ class AcesoClient:
                 yield self.env.all_of(writes)
             except NodeFailedError:
                 # A failed MN on the write path: bypass it (§3.4.1) — the
-                # KV write must land, the delta write may be skipped.
+                # KV write must land, the delta write may be skipped.  The
+                # KV write is already posted: wait for it (it raises
+                # again if the data node is the dead one).
                 try:
-                    yield self._post_write(kv_addr.node_id, kv_addr.offset,
-                                           kv_bytes)
+                    yield writes[0]
                 except NodeFailedError:
                     retries += 1
                     block.writes_done += 1
@@ -742,6 +754,8 @@ class AcesoClient:
                 # --- CAS lost: re-stamp the orphan KV and CAS again, or
                 # invalidate it (line 18) and start over -----------------
                 self.stats.bump("commit_conflicts")
+                if trusted is not None:
+                    trusted.looked(changed=True)
                 orphan = _Orphan(kv_addr, delta_addr, int.from_bytes(
                     old_bytes[VERSION_FIELD_OFFSET:VERSION_FIELD_OFFSET + 8],
                     "little"))
@@ -810,17 +824,35 @@ class AcesoClient:
     def _locate_for_write(self, key: bytes, home: int, op: str):
         """Find (bucket, slot, atomic_word, meta_word, fresh_insert).
 
-        With the addr_value cache the client trusts the cached
-        Atomic/Meta pair and CASes directly (the commit CAS catches any
-        staleness, forcing a re-read on failure).  Otherwise it queries
-        the candidate buckets.
+        A cache hit is used in one of two ways.  *Trust*: return the
+        cached Atomic/Meta pair and let the commit CAS catch staleness —
+        no verb here, and a lost CAS (then `_resolve_conflict`) when
+        another client wrote the key since.  *Refresh*: read the 16 B slot
+        at the cached address first and return the pair just read — one
+        small round trip more, and the CAS loses only to a true race.
+        The entry's ``heat`` picks (trust while no look at the slot found
+        it changed, and again after two unchanged looks in a row); only
+        the addr_value cache on wide slots refreshes — the slot address
+        is that cache's feature (§3.5.1), and FUSEE and the earlier factor
+        steps keep their verbs.  Without a hit the candidate buckets are
+        queried.
+
+        Raises ``NodeFailedError`` when a refresh finds the home MN
+        failed since the entry was stored.
         """
-        entry = self.cache.lookup(key) if self.cache.enabled else None
-        if self.cache.enabled:
+        cache = self.cache
+        entry = cache.lookup(key) if cache.enabled else None
+        if cache.enabled:
             self._cache_metric(entry is not None and entry.slot_offset >= 0)
         if entry is not None and entry.slot_offset >= 0:
-            return (entry.bucket, entry.slot, entry.atomic_word,
-                    entry.meta_word, False)
+            if not (entry.heat and self.wide
+                    and cache.policy == "addr_value"):
+                return (entry.bucket, entry.slot, entry.atomic_word,
+                        entry.meta_word, False)
+            pair = yield from self._refresh_slot(key, home, entry)
+            if pair is not None:
+                return (entry.bucket, entry.slot, *pair, False)
+            cache.invalidate(key)
         buckets = yield from self._query_buckets(key, home)
         _match, free, matches = self._find_slot(key, buckets)
         # Verify fingerprint candidates actually hold this key.
@@ -841,6 +873,34 @@ class AcesoClient:
         # first free slot would make unrelated keys contend on one CAS).
         bucket, slot = free[hash64(key, b"slotpick") % len(free)]
         return bucket, slot, 0, 0, True
+
+    def _refresh_slot(self, key: bytes, home: int,
+                      entry: CacheEntry) -> Generator:
+        """Read the slot a cache entry names: its current (atomic_word,
+        meta_word), or None when it no longer holds *key* (vacated, or
+        under another fingerprint).  Nothing has been written yet, so a
+        caller that gives the entry up has no orphan to invalidate.
+
+        The home MN's incarnation is compared after the READ returns, as
+        `_resolve_conflict` does: index recovery may re-key a slot, and a
+        fingerprint match alone would then adopt another key's slot.
+        """
+        raw = yield self._post_read(home, entry.slot_offset, 16)
+        master = self.master
+        if not master.mn_writable(home) \
+                or master.mn_incarnation(home) != entry.home_epoch:
+            raise NodeFailedError(home, "home index recovered since the "
+                                  "slot was cached")
+        self.stats.bump("slot_refreshes")
+        atomic_word, meta_word = _WIDE_SLOT.unpack(raw)
+        changed = atomic_word != entry.atomic_word
+        entry.looked(changed)
+        if changed:
+            self.stats.bump("slot_refresh_stale")
+            if atomic_word >> 56 != fingerprint8(key) \
+                    or atomic_word & _ADDR_MASK == 0:
+                return None
+        return atomic_word, meta_word
 
     def _grant_writable(self, block: OpenBlock) -> bool:
         """Whether KV/delta writes through *block*'s grant may still land:

@@ -806,8 +806,10 @@ class MemoryNodeRecovery:
             yield self.env.all_of(procs)
 
     def _start_block_reads(self, server, meta, src_nic=None):
-        """Issue the reads needed to rebuild one lost block; returns
-        (resolver, all-read-event) or None when unrecoverable.
+        """Issue the reads needed to rebuild one lost block — the other
+        data shards, the parity a decode of what is missing needs, and
+        the stripe's live delta blocks; returns (resolver,
+        all-read-event) or None when unrecoverable.
 
         Reads land at ``src_nic`` (default: the recovering server's own
         NIC; parallel recovery workers pass their CN NIC instead)."""
@@ -862,8 +864,15 @@ class MemoryNodeRecovery:
                 continue
             fetch(node, block_size)
             shards[j] = bytes(srv.mn.blocks.buffer(block_id))
+        # A single erasure decodes from P alone: with the P record and
+        # every other allocated data shard at hand, Q is neither fetched
+        # nor charged (`codec.reconstruct` fills it in as a second
+        # erasure).  Q stays for a dead P holder or a second lost shard.
+        single = primary is not None and all(
+            shards[j] is not None for j in range(codec.k)
+            if j != pos and reference.data[j] is not None)
         for parity_index, record in enumerate(records):
-            if record is None:
+            if record is None or (single and parity_index > 0):
                 continue
             srv = cluster.servers[
                 cluster.layout.node_of(sid, codec.k + parity_index)]

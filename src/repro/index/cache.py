@@ -8,7 +8,10 @@ Two policies, matching the paper's factor analysis:
 * ``addr_value`` (Aceso's cache) — remembers the slot's *address* as well,
   so a changed slot costs just one extra 16 B read of the current slot and
   a re-read of the new KV, never a bucket query (unless the slot address
-  itself changed, e.g. after resizing).
+  itself changed, e.g. after resizing).  The same address lets a *write*
+  refresh a cached slot with one 16 B read before it commits against it,
+  which it does for keys it has seen other clients change
+  (:attr:`CacheEntry.heat`).
 
 Entries are LRU-bounded; the cache is local client memory, so hits cost no
 fabric traffic by themselves.
@@ -22,6 +25,10 @@ from typing import Optional
 
 __all__ = ["CacheEntry", "IndexCache"]
 
+#: Consecutive looks at a slot that must find it unchanged before a write
+#: trusts the cached pair again (one measured worse: DESIGN.md).
+COOL_LOOKS = 2
+
 
 @dataclass
 class CacheEntry:
@@ -32,6 +39,14 @@ class CacheEntry:
     cached Atomic word guarantees the cached Meta (epoch) is still current
     (any intervening update would have changed the Atomic word's version
     bits and failed the CAS).
+
+    A write uses the pair in one of two ways (``AcesoClient.
+    _locate_for_write``): *trust* it and let the commit CAS catch
+    staleness, or *refresh* it with one 16 B READ of the slot first.
+    ``heat`` decides, from what this client has seen of the slot: every
+    *look* — the validating slot read of a cached SEARCH, a refresh READ,
+    a trusted commit CAS — either found the slot as cached or found it
+    changed by another writer.
     """
 
     atomic_word: int                # last-seen Atomic (or compact slot) word
@@ -46,6 +61,18 @@ class CacheEntry:
     #: a slot, so an entry from an older incarnation proves nothing about
     #: which key the slot holds now.
     home_epoch: int = 0
+    #: Unchanged looks still owed before the pair is trusted again: 0
+    #: until a look first finds the slot changed.  Survives a re-store
+    #: (:meth:`IndexCache.store`), not an invalidation or eviction.
+    heat: int = 0
+
+    def looked(self, changed: bool) -> None:
+        """Account one look: a change saturates ``heat``, an unchanged
+        look steps it down."""
+        if changed:
+            self.heat = COOL_LOOKS
+        elif self.heat:
+            self.heat -= 1
 
 
 class IndexCache:
@@ -91,14 +118,21 @@ class IndexCache:
         word directly from the cache in FUSEE too); the policies differ
         on the *read* path — value_only cannot validate a read with a
         single slot read and must re-query the candidate buckets
-        (§3.5.1), which is what the addr+value cache removes.
+        (§3.5.1), which is what the addr+value cache removes — and only
+        addr_value writes ever refresh a pair before using it.
+
+        A new entry takes over the ``heat`` of the one it replaces: the
+        post-commit store builds a fresh object, and what the client
+        learnt about the key's writers must outlive its own commits.
         """
         if not self.enabled:
             return
         if self._epoch_of is not None and entry.slot_node >= 0:
             entry.home_epoch = self._epoch_of(entry.slot_node)
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+        old = self._entries.pop(key, None)
+        if old is not None:
+            entry.heat = old.heat
+        self._entries[key] = entry              # lands at the MRU end
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 

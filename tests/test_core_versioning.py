@@ -25,6 +25,31 @@ def locate_slot(cluster, key):
     raise AssertionError(f"slot for {key!r} not found")
 
 
+def slot_version_of(cluster, key):
+    """The committed Slot Version (epoch:ver) of *key*'s slot."""
+    index, bucket, slot = locate_slot(cluster, key)
+    return slot_version(index.read_meta(bucket, slot).epoch,
+                        index.read_atomic(bucket, slot).ver)
+
+
+def valid_versions(cluster, key):
+    """Slot Versions of every parseable, not invalidated record of *key*
+    in any valid DATA block."""
+    from repro.core.kvpair import parse_kv
+    from repro.memory.blocks import Role
+    versions = []
+    for mn in cluster.mns.values():
+        for meta in mn.blocks.meta:
+            if meta.role is not Role.DATA or not meta.valid:
+                continue
+            content = bytes(mn.blocks.buffer(meta.block_id))
+            for at in range(0, meta.slots * meta.slot_size, meta.slot_size):
+                record = parse_kv(content[at:at + meta.slot_size])
+                if record and record.key == key and not record.invalidated:
+                    versions.append(record.slot_version)
+    return versions
+
+
 def test_version_increments_per_update():
     cluster = make_aceso()
     c = cluster.clients[0]
@@ -145,22 +170,9 @@ def test_conflicting_writers_invalidate_orphans():
     env.run_until_event(env.all_of(procs))
     conflicts = cluster.stats.counters.get("commit_conflicts", 0)
     if conflicts:
-        # every conflicting write left an invalidated record behind;
-        # scan all DATA blocks and check no two valid records of this
-        # key share a slot version.
-        from repro.core.kvpair import parse_kv
-        from repro.memory.blocks import Role
-        versions = []
-        for mn in cluster.mns.values():
-            for meta in mn.blocks.meta:
-                if meta.role is not Role.DATA or not meta.slots:
-                    continue
-                buf = mn.blocks.buffer(meta.block_id)
-                for s in range(meta.slots):
-                    raw = bytes(buf[s * meta.slot_size:(s + 1) * meta.slot_size])
-                    rec = parse_kv(raw)
-                    if rec and rec.key == key and not rec.invalidated:
-                        versions.append(rec.slot_version)
+        # every conflicting write left an invalidated record behind:
+        # no two valid records of this key share a slot version.
+        versions = valid_versions(cluster, key)
         assert len(versions) == len(set(versions))
 
 
@@ -187,24 +199,31 @@ def test_cache_trusts_coherent_pair():
 
 class VerbLog:
     """Records every one-sided verb one client posts, as (opcode, bytes),
-    plus its bucket queries (the only verbs not posted one by one)."""
+    plus its bucket queries (the only verbs not posted one by one) and
+    the instants it posted at: verbs posted at one instant share a round
+    trip, so the distinct instants of an op are its round trips."""
 
     def __init__(self, client):
         self.verbs = []
+        self.posted_at = []
         self.bucket_queries = 0
+        env = client.env
         post_read, post_write = client._post_read, client._post_write
         post_cas, query = client._post_cas, client._query_buckets
 
         def read(node, offset, length):
             self.verbs.append(("READ", length))
+            self.posted_at.append(env.now)
             return post_read(node, offset, length)
 
         def write(node, offset, data):
             self.verbs.append(("WRITE", len(data)))
+            self.posted_at.append(env.now)
             return post_write(node, offset, data)
 
         def cas(node, offset, expected, new):
             self.verbs.append(("CAS", 8))
+            self.posted_at.append(env.now)
             return post_cas(node, offset, expected, new)
 
         def query_buckets(key, home):
@@ -216,6 +235,12 @@ class VerbLog:
 
     def count(self, opcode, size):
         return self.verbs.count((opcode, size))
+
+    def take(self):
+        """(verbs, round trips) logged since the last call."""
+        verbs, round_trips = self.verbs[:], len(set(self.posted_at))
+        del self.verbs[:], self.posted_at[:]
+        return verbs, round_trips
 
 
 def run_writers(cluster, key, writers, between=None):
@@ -257,17 +282,75 @@ def test_op_cost_uncontended_update():
     assert log.bucket_queries == 0
 
 
-def test_op_cost_of_a_lost_commit_cas():
-    """Each lost CAS costs 1 x 16 B READ + 2 x 8 B WRITE + 1 CAS: no
-    bucket query, no KV-sized verb, no second block slot."""
+def shared_key(key, value):
+    """Two clients that both cache *key*'s slot and hold an open block of
+    the value's size class, with verb logs attached."""
     cluster = make_aceso()
     c0, c1 = cluster.clients
+    cluster.run_op(c0.insert(key, value))
+    cluster.run_op(c1.search(key))
+    cluster.run_op(c1.update(key, value))       # trusted, the pair is fresh
+    return cluster, c0, c1, VerbLog(c0), VerbLog(c1)
+
+
+def test_op_cost_update_shared_key():
+    """The shared-key rows of the UPDATE table.  A client first learns
+    that a key has other writers the old way — a trusted pair loses its
+    commit CAS (7 verbs, 5 round trips, 2 CAS) — and from then on
+    refreshes the pair with one 16 B READ before writing: 4 verbs, 3 round
+    trips, 1 CAS whether the pair turned out stale or fresh, no 8 B
+    re-stamp write, no bucket query, one block slot per op."""
+    key, value = b"cost-shared", b"x" * 100
+    cluster, c0, c1, log0, log1 = shared_key(key, value)
+    size = slot_bytes(key, value)
+    counters = cluster.stats.counters
+    kv_delta_cas = [("WRITE", size), ("WRITE", size), ("CAS", 8)]
+    restamp = [("READ", 16), ("WRITE", 8), ("WRITE", 8), ("CAS", 8)]
+    refreshed = [("READ", 16)] + kv_delta_cas
+
+    # c0 still trusts its pair; c1 wrote since, so the commit CAS loses.
+    cluster.run_op(c0.update(key, value))
+    assert log0.take() == (kv_delta_cas + restamp, 5)
+    assert counters["commit_conflicts"] == counters["restamp_retries"] == 1
+    assert counters.get("slot_refreshes", 0) == 0
+    block = c0.blocks.open_block(size)
+    left = block.slots_left()
+
+    # shared key, stale pair: c1 commits in between, c0 refreshes.
+    cluster.run_op(c1.update(key, value))       # loses once, as c0 did
+    assert log1.take() == (kv_delta_cas + restamp, 5)
+    cluster.run_op(c0.update(key, value))
+    assert log0.take() == (refreshed, 3)
+    assert counters["slot_refreshes"] == counters["slot_refresh_stale"] == 1
+
+    # shared key, fresh pair: nobody wrote in between — same four verbs.
+    cluster.run_op(c0.update(key, value))
+    assert log0.take() == (refreshed, 3)
+    assert (counters["slot_refreshes"], counters["slot_refresh_stale"]) \
+        == (2, 1)
+
+    # a second unchanged look in a row and the pair is trusted again.
+    cluster.run_op(c0.update(key, value))
+    assert log0.take() == (refreshed, 3)
+    cluster.run_op(c0.update(key, value))
+    assert log0.take() == (kv_delta_cas, 2)
+
+    assert counters["commit_conflicts"] == 2    # the two trusted losses
+    assert log0.bucket_queries == log1.bucket_queries == 0
+    assert block.slots_left() == left - 4
+    assert slot_version_of(cluster, key) == slot_version(0, 2) + 6
+
+
+def test_op_cost_of_a_lost_commit_cas():
+    """Two closed-loop writers on one key: each *true* lost CAS — one that
+    loses although the pair was just refreshed, or trusted for good
+    reason — still costs 1 x 16 B READ + 2 x 8 B WRITE + 1 CAS: no bucket
+    query, no KV-sized verb, no second block slot.  Every other 16 B READ
+    is a refresh."""
     key = b"cost-race"
-    cluster.run_op(c0.insert(key, b"x" * 100))
-    cluster.run_op(c1.search(key))          # both caches hold the slot
-    cluster.run_op(c1.update(key, b"x" * 100))
+    cluster, c0, c1, log0, log1 = shared_key(key, b"x" * 100)
     cluster.run_op(c0.update(key, b"x" * 100))   # open a block each
-    logs = [VerbLog(c0), VerbLog(c1)]
+    log0.take()
     size = slot_bytes(key, b"x" * 100)
     open_blocks = [c.blocks.open_block(size) for c in (c0, c1)]
     left = [b.slots_left() for b in open_blocks]
@@ -277,27 +360,112 @@ def test_op_cost_of_a_lost_commit_cas():
 
     counters = cluster.stats.counters
     lost = counters["commit_conflicts"]
-    assert lost >= 2
+    refreshes = counters["slot_refreshes"]
+    assert lost >= 2 and refreshes >= 2
     assert counters["restamp_retries"] == lost
-    verbs = logs[0].verbs + logs[1].verbs
+    verbs = log0.verbs + log1.verbs
     assert sorted(set(verbs)) == [("CAS", 8), ("READ", 16), ("WRITE", 8),
                                   ("WRITE", size)]
     assert verbs.count(("WRITE", size)) == 2 * 2 * n   # KV + delta, once
     assert verbs.count(("CAS", 8)) == 2 * n + lost
-    assert verbs.count(("READ", 16)) == lost
+    assert verbs.count(("READ", 16)) == refreshes + lost
     assert verbs.count(("WRITE", 8)) == 2 * lost
-    assert logs[0].bucket_queries == logs[1].bucket_queries == 0
+    assert log0.bucket_queries == log1.bucket_queries == 0
     # one block slot per op, however many CASes it lost
     assert [b.slots_left() for b in open_blocks] == [x - n for x in left]
     update = cluster.stats.per_op["UPDATE"]
     assert update.ops == 2 * n
     assert update.cas_issued == 2 * n + lost
-    assert update.retries == lost
+    assert update.retries == lost               # a refresh is not a retry
     # the orphans that won are ordinary records now
     index, bucket, slot = locate_slot(cluster, key)
     atomic, meta = index.read_atomic(bucket, slot), index.read_meta(bucket, slot)
     assert slot_version(meta.epoch, atomic.ver) == slot_version(0, 3) + 2 * n
     assert cluster.run_op(c0.search(key)) in (b"a" * 100, b"b" * 100)
+
+
+def test_trust_or_refresh_follows_what_the_client_saw():
+    """The rule, one look at a time: an entry is trusted until a look at
+    its slot finds another writer's change, and again after two unchanged
+    looks in a row.  Looks are a cached SEARCH's slot read, a refresh READ
+    and a trusted commit CAS; the count outlives the client's own commits
+    and dies with the entry."""
+    from repro.index.cache import COOL_LOOKS
+    key, value = b"ver-heat", b"x" * 100
+    cluster, c0, c1, log0, log1 = shared_key(key, value)
+
+    def refreshes(client, log):
+        """Whether the client's next UPDATE of *key* starts with the READ."""
+        log.take()
+        cluster.run_op(client.update(key, value))
+        return log.take()[0][0] == ("READ", 16)
+
+    assert COOL_LOOKS == 2
+    # never seen changed: trusted, however often the client itself commits
+    assert c1.cache.peek(key).heat == 0
+    assert not refreshes(c1, log1) and not refreshes(c1, log1)
+    assert c1.cache.peek(key).heat == 0
+
+    # one change, seen by a SEARCH: the next write refreshes
+    cluster.run_op(c0.search(key))
+    assert c0.cache.peek(key).heat == COOL_LOOKS
+    assert cluster.stats.counters["cache_slot_changed"] == 1
+    assert refreshes(c0, log0)                  # unchanged look: heat 1
+    # ... carried across the post-commit store of a fresh CacheEntry
+    assert c0.cache.peek(key).heat == 1
+    # SEARCH looks count: one more unchanged look and the pair is trusted
+    cluster.run_op(c0.search(key))
+    assert c0.cache.peek(key).heat == 0
+    assert not refreshes(c0, log0)
+
+    # a change between two unchanged looks starts the count again
+    cluster.run_op(c1.search(key))              # changed
+    cluster.run_op(c1.search(key))              # unchanged
+    assert c1.cache.peek(key).heat == 1
+    cluster.run_op(c0.update(key, value))       # trusted CAS, pair was fresh
+    cluster.run_op(c1.search(key))              # changed
+    assert c1.cache.peek(key).heat == COOL_LOOKS
+    assert refreshes(c1, log1) and refreshes(c1, log1)
+    assert not refreshes(c1, log1)
+
+    # a trusted commit CAS that loses is a look that found a change
+    assert c0.cache.peek(key).heat == 0
+    cluster.run_op(c0.update(key, value))
+    assert c0.cache.peek(key).heat == COOL_LOOKS
+    # invalidation forgets: the re-learnt entry starts trusted
+    c0.cache.invalidate(key)
+    cluster.run_op(c0.search(key))
+    assert c0.cache.peek(key).heat == 0
+    assert not refreshes(c0, log0)
+
+
+def test_fusee_and_value_only_cache_never_refresh():
+    """The refresh needs the slot *address* cache on wide slots: FUSEE
+    (its own write path, value_only cache, compact slots) and the factor
+    step that runs Aceso's write path with the value_only cache post no
+    refresh READ, however often their cached word turns out stale."""
+    from repro.config import factor_config
+    from repro.core.store import AcesoCluster
+    from tests.conftest import make_fusee, small_cluster_kwargs
+    ckpt_step = AcesoCluster(factor_config("+ckpt", **small_cluster_kwargs()))
+    ckpt_step.start()
+    key, value = b"cost-norefresh", b"x" * 100
+    for cluster in (make_fusee(), ckpt_step):
+        c0, c1 = cluster.clients
+        assert c0.cache.policy == "value_only"
+        cluster.run_op(c0.insert(key, value))
+        cluster.run_op(c1.search(key))
+        logs = [VerbLog(c0), VerbLog(c1)]
+        for _ in range(4):
+            cluster.run_op(c1.update(key, value))
+            cluster.run_op(c0.update(key, value))
+        counters = cluster.stats.counters
+        assert counters["commit_conflicts"] >= 4
+        assert counters.get("slot_refreshes", 0) == 0
+        # the only 16 B READs are the conflict path's, one per lost CAS
+        # (none in FUSEE: compact slots, no re-stamp)
+        assert sum(log.count("READ", 16) for log in logs) \
+            == counters.get("restamp_retries", 0)
 
 
 def timed_search(cluster, client, key):
@@ -553,3 +721,93 @@ def test_search_sees_through_a_stale_len(stale_units):
     cluster.run_op(cold.update(key, value))
     assert index.read_meta(bucket, slot).len_units * 64 \
         == slot_bytes(key, value)
+
+
+# ---------------------------------------------------------------------
+# refresh: the fresh pair drives the rest of Algorithm 1
+# ---------------------------------------------------------------------
+
+def hot_entry(cluster, key, writer, client):
+    """Leave *client* with an entry of *key* it refreshes before a write:
+    one of its looks found *writer*'s commit."""
+    cluster.run_op(client.search(key))
+    cluster.run_op(writer.update(key, b"seen"))
+    cluster.run_op(client.search(key))
+    assert client.cache.peek(key).heat > 0
+
+
+def test_refresh_finding_ver_0xff_rolls_over():
+    """The refreshed pair, not the cached one, decides the rollover: a
+    writer whose cached ``ver`` is 0xFE reads 0xFF, locks the Meta field,
+    commits ``ver`` 0 under the next epoch and unlocks — no lost CAS."""
+    cluster = make_aceso(blocks_per_mn=192)
+    c0, c1 = cluster.clients
+    key = b"ver-refresh-roll"
+    cluster.run_op(c0.insert(key, b"x"))            # ver 1
+    for i in range(252):
+        cluster.run_op(c0.update(key, b"%d" % i))   # ver 0xFD
+    hot_entry(cluster, key, c0, c1)                 # ver 0xFE, cached
+    cluster.run_op(c0.update(key, b"last"))         # ver 0xFF
+    assert AtomicField.unpack(c1.cache.peek(key).atomic_word).ver == 0xFE
+    log = VerbLog(c1)
+    cluster.run_op(c1.update(key, b"rolled"))
+    size = slot_bytes(key, b"rolled")
+    assert log.verbs == [("READ", 16), ("CAS", 8),              # lock
+                         ("WRITE", size), ("WRITE", size), ("CAS", 8),
+                         ("CAS", 8)]                            # unlock
+    assert cluster.stats.counters.get("commit_conflicts", 0) == 0
+    index, bucket, slot = locate_slot(cluster, key)
+    assert index.read_atomic(bucket, slot).ver == 0
+    assert index.read_meta(bucket, slot) == MetaField(2, size // 64)
+    assert cluster.run_op(c0.search(key)) == b"rolled"
+
+
+def test_refresh_finding_the_meta_locked_waits_for_the_lock():
+    """A refresh that lands while the rollover lock is held sees the odd
+    epoch and takes the lock path — poll, then take over a dead holder's
+    lock — where a trusted pair would have CASed straight through it."""
+    from repro.core.api import LOCK_TIMEOUT
+    cluster = make_aceso()
+    c0, c1 = cluster.clients
+    key = b"ver-refresh-lock"
+    cluster.run_op(c0.insert(key, b"x"))
+    hot_entry(cluster, key, c0, c1)
+    index, bucket, slot = locate_slot(cluster, key)
+    meta = index.read_meta(bucket, slot)
+    index.write_meta(bucket, slot, MetaField(meta.epoch + 1, meta.len_units))
+    assert not MetaField.unpack(c1.cache.peek(key).meta_word).locked
+    log = VerbLog(c1)
+    t0 = cluster.env.now
+    cluster.run_op(c1.update(key, b"rescued"))
+    assert cluster.env.now - t0 >= LOCK_TIMEOUT
+    assert log.verbs[:2] == [("READ", 16), ("READ", 8)]     # refresh, poll
+    assert cluster.stats.counters["lock_takeovers"] == 1
+    assert not index.read_meta(bucket, slot).locked
+    assert cluster.run_op(c0.search(key)) == b"rescued"
+
+
+def test_shared_key_mix_commits_in_one_cas_mostly():
+    """``ycsb_a`` in small: 12 closed-loop clients, Zipf 0.99 over shared
+    keys, half the ops UPDATEs.  Once the caches know which keys have
+    other writers, three commits in four go through on the first CAS —
+    pinned here, about a quarter above what this mix measures (0.24 lost
+    CASes and 1.24 CASes per UPDATE; 0.70 / 1.70 when every cached pair
+    was trusted), so that the protocol cost is guarded before throughput
+    moves."""
+    from repro.workloads import WorkloadRunner, ycsb_load_ops, ycsb_stream
+    cluster = make_aceso(num_cns=6, clients_per_cn=2, blocks_per_mn=256,
+                         index_buckets=1024)
+    clients, keys, seed = cluster.clients, 2000, 7
+    runner = WorkloadRunner(cluster)
+    runner.load([ycsb_load_ops(c.cli_id, len(clients), keys, 180, seed=seed)
+                 for c in clients])
+    result = runner.measure(
+        [ycsb_stream("A", c.cli_id, keys, 180, seed=seed) for c in clients],
+        duration=0.004, warmup=0.008)
+    update = cluster.stats.per_op["UPDATE"]
+    assert update.ops > 1500 and result.total_ops > 3000
+    assert result.per_op["UPDATE"]["errors"] == 0
+    counters = result.counters
+    assert counters["slot_refresh_stale"] > 0.5 * counters["slot_refreshes"]
+    assert counters["commit_conflicts"] / update.ops <= 0.30
+    assert update.cas_issued / update.ops <= 1.30

@@ -119,12 +119,20 @@ def events_per_op(cluster, op, iterations=10):
 def test_events_per_op_unchanged():
     """Scheduled events per op, as measured before the post path was
     collapsed: the process kick-off and its completion (2, from
-    ``run_op``), and one event per verb plus one per ``AllOf`` fan-in."""
+    ``run_op``), and one event per verb plus one per ``AllOf`` fan-in.
+    A private key's UPDATE never refreshes: its count is the parent's."""
     cluster, client = loaded_cluster()
     # KV read + slot read + their fan-in
     assert events_per_op(cluster, lambda: client.search(KEY)) == 2 + 3
     # KV write + delta write + fan-in + commit CAS
     assert events_per_op(cluster, lambda: client.update(KEY, VALUE)) == 2 + 4
+
+    def refreshed_update():
+        client.cache.peek(KEY).looked(changed=True)
+        return client.update(KEY, VALUE)
+
+    # ... and the 16 B slot READ in front, for a key seen to be shared
+    assert events_per_op(cluster, refreshed_update) == 2 + 5
 
 
 @pytest.mark.slow

@@ -280,6 +280,44 @@ def test_cache_invalidate():
     cache.invalidate(b"missing")  # no-op
 
 
+def test_cache_entry_heat_counts_looks():
+    """A changed look saturates ``heat``; each unchanged one steps it
+    down to 0 and no further."""
+    entry = CacheEntry(atomic_word=1, len_units=1)
+    entry.looked(changed=False)
+    assert entry.heat == 0
+    entry.looked(changed=True)
+    entry.looked(changed=True)
+    assert entry.heat == 2
+    entry.looked(changed=False)
+    assert entry.heat == 1
+    entry.looked(changed=True)
+    assert entry.heat == 2
+    for expected in (1, 0, 0):
+        entry.looked(changed=False)
+        assert entry.heat == expected
+
+
+def test_cache_store_carries_heat_until_the_entry_is_dropped():
+    cache = IndexCache("addr_value", capacity=2)
+    first = CacheEntry(atomic_word=1, len_units=1)
+    cache.store(b"k", first)
+    first.looked(changed=True)
+    cache.store(b"k", first)                    # re-stored in place
+    assert first.heat == 2
+    second = CacheEntry(atomic_word=2, len_units=1)
+    cache.store(b"k", second)                   # replaced after a commit
+    assert cache.peek(b"k") is second and second.heat == 2
+    cache.invalidate(b"k")
+    cache.store(b"k", CacheEntry(atomic_word=3, len_units=1))
+    assert cache.peek(b"k").heat == 0
+    cache.peek(b"k").looked(changed=True)
+    cache.store(b"a", CacheEntry(atomic_word=4, len_units=1))
+    cache.store(b"b", CacheEntry(atomic_word=5, len_units=1))   # evicts k
+    cache.store(b"k", CacheEntry(atomic_word=6, len_units=1))
+    assert cache.peek(b"k").heat == 0
+
+
 def test_cache_unknown_policy():
     with pytest.raises(ValueError):
         IndexCache("write_back")

@@ -165,6 +165,60 @@ def test_crash_during_traffic_and_degraded_reads():
         cluster.run_op(reader.search(key))  # must not raise
 
 
+def log_block_reads(cluster):
+    """Hook the recovery driver: one (recovery-class bytes posted,
+    resolver) pair per lost block whose rebuild reads were issued."""
+    recovery, fabric = cluster._recovery, cluster.fabric
+    start = recovery._start_block_reads
+    reads = []
+
+    def hooked(server, meta, src_nic=None):
+        before = fabric.bytes_by_class.get("recovery", 0)
+        started = start(server, meta, src_nic)
+        if started is not None:
+            posted = fabric.bytes_by_class.get("recovery", 0) - before
+            reads.append((posted, started[0]))
+        return started
+
+    recovery._start_block_reads = hooked
+    return reads
+
+
+def data_blocks(mn):
+    from repro.memory.blocks import Role
+    return {meta.block_id: bytes(mn.blocks.buffer(meta.block_id))
+            for meta in mn.blocks.meta
+            if meta.role is Role.DATA and meta.valid}
+
+
+def test_single_failure_reads_only_the_shards_it_needs():
+    """One lost MN is one erasure per stripe, and P alone decodes it: a
+    rebuilt block costs the other allocated data shards, the P block and
+    the stripe's live delta blocks — the Q parity is neither read nor
+    charged — and comes back byte for byte."""
+    cluster, runner, n = loaded_cluster()
+    from repro.rdma.verbs import WIRE_HEADER
+    k = cluster.codec.k
+    # an 8 KiB block is one read chunk: one wire header per block
+    per_block = cluster.config.cluster.block_size + WIRE_HEADER
+    # the MN holding a client's open block: its stripe has a live delta
+    victim = next(iter(cluster.clients[0].blocks.all_open())).grant.data_node
+    before = data_blocks(cluster.mns[victim])
+    reads = log_block_reads(cluster)
+    crash_and_recover(cluster, victim)
+    assert len(reads) >= len(before) > 0
+    for posted, resolver in reads:
+        shards, reference = resolver["shards"], resolver["reference"]
+        others = [j for j in range(k)
+                  if j != resolver["pos"] and reference.data[j] is not None]
+        assert all(shards[j] is not None for j in others)
+        assert shards[k] is not None and shards[k + 1] is None
+        assert posted == (len(others) + 1 + len(resolver["deltas"])) \
+            * per_block
+    assert max(len(r["deltas"]) for _posted, r in reads) > 0   # open blocks
+    assert data_blocks(cluster.mns[victim]) == before
+
+
 def test_two_mn_failures_recover_sealed_data():
     """X-Code-class stripes tolerate two MN crashes (§3.4.1 remark 2).
 
@@ -178,6 +232,7 @@ def test_two_mn_failures_recover_sealed_data():
     cluster, runner, n = loaded_cluster(keys_per_client=128)
     cluster.run(cluster.env.now + 0.1)  # drain seal + fold + Q forwards
     expected = snapshot(cluster, n)
+    reads = log_block_reads(cluster)
     cluster.crash_mn(1)
     cluster.crash_mn(2)
     for victim in (1, 2):
@@ -185,6 +240,9 @@ def test_two_mn_failures_recover_sealed_data():
         cluster.env.run_until_event(done, limit=cluster.env.now + 240)
     mismatches = verify(cluster, expected)
     assert mismatches == []
+    # a second lost shard or a dead P holder still needs the Q parity
+    k = cluster.codec.k
+    assert any(r["shards"][k + 1] is not None for _posted, r in reads)
 
 
 def test_two_mn_crash_unsealed_window():
@@ -403,7 +461,6 @@ def test_restamped_records_survive_each_mn_crash():
 
     from repro.chaos.oracle import walk_index
     from repro.index.slot import INVALID_SLOT_VERSION
-    from repro.memory.blocks import Role
 
     cluster = make_aceso(num_cns=4, clients_per_cn=1, blocks_per_mn=128)
     env = cluster.env
@@ -464,11 +521,7 @@ def test_restamped_records_survive_each_mn_crash():
 
     for victim in dict.fromkeys(sealed + opened + homes):
         mn = cluster.mns[victim]
-        before = {
-            meta.block_id: bytes(mn.blocks.buffer(meta.block_id))
-            for meta in mn.blocks.meta
-            if meta.role is Role.DATA and meta.valid
-        }
+        before = data_blocks(mn)
         crash_and_recover(cluster, victim)
         assert verify(cluster, expected) == []
         _versions, problems = walk_index(cluster)
@@ -476,3 +529,154 @@ def test_restamped_records_survive_each_mn_crash():
         for block_id, content in before.items():
             assert bytes(mn.blocks.buffer(block_id)) == content, \
                 (victim, block_id)
+
+
+# ------------------------------------- refreshed cache entries and crashes
+
+def stale_hot_entry(cluster, key):
+    """Leave clients[1] with a cache entry of *key* that it refreshes
+    before a write and whose pair is stale (clients[0] wrote since)."""
+    from tests.test_core_versioning import hot_entry
+    c0, c1 = cluster.clients[:2]
+    hot_entry(cluster, key, c0, c1)
+    cluster.run_op(c0.update(key, b"two"))
+    return c0, c1, c1.cache.peek(key)
+
+
+@pytest.mark.parametrize("crash_at", ["refresh_in_flight", "before_cas"])
+def test_home_crash_around_a_refresh(crash_at):
+    """The home MN dies while the refresh READ is in flight (nothing
+    written yet) or after it returned and before the commit CAS (KV and
+    delta written, CAS posted to a dead node).  Either way the op drops
+    the entry, waits for the index, retries through the bucket query and
+    commits exactly once; no record of the key is left carrying a version
+    the slot has not reached, and the index walks clean."""
+    from repro.chaos.oracle import walk_index
+    from tests.test_core_versioning import (VerbLog, slot_version_of,
+                                            valid_versions)
+
+    cluster, runner, n = loaded_cluster()
+    cluster.run(cluster.env.now + 0.6)          # a checkpoint image exists
+    key = micro_key(cluster.clients[0].cli_id, 3)
+    home = home_of(key, 5)
+    c0, c1, _entry = stale_hot_entry(cluster, key)
+    before = slot_version_of(cluster, key)
+    log = VerbLog(c1)
+    cas_won = []
+    post_read, post_cas = c1._post_read, c1._post_cas
+
+    def read(node, offset, length):
+        event = post_read(node, offset, length)
+        if crash_at == "refresh_in_flight" and length == 16 \
+                and cluster.mns[home].alive:
+            cluster.crash_mn(home)
+        return event
+
+    def cas(node, offset, expected, new):
+        if crash_at == "before_cas" and cluster.master.mn_incarnation(home) == 0:
+            cluster.crash_mn(home)
+        event = post_cas(node, offset, expected, new)
+        event.add_callback(
+            lambda ev: cas_won.append(ev.ok and ev.value[0]))
+        return event
+
+    c1._post_read, c1._post_cas = read, cas
+    cluster.run_op(c1.update(key, b"after-crash"))
+    done = cluster.master.milestone(home, MnState.RECOVERED)
+    cluster.env.run_until_event(done, limit=cluster.env.now + 120)
+
+    assert log.verbs[0] == ("READ", 16) and log.bucket_queries == 1
+    assert cas_won.count(True) == 1
+    kv_writes = sum(1 for verb in log.verbs if verb == ("WRITE", 64))
+    if crash_at == "refresh_in_flight":
+        assert kv_writes == 2                   # nothing written before it
+        after = before + 1
+    else:
+        assert kv_writes == 4
+        # the pair whose CAS never landed is an in-flight write to index
+        # recovery, which adopted it; the retry committed its successor
+        after = before + 2
+    assert slot_version_of(cluster, key) == after
+    versions = valid_versions(cluster, key)
+    assert max(versions) == after and len(set(versions)) == len(versions)
+    assert cluster.stats.per_op["UPDATE"].retries == 1
+    for client in (c0, c1):
+        assert cluster.run_op(client.search(key)) == b"after-crash"
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+
+
+def test_refresh_of_a_rekeyed_slot_drops_the_entry():
+    """Index recovery may re-place a key and hand its old slot to another
+    key of the same fingerprint.  A refresh through an entry stored under
+    the home MN's previous incarnation must not adopt that slot on the
+    fingerprint match: the entry is dropped, the bucket query finds the
+    key where it lives now, and the other key's slot is untouched."""
+    from repro.index.hashing import fingerprint8
+    from tests.test_core_versioning import VerbLog, locate_slot
+
+    cluster, runner, n = loaded_cluster()
+    key = micro_key(cluster.clients[0].cli_id, 3)
+    home = home_of(key, 5)
+    other = next(k for k in (b"twin-%d" % i for i in range(100000))
+                 if home_of(k, 5) == home
+                 and fingerprint8(k) == fingerprint8(key))
+    cluster.run_op(cluster.clients[0].insert(other, b"other-value"))
+    c0, c1, entry = stale_hot_entry(cluster, key)
+    crash_and_recover(cluster, home)
+    assert entry.home_epoch != cluster.master.mn_incarnation(home)
+
+    index, bucket, slot = locate_slot(cluster, key)
+    assert index.slot_offset(bucket, slot) == entry.slot_offset
+    _index, other_bucket, other_slot = locate_slot(cluster, other)
+    moved_to = next((b, s) for b in index.candidate_buckets(key)
+                    for s in range(index.bucket_slots)
+                    if index.read_atomic(b, s).empty)
+    for src, dst in (((bucket, slot), moved_to),
+                     ((other_bucket, other_slot), (bucket, slot))):
+        index.write_atomic(*dst, index.read_atomic(*src))
+        index.write_meta(*dst, index.read_meta(*src))
+    rekeyed = cluster.mns[home].read_bytes(entry.slot_offset, 16)
+
+    log = VerbLog(c1)
+    cluster.run_op(c1.update(key, b"three"))
+    assert log.verbs[0] == ("READ", 16) and log.bucket_queries == 1
+    assert cluster.stats.counters.get("slot_refreshes", 0) == 0
+    assert cluster.mns[home].read_bytes(entry.slot_offset, 16) == rekeyed
+    assert c1.cache.peek(key).slot_offset == index.slot_offset(*moved_to)
+    assert cluster.run_op(c0.search(key)) == b"three"
+    assert cluster.run_op(c0.search(other)) == b"other-value"
+
+
+def test_dead_delta_node_does_not_resend_the_kv_write():
+    """§3.4.1: a write bypasses a failed delta node.  The delta write to
+    a node that just died fails one round trip after it was posted,
+    usually before the KV write next to it has landed: the op waits for
+    that KV write instead of posting it a second time."""
+    cluster = make_aceso(kv_size=1024)
+    client = cluster.clients[0]
+    value = b"v" * 900
+    cluster.run_op(client.insert(b"open-a-block", value))
+    block = next(iter(client.blocks.all_open()))
+    grant = block.grant
+    key = next(k for k in (b"deg-%d" % i for i in range(1000))
+               if home_of(k, 5) not in (grant.data_node, grant.delta_node))
+    cluster.run_op(client.insert(key, value))
+    written = block.writes_done
+    posted = []
+    post_write = client._post_write
+
+    def write(node, offset, data):
+        event = post_write(node, offset, data)
+        posted.append((node, len(data)))
+        if len(posted) == 1:                    # the KV write is on its way
+            cluster.crash_mn(grant.delta_node)
+        return event
+
+    client._post_write = write
+    cluster.run_op(client.update(key, b"u" * 900))
+    size = block.size_class.slot_size
+    assert posted == [(grant.data_node, size), (grant.delta_node, size)]
+    assert block.writes_done == written + 1
+    assert cluster.stats.per_op["UPDATE"].retries == 0
+    assert cluster.run_op(client.search(key)) == b"u" * 900
