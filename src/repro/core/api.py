@@ -529,47 +529,9 @@ class AcesoClient:
                                     sid, pos, intra, length,
                                     response_size=256)
         self.stats.bump("degraded_reads")
-        events = []
-        keys = []
-        for j, (n, off) in plan.data_regions.items():
-            events.append(self._post_read(n, off, length))
-            keys.append(("data", j))
-        for j, (n, off) in plan.delta_regions.items():
-            events.append(self._post_read(n, off, length))
-            keys.append(("delta", j))
-        events.append(self._post_read(plan.parity_region[0],
-                                      plan.parity_region[1], length))
-        keys.append(("parity", -1))
-        if plan.target_delta is not None:
-            events.append(self._post_read(plan.target_delta[0],
-                                          plan.target_delta[1], length))
-            keys.append(("tdelta", -1))
-        results = yield self.env.all_of(events)
-        data: Dict[int, bytes] = {}
-        deltas: Dict[int, bytes] = {}
-        parity0 = b""
-        tdelta = None
-        for (kind, j), raw in zip(keys, results):
-            if kind == "data":
-                data[j] = raw
-            elif kind == "delta":
-                deltas[j] = raw
-            elif kind == "parity":
-                parity0 = raw
-            else:
-                tdelta = raw
-        known = {}
-        for j in range(self.codec.k):
-            if j == pos:
-                continue
-            folded = data.get(j, bytes(length))
-            if j in deltas:
-                folded = xor_bytes(folded, deltas[j])
-            known[j] = folded
-        folded_target = self.codec.solve_one(pos, known, parity0)
-        if tdelta is not None:
-            folded_target = xor_bytes(folded_target, tdelta)
-        return folded_target
+        results = yield self.env.all_of(
+            [self._post_read(n, off, length) for n, off in plan.regions()])
+        return plan.solve(self.codec, results)
 
     # ------------------------------------------------------------------
     # write path (Algorithm 1)

@@ -8,6 +8,16 @@ finally re-derive parity state in the background).  Functionality returns
 after the Index milestone — writes at full speed, reads degraded — which
 is what minimises user disruption.
 
+A single driver pulls every byte through the recovering node's NIC, so
+that NIC is the floor: k block reads per lost or re-encoded block.  The
+data flow is arranged so the NIC neither waits for a core nor carries a
+byte twice — live deltas are folded into P by their holder, each block
+image is walked once as it arrives, slot keys come from images already
+held, and every stage keeps the next job's reads on the wire while it
+finishes the current one (``coding.recovery_pipeline``; off = each job
+runs to completion before the next one starts).  DESIGN.md §5 has the
+byte table.
+
 Compute-node recovery (§3.4.2) restarts a client, re-finds its unfilled
 blocks via the ``CLI ID`` metadata field, checks every KV/delta pair's
 write versions, rolls torn writes back (using the reclamation backup for
@@ -16,18 +26,22 @@ reused blocks) and seals the blocks so nothing leaks.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..checkpoint.differential import xor_bytes
 from ..cluster.master import MnState
 from ..errors import NodeFailedError, RecoveryError
-from ..index.hashing import fingerprint8, home_of
+from ..index.hashing import fingerprint8, hash64, home_of
 from ..index.slot import AtomicField, MetaField, split_slot_version
 from ..memory.address import GlobalAddress
 from ..memory.blocks import Role
-from .kvpair import HEADER_SIZE, parse_kv, wv_consistent
-from .server import DirStripe, StripeDirectory, StripeRecord
+from ..rdma.qp import rpc_call
+from .kvpair import HEADER_SIZE, kv_wire_size, parse_kv, wv_consistent
+from .server import (CONTROL_RPC_TIMEOUT, DirStripe, StripeDirectory,
+                     StripeRecord)
 
 __all__ = ["RecoveryReport", "MemoryNodeRecovery", "restart_client",
            "rebuild_directory"]
@@ -36,11 +50,20 @@ _READ_CHUNK = 32 * 1024
 #: Candidates with an implausibly large epoch are corruption, not commits
 #: (epochs grow by 1 per 256 updates of one slot).
 _EPOCH_SANITY_BOUND = 1 << 40
+#: Front write version, flags, key and value length of a KV header.
+_KV_EXTENT = struct.Struct("<BBHI")
 
 
 @dataclass
 class RecoveryReport:
-    """Timing breakdown of one MN recovery (Table 2 / Figs. 16, 18, 20)."""
+    """Timing breakdown of one MN recovery (Table 2 / Figs. 16, 18, 20).
+
+    The ``*_s`` stage fields are wall-clock and, for a recovery that ran
+    its tiers once and was not held between them, partition
+    ``total_time`` (:meth:`stages`); after a tier restart they describe
+    the last attempt.  ``scan_kv_s`` is CPU, not wall-clock: with the
+    scan running under the block reads only ``scan_tail_s`` is exposed.
+    """
 
     node_id: int = -1
     started_at: float = 0.0
@@ -55,13 +78,23 @@ class RecoveryReport:
     lblock_count: int = 0
     read_rblock_s: float = 0.0
     rblock_count: int = 0
+    #: Scan KV: seconds of EC-core time walking ``kv_count`` records.
     scan_kv_s: float = 0.0
     kv_count: int = 0
+    #: Scan time still outstanding when the last block image had arrived.
+    scan_tail_s: float = 0.0
+    scrub_s: float = 0.0
+    apply_s: float = 0.0
     recover_old_s: float = 0.0
     old_count: int = 0
+    rebaseline_s: float = 0.0
     applied_slots: int = 0
     scrubbed_slots: int = 0
     lost_bytes: int = 0
+    #: Recovery-class bytes on the fabric while this recovery ran.
+    recovery_bytes: int = 0
+    #: Seconds the recovering node's NIC was busy while it ran.
+    nic_busy_s: float = 0.0
     #: Tier restarts forced by a dependency dying mid-recovery.
     attempts: int = 1
 
@@ -90,21 +123,33 @@ class RecoveryReport:
             ("tier.block", self.index_done_at, self.blocks_done_at),
         ]
 
+    def stages(self) -> List[Tuple[str, float]]:
+        """Wall-clock stages in the order they run."""
+        return [
+            ("read_meta", self.read_meta_s),
+            ("read_ckpt", self.read_ckpt_s),
+            ("recover_lblock", self.recover_lblock_s),
+            ("read_rblock", self.read_rblock_s),
+            ("scan_tail", self.scan_tail_s),
+            ("scrub", self.scrub_s),
+            ("apply", self.apply_s),
+            ("recover_old", self.recover_old_s),
+            ("rebaseline", self.rebaseline_s),
+        ]
+
     def row(self) -> Dict[str, float]:
-        """Table 2's row for this recovery."""
-        return {
-            "read_meta_ms": self.read_meta_s * 1e3,
-            "read_ckpt_ms": self.read_ckpt_s * 1e3,
-            "recover_lblock_ms": self.recover_lblock_s * 1e3,
-            "lblock_count": self.lblock_count,
-            "read_rblock_ms": self.read_rblock_s * 1e3,
-            "rblock_count": self.rblock_count,
-            "scan_kv_ms": self.scan_kv_s * 1e3,
-            "kv_count": self.kv_count,
-            "recover_old_ms": self.recover_old_s * 1e3,
-            "old_count": self.old_count,
-            "total_ms": self.total_time * 1e3,
-        }
+        """Table 2's row for this recovery: its columns, then the stages
+        Table 2 leaves out, then what the recovering NIC carried."""
+        row = {f"{stage}_ms": seconds * 1e3
+               for stage, seconds in self.stages()}
+        row.update(
+            lblock_count=self.lblock_count, rblock_count=self.rblock_count,
+            scan_kv_ms=self.scan_kv_s * 1e3, kv_count=self.kv_count,
+            old_count=self.old_count, total_ms=self.total_time * 1e3,
+            recovery_bytes=self.recovery_bytes,
+            nic_busy_ms=self.nic_busy_s * 1e3,
+        )
+        return row
 
 
 def rebuild_directory(cluster) -> StripeDirectory:
@@ -140,6 +185,22 @@ def rebuild_directory(cluster) -> StripeDirectory:
     return directory
 
 
+@dataclass
+class _Rescan:
+    """What the Index tier keeps of the block images it reads."""
+
+    #: key -> (Slot Version, record, packed address, slot size) of the
+    #: best KV pair per key homed on the lost node.
+    best: Dict[bytes, tuple] = field(default_factory=dict)
+    #: (owner, block id) -> {intra-block offset: record}, one entry per
+    #: rescanned block (the scrub tells "rescanned, nothing there" from
+    #: "not rescanned" by it).
+    records: Dict[Tuple[int, int], Dict[int, object]] = \
+        field(default_factory=dict)
+    #: Completion of the scan CPU time submitted so far.
+    cpu_done: Optional[object] = None
+
+
 class MemoryNodeRecovery:
     """Drives tiered recovery of crashed MNs for one Aceso cluster."""
 
@@ -158,21 +219,71 @@ class MemoryNodeRecovery:
         return [s for i, s in self.cluster.servers.items()
                 if s.mn.alive and i != excluding]
 
-    def _read_remote(self, me, node: int, size: int):
-        """Charge fabric time for a bulk read of *size* bytes from *node*
-        into the recovering server (contents handled at object level)."""
-        if size <= 0:
-            return
-        events = []
-        remaining = size
+    def _post_reads(self, src_nic, node: int, size: int) -> list:
+        """Post a bulk READ of *size* bytes from *node* in chunks other
+        traffic can interleave with; returns the chunks' events.  Only
+        fabric time is charged — contents are handled at object level."""
+        fabric = self.cluster.fabric
         dst = self.cluster.mns[node].nic
-        while remaining > 0:
-            chunk = min(_READ_CHUNK, remaining)
-            events.append(self.cluster.fabric.read(
-                me.mn.nic, dst, chunk, traffic_class="recovery"
-            ))
-            remaining -= chunk
-        yield self.env.all_of(events)
+        return [fabric.read(src_nic, dst, min(_READ_CHUNK, size - done),
+                            traffic_class="recovery")
+                for done in range(0, size, _READ_CHUNK)]
+
+    def _read_remote(self, me, node: int, size: int):
+        """Bulk-read *size* bytes from *node* into the recovering server."""
+        if size > 0:
+            yield self.env.all_of(self._post_reads(me.mn.nic, node, size))
+
+    def _pipelined(self, jobs, start, finish):
+        """The two-stage pipeline of §3.4.1 (remark 1), for any stage that
+        reads blocks and then computes on them.  ``start(job)`` posts one
+        job's reads and returns ``(state, all-read event)``, or None for
+        a job with nothing to do; ``finish(state)`` is the generator that
+        consumes them.  With ``coding.recovery_pipeline`` the next job's
+        reads are posted before the current job is waited for and
+        finished, so the NIC always has a job queued; without it each job
+        runs to completion before the next one starts."""
+        pipeline = self.cluster.config.coding.recovery_pipeline
+        pending = None
+        for job in jobs:
+            started = start(job)
+            if started is None:
+                continue
+            if pipeline:
+                started, pending = pending, started
+                if started is None:
+                    continue
+            yield started[1]
+            yield from finish(started[0])
+        if pending is not None:
+            yield pending[1]
+            yield from finish(pending[0])
+
+    def _call(self, src_nic, server, method: str, *args,
+              response_size: int = 64):
+        """RPC to another MN's server, with the patience of a control
+        RPC: it may queue behind the holder's own EC and RPC work."""
+        return rpc_call(self.env, self.cluster.fabric, src_nic,
+                        server.rpc_server, method, *args,
+                        response_size=response_size,
+                        timeout=CONTROL_RPC_TIMEOUT)
+
+    def _aside(self, generator, name: str):
+        """Run *generator* beside the driver; the returned event succeeds
+        with its value or fails with its :class:`NodeFailedError`.  The
+        process itself never dies of one: the driver, when it waits, is
+        who must see it — and when the tiers were restarted meanwhile
+        nobody waits, which must not read as a crashed process."""
+        done = self.env.event()
+
+        def run():
+            try:
+                done.succeed((yield from generator))
+            except NodeFailedError as exc:
+                done.fail(exc)
+
+        self.env.process(run(), name=name)
+        return done
 
     # -- main entry -----------------------------------------------------------
 
@@ -188,9 +299,13 @@ class MemoryNodeRecovery:
         server = cluster.servers[node_id]
         report = RecoveryReport(node_id=node_id, started_at=self.env.now)
         self.reports.append(report)
+        bytes_by_class = cluster.fabric.bytes_by_class
+        bytes0 = bytes_by_class.get("recovery", 0)
+        busy0 = mn.nic.busy_time
         while True:
             try:
-                return (yield from self._recover_once(node_id, report))
+                yield from self._recover_once(node_id, report)
+                break
             except NodeFailedError:
                 if report.attempts >= 6:
                     raise RecoveryError(
@@ -205,6 +320,9 @@ class MemoryNodeRecovery:
                     mn.crash()
                 cluster.master.reset_to_failed(node_id)
                 yield self.env.timeout(cluster.master.detection_delay)
+        report.recovery_bytes = bytes_by_class.get("recovery", 0) - bytes0
+        report.nic_busy_s = mn.nic.busy_time - busy0
+        return report
 
     def _recover_once(self, node_id: int, report: RecoveryReport):
         cluster = self.cluster
@@ -240,7 +358,6 @@ class MemoryNodeRecovery:
 
         self._trace_recovery(report)
         server.start()  # resume the checkpoint loop
-        return report
 
     def _trace_recovery(self, report: RecoveryReport) -> None:
         """Emit the tier timeline retroactively from the report's
@@ -397,6 +514,9 @@ class MemoryNodeRecovery:
     def _recover_index(self, server, report: RecoveryReport):
         cluster = self.cluster
         node_id = server.node_id
+        pipeline = cluster.config.coding.recovery_pipeline
+        scan_rate = cluster.config.cluster.cpu.scan_rate
+        ec_core = server.mn.ec_core
         t0 = self.env.now
         holder, image = self._find_ckpt_image(node_id)
         if image is not None:
@@ -435,17 +555,24 @@ class MemoryNodeRecovery:
                 if meta.role is Role.DATA:
                     data_gens[(mn_id, meta.block_id)] = meta.alloc_gen
 
-        contents: List[Tuple[int, object, bytes]] = []  # (owner, meta, bytes)
+        # 2c runs under 2a and 2b: every block image is walked the moment
+        # it arrives (Scan KV), and the walk's CPU time goes to the EC
+        # core right then, so it is spent while later blocks are still
+        # on the wire.
+        rescan = _Rescan()
+        report.kv_count = report.rblock_count = 0  # of this attempt
+
+        def scan(owner: int, meta, data: bytes) -> None:
+            walked = self._scan_image(node_id, rescan, owner, meta, data)
+            report.kv_count += walked
+            if pipeline:
+                rescan.cpu_done = ec_core.submit(walked / scan_rate)
 
         # 2a. recover new local blocks by erasure decoding (Recover LBlock).
         t1 = self.env.now
         local_new = [m for m in server.mn.blocks.meta if is_new(m)]
-        yield from self._decode_and_install(server, local_new, report,
-                                            stage="lblock")
-        for meta in local_new:
-            if meta.valid:
-                contents.append((node_id, meta,
-                                 bytes(server.mn.blocks.buffer(meta.block_id))))
+        yield from self._decode_and_install(server, local_new,
+                                            on_block=partial(scan, node_id))
         report.recover_lblock_s = self.env.now - t1
         report.lblock_count = len(local_new)
 
@@ -454,6 +581,30 @@ class MemoryNodeRecovery:
         # transiently from their stripes instead; wait for those nodes'
         # Meta milestone first so their block inventory is known.
         t2 = self.env.now
+
+        def start_rblock(job):
+            other, meta = job
+            if other.mn.alive and meta.valid:
+                reads = self._post_reads(server.mn.nic, other.node_id,
+                                         other.mn.blocks.block_size)
+                return (other, meta, None), self.env.all_of(reads)
+            started = self._start_block_reads(server, meta)
+            if started is None:
+                return None
+            return (other, meta, started[0]), started[1]
+
+        def finish_rblock(state):
+            other, meta, resolver = state
+            if resolver is None:
+                content = bytes(other.mn.blocks.buffer(meta.block_id))
+            else:
+                content = yield from self._finish_block(server, resolver,
+                                                        install=False)
+                if content is None:
+                    return
+            scan(other.node_id, meta, content)
+            report.rblock_count += 1
+
         for other_id, other in list(cluster.servers.items()):
             if other_id == node_id:
                 continue
@@ -461,40 +612,30 @@ class MemoryNodeRecovery:
                     cluster.master.mn_state(other_id) == MnState.FAILED:
                 yield cluster.master.milestone(other_id,
                                                MnState.META_RECOVERED)
-            for meta in other.mn.blocks.meta:
-                if not is_new(meta):
-                    continue
-                if other.mn.alive and meta.valid:
-                    yield from self._read_remote(server, other.node_id,
-                                                 other.mn.blocks.block_size)
-                    contents.append(
-                        (other_id, meta,
-                         bytes(other.mn.blocks.buffer(meta.block_id))))
-                    report.rblock_count += 1
-                else:
-                    started = self._start_block_reads(server, meta)
-                    if started is None:
-                        continue
-                    yield started[1]
-                    content = yield from self._finish_block(server, started,
-                                                            install=False)
-                    if content is not None:
-                        contents.append((other_id, meta, content))
-                        report.rblock_count += 1
+            yield from self._pipelined(
+                ((other, meta) for meta in other.mn.blocks.meta
+                 if is_new(meta)),
+                start_rblock, finish_rblock)
         report.read_rblock_s = self.env.now - t2
 
-        # 2c. scan the KV pairs (Scan KV) and keep the best per key.
+        # 2c. whatever of the scan the reads did not hide.
         t3 = self.env.now
-        candidates = self._scan_candidates(node_id, contents, report)
-        scan_cpu = report.kv_count / cluster.config.cluster.cpu.scan_rate
-        yield server.mn.ec_core.submit(scan_cpu)
-        report.scan_kv_s = self.env.now - t3
+        report.scan_kv_s = report.kv_count / scan_rate
+        if not pipeline:
+            rescan.cpu_done = ec_core.submit(report.scan_kv_s)
+        if rescan.cpu_done is not None:
+            yield rescan.cpu_done
+        report.scan_tail_s = self.env.now - t3
 
         # 2d. scrub restored entries dangling into rescanned blocks.
-        yield from self._scrub_index(server, contents, data_gens, report)
+        t4 = self.env.now
+        yield from self._scrub_index(server, rescan, data_gens, report)
+        report.scrub_s = self.env.now - t4
 
         # 2e. re-apply each slot to its highest-versioned KV pair.
-        yield from self._apply_candidates(server, candidates, report)
+        t5 = self.env.now
+        yield from self._apply_candidates(server, rescan, report)
+        report.apply_s = self.env.now - t5
         return ckpt_iv
 
     @staticmethod
@@ -512,16 +653,12 @@ class MemoryNodeRecovery:
                 if record is not None:
                     yield off, slot_size, record
             return
-        import struct
-
-        from .kvpair import kv_wire_size
         pos = 0
         while pos + 64 <= len(data):
             # Peek the self-describing header to find the record extent,
             # then parse exactly that slot (the back write-version sits at
             # its last byte).
-            wv, _flags, key_len, val_len = struct.unpack_from(
-                "<BBHI", view, pos)
+            wv, _flags, key_len, val_len = _KV_EXTENT.unpack_from(view, pos)
             if wv == 0:
                 pos += 64
                 continue
@@ -536,30 +673,34 @@ class MemoryNodeRecovery:
             yield pos, stride, record
             pos += stride
 
-    def _scan_candidates(self, node_id: int, contents, report):
-        """Best (highest Slot Version) KV per key homed on the lost node."""
-        best: Dict[bytes, Tuple[int, object, int, int]] = {}
+    def _scan_image(self, node_id: int, rescan: "_Rescan", owner: int,
+                    meta, data: bytes) -> int:
+        """Walk one rescanned block image, once, for all three of its
+        users: the best (highest Slot Version) KV per key homed on the
+        lost node, and every record by position for the scrub and the
+        re-apply pass.  Returns the number of records walked."""
+        base = self.cluster.mns[owner].blocks.offset_of(meta.block_id)
         num_mns = self.cluster.config.cluster.num_mns
-        for owner, meta, data in contents:
-            base = self.cluster.mns[owner].blocks.offset_of(meta.block_id)
-            for off, slot_size, record in self._walk_records(
-                    data, meta.slot_size):
-                report.kv_count += 1
-                if record.invalidated:
-                    continue
-                epoch, _ver = split_slot_version(record.slot_version)
-                if epoch > _EPOCH_SANITY_BOUND:
-                    continue  # corrupted reconstruction survivor
-                if home_of(record.key, num_mns) != node_id:
-                    continue
-                current = best.get(record.key)
-                if current is None or record.slot_version > current[0]:
-                    addr = GlobalAddress(owner, base + off).pack()
-                    best[record.key] = (record.slot_version, record, addr,
-                                        slot_size)
-        return best
+        best = rescan.best
+        records = rescan.records[(owner, meta.block_id)] = {}
+        for off, slot_size, record in self._walk_records(data,
+                                                         meta.slot_size):
+            records[off] = record
+            if record.invalidated:
+                continue
+            epoch, _ver = split_slot_version(record.slot_version)
+            if epoch > _EPOCH_SANITY_BOUND:
+                continue  # corrupted reconstruction survivor
+            if home_of(record.key, num_mns) != node_id:
+                continue
+            current = best.get(record.key)
+            if current is None or record.slot_version > current[0]:
+                addr = GlobalAddress(owner, base + off).pack()
+                best[record.key] = (record.slot_version, record, addr,
+                                    slot_size)
+        return len(records)
 
-    def _scrub_index(self, server, contents, data_gens,
+    def _scrub_index(self, server, rescan: "_Rescan", data_gens,
                      report: RecoveryReport):
         """Drop restored slots whose pointed-to record was reclaimed away.
 
@@ -592,80 +733,72 @@ class MemoryNodeRecovery:
         when the rescan set was built — any grant since then (fresh or
         reuse) makes every restored pointer into the block stale.
         """
-        spans: List[Tuple[int, int, int, Dict[int, object]]] = []
-        for owner, meta, data in contents:
-            base = self.cluster.mns[owner].blocks.offset_of(meta.block_id)
-            records = {
-                base + off: record
-                for off, _size, record in self._walk_records(data,
-                                                             meta.slot_size)
-            }
-            spans.append((owner, base, base + len(data), records))
         index = server.mn.index
         node_id = server.node_id
+        num_mns = self.cluster.config.cluster.num_mns
         checked = 0
-        for bucket in range(index.num_buckets):
-            for slot in range(index.bucket_slots):
-                atomic = index.read_atomic(bucket, slot)
-                if atomic.empty:
-                    continue
-                checked += 1
-                ga = GlobalAddress.unpack(atomic.addr)
-                owner_mn = self.cluster.mns.get(ga.node_id)
-                if owner_mn is not None and owner_mn.alive:
-                    try:
-                        block_id, _intra = owner_mn.blocks.locate(ga.offset)
-                        bmeta = owner_mn.blocks.meta[block_id]
-                        stale = (bmeta.role is not Role.DATA
-                                 or data_gens.get((ga.node_id, block_id))
-                                 != bmeta.alloc_gen)
-                    except IndexError:
-                        stale = True  # outside any block area
-                    if stale:
-                        index.write_atomic(bucket, slot,
-                                           AtomicField(fp=0, ver=0, addr=0))
-                        index.write_meta(bucket, slot, MetaField(0, 0))
-                        report.scrubbed_slots += 1
-                        continue
-                for owner, lo, hi, records in spans:
-                    if owner != ga.node_id or not lo <= ga.offset < hi:
-                        continue
-                    record = records.get(ga.offset)
-                    if (record is None or record.invalidated
-                            or fingerprint8(record.key) != atomic.fp
-                            or home_of(record.key,
-                                       self.cluster.config.cluster.num_mns)
-                            != node_id):
-                        index.write_atomic(bucket, slot,
-                                           AtomicField(fp=0, ver=0, addr=0))
-                        index.write_meta(bucket, slot, MetaField(0, 0))
-                        report.scrubbed_slots += 1
-                    break
+        for bucket, slot, word in index.iter_slots():
+            atomic = AtomicField.unpack(word)
+            if atomic.empty:
+                continue
+            checked += 1
+            ga = GlobalAddress.unpack(atomic.addr)
+            owner_mn = self.cluster.mns.get(ga.node_id)
+            if owner_mn is None:
+                continue
+            try:
+                block_id, intra = owner_mn.blocks.locate(ga.offset)
+            except IndexError:
+                block_id = None  # outside any block area
+            stale = False
+            if owner_mn.alive:
+                bmeta = None if block_id is None \
+                    else owner_mn.blocks.meta[block_id]
+                stale = (bmeta is None or bmeta.role is not Role.DATA
+                         or data_gens.get((ga.node_id, block_id))
+                         != bmeta.alloc_gen)
+            if not stale:
+                records = rescan.records.get((ga.node_id, block_id))
+                if records is None:
+                    continue  # not rescanned: as restored
+                record = records.get(intra)
+                stale = (record is None or record.invalidated
+                         or fingerprint8(record.key) != atomic.fp
+                         or home_of(record.key, num_mns) != node_id)
+            if stale:
+                index.write_atomic(bucket, slot,
+                                   AtomicField(fp=0, ver=0, addr=0))
+                index.write_meta(bucket, slot, MetaField(0, 0))
+                report.scrubbed_slots += 1
         if checked:
             yield server.mn.ec_core.submit(
                 checked / self.cluster.config.cluster.cpu.scan_rate)
 
-    def _apply_candidates(self, server, candidates, report: RecoveryReport):
-        """Point each index slot at the KV pair with the highest version."""
+    def _apply_candidates(self, server, rescan: "_Rescan",
+                          report: RecoveryReport):
+        """Point each index slot at the KV pair with the highest version.
+
+        Fingerprints collide, so before a candidate takes a slot of its
+        fingerprint over, the key that slot stands for is compared.  All
+        those keys are resolved up front (:meth:`_slot_keys`); slots this
+        pass writes are added as it goes, so a later candidate of the
+        same fingerprint and bucket pair sees the earlier one."""
         index = server.mn.index
+        candidates = rescan.best
+        slot_keys = yield from self._slot_keys(server, rescan)
         for key, (version, record, addr, slot_size) in candidates.items():
             epoch, ver = split_slot_version(version)
             fp = fingerprint8(key)
             len_units = slot_size // 64
-            b1, b2 = index.candidate_buckets(key)
             target = None
             free_slots = []
-            for bucket in (b1, b2):
+            for bucket in index.candidate_buckets(key):
                 for slot in range(index.bucket_slots):
                     atomic = index.read_atomic(bucket, slot)
                     if atomic.empty:
                         free_slots.append((bucket, slot))
-                        continue
-                    if atomic.fp != fp:
-                        continue
-                    owner_key = yield from self._slot_key(server, index,
-                                                          bucket, slot)
-                    if owner_key == key:
+                    elif atomic.fp == fp \
+                            and slot_keys.get((bucket, slot)) == key:
                         target = (bucket, slot, atomic)
                         break
                 if target:
@@ -679,7 +812,6 @@ class MemoryNodeRecovery:
             elif free_slots:
                 # Same placement rule as live inserts, so cached slot
                 # addresses usually stay valid across a recovery.
-                from ..index.hashing import hash64
                 bucket, slot = free_slots[
                     hash64(key, b"slotpick") % len(free_slots)]
             else:
@@ -689,27 +821,137 @@ class MemoryNodeRecovery:
             index.write_meta(bucket, slot,
                              MetaField(epoch=epoch & ~1,
                                        len_units=len_units))
+            slot_keys[(bucket, slot)] = key
             report.applied_slots += 1
 
-    def _slot_key(self, server, index, bucket: int, slot: int):
-        """Read the key of the KV pair an index slot points to (to settle
-        fingerprint collisions during re-apply)."""
-        atomic = index.read_atomic(bucket, slot)
-        meta = index.read_meta(bucket, slot)
-        length = max(meta.len_units, 1) * 64
-        ga = GlobalAddress.unpack(atomic.addr)
-        target = self.cluster.mns.get(ga.node_id)
-        if target is None:
-            return None
-        try:
-            yield self.cluster.fabric.read(server.mn.nic, target.nic,
-                                           min(length, HEADER_SIZE + 256),
-                                           traffic_class="recovery")
-            raw = target.read_bytes(ga.offset, length)
-        except (NodeFailedError, IndexError):
-            return None  # points into a still-lost block: treat as unknown
+    def _slot_keys(self, server, rescan: "_Rescan"):
+        """Key of the KV pair behind every occupied slot a candidate
+        could collide with: ``{(bucket, slot): key or None}``.
+
+        Nearly all of those slots point into a block image recovery has
+        just read (the bytes the scrub already trusted), and a pointer
+        into a rebuilt block of the node's own is a local memory access:
+        neither costs a verb.  What is left is fetched, all of it
+        together: a pointer into a block of another node that was not
+        rescanned is one READ; a pointer into a block of the node's own
+        that the Block tier has yet to rebuild is a degraded read of that
+        one slot, as a client would do it (§3.4.1: the P holder's plan,
+        then the slot's region of each shard, delta and P) — left
+        unknown, the key's newer KV pair would take a second slot and
+        the old one would shadow it.  A pointer whose bytes cannot be
+        had or do not parse resolves to None: no candidate matches it."""
+        cluster = self.cluster
+        index = server.mn.index
+        keys: Dict[Tuple[int, int], Optional[bytes]] = {}
+        remote = []  # (bucket, slot), target MN, offset, length
+        lost = []    # (bucket, slot), own block's meta, intra offset, length
+        for key in rescan.best:
+            fp = fingerprint8(key)
+            for bucket in index.candidate_buckets(key):
+                for slot in range(index.bucket_slots):
+                    atomic = index.read_atomic(bucket, slot)
+                    if atomic.empty or atomic.fp != fp \
+                            or (bucket, slot) in keys:
+                        continue
+                    keys[(bucket, slot)] = None
+                    ga = GlobalAddress.unpack(atomic.addr)
+                    target = cluster.mns.get(ga.node_id)
+                    if target is None:
+                        continue
+                    try:
+                        block_id, intra = target.blocks.locate(ga.offset)
+                    except IndexError:
+                        continue
+                    held = rescan.records.get((ga.node_id, block_id))
+                    if held is not None:
+                        record = held.get(intra)
+                        keys[(bucket, slot)] = record.key if record else None
+                        continue
+                    length = max(index.read_meta(bucket, slot).len_units,
+                                 1) * 64
+                    if target is not server.mn:
+                        remote.append(((bucket, slot), target, ga.offset,
+                                       length))
+                    elif target.blocks.meta[block_id].valid:
+                        keys[(bucket, slot)] = self._key_at(
+                            target, ga.offset, length)
+                    else:
+                        lost.append(((bucket, slot),
+                                     target.blocks.meta[block_id], intra,
+                                     length))
+        keys.update((yield from self._fetch_slot_keys(server, remote, lost)))
+        return keys
+
+    def _fetch_slot_keys(self, server, remote, lost):
+        """The slot keys that cost verbs: *remote* records are one READ
+        each, slots of *lost* blocks of the node's own a degraded read
+        each.  With ``recovery_pipeline`` every plan is asked for before
+        the first is waited for, and likewise every read; without, one
+        at a time.  A read that fails leaves its slot out."""
+        cluster = self.cluster
+        fabric = cluster.fabric
+        nic = server.mn.nic
+        pipeline = cluster.config.coding.recovery_pipeline
+        asked = (
+            (where, self._aside(self._call(
+                nic, psrv, "degraded_plan", meta.stripe_id, meta.xor_id,
+                intra, length, response_size=256),
+                f"slot-plan(s{meta.stripe_id}@mn{psrv.node_id})"))
+            for where, meta, intra, length in lost
+            for psrv, prec in [self._p_record(meta.stripe_id)]
+            if prec is not None)
+        if pipeline:
+            asked = list(asked)
+        plans = []
+        for where, asking in asked:
+            plans.append((where, (yield asking)))
+
+        def lookups():
+            """(slot, its reads' events, what gives the key once they
+            landed), posting the reads as it is advanced."""
+            for where, target, offset, length in remote:
+                yield where, [fabric.read(
+                    nic, target.nic, min(length, HEADER_SIZE + 256),
+                    traffic_class="recovery")], \
+                    partial(self._key_at, target, offset, length)
+            for where, plan in plans:
+                regions = [(cluster.mns[node], offset)
+                           for node, offset in plan.regions()]
+                try:
+                    raw = plan.solve(cluster.codec, [
+                        mn.read_bytes(offset, plan.length)
+                        for mn, offset in regions])
+                except (NodeFailedError, IndexError):
+                    continue  # a second lost shard: stays unknown
+                yield where, [fabric.read(nic, mn.nic, plan.length,
+                                          traffic_class="recovery")
+                              for mn, _offset in regions], \
+                    partial(self._record_key, raw)
+
+        lookups = lookups()
+        if pipeline:
+            lookups = list(lookups)
+        keys = {}
+        for where, reads, key_of in lookups:
+            try:
+                yield self.env.all_of(reads)
+            except NodeFailedError:
+                continue
+            keys[where] = key_of()
+        return keys
+
+    @staticmethod
+    def _record_key(raw: bytes) -> Optional[bytes]:
         record = parse_kv(raw)
         return record.key if record else None
+
+    def _key_at(self, mn, offset: int, length: int) -> Optional[bytes]:
+        """Key of the KV pair at *offset* of *mn*'s memory, None when the
+        block is still lost or no record parses there."""
+        try:
+            return self._record_key(mn.read_bytes(offset, length))
+        except (NodeFailedError, IndexError):
+            return None
 
     # -- tier 3: Block Area -----------------------------------------------------
 
@@ -717,16 +959,18 @@ class MemoryNodeRecovery:
         t0 = self.env.now
         old = [m for m in server.mn.blocks.meta
                if m.role is Role.DATA and not m.valid]
-        yield from self._decode_and_install(server, old, report,
-                                            stage="old")
+        yield from self._decode_and_install(server, old)
         report.old_count = len(old)
         report.recover_old_s = self.env.now - t0
         # Background: re-derive parity held on this node (not critical,
         # §3.4.1 — PARITY blocks recover after functionality returns).
+        t1 = self.env.now
         yield from self._rebaseline_parity(server)
+        report.rebaseline_s = self.env.now - t1
 
-    def _decode_and_install(self, server, metas, report, stage: str):
-        """Erasure-decode lost DATA blocks.
+    def _decode_and_install(self, server, metas, on_block=None):
+        """Erasure-decode lost DATA blocks; ``on_block(meta, content)``
+        sees each one as it is installed.
 
         Default (the paper's evaluated design): a single recovery driver,
         two-stage pipelined — the next stripe's reads are issued while the
@@ -738,27 +982,20 @@ class MemoryNodeRecovery:
         """
         workers = self.cluster.config.coding.recovery_workers
         if workers > 1 and len(metas) > 1:
-            yield from self._decode_parallel(server, metas, workers)
+            yield from self._decode_parallel(server, metas, workers,
+                                             on_block)
             return
-        pipeline = self.cluster.config.coding.recovery_pipeline
-        pending = None  # (meta, read-event, gather-state)
-        for meta in metas:
-            started = self._start_block_reads(server, meta)
-            if started is None:
-                continue
-            if not pipeline:
-                yield started[1]
-                yield from self._finish_block(server, started)
-                continue
-            if pending is not None:
-                yield pending[1]
-                yield from self._finish_block(server, pending)
-            pending = started
-        if pending is not None:
-            yield pending[1]
-            yield from self._finish_block(server, pending)
 
-    def _decode_parallel(self, server, metas, workers: int):
+        def finish(resolver):
+            content = yield from self._finish_block(server, resolver)
+            if content is not None and on_block is not None:
+                on_block(resolver["meta"], content)
+
+        yield from self._pipelined(
+            metas, lambda meta: self._start_block_reads(server, meta),
+            finish)
+
+    def _decode_parallel(self, server, metas, workers: int, on_block=None):
         """Distribute stripe recovery across CN workers (future work)."""
         cluster = self.cluster
         cns = [cn for cn in cluster.cns.values() if cn.alive]
@@ -787,6 +1024,8 @@ class MemoryNodeRecovery:
                 def install(meta=meta, content=content):
                     server.mn.blocks.set_block(meta.block_id, content)
                     meta.valid = True
+                    if on_block is not None:
+                        on_block(meta, content)
                     return None
 
                 # Ship only the reconstructed block to the recovering MN.
@@ -807,9 +1046,15 @@ class MemoryNodeRecovery:
 
     def _start_block_reads(self, server, meta, src_nic=None):
         """Issue the reads needed to rebuild one lost block — the other
-        data shards, the parity a decode of what is missing needs, and
-        the stripe's live delta blocks; returns (resolver,
-        all-read-event) or None when unrecoverable.
+        data shards and the parity a decode of what is missing needs;
+        returns (resolver, all-read-event) or None when unrecoverable.
+
+        A single erasure whose P holder is alive costs one parity read
+        whatever the stripe's state: the holder folds its live DELTA
+        blocks into a scratch copy of P (:meth:`_read_folded_parity`),
+        which is the parity of the shards as they are *now*, so nothing
+        is left to fold here.  A dead P holder or a second lost shard
+        reads P and/or Q plus every live DELTA block instead.
 
         Reads land at ``src_nic`` (default: the recovering server's own
         NIC; parallel recovery workers pass their CN NIC instead)."""
@@ -821,73 +1066,87 @@ class MemoryNodeRecovery:
         if sid < 0:
             return None
         # Prefer the P holder's record; fall back to Q's for 2-MN failures.
+        # A holder that is itself mid-recovery knows the stripe again but
+        # has not re-derived its parity block yet: as good as dead.
         p_node = cluster.layout.node_of(sid, codec.k)
         records = []
-        for parity_index, node in enumerate(
-                [cluster.layout.node_of(sid, codec.k + j)
-                 for j in range(codec.m)]):
-            srv = cluster.servers.get(node)
-            if srv is None or not srv.mn.alive:
-                records.append(None)
-                continue
-            records.append(srv.stripes.get(sid))
+        for j in range(codec.m):
+            srv = cluster.servers.get(cluster.layout.node_of(sid, codec.k + j))
+            record = None
+            if srv is not None and srv.mn.alive:
+                record = srv.stripes.get(sid)
+                if record is not None and not \
+                        srv.mn.blocks.meta[record.parity_block].valid:
+                    record = None
+            records.append(record)
         primary = records[0]
         reference = primary or (records[1] if len(records) > 1 else None)
         if reference is None:
             return None
+        block_size = cluster.config.cluster.block_size
         events = []
         shards: List[Optional[bytes]] = [None] * (codec.k + codec.m)
         deltas: Dict[int, bytes] = {}
-
-        def fetch(node, size):
-            remaining = size
-            while remaining > 0:
-                this = min(_READ_CHUNK, remaining)
-                events.append(cluster.fabric.read(
-                    src_nic, cluster.mns[node].nic, this,
-                    traffic_class="recovery",
-                ))
-                remaining -= this
-
-        block_size = cluster.config.cluster.block_size
         resolver = {"meta": meta, "sid": sid, "pos": pos,
                     "reference": reference, "records": records,
                     "shards": shards, "deltas": deltas, "p_node": p_node}
+        sources = []  # (position, owner, block id) of readable data shards
         for j in range(codec.k):
             loc = reference.data[j]
             if j == pos or loc is None:
                 continue
-            node, block_id = loc
-            srv = cluster.servers.get(node)
-            if srv is None or not srv.mn.alive or \
-                    not srv.mn.blocks.meta[block_id].valid:
-                continue
-            fetch(node, block_size)
-            shards[j] = bytes(srv.mn.blocks.buffer(block_id))
+            srv = cluster.servers.get(loc[0])
+            if srv is not None and srv.mn.alive \
+                    and srv.mn.blocks.meta[loc[1]].valid:
+                sources.append((j, srv, loc[1]))
         # A single erasure decodes from P alone: with the P record and
         # every other allocated data shard at hand, Q is neither fetched
         # nor charged (`codec.reconstruct` fills it in as a second
         # erasure).  Q stays for a dead P holder or a second lost shard.
-        single = primary is not None and all(
-            shards[j] is not None for j in range(codec.k)
+        single = primary is not None and len(sources) == sum(
+            1 for j in range(codec.k)
             if j != pos and reference.data[j] is not None)
-        for parity_index, record in enumerate(records):
-            if record is None or (single and parity_index > 0):
-                continue
-            srv = cluster.servers[
-                cluster.layout.node_of(sid, codec.k + parity_index)]
-            fetch(srv.node_id, block_size)
-            shards[codec.k + parity_index] = bytes(
-                srv.mn.blocks.buffer(record.parity_block))
-        if primary is not None:
+        fold = single and any(d is not None for d in primary.delta_blocks)
+        if fold:
+            # Asked for first, so the holder folds while the data shards
+            # below are on the wire.
             psrv = cluster.servers[p_node]
-            for j in range(codec.k):
-                dblk = primary.delta_blocks[j]
-                if dblk is not None:
-                    fetch(p_node, block_size)
-                    deltas[j] = bytes(psrv.mn.blocks.buffer(dblk))
-        all_ev = self.env.all_of(events) if events else self.env.timeout(0)
-        return resolver, all_ev
+            shards[codec.k] = psrv.folded_parity(sid)
+            events.append(self._read_folded_parity(src_nic, psrv, sid))
+        for j, srv, block_id in sources:
+            events += self._post_reads(src_nic, srv.node_id, block_size)
+            shards[j] = bytes(srv.mn.blocks.buffer(block_id))
+        if not fold:
+            for parity_index, record in enumerate(records):
+                if record is None or (single and parity_index > 0):
+                    continue
+                node = cluster.layout.node_of(sid, codec.k + parity_index)
+                events += self._post_reads(src_nic, node, block_size)
+                shards[codec.k + parity_index] = bytes(
+                    cluster.servers[node].mn.blocks.buffer(
+                        record.parity_block))
+            if primary is not None:
+                psrv = cluster.servers[p_node]
+                for j, dblk in enumerate(primary.delta_blocks):
+                    if dblk is not None:
+                        events += self._post_reads(src_nic, p_node,
+                                                   block_size)
+                        deltas[j] = bytes(psrv.mn.blocks.buffer(dblk))
+        return resolver, self.env.all_of(events)
+
+    def _read_folded_parity(self, src_nic, psrv, sid: int):
+        """Event: the P holder of stripe *sid* folded the stripe's live
+        deltas into a scratch copy of P (one small RPC; its EC core pays
+        the XOR passes) and that one block was read.  Fails with
+        :class:`NodeFailedError` when the holder dies on the way."""
+        def fold_then_read():
+            yield from self._call(src_nic, psrv, "fold_parity", sid)
+            yield self.env.all_of(self._post_reads(
+                src_nic, psrv.node_id,
+                self.cluster.config.cluster.block_size))
+
+        return self._aside(fold_then_read(),
+                           f"fold-parity(s{sid}@mn{psrv.node_id})")
 
     def _resolve_content(self, resolver):
         """Pure decode: reconstruct a lost block's current contents from
@@ -918,14 +1177,13 @@ class MemoryNodeRecovery:
             content = xor_bytes(content, deltas[pos])
         return content
 
-    def _finish_block(self, server, started, install: bool = True):
+    def _finish_block(self, server, resolver, install: bool = True):
         """Decode one block after its reads landed, charge CPU, and
         (optionally) install it into the recovering node's Block Area.
 
         With ``install=False`` the reconstructed bytes are returned only —
         used to scan blocks that live on a *different* crashed node during
         a two-MN recovery."""
-        resolver, _ev = started
         cluster = self.cluster
         codec = cluster.codec
         meta = resolver["meta"]
@@ -951,35 +1209,56 @@ class MemoryNodeRecovery:
         *current* contents and all deltas restart from zero.  A recovered
         Q holder re-encodes from the folded states (P's baseline), which
         the surviving P holder still knows.
+
+        Clients keep writing while parity is re-derived, so the capture
+        must not straddle them: a stripe's reads (every surviving data
+        block and, for a Q holder, the P holder's delta blocks) are only
+        charged, and once they landed the blocks are copied at a single
+        simulation instant (:meth:`_rebaseline_p`, :meth:`_rebaseline_q`).
         """
         cluster = self.cluster
-        codec = cluster.codec
         block_size = cluster.config.cluster.block_size
-        rate = (cluster.config.cluster.cpu.xor_rate
-                if codec.name == "xor"
-                else cluster.config.cluster.cpu.rs_rate)
-        for sid, record in list(server.stripes.items()):
-            # Clients keep writing while parity is re-derived, so the
-            # capture must not straddle them: charge the read + encode
-            # time first, then copy every surviving data block (and, for
-            # a Q holder, the P holder's delta blocks) at a single
-            # simulation instant.
+        nic = server.mn.nic
+
+        def start(job):
+            sid, record = job
             sources = []  # (position, data owner, block id)
-            for j in range(codec.k):
-                loc = record.data[j]
+            events = []
+            for j, loc in enumerate(record.data):
                 if loc is None:
                     continue
-                node, block_id = loc
-                srv = cluster.servers.get(node)
+                srv = cluster.servers.get(loc[0])
                 if srv is None or not srv.mn.alive \
-                        or not srv.mn.blocks.meta[block_id].valid:
+                        or not srv.mn.blocks.meta[loc[1]].valid:
                     continue
-                yield from self._read_remote(server, node, block_size)
-                sources.append((j, srv, block_id))
+                events += self._post_reads(nic, loc[0], block_size)
+                sources.append((j, srv, loc[1]))
+            if record.parity_index != 0:
+                psrv, prec = self._p_record(sid)
+                for j, _srv, _block_id in sources:
+                    if prec is not None and prec.delta_blocks[j] is not None:
+                        events += self._post_reads(nic, psrv.node_id,
+                                                   block_size)
+            return (sid, record, sources), self.env.all_of(events)
+
+        def finish(state):
+            sid, record, sources = state
             if record.parity_index == 0:
                 yield from self._rebaseline_p(server, sid, record, sources)
             else:
-                yield from self._rebaseline_q(server, record, sources)
+                yield from self._rebaseline_q(server, sid, record, sources)
+
+        yield from self._pipelined(list(server.stripes.items()), start,
+                                   finish)
+
+    def _p_record(self, sid: int):
+        """(P holder's server, its record of stripe *sid*); the record is
+        None when the holder is dead or does not know the stripe."""
+        psrv = self.cluster.servers.get(
+            self.cluster.layout.node_of(sid, self.cluster.codec.k))
+        if psrv is None or not psrv.mn.alive:
+            return psrv, None
+        return psrv, psrv.stripes.get(sid)
 
     #: Grace period for fabric writes already in flight when a parity
     #: re-baseline captures its data blocks (one write latency, padded).
@@ -1053,7 +1332,7 @@ class MemoryNodeRecovery:
                 qsrv.mn.blocks.set_block(qrec.parity_block, parity[1])
                 qrec.sealed = list(record.sealed)
 
-    def _rebaseline_q(self, server, record, sources):
+    def _rebaseline_q(self, server, sid, record, sources):
         """Recovered Q holder: re-encode from the folded states, which the
         surviving P holder still covers (shard XOR its delta).
 
@@ -1069,19 +1348,7 @@ class MemoryNodeRecovery:
         rate = (cluster.config.cluster.cpu.xor_rate
                 if codec.name == "xor"
                 else cluster.config.cluster.cpu.rs_rate)
-        sid = next((s for s, r in server.stripes.items() if r is record),
-                   None)
-        pnode = cluster.layout.node_of(sid, codec.k) if sid is not None \
-            else None
-        psrv = cluster.servers.get(pnode) if pnode is not None else None
-        prec = None
-        if psrv is not None and psrv.mn.alive:
-            prec = psrv.stripes.get(sid)
-            if prec is not None:
-                for j, _srv, _block_id in sources:
-                    if prec.delta_blocks[j] is not None:
-                        yield from self._read_remote(server, pnode,
-                                                     block_size)
+        psrv, prec = self._p_record(sid)
         yield server.mn.ec_core.submit(codec.k * block_size / rate)
         # ---- single-instant capture of shards and deltas --------------
         datas = [bytes(block_size)] * codec.k

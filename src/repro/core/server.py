@@ -32,7 +32,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..checkpoint.compress import make_compressor
-from ..checkpoint.differential import CheckpointImage, DifferentialCheckpointer
+from ..checkpoint.differential import (CheckpointImage,
+                                       DifferentialCheckpointer, xor_bytes)
 from ..cluster.master import Master
 from ..cluster.node import MemoryNode
 from ..config import SystemConfig
@@ -46,13 +47,13 @@ from ..sim import Environment, Interrupt
 from .blockmgr import BlockGrant
 
 __all__ = ["AcesoServer", "StripeDirectory", "DirStripe", "StripeRecord",
-           "DegradedPlan"]
+           "DegradedPlan", "CONTROL_RPC_TIMEOUT"]
 
 _CKPT_CHUNK = 16 * 1024  # checkpoint transfer chunking (NIC interleaving)
 #: Server-to-server control RPCs (allocation chains, registration) queue
 #: behind data-plane work under churn; give them real headroom so a grant
 #: is never half-applied because its sub-RPC reply arrived late.
-_CONTROL_RPC_TIMEOUT = 10e-3
+CONTROL_RPC_TIMEOUT = 10e-3
 
 
 @dataclass
@@ -134,6 +135,33 @@ class DegradedPlan:
     data_regions: Dict[int, Tuple[int, int]]             # pos -> (node, off)
     delta_regions: Dict[int, Tuple[int, int]]            # unsealed others
 
+    def regions(self) -> List[Tuple[int, int]]:
+        """Every (node, offset) to read, in the order :meth:`solve` takes
+        their bytes."""
+        regions = [*self.data_regions.values(),
+                   *self.delta_regions.values(), self.parity_region]
+        if self.target_delta is not None:
+            regions.append(self.target_delta)
+        return regions
+
+    def solve(self, codec: StripeCodec, raws) -> bytes:
+        """The lost region's current bytes, from those of :meth:`regions`."""
+        raws = iter(raws)
+        data = {j: next(raws) for j in self.data_regions}
+        deltas = {j: next(raws) for j in self.delta_regions}
+        known = {}
+        for j in range(codec.k):
+            if j == self.position:
+                continue
+            folded = data.get(j, bytes(self.length))
+            if j in deltas:
+                folded = xor_bytes(folded, deltas[j])
+            known[j] = folded
+        target = codec.solve_one(self.position, known, next(raws))
+        if self.target_delta is not None:
+            target = xor_bytes(target, next(raws))
+        return target
+
 
 class AcesoServer:
     """The server process set of one MN."""
@@ -192,6 +220,7 @@ class AcesoServer:
         rpc.register("alloc_block", self.h_alloc_block)
         rpc.register("seal_block", self.h_seal_block)
         rpc.register("fold_delta", self.h_fold_delta)
+        rpc.register("fold_parity", self.h_fold_parity)
         rpc.register("update_bitmaps", self.h_update_bitmaps)
         rpc.register("offer_reclaim", self.h_offer_reclaim)
         rpc.register("degraded_plan", self.h_degraded_plan)
@@ -247,7 +276,7 @@ class AcesoServer:
         result = yield from rpc_call(
             self.env, self.fabric, self.mn.nic, target.rpc_server,
             method, *args, response_size=response_size,
-            timeout=_CONTROL_RPC_TIMEOUT,
+            timeout=CONTROL_RPC_TIMEOUT,
         )
         return result
 
@@ -505,6 +534,37 @@ class AcesoServer:
             self._spawn(self._forward_q(stripe_id, pos, delta_bytes),
                         name=f"qfwd@mn{self.node_id}.s{stripe_id}.{pos}")
         return True
+
+    def folded_parity(self, stripe_id: int) -> bytes:
+        """P of *stripe_id* as it would read with every live DELTA block
+        folded in: a scratch copy, so P, the deltas and the XOR Map stay
+        as they are and the positions stay unsealed.  It is the parity
+        of the stripe's *current* data blocks, which lets a recovering
+        MN decode a lost block from one parity read instead of P plus up
+        to k DELTA blocks (§3.4.1)."""
+        record = self.stripes[stripe_id]
+        blocks = self.mn.blocks
+        scratch = bytearray(blocks.buffer(record.parity_block))
+        for pos, delta_block in enumerate(record.delta_blocks):
+            if delta_block is not None:
+                self.codec.apply_delta(scratch, 0, pos,
+                                       bytes(blocks.buffer(delta_block)))
+        return bytes(scratch)
+
+    def h_fold_parity(self, stripe_id: int):
+        """P holder: what :meth:`folded_parity` costs this node — one
+        pass over each live DELTA block on the EC core.  Returns how many
+        were folded.  Block contents travel at object level, as in every
+        recovery read: the recovering MN takes the folded bytes at the
+        instant it captures the data shards it decodes them against, and
+        reads the scratch block once this call returns."""
+        record = self.stripes.get(stripe_id)
+        if record is None or record.parity_index != 0:
+            raise NodeFailedError(self.node_id, f"not P for {stripe_id}")
+        live = sum(1 for d in record.delta_blocks if d is not None)
+        yield self.mn.ec_core.submit(
+            live * self.config.cluster.block_size / self._ec_rate())
+        return live
 
     def _forward_q(self, stripe_id: int, pos: int, delta_bytes: bytes):
         """Background: ship the Q contribution of a folded delta (§3.3.2)."""

@@ -67,6 +67,10 @@ class RpcServer:
     def start(self) -> Process:
         if self._process is not None and self._process.is_alive:
             raise RuntimeError("RPC server already running")
+        # A restart is a fresh machine: requests still queued for the loop
+        # that died are gone, and so is its parked ``get`` — left in the
+        # store it would swallow the first request sent to the new loop.
+        self.inbox = Store(self.env)
         self._process = self.env.process(self._loop(), name=f"rpc@{self.nic.name}")
         return self._process
 

@@ -8,11 +8,24 @@ from repro.index.hashing import home_of
 from repro.workloads import WorkloadRunner, load_ops, micro_stream
 from repro.workloads.micro import micro_key
 
-from tests.conftest import make_aceso
+from tests.conftest import make_aceso, small_cluster_kwargs
 
 
-def loaded_cluster(keys_per_client=120, **overrides):
-    cluster = make_aceso(**overrides)
+def make_coded(codec="xor", pipeline=True, workers=1, **overrides):
+    """An Aceso cluster with its ``coding`` section set."""
+    from repro import aceso_config
+    from repro.core.store import AcesoCluster
+    cfg = aceso_config(**small_cluster_kwargs(**overrides))
+    cfg.coding.codec = codec
+    cfg.coding.recovery_pipeline = pipeline
+    cfg.coding.recovery_workers = workers
+    cluster = AcesoCluster(cfg)
+    cluster.start()
+    return cluster
+
+
+def loaded_cluster(keys_per_client=120, make=make_aceso, **overrides):
+    cluster = make(**overrides)
     runner = WorkloadRunner(cluster)
     runner.load([load_ops(c.cli_id, keys_per_client, 180)
                  for c in cluster.clients])
@@ -166,11 +179,13 @@ def test_crash_during_traffic_and_degraded_reads():
 
 
 def log_block_reads(cluster):
-    """Hook the recovery driver: one (recovery-class bytes posted,
-    resolver) pair per lost block whose rebuild reads were issued."""
+    """Hook the recovery driver: one (recovery-class bytes posted with
+    the call, resolver) pair per lost block whose rebuild reads were
+    issued, and the stripe id of every holder-side fold asked for (its
+    one block read is posted later, when the fold RPC has returned)."""
     recovery, fabric = cluster._recovery, cluster.fabric
-    start = recovery._start_block_reads
-    reads = []
+    start, fold = recovery._start_block_reads, recovery._read_folded_parity
+    reads, folds = [], []
 
     def hooked(server, meta, src_nic=None):
         before = fabric.bytes_by_class.get("recovery", 0)
@@ -180,8 +195,13 @@ def log_block_reads(cluster):
             reads.append((posted, started[0]))
         return started
 
+    def hooked_fold(src_nic, psrv, sid):
+        folds.append(sid)
+        return fold(src_nic, psrv, sid)
+
     recovery._start_block_reads = hooked
-    return reads
+    recovery._read_folded_parity = hooked_fold
+    return reads, folds
 
 
 def data_blocks(mn):
@@ -191,11 +211,25 @@ def data_blocks(mn):
             if meta.role is Role.DATA and meta.valid}
 
 
+def p_record(cluster, sid):
+    """(P holder's server, its record) of stripe *sid*."""
+    server = cluster.servers[cluster.layout.node_of(sid, cluster.codec.k)]
+    return server, server.stripes[sid]
+
+
+def live_deltas(cluster, sid):
+    """Positions of stripe *sid* whose DELTA block is live."""
+    return [j for j, dblk in enumerate(p_record(cluster, sid)[1].delta_blocks)
+            if dblk is not None]
+
+
 def test_single_failure_reads_only_the_shards_it_needs():
-    """One lost MN is one erasure per stripe, and P alone decodes it: a
-    rebuilt block costs the other allocated data shards, the P block and
-    the stripe's live delta blocks — the Q parity is neither read nor
-    charged — and comes back byte for byte."""
+    """One lost MN is one erasure per stripe, and one parity read decodes
+    it whatever the stripe's state: a rebuilt block costs the other
+    allocated data shards plus P — read as it is when the stripe has no
+    live delta, else folded with them by its holder (one RPC, one block
+    read once it returned).  Neither Q nor any DELTA block is read or
+    charged, and every block comes back byte for byte."""
     cluster, runner, n = loaded_cluster()
     from repro.rdma.verbs import WIRE_HEADER
     k = cluster.codec.k
@@ -204,19 +238,115 @@ def test_single_failure_reads_only_the_shards_it_needs():
     # the MN holding a client's open block: its stripe has a live delta
     victim = next(iter(cluster.clients[0].blocks.all_open())).grant.data_node
     before = data_blocks(cluster.mns[victim])
-    reads = log_block_reads(cluster)
-    crash_and_recover(cluster, victim)
+    reads, folds = log_block_reads(cluster)
+    report = crash_and_recover(cluster, victim)
     assert len(reads) >= len(before) > 0
+    folded = []
     for posted, resolver in reads:
         shards, reference = resolver["shards"], resolver["reference"]
         others = [j for j in range(k)
                   if j != resolver["pos"] and reference.data[j] is not None]
         assert all(shards[j] is not None for j in others)
         assert shards[k] is not None and shards[k + 1] is None
-        assert posted == (len(others) + 1 + len(resolver["deltas"])) \
-            * per_block
-    assert max(len(r["deltas"]) for _posted, r in reads) > 0   # open blocks
+        assert resolver["deltas"] == {}
+        fold = bool(live_deltas(cluster, resolver["sid"]))
+        # the folded P is read once its holder is done, not with the call
+        assert posted == (len(others) + (not fold)) * per_block
+        if fold:
+            folded.append(resolver["sid"])
+    assert folds == folded and folds                    # open blocks
+    served = sum(s.mn.rpc.requests_served for s in cluster.servers.values())
+    assert served >= len(folds)
+    # all in all: every rebuilt block cost its other data shards and one
+    # parity block — nothing DELTA-sized on top
+    decode_bytes = sum(posted for posted, _r in reads) \
+        + len(folds) * per_block
+    assert decode_bytes == sum(
+        sum(s is not None for s in r["shards"]) for _p, r in reads) * per_block
+    assert report.recovery_bytes >= decode_bytes
     assert data_blocks(cluster.mns[victim]) == before
+
+
+def test_a_second_erasure_still_reads_the_live_deltas():
+    """The holder-side fold is for single erasures.  With two data
+    holders of an unsealed stripe down and its P holder alive, a rebuild
+    reads P, Q and every live DELTA block, and folds them itself."""
+    from repro.rdma.verbs import WIRE_HEADER
+    cluster, runner, n = loaded_cluster()
+    k = cluster.codec.k
+    per_block = cluster.config.cluster.block_size + WIRE_HEADER
+    grant = next(iter(cluster.clients[0].blocks.all_open())).grant
+    sid = grant.stripe_id
+    assert live_deltas(cluster, sid)
+    first, second = [cluster.layout.node_of(sid, j) for j in range(k)][:2]
+    reads, folds = log_block_reads(cluster)
+    cluster.crash_mn(first)
+    cluster.crash_mn(second)
+    for victim in (first, second):
+        done = cluster.master.milestone(victim, MnState.RECOVERED)
+        cluster.env.run_until_event(done, limit=cluster.env.now + 240)
+    double = [(posted, r) for posted, r in reads
+              if r["sid"] == sid and r["shards"][k + 1] is not None]
+    assert double
+    for posted, resolver in double:
+        assert resolver["shards"][k] is not None and resolver["deltas"]
+        assert posted == (sum(s is not None for s in resolver["shards"])
+                          + len(resolver["deltas"])) * per_block
+    # the stripe is folded for again only once it is down to one erasure
+    assert folds.count(sid) == sum(
+        1 for _posted, r in reads
+        if r["sid"] == sid and r["shards"][k + 1] is None)
+
+
+@pytest.mark.parametrize("codec", ["xor", "rs"])
+def test_rebuilt_blocks_are_byte_identical_for_any_number_of_live_deltas(
+        codec):
+    """Each MN in turn is crashed and rebuilt.  Its DATA blocks sit in
+    stripes with 0 ... k live DELTA blocks (open blocks of other clients,
+    its own open block, allocated-but-empty ones); each comes back byte
+    for byte under either codec, and the fold left the holder's P block,
+    DELTA blocks and XOR Map exactly as they were."""
+    from repro.memory.blocks import Role
+    fills = (10, 10, 10, 96, 96, 96, 20, 32)    # 32 slots per block
+    cluster = make_coded(codec, num_cns=len(fills), clients_per_cn=1)
+    for client, fill in zip(cluster.clients, fills):
+        for i in range(fill):
+            cluster.run_op(client.insert(micro_key(client.cli_id, i),
+                                         b"v" * 180))
+    cluster.run(cluster.env.now + 0.05)
+    k = cluster.codec.k
+    seen = set()
+    reads, folds = log_block_reads(cluster)
+    for victim, mn in cluster.mns.items():
+        before = data_blocks(mn)
+        holders = {}
+        for meta in mn.blocks.meta:
+            if meta.role is not Role.DATA:
+                continue
+            server, record = p_record(cluster, meta.stripe_id)
+            seen.add(len(live_deltas(cluster, meta.stripe_id)))
+            holders[meta.stripe_id] = (
+                server, record, list(record.sealed),
+                list(record.delta_blocks),
+                [bytes(server.mn.blocks.buffer(b))
+                 for b in [record.parity_block] + record.delta_blocks
+                 if b is not None])
+        del folds[:]
+        crash_and_recover(cluster, victim)
+        assert data_blocks(mn) == before, victim
+        assert sorted(folds) == sorted(
+            sid for sid, held in holders.items() if any(
+                b is not None for b in held[3]))
+        for server, record, sealed, delta_blocks, contents in \
+                holders.values():
+            assert record is server.stripes[record.stripe_id]
+            assert record.sealed == sealed
+            assert record.delta_blocks == delta_blocks
+            assert contents == [
+                bytes(server.mn.blocks.buffer(b))
+                for b in [record.parity_block] + delta_blocks
+                if b is not None]
+    assert seen == set(range(k + 1))
 
 
 def test_two_mn_failures_recover_sealed_data():
@@ -232,7 +362,7 @@ def test_two_mn_failures_recover_sealed_data():
     cluster, runner, n = loaded_cluster(keys_per_client=128)
     cluster.run(cluster.env.now + 0.1)  # drain seal + fold + Q forwards
     expected = snapshot(cluster, n)
-    reads = log_block_reads(cluster)
+    reads, _folds = log_block_reads(cluster)
     cluster.crash_mn(1)
     cluster.crash_mn(2)
     for victim in (1, 2):
@@ -363,14 +493,7 @@ def test_mixed_crash_cn_then_mn():
 def test_parallel_recovery_workers_preserve_data():
     """Extension (paper's future work): recovery distributed over CN
     workers reconstructs exactly the same state as the single driver."""
-    from repro import aceso_config
-    from repro.core.store import AcesoCluster
-    from tests.conftest import small_cluster_kwargs
-
-    cfg = aceso_config(**small_cluster_kwargs())
-    cfg.coding.recovery_workers = 3
-    cluster = AcesoCluster(cfg)
-    cluster.start()
+    cluster = make_coded(workers=3)
     runner = WorkloadRunner(cluster)
     n = 128  # exact block multiples: everything seals
     runner.load([load_ops(c.cli_id, n, 180) for c in cluster.clients])
@@ -445,6 +568,374 @@ def test_crash_during_recovery_restarts_tiers():
     assert verify(cluster, expected) == []
     assert cluster.master.mn_state(first) == MnState.RECOVERED
     assert cluster.master.mn_state(second) == MnState.RECOVERED
+
+
+def crash_holder_when(cluster, triggers, pick):
+    """Wrap each ``recovery.<trigger>`` so that the first call of any
+    crashes the MN ``pick(*args)`` names; returns the list the crashed
+    id lands in."""
+    recovery = cluster._recovery
+    crashed = []
+
+    def hook(wrapped):
+        def hooked(*args):
+            if not crashed:
+                crashed.append(pick(*args))
+                cluster.crash_mn(crashed[0])
+            return wrapped(*args)
+        return hooked
+
+    for trigger in triggers:
+        setattr(recovery, trigger, hook(getattr(recovery, trigger)))
+    return crashed
+
+
+@pytest.mark.parametrize("dies", ["p_holder_while_folding",
+                                  "data_holder_mid_rebaseline"])
+def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
+    """The two waits this recovery added.  The P holder dying with a
+    fold on its EC core fails the fold RPC; a data holder dying while a
+    re-baseline's reads are on the wire fails those reads.  Either way
+    the recovery wipes what it restored and restarts its tiers, now a
+    double failure that needs the Q parity, and every key reads back
+    (every written block is sealed; the live DELTA blocks the dead P
+    holder takes with it belong to prefetched, still empty blocks)."""
+    from repro.chaos.oracle import walk_index
+    cluster, runner, n = loaded_cluster(keys_per_client=128)
+    cluster.run(cluster.env.now + 0.1)  # drain seal + fold + Q forwards
+    expected = snapshot(cluster, n)
+    k = cluster.codec.k
+    reads, folds = log_block_reads(cluster)
+    if dies == "p_holder_while_folding":
+        # a data holder of a stripe with a live DELTA block: folded for
+        sid = next(sid for server in cluster.servers.values()
+                   for sid, record in server.stripes.items()
+                   if record.parity_index == 0 and live_deltas(cluster, sid))
+        victim = next(loc[0] for loc in p_record(cluster, sid)[1].data if loc)
+        second = crash_holder_when(
+            cluster, ["_read_folded_parity"],
+            lambda src_nic, psrv, sid: psrv.node_id)
+    else:
+        # a holder of two parity blocks: while the first stripe is being
+        # finished the second one's reads are on the wire
+        victim = max(cluster.servers,
+                     key=lambda node: len(cluster.servers[node].stripes))
+
+        def holder_being_read(server, sid, record, sources):
+            first, ahead = server.stripes.values()
+            assert record is first
+            return next(loc[0] for loc in ahead.data if loc)
+
+        second = crash_holder_when(
+            cluster, ["_rebaseline_p", "_rebaseline_q"], holder_being_read)
+    cluster.crash_mn(victim)
+    done = cluster.master.milestone(victim, MnState.RECOVERED)
+    cluster.env.run_until_event(done, limit=cluster.env.now + 240)
+    assert second and second[0] != victim
+    done = cluster.master.milestone(second[0], MnState.RECOVERED)
+    cluster.env.run_until_event(done, limit=cluster.env.now + 240)
+    report = next(r for r in cluster._recovery.reports
+                  if r.node_id == victim)
+    assert report.attempts == 2
+    assert any(r["shards"][k + 1] is not None for _posted, r in reads)
+    assert verify(cluster, expected) == []
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+    assert cluster.env.unexpected_failures() == []
+
+
+# --------------------------------------------- the Index tier's data flow
+
+def updated_after_checkpoint(cluster):
+    """Update a few keys of each client before and after a checkpoint
+    round; returns {key: last value}."""
+    written = {}
+    for phase in ("pre", "post"):
+        for client in cluster.clients:
+            for i in range(3):
+                key = micro_key(client.cli_id, i)
+                written[key] = b"%s-ckpt-%d" % (phase.encode(), i)
+                cluster.run_op(client.update(key, written[key]))
+        if phase == "pre":
+            cluster.run(cluster.env.now + 0.6)
+    return written
+
+
+def log_posts(cluster):
+    """Every verb group posted from here on: (instant, source node,
+    destination node, traffic class, bytes on the wire)."""
+    fabric = cluster.fabric
+    submit = fabric._submit
+    posts = []
+
+    def hooked(src, dst, src_service, dst_service, wire, opcodes, fn, args,
+               traffic_class, track):
+        posts.append((cluster.env.now, src.node_id, dst.node_id,
+                      traffic_class, wire))
+        return submit(src, dst, src_service, dst_service, wire, opcodes, fn,
+                      args, traffic_class, track)
+
+    fabric._submit = hooked
+    return posts
+
+
+def test_report_stages_add_up():
+    """The wall-clock stages of the report partition the recovery: no
+    simulated time is spent outside a named stage."""
+    cluster, runner, n = loaded_cluster()
+    updated_after_checkpoint(cluster)
+    report = crash_and_recover(cluster, 1)
+    stages = dict(report.stages())
+    assert abs(sum(stages.values()) - report.total_time) < 1e-6
+    assert abs(stages["read_meta"] - report.meta_time) < 1e-9
+    assert abs(stages["recover_old"] + stages["rebaseline"]
+               - report.block_time) < 1e-9
+    assert min(stages.values()) >= 0 and stages["rebaseline"] > 0
+    # Scan KV is CPU time; only its tail, if any, is on the clock
+    scan_rate = cluster.config.cluster.cpu.scan_rate
+    assert report.scan_kv_s == report.kv_count / scan_rate > 0
+    assert report.scan_tail_s < report.scan_kv_s
+    row = report.row()
+    for stage, seconds in stages.items():
+        assert row[f"{stage}_ms"] == seconds * 1e3
+    assert row["recovery_bytes"] == report.recovery_bytes > 0
+    assert 0 < report.nic_busy_s <= report.total_time
+
+
+def expected_recovery_bytes(cluster, victim):
+    """Recovery-class bytes a quiescent single-MN recovery of *victim*
+    must move, from the cluster's state before the crash: the Meta
+    replica, the checkpoint image, k block reads per lost DATA block
+    (its other allocated shards and one parity), one per recently sealed
+    or open block elsewhere, and per parity block held the stripe's data
+    blocks plus the Q push (P) or the live DELTA blocks (Q).  Key
+    look-ups of the re-apply pass are not in it."""
+    from repro.core.recovery import _READ_CHUNK
+    from repro.memory.blocks import Role
+    from repro.rdma.verbs import WIRE_HEADER
+    block_size = cluster.config.cluster.block_size
+
+    def bulk(size, chunk=_READ_CHUNK):
+        return size + -(-size // chunk) * WIRE_HEADER
+
+    others = [s for i, s in cluster.servers.items() if i != victim]
+    mn = cluster.mns[victim]
+    replicas = next(s.mn.meta_replicas[victim] for s in others
+                    if victim in s.mn.meta_replicas)
+    image = next(s.mn.ckpt_images[victim] for s in others
+                 if victim in s.mn.ckpt_images)
+    total = bulk(len(replicas) * mn.meta_record_size) + bulk(len(image.data))
+    blocks = 0
+    for meta in mn.blocks.meta:
+        if meta.role is Role.DATA:      # its other shards and one parity
+            data = p_record(cluster, meta.stripe_id)[1].data
+            blocks += sum(loc is not None for loc in data)
+    threshold = max(image.index_version - 1, 1)
+    blocks += sum(1 for s in others for meta in s.mn.blocks.meta
+                  if meta.role is Role.DATA and (
+                      meta.index_version == 0
+                      or meta.index_version >= threshold))
+    for sid, record in cluster.servers[victim].stripes.items():
+        held = [j for j, loc in enumerate(record.data) if loc is not None]
+        blocks += len(held)
+        if record.parity_index == 0:
+            total += bulk(block_size, chunk=16 * 1024)      # the Q push
+        else:
+            blocks += len(set(held) & set(live_deltas(cluster, sid)))
+    return total + blocks * bulk(block_size)
+
+
+def test_recovery_runs_at_the_recovering_nics_line_rate():
+    """The pin of the data flow, small enough for tier 1: a single
+    driver pulls everything through one NIC, so that NIC has to be busy
+    nearly all the time, it has to carry exactly the bytes the closed
+    form names — each block once — and overlapping the stages has to
+    pay."""
+    from repro.core.kvpair import HEADER_SIZE
+    from repro.rdma.verbs import WIRE_HEADER
+    reports = {}
+    for pipeline in (True, False):
+        cluster = make_coded(pipeline=pipeline, num_cns=4, kv_size=1024,
+                             block_size=64 * 1024, blocks_per_mn=128,
+                             index_buckets=1024)
+        WorkloadRunner(cluster).load([load_ops(c.cli_id, 1500, 900)
+                                      for c in cluster.clients])
+        cluster.run(cluster.env.now + 1.6)      # seals, folds, checkpoints
+        victim = 1
+        expected = expected_recovery_bytes(cluster, victim)
+        posts = log_posts(cluster)
+        report = reports[pipeline] = crash_and_recover(cluster, victim)
+        lookups = [p for p in posts
+                   if p[1] == victim and p[3] == "recovery"
+                   and p[4] == HEADER_SIZE + 256 + WIRE_HEADER
+                   and p[0] >= report.index_done_at - report.apply_s - 1e-12]
+        assert report.recovery_bytes == expected + sum(
+            p[4] for p in lookups)
+        assert report.lblock_count and report.rblock_count \
+            and report.old_count
+    piped, serial = reports[True], reports[False]
+    assert piped.recovery_bytes == serial.recovery_bytes
+    assert piped.nic_busy_s / piped.total_time >= 0.85
+    assert piped.total_time < 0.85 * serial.total_time
+
+
+def test_index_area_is_the_same_with_and_without_pipelining():
+    """``recovery_pipeline`` moves work in time, never in kind: the
+    recovered Index Area, the block contents and every counter of the
+    report are identical, and only the serial run is slower."""
+    outcomes = []
+    for pipeline in (True, False):
+        cluster, runner, n = loaded_cluster(
+            make=lambda **kw: make_coded(pipeline=pipeline, **kw))
+        written = updated_after_checkpoint(cluster)
+        victim = home_of(next(iter(written)), 5)
+        report = crash_and_recover(cluster, victim)
+        mn = cluster.mns[victim]
+        assert verify(cluster, written) == []
+        outcomes.append((
+            mn.index_region.read(0, mn.index.index_bytes),
+            data_blocks(mn),
+            (report.kv_count, report.lblock_count, report.rblock_count,
+             report.old_count, report.applied_slots, report.scrubbed_slots,
+             report.recovery_bytes),
+            report.total_time))
+    (index_on, blocks_on, counts_on, time_on), \
+        (index_off, blocks_off, counts_off, time_off) = outcomes
+    assert index_on == index_off
+    assert blocks_on == blocks_off
+    assert counts_on == counts_off and counts_on[4] > 0
+    assert time_on < time_off
+
+
+def test_same_fingerprint_keys_sharing_a_bucket_pair_applied_in_one_pass():
+    """Two keys with one home, one fingerprint and one bucket pair, both
+    re-applied by the same pass (no checkpoint: the index is rebuilt from
+    the blocks): the second one finds the slot the first has just taken,
+    sees another key behind it and takes a slot of its own."""
+    from repro.chaos.oracle import walk_index
+    from repro.index.hashing import bucket_pair, fingerprint8
+    from tests.test_core_versioning import locate_slot
+    buckets = 8
+    cluster = make_aceso(index_buckets=buckets)
+    victim = 1
+    first = next(k for k in (b"twin-%d" % i for i in range(100000))
+                 if home_of(k, 5) == victim)
+    second = next(k for k in (b"twin-%d" % i for i in range(100000, 10**7))
+                  if home_of(k, 5) == victim
+                  and fingerprint8(k) == fingerprint8(first)
+                  and set(bucket_pair(k, buckets))
+                  == set(bucket_pair(first, buckets)))
+    client = cluster.clients[0]
+    cluster.run_op(client.insert(first, b"first"))
+    cluster.run_op(client.insert(second, b"second"))
+    for mn in cluster.mns.values():
+        mn.ckpt_images.pop(victim, None)
+    posts = log_posts(cluster)
+    report = crash_and_recover(cluster, victim)
+    assert report.applied_slots == 2 and report.apply_s == 0
+    assert not [p for p in posts if p[1] == p[2]]       # no loopback verb
+    _index, bucket_a, slot_a = locate_slot(cluster, first)
+    assert cluster.run_op(client.search(first)) == b"first"
+    assert cluster.run_op(client.search(second)) == b"second"
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+    index = cluster.mns[victim].index
+    occupied = [(b, s) for b, s, _word in index.iter_slots()]
+    assert len(occupied) == 2 and (bucket_a, slot_a) in occupied
+
+
+def test_apply_pass_costs_no_verb_for_pointers_it_already_holds():
+    """Re-apply settles fingerprint collisions by the key behind a slot.
+    A slot pointing into a block image recovery has just read, or into
+    the node's own Block Area, costs no verb at all — the pass then takes
+    no simulated time; pointers into blocks of other nodes that were not
+    rescanned are read over the fabric, all posted at one instant."""
+    # (1) every pointer held: the checkpointed slots of the updated keys
+    # point into the clients' open blocks, which are rescanned
+    cluster, runner, n = loaded_cluster(keys_per_client=100)
+    for client in cluster.clients:
+        for i in range(3):
+            cluster.run_op(client.update(micro_key(client.cli_id, i), b"a"))
+    cluster.run(cluster.env.now + 0.6)
+    written = {}
+    for client in cluster.clients:
+        for i in range(3):
+            key = micro_key(client.cli_id, i)
+            written[key] = b"b"
+            cluster.run_op(client.update(key, b"b"))
+    victim = home_of(next(iter(written)), 5)
+    posts = log_posts(cluster)
+    report = crash_and_recover(cluster, victim)
+    assert report.applied_slots > 0 and report.apply_s == 0
+    assert not [p for p in posts if p[1] == p[2]]
+    assert not [p for p in posts if p[3] == "client"]
+    assert verify(cluster, written) == []
+
+    # (2) checkpointed slots pointing into long-sealed blocks of other
+    # nodes: one READ each, all on the wire together
+    cluster, runner, n = loaded_cluster()
+    cluster.run(cluster.env.now + 2.6)      # rounds enough to age the load
+    written = {}
+    for client in cluster.clients:
+        for i in range(12):
+            key = micro_key(client.cli_id, i)
+            written[key] = b"after-ckpt-%d" % i
+            cluster.run_op(client.update(key, written[key]))
+    victim = home_of(next(iter(written)), 5)
+    posts = log_posts(cluster)
+    report = crash_and_recover(cluster, victim)
+    looked_up = [p for p in posts
+                 if report.index_done_at - report.apply_s - 1e-12 <= p[0]
+                 < report.index_done_at and p[1] == victim]
+    assert len(looked_up) > 1 and report.apply_s > 0
+    assert max(p[0] for p in looked_up) - min(p[0] for p in looked_up) < 1e-12
+    assert {p[3] for p in looked_up} == {"recovery"}
+    assert not [p for p in posts if p[1] == p[2]]
+    # one round trip for all of them, not one each
+    nic = cluster.config.cluster.nic
+    assert report.apply_s <= nic.rtt + len(looked_up) / nic.iops + 1e-9
+    assert verify(cluster, written) == []
+
+
+def test_checkpointed_slot_into_a_block_still_lost_is_not_duplicated():
+    """A key homed on the crashed MN whose checkpointed slot points at a
+    record in an old block *of that MN* and that was updated since: the
+    Index tier runs before the Block tier rebuilds that block, so the key
+    behind the slot comes from a degraded read of the one slot.  Left
+    unknown, the newer KV pair would be given a second slot and either
+    could be served.  Every such key keeps one slot, at the new value."""
+    from repro.chaos.oracle import walk_index
+    from repro.memory.address import GlobalAddress
+    cluster, runner, n = loaded_cluster()
+    cluster.run(cluster.env.now + 2.6)      # rounds enough to age the load
+    victim = 1
+    index = cluster.mns[victim].index
+    local = {GlobalAddress.unpack(index.read_atomic(b, s).addr).offset
+             for b, s, _word in index.iter_slots()
+             if GlobalAddress.unpack(
+                 index.read_atomic(b, s).addr).node_id == victim}
+    written = {}
+    for client in cluster.clients:
+        for i in range(n):
+            key = micro_key(client.cli_id, i)
+            if home_of(key, 5) == victim and len(written) < 6:
+                from tests.test_core_versioning import locate_slot
+                _index, bucket, slot = locate_slot(cluster, key)
+                addr = GlobalAddress.unpack(
+                    index.read_atomic(bucket, slot).addr)
+                if addr.node_id == victim and addr.offset in local:
+                    written[key] = b"newer-%d" % i
+    assert len(written) > 1
+    for key, value in written.items():
+        cluster.run_op(cluster.clients[0].update(key, value))
+    posts = log_posts(cluster)
+    report = crash_and_recover(cluster, victim)
+    plans_asked = [p for p in posts if p[1] == victim and p[3] == "rpc"]
+    assert len(plans_asked) >= len(written)
+    assert report.applied_slots >= len(written)
+    assert verify(cluster, written) == []
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
 
 
 # ------------------------------------------- re-stamped records (conflicts)
