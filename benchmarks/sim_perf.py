@@ -1,51 +1,25 @@
-"""Engine micro-benchmark: raw event-dispatch and end-to-end op rates.
+"""Flight-recorder overhead probe and its CI gate.
 
 Run directly (CI uploads the json artifact)::
 
     PYTHONPATH=src python benchmarks/sim_perf.py [--json-dir DIR] [--check]
 
-Six probes, smallest to largest:
+The always-on flight recorder rides every hot path, so its cost is
+contractually bounded.  The probe measures it over a full-stack YCSB-A
+window on the smoke cluster by direct attribution: count the feed
+events an on-run actually appends, microbenchmark the per-event append
+in a tight loop, and express their product as a fraction of the
+window's CPU time.  (Differencing two multi-second on/off runs cannot
+resolve a sub-1% effect under shared-runner noise — the paired runs are
+still executed, but only to assert result-neutrality: both modes must
+complete the exact same op count.)  ``--check`` fails if the attributed
+overhead exceeds ``--max-flight-overhead`` (default 5%).
 
-* ``sched_hold`` — the classic *hold model* run against every scheduler
-  backend: pre-fill the queue to a steady pending population, then
-  pop-one/push-one so the population holds constant.  This is the probe
-  the ``--check`` perf gate reads: at hyperscale populations the
-  calendar queue's O(1) amortized push/pop beats C heapq's O(log n)
-  (and the compiled flat-heap core beats both outright), and the gate
-  fails CI if the best alternative backend stops clearing
-  ``--min-speedup`` x the heapq baseline *measured in the same run*
-  (ratio-based, so machine speed cancels out).  The default floor is
-  5x when a compiled event core is loaded, 2x interpreted.
-* ``timeout_churn`` — pure engine throughput: processes that do nothing
-  but ``yield env.timeout(...)``; isolates Event/Timeout allocation plus
-  the queue, measured per backend.
-* ``dispatch`` — the full engine loop (``Environment.run``'s
-  pop -> ``_run_callbacks`` cycle) at an elevated pending population
-  with quantized, heavily tied timestamps: the regime batched dispatch
-  and the compiled ``run_loop`` exist for.  Reports
-  ``dispatch_events_per_sec`` per backend; ``--check`` gates the best
-  non-heapq backend against ``--min-dispatch-speedup`` x heapq so the
-  10x events/sec target is measured where it matters, not just in the
-  queue-only hold model (enforced by default only when a compiled core
-  is loaded — interpreted, heapq's C sift is already the bar).
-* ``fabric_posts`` — RDMA verb completions through the Fabric/RNIC path
-  (the Deferred fast path).
-* ``ycsb_a`` — a full YCSB-A measurement window on the smoke cluster;
-  events/sec here is what bounds every figure runner's wall clock.
-* ``flight_overhead`` — the always-on flight recorder's cost over the
-  same full-stack window, by direct attribution: count the feed events
-  an on-run actually appends, microbenchmark the per-event append in a
-  tight loop, and express their product as a fraction of the window's
-  CPU time.  (Differencing two multi-second on/off runs cannot resolve
-  a sub-1% effect under shared-runner noise — the paired runs are still
-  executed, but only to assert result-neutrality: both modes must
-  complete the exact same op count.)  The recorder rides every hot
-  path, so its cost is contractually bounded: ``--check`` fails if the
-  attributed overhead exceeds ``--max-flight-overhead`` (default 5%).
+Host cost of the engine and the protocol is measured end to end by
+``perfbench/run.py`` and pinned per verb by ``tests/test_host_cost.py``.
 
-Emits ``BENCH_simperf.json`` with events/sec, ops/sec, ns/event and a
-``meta`` block recording the active scheduler backend, so regressions
-show up as a number, not a feeling.
+Emits ``BENCH_simperf.json`` with the probe's numbers and a ``meta``
+block of provenance.
 """
 
 from __future__ import annotations
@@ -53,196 +27,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench.common import SCALES, build_cluster, run_mix  # noqa: E402
-from repro.config import aceso_config  # noqa: E402
 from repro.obs import obs_provenance  # noqa: E402
-from repro.rdma.network import Fabric  # noqa: E402
-from repro.rdma.nic import RNIC  # noqa: E402
-from repro.sim import (  # noqa: E402
-    FLATHEAP_COMPILED,
-    Environment,
-    available_backends,
-    make_scheduler,
-    sched_provenance,
-    use_backend,
-)
+from repro.sim import sched_provenance  # noqa: E402
 from repro.workloads import ycsb_stream  # noqa: E402
-
-#: Steady pending population for the hold-model gate probe.  The
-#: calendar queue's advantage grows with population (heapq pays
-#: O(log n) per op, and a quarter-million-entry heap no longer fits in
-#: cache); 256 Ki pending is hyperscale-figure territory and where the
-#: 2x contract is enforced.
-HOLD_PENDING = 262_144
-HOLD_OPS = 200_000
-#: Timed segments per backend; the best one is reported (the queue is
-#: in steady state throughout — repeats only shed scheduler-preemption
-#: noise, which matters because the gate is a same-run ratio).
-HOLD_REPS = 3
-
-
-def _hold_delays(seed: int = 1234, n: int = 977):
-    """Clustered us-scale delay table mirroring the simulator's hot
-    regime — NIC serialization, fabric hops, and op latencies all live
-    within a couple of decades of a microsecond (ms-scale background
-    timers are a vanishing fraction of event volume).  Clustered
-    timestamps are exactly what the calendar queue is tuned for; n is
-    odd so the cycle never locks phase with the pending population."""
-    rng = random.Random(seed)
-    return [rng.choice((1e-7, 5e-7, 1e-6, 1.5e-6, 2e-6, 2.2e-6, 3e-6,
-                        7e-6)) * (1.0 + rng.random())
-            for _ in range(n)]
-
-
-def _bench_sched_hold(backend: str, npending: int = HOLD_PENDING,
-                      nops: int = HOLD_OPS):
-    """Hold model: fill to *npending*, then pop-one/push-one *nops*
-    times.  Exercises the scheduler alone — no Event machinery — so the
-    number is the queue's, not the engine's."""
-    delays = _hold_delays()
-    nd = len(delays)
-    sched = make_scheduler(backend)
-    push, pop = sched.push, sched.pop
-    now = 0.0
-    # Spread the initial fill over a wider window than the steady-state
-    # churn so the first geometry build sees a realistic span.
-    for i in range(npending):
-        push(now + delays[i % nd] * (1 + i % 13), None)
-    # Warm-up: let the calendar queue settle into steady-state geometry
-    # (first rotation + occupancy-sized rebuild) before the clock runs.
-    j = 0
-    for _ in range(npending // 4):
-        now = pop()[0]
-        push(now + delays[j], None)
-        j = j + 1 if j + 1 < nd else 0
-    best = None
-    for _ in range(HOLD_REPS):
-        start = time.perf_counter()
-        for _ in range(nops):
-            now = pop()[0]
-            push(now + delays[j], None)
-            j = j + 1 if j + 1 < nd else 0
-        wall = time.perf_counter() - start
-        if best is None or wall < best:
-            best = wall
-    return {"backend": backend, "pending": npending, "events": nops,
-            "wall_s": best, "events_per_sec": nops / best,
-            "ns_per_event": best / nops * 1e9}
-
-
-def _bench_timeout_churn(backend: str, n_procs: int = 100,
-                         n_events: int = 200_000):
-    """Pure engine: n_procs generators ping-ponging timeouts."""
-    env = Environment(scheduler=backend)
-    per_proc = n_events // n_procs
-
-    def churner(delay):
-        for _ in range(per_proc):
-            yield env.timeout(delay)
-
-    for i in range(n_procs):
-        env.process(churner(1e-6 * (1 + i % 7)))
-    start = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - start
-    dispatched = n_procs * per_proc
-    return {"backend": backend, "events": dispatched, "wall_s": wall,
-            "events_per_sec": dispatched / wall,
-            "ns_per_event": wall / dispatched * 1e9}
-
-
-#: Pending population for the full-loop dispatch probe: above the
-#: adaptive backend's migration threshold, below hold-model hyperscale
-#: (dispatch costs are dominated by callback execution, not the queue,
-#: so the probe does not need a quarter-million entries to separate
-#: backends).
-DISPATCH_PENDING = 32_768
-DISPATCH_EVENTS = 200_000
-
-
-def _bench_dispatch(backend: str, npending: int = DISPATCH_PENDING,
-                    n_events: int = DISPATCH_EVENTS):
-    """Full engine loop: dispatch through ``Environment.run`` with the
-    pending population held at *npending* and timestamps quantized to a
-    100 ns grid (so same-instant runs are common — the case batched
-    dispatch amortizes and the compiled ``run_loop`` executes entirely
-    in C).  Each dispatched timeout re-arms one successor until the
-    event budget is spent, then the population drains; every seeded and
-    re-armed event dispatches exactly once, so the denominator is exact.
-    """
-    env = Environment(scheduler=backend)
-    rng = random.Random(4321)
-    # 1024 distinct 100ns-quantized delays -> ~32 entries share each
-    # future instant at steady state.
-    delays = [1e-7 * rng.randint(1, 1024) for _ in range(977)]
-    nd = len(delays)
-    state = {"left": n_events, "j": 0}
-    defer = env.defer
-
-    def rearm(_ev):
-        left = state["left"]
-        if left > 0:
-            state["left"] = left - 1
-            j = state["j"]
-            state["j"] = j + 1 if j + 1 < nd else 0
-            defer(delays[j], rearm)
-
-    for i in range(npending):
-        defer(delays[i % nd], rearm)
-    dispatched = npending + n_events
-    start = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - start
-    return {"backend": backend, "pending": npending, "events": dispatched,
-            "wall_s": wall, "dispatch_events_per_sec": dispatched / wall,
-            "ns_per_event": wall / dispatched * 1e9}
-
-
-def _bench_fabric_posts(n_ops: int = 50_000):
-    """Verb completions through the Fabric fast path (one client QP
-    hammering one MN with signaled 1 KB WRITEs)."""
-    cfg = aceso_config(num_cns=1, clients_per_cn=1, index_buckets=64,
-                       blocks_per_mn=8, block_size=64 * 1024, kv_size=1024)
-    env = Environment()
-    fabric = Fabric(env)
-    src = fabric.register(RNIC(env, cfg.cluster.nic, node_id=0, name="cn0"))
-    dst = fabric.register(RNIC(env, cfg.cluster.nic, node_id=1, name="mn0"))
-
-    def poster():
-        for _ in range(n_ops):
-            yield fabric.write(src, dst, 1024)
-
-    proc = env.process(poster())
-    start = time.perf_counter()
-    env.run_until_event(proc)
-    wall = time.perf_counter() - start
-    return {"ops": n_ops, "wall_s": wall,
-            "ops_per_sec": n_ops / wall,
-            "ns_per_op": wall / n_ops * 1e9}
-
-
-def _bench_ycsb_a():
-    """Full-stack: one YCSB-A measurement window at smoke scale."""
-    scale = SCALES["smoke"]
-    cluster = build_cluster("aceso", scale)
-    start = time.perf_counter()
-    res = run_mix(cluster, scale,
-                  lambda cli_id: ycsb_stream("A", cli_id, scale.total_keys,
-                                             scale.kv_size - 64))
-    wall = time.perf_counter() - start
-    events = cluster.env.scheduled_count  # events scheduled, whole run
-    return {"total_ops": res.total_ops, "wall_s": wall,
-            "sim_events": events,
-            "events_per_sec": events / wall,
-            "ops_per_sec": res.total_ops / wall,
-            "sim_mops": res.total_ops / res.duration / 1e6}
-
 
 #: Tight-loop iterations for the per-event append microbenchmark.
 FLIGHT_CALIB_EVENTS = 200_000
@@ -333,140 +126,38 @@ def main(argv=None) -> int:
     parser.add_argument("--json-dir", default=".",
                         help="directory for BENCH_simperf.json")
     parser.add_argument("--no-json", action="store_true")
-    parser.add_argument("--scheduler", choices=available_backends(),
-                        default=None,
-                        help="backend for the full-stack probes "
-                             "(sched_hold and timeout_churn always "
-                             "sweep every backend)")
     parser.add_argument("--check", action="store_true",
-                        help="perf gate: exit 1 unless the best "
-                             "non-heapq backend clears --min-speedup x "
-                             "the heapq hold-model baseline from this "
-                             "same run")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="hold-model gate threshold for --check "
-                             "(default: 5.0 with a compiled event core, "
-                             "2.0 interpreted)")
-    parser.add_argument("--min-dispatch-speedup", type=float, default=None,
-                        help="full-loop dispatch gate threshold for "
-                             "--check (default: 1.5 with a compiled "
-                             "event core; skipped interpreted, where no "
-                             "alternative backend beats heapq's C sift "
-                             "on the callback-dominated full loop)")
+                        help="exit 1 if the flight recorder's attributed "
+                             "overhead exceeds --max-flight-overhead")
     parser.add_argument("--max-flight-overhead", type=float, default=5.0,
                         help="flight-recorder overhead ceiling in "
                              "percent for --check (default: 5.0)")
     args = parser.parse_args(argv)
 
-    if args.scheduler:
-        use_backend(args.scheduler)
-
-    backends = available_backends()
-    results = {}
-
-    # -- per-backend queue probes ---------------------------------------
-    hold_rows = [_bench_sched_hold(b) for b in backends]
-    base = next(r for r in hold_rows if r["backend"] == "heapq")
-    for row in hold_rows:
-        row["speedup_vs_heapq"] = (row["events_per_sec"]
-                                   / base["events_per_sec"])
-        print(f"sched_hold[{row['backend']}]: {_fmt(row)}")
-    results["sched_hold"] = hold_rows
-
-    churn_rows = [_bench_timeout_churn(b) for b in backends]
-    cbase = next(r for r in churn_rows if r["backend"] == "heapq")
-    for row in churn_rows:
-        row["speedup_vs_heapq"] = (row["events_per_sec"]
-                                   / cbase["events_per_sec"])
-        print(f"timeout_churn[{row['backend']}]: {_fmt(row)}")
-    results["timeout_churn"] = churn_rows
-
-    dispatch_rows = [_bench_dispatch(b) for b in backends]
-    dbase = next(r for r in dispatch_rows if r["backend"] == "heapq")
-    for row in dispatch_rows:
-        row["speedup_vs_heapq"] = (row["dispatch_events_per_sec"]
-                                   / dbase["dispatch_events_per_sec"])
-        print(f"dispatch[{row['backend']}]: {_fmt(row)}")
-    results["dispatch"] = dispatch_rows
-
-    # -- full-stack probes (active backend) -----------------------------
-    for name, fn in (("fabric_posts", _bench_fabric_posts),
-                     ("ycsb_a", _bench_ycsb_a),
-                     ("flight_overhead", _bench_flight_overhead)):
-        results[name] = fn()
-        print(f"{name}: {_fmt(results[name])}")
-
-    best = max((r for r in hold_rows if r["backend"] != "heapq"),
-               key=lambda r: r["speedup_vs_heapq"])
-    print(f"[best backend: {best['backend']} at "
-          f"{best['speedup_vs_heapq']:.2f}x heapq "
-          f"({HOLD_PENDING:,} pending)]")
-    best_dispatch = max((r for r in dispatch_rows if r["backend"] != "heapq"),
-                        key=lambda r: r["speedup_vs_heapq"])
-    print(f"[best dispatch: {best_dispatch['backend']} at "
-          f"{best_dispatch['speedup_vs_heapq']:.2f}x heapq full-loop "
-          f"({DISPATCH_PENDING:,} pending)]")
-
-    flight = results["flight_overhead"]
+    flight = _bench_flight_overhead()
+    print(f"flight_overhead: {_fmt(flight)}")
     print(f"[flight recorder: {flight['overhead_pct']:+.3f}% attributed "
           f"CPU overhead ({flight['feed_events']:,} feed events at "
           f"{flight['ns_per_event']:.0f} ns) over {flight['ops']:,} ops]")
 
     if not args.no_json:
         path = os.path.join(args.json_dir, "BENCH_simperf.json")
-        meta = {"hold_pending": HOLD_PENDING, "hold_ops": HOLD_OPS,
-                "dispatch_pending": DISPATCH_PENDING,
-                "best_backend": best["backend"],
-                "best_speedup": round(best["speedup_vs_heapq"], 3),
-                "best_dispatch_backend": best_dispatch["backend"],
-                "best_dispatch_speedup":
-                    round(best_dispatch["speedup_vs_heapq"], 3),
-                "flight_overhead_pct": round(flight["overhead_pct"], 3),
+        meta = {"flight_overhead_pct": round(flight["overhead_pct"], 3),
                 **sched_provenance(), **obs_provenance()}
         with open(path, "w") as fh:
             json.dump({"benchmark": "simperf", "meta": meta,
-                       "results": results}, fh, indent=2)
+                       "results": {"flight_overhead": flight}}, fh, indent=2)
             fh.write("\n")
         print(f"[wrote {path}]")
 
     if args.check:
-        # Floors scale with what is loaded: a compiled event core is
-        # held to the event-core contract (>=5x heapq on the hold
-        # model); interpreted builds keep the calendar queue's 2x.
-        min_speedup = args.min_speedup
-        if min_speedup is None:
-            min_speedup = 5.0 if FLATHEAP_COMPILED else 2.0
-        min_dispatch = args.min_dispatch_speedup
-        if min_dispatch is None and FLATHEAP_COMPILED:
-            min_dispatch = 1.5
-        failed = False
-        if best["speedup_vs_heapq"] < min_speedup:
-            print(f"PERF GATE FAIL: best backend {best['backend']} is "
-                  f"{best['speedup_vs_heapq']:.2f}x heapq, needs "
-                  f">= {min_speedup}x", file=sys.stderr)
-            failed = True
-        if min_dispatch is not None and \
-                best_dispatch["speedup_vs_heapq"] < min_dispatch:
-            print(f"PERF GATE FAIL: best dispatch backend "
-                  f"{best_dispatch['backend']} is "
-                  f"{best_dispatch['speedup_vs_heapq']:.2f}x heapq on "
-                  f"the full loop, needs >= {min_dispatch}x",
-                  file=sys.stderr)
-            failed = True
         if flight["overhead_pct"] > args.max_flight_overhead:
             print(f"PERF GATE FAIL: flight recorder costs "
                   f"{flight['overhead_pct']:.2f}% CPU, ceiling is "
                   f"{args.max_flight_overhead}%", file=sys.stderr)
-            failed = True
-        if failed:
             return 1
-        dispatch_note = (
-            f"{best_dispatch['backend']} >= {min_dispatch}x heapq dispatch"
-            if min_dispatch is not None
-            else "dispatch gate skipped (no compiled core)")
-        print(f"PERF GATE PASS: {best['backend']} "
-              f">= {min_speedup}x heapq hold; {dispatch_note}; "
-              f"flight overhead {flight['overhead_pct']:.2f}% "
+        print(f"PERF GATE PASS: flight overhead "
+              f"{flight['overhead_pct']:.2f}% "
               f"<= {args.max_flight_overhead}%")
     return 0
 

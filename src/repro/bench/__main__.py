@@ -7,7 +7,6 @@ import sys
 import time
 
 from ..obs import use_metrics_window
-from ..sim import available_backends, use_backend
 from . import REGISTRY, SCALES
 from .parallel import run_targets
 
@@ -45,20 +44,12 @@ def main(argv=None) -> int:
                              "utilization/timeline report and export "
                              "TRACE_<figure>_s<seed>_<n>.json "
                              "(Chrome-trace format) per cluster built")
-    parser.add_argument("--scheduler", choices=available_backends(),
-                        default=None,
-                        help="event-queue backend for every simulation "
-                             "in this run (default: $REPRO_SCHEDULER or "
-                             "adaptive; results are bit-identical across "
-                             "backends)")
     parser.add_argument("--metrics-window", default=None,
                         help="metrics bucket width in seconds for traced "
                              "runs (default: $REPRO_METRICS_WINDOW or "
                              "0.001; results are identical either way)")
     args = parser.parse_args(argv)
 
-    if args.scheduler:
-        use_backend(args.scheduler)
     if args.metrics_window:
         use_metrics_window(args.metrics_window)
 

@@ -9,9 +9,6 @@ are the same series the paper plots.  ``scale`` picks the geometry:
 * ``"small"`` — the default for `python -m repro.bench`, a few minutes
   for the full set; all headline shape assertions hold;
 * ``"medium"`` — 64 clients over 16 CNs; the NICs start saturating.
-  (The pending-event population peaks around 1.6 k here and at the
-  paper tier — an order of magnitude under the adaptive scheduler's
-  16 384-entry migration threshold; no shipped run has ever migrated.)
 * ``"paper"`` — the paper's testbed geometry (23 CNs : 5 MNs, 184
   client threads); write paths run fully NIC-saturated, which is the
   regime where the paper's 2.3-2.7x write ratios live.  Minutes per
@@ -123,9 +120,6 @@ SCALES: Dict[str, Scale] = {
                    block_size=256 * 1024, kv_size=1024,
                    keys_per_client=250, total_keys=3000,
                    duration=0.02, warmup=0.005),
-    # The two larger tiers.  Their pending-event populations (<= ~1.6 k)
-    # stay far below the adaptive scheduler's migration threshold: both
-    # run on the inlined heapq like the small ones.
     "medium": Scale(name="medium", num_cns=16, clients_per_cn=4,
                     index_buckets=16384, blocks_per_mn=256,
                     block_size=256 * 1024, kv_size=1024,

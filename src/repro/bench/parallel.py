@@ -106,9 +106,6 @@ def run_targets(targets: Sequence[str], scale: str, *, seed: int = 0,
         merged = average_results(results)
         # ``jobs`` is deliberately NOT recorded: the json must be
         # byte-identical between serial and parallel runs of one seed.
-        # The scheduler provenance IS recorded (workers inherit the
-        # same resolved backend), along with whether the compiled
-        # flat-heap kernel was importable.
         merged.meta.update(seed=seed, repeat=repeat, scale=scale,
                            **sched_provenance(), **obs_provenance())
         if trace:

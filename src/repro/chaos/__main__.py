@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 from ..bench.common import FigureResult
 from ..obs import Observability, obs_provenance, use_metrics_window
 from ..obs import flight
-from ..sim import available_backends, sched_provenance, use_backend
+from ..sim import sched_provenance
 from .engine import run_scenario
 from .scenarios import SCENARIOS, fast_scenarios
 
@@ -108,18 +108,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(reports are identical either way)")
     parser.add_argument("--list", action="store_true",
                         help="list scenarios and exit")
-    parser.add_argument("--scheduler", choices=available_backends(),
-                        default=None,
-                        help="event-queue backend (default: "
-                             "$REPRO_SCHEDULER or heapq; verdicts are "
-                             "identical across backends)")
     parser.add_argument("--metrics-window", default=None,
                         help="metrics bucket width in seconds (default: "
                              "$REPRO_METRICS_WINDOW or 0.001)")
     args = parser.parse_args(argv)
 
-    if args.scheduler:
-        use_backend(args.scheduler)
     if args.metrics_window:
         use_metrics_window(args.metrics_window)
     # Flight-recorder dumps land next to BENCH_chaos.json.

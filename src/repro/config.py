@@ -215,31 +215,17 @@ class ClusterConfig:
 class SimConfig:
     """Simulation-engine knobs (not part of the modelled system).
 
-    ``scheduler`` selects the event-queue backend by name ("heapq",
-    "calendar", "flatheap", "adaptive"); the default "auto" resolves
-    the ``REPRO_SCHEDULER`` environment variable (set by ``--scheduler``
-    on the CLI entry points) and falls back to "adaptive" (heapq's
-    constants at small pending populations, the flat backend's at
-    large).  All backends dispatch bit-identically, so this is purely a
-    speed knob — results never depend on it.
-
-    ``metrics_window`` sets the observability bucket width in seconds
-    the same way: "auto" resolves ``$REPRO_METRICS_WINDOW`` (set by
+    ``metrics_window`` sets the observability bucket width in seconds:
+    "auto" resolves ``$REPRO_METRICS_WINDOW`` (set by
     ``--metrics-window``) and falls back to 1 ms.  It only shapes the
     windowed metrics series — benchmark results never depend on it.
     """
 
-    scheduler: str = "auto"
     metrics_window: object = "auto"   # "auto" | seconds (float)
 
     def validate(self) -> None:
         from .obs import resolve_metrics_window
-        from .sim.sched import resolve_backend
 
-        try:
-            resolve_backend(self.scheduler)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         try:
             resolve_metrics_window(self.metrics_window)
         except ValueError as exc:

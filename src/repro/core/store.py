@@ -62,8 +62,7 @@ class ClusterBase:
                  obs: Optional[Observability] = None):
         config.validate()
         self.config = config
-        self.env = env if env is not None else \
-            Environment(scheduler=config.sim.scheduler)
+        self.env = env if env is not None else Environment()
         self.fabric = Fabric(self.env)
         self.master = Master(self.env)
         self.stats = StatsRegistry()

@@ -15,7 +15,6 @@ import os
 
 from ..bench.common import SCALES
 from ..obs import flight, use_metrics_window
-from ..sim import available_backends, use_backend
 from .bench import run_frontend
 from .request import DURABILITY_MODES
 
@@ -44,18 +43,11 @@ def main(argv=None) -> int:
                              "(results are identical either way)")
     parser.add_argument("--no-chaos", action="store_true",
                         help="skip the chaos-through-frontend check")
-    parser.add_argument("--scheduler", choices=available_backends(),
-                        default=None,
-                        help="event-queue backend (default: "
-                             "$REPRO_SCHEDULER or heapq; results are "
-                             "identical across backends)")
     parser.add_argument("--metrics-window", default=None,
                         help="metrics bucket width in seconds (default: "
                              "$REPRO_METRICS_WINDOW or 0.001)")
     args = parser.parse_args(argv)
 
-    if args.scheduler:
-        use_backend(args.scheduler)
     if args.metrics_window:
         use_metrics_window(args.metrics_window)
     # Flight-recorder dumps land next to BENCH_frontend.json.

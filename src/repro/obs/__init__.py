@@ -25,8 +25,8 @@ Typical use::
     print(render_report(obs))             # utilization/timeline tables
     write_chrome_trace(obs, "trace.json") # open in Perfetto / chrome://tracing
 
-The metrics window width is a config knob mirroring the scheduler
-selection: ``SimConfig.metrics_window`` <- ``$REPRO_METRICS_WINDOW`` <-
+The metrics window width is a config knob:
+``SimConfig.metrics_window`` <- ``$REPRO_METRICS_WINDOW`` <-
 ``--metrics-window`` on the CLI entry points, resolved here by
 :func:`resolve_metrics_window`.
 """
@@ -72,7 +72,7 @@ def resolve_metrics_window(
 
     ``None``/""/"auto" reads ``$REPRO_METRICS_WINDOW`` and falls back
     to the 1 ms default; a number (or numeric string) is validated and
-    used as-is.  Mirrors ``repro.sim.sched.resolve_backend``.
+    used as-is.
     """
     if value is None or value == "" or value == "auto":
         value = os.environ.get(METRICS_WINDOW_ENV, "") \

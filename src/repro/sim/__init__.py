@@ -1,15 +1,5 @@
-"""Discrete-event simulation substrate (engine, schedulers, resources,
-statistics)."""
+"""Discrete-event simulation substrate (engine, resources, statistics)."""
 
-from .sched import (
-    FLATHEAP_COMPILED,
-    SCHED_CORE_COMPILED,
-    available_backends,
-    make_scheduler,
-    resolve_backend,
-    sched_provenance,
-    use_backend,
-)
 from .engine import (
     AllOf,
     AnyOf,
@@ -22,6 +12,7 @@ from .engine import (
     Timeout,
 )
 from .resources import Resource, Store, ThroughputServer
+from .sched import sched_provenance
 from .stats import LatencyRecorder, OpStats, StatsRegistry, percentile
 
 __all__ = [
@@ -41,11 +32,5 @@ __all__ = [
     "OpStats",
     "StatsRegistry",
     "percentile",
-    "available_backends",
-    "make_scheduler",
-    "resolve_backend",
     "sched_provenance",
-    "use_backend",
-    "FLATHEAP_COMPILED",
-    "SCHED_CORE_COMPILED",
 ]

@@ -8,27 +8,25 @@ The Aceso reproduction runs every node (client, memory-node server, master)
 as a process on one shared environment.  Simulated time is a float in
 seconds; the engine itself attaches no meaning to the unit.
 
-The event queue itself is pluggable (see :mod:`repro.sim.sched`): the
-``heapq`` reference backend, a calendar queue tuned for the simulator's
-clustered timestamps, a flat-buffer binary heap (compiled to a C event
-core by ``tools/build_sched.py`` when possible), and the size-adaptive
-default all dispatch in bit-identical order — ascending ``(time, seq)``
-with ``seq`` assigned at scheduling time, so same-timestamp events run
-in FIFO (insertion) order.  That tie-break contract is load-bearing
-for determinism and is pinned by the differential suites in
-``tests/``; :meth:`Environment.run` leans on it to drain whole
-same-timestamp runs per scheduler call (batched dispatch).  One
-consequence: scheduling an event *earlier* than the timestamp
-currently dispatching is unsupported (simulated time never goes
-backwards; ``Timeout`` already rejects negative delays).
+The event queue is one :mod:`heapq` of ``(when, seq, event)`` tuples.
+``seq`` is a counter assigned when an event is scheduled, so events run in
+ascending ``(time, seq)`` order: two events scheduled for the same instant
+dispatch in the order they were scheduled (FIFO).  That tie-break is
+load-bearing for determinism.  A queued :class:`Timeout` or
+:class:`Deferred` can be cancelled: its ``seq`` joins a tombstone set and
+the entry is skipped when it reaches the top of the heap.  A Deferred can
+also be rescheduled, which tombstones the old entry and queues a fresh
+one (new ``seq``, so it joins the back of any tie at its new instant).
+An event scheduled *earlier* than the current time is unsupported
+(simulated time never goes backwards; ``Timeout`` rejects negative
+delays).
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from .sched import make_scheduler
 
 __all__ = [
     "Environment",
@@ -155,9 +153,8 @@ class Timeout(Event):
     """An event that triggers after a fixed delay.
 
     The constructor is a hot path (hundreds of thousands per simulated
-    second): it assigns every slot directly and pushes onto the scheduler
-    inline rather than chaining through ``Event.__init__`` and
-    ``Environment._schedule``.
+    second): it assigns every slot directly and pushes onto the queue
+    rather than chaining through ``Event.__init__``.
     """
 
     __slots__ = ("delay", "_qseq")
@@ -182,7 +179,8 @@ class Timeout(Event):
         if self.callbacks is None or self.callbacks is _CANCELLED:
             return False
         self.callbacks = _CANCELLED
-        return self.env.sched.cancel(self._qseq)
+        self.env._cancelled.add(self._qseq)
+        return True
 
 
 class Deferred(Event):
@@ -240,7 +238,8 @@ class Deferred(Event):
         if self.callbacks is None or self.callbacks is _CANCELLED:
             return False
         self.callbacks = _CANCELLED
-        return self.env.sched.cancel(self._qseq)
+        self.env._cancelled.add(self._qseq)
+        return True
 
     def reschedule(self, at: float) -> "Deferred":
         """Move an un-fired deferred to resolve at time ``at`` instead.
@@ -256,7 +255,7 @@ class Deferred(Event):
         if self.callbacks is _CANCELLED:
             raise SimulationError("cannot reschedule a cancelled Deferred")
         env = self.env
-        env.sched.cancel(self._qseq)
+        env._cancelled.add(self._qseq)
         self._qseq = env._push(at, self)
         return self
 
@@ -337,8 +336,9 @@ class Process(Event):
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.env.failed.append(self)
-        self.env._queue_trigger(self)
+        env = self.env
+        env.failed.append(self)
+        env._push(env.now, self)
 
 
 class AllOf(Event):
@@ -398,21 +398,17 @@ class AnyOf(Event):
 
 
 class Environment:
-    """Owns simulated time and the event queue.
+    """Owns simulated time and the event queue: a :mod:`heapq` of
+    ``(when, seq, event)`` tuples, dispatched in ``(when, seq)`` order."""
 
-    ``scheduler`` picks the queue backend by name (see
-    :mod:`repro.sim.sched`); ``None``/"auto" resolves ``$REPRO_SCHEDULER``
-    and falls back to the ``heapq`` reference.  All backends dispatch in
-    bit-identical order, so the choice is a pure performance knob.
-    """
-
-    def __init__(self, scheduler: Optional[str] = None):
+    def __init__(self):
         self.now: float = 0.0
-        #: The scheduler backend; ``sched.name`` identifies it.
-        self.sched = make_scheduler(scheduler)
-        #: Bound push method — the scheduling hot path used by every
-        #: event constructor (one attribute lookup saved per schedule).
-        self._push = self.sched.push
+        self._queue: List[tuple] = []
+        #: Events scheduled so far; the next one's tie-break ``seq``.
+        self._seq = 0
+        #: Seqs of cancelled entries still in the heap (tombstones): each
+        #: is dropped, without dispatch, when it reaches the top.
+        self._cancelled: set = set()
         #: Processes that terminated with an uncaught exception.  Harness
         #: code asserts this stays empty so failures never pass silently
         #: (intentional interrupts of crashed-node processes are exempt:
@@ -426,16 +422,20 @@ class Environment:
     @property
     def scheduled_count(self) -> int:
         """Total events ever scheduled (the engine's work counter)."""
-        return self.sched.pushes
+        return self._seq
 
-    # -- scheduling ------------------------------------------------------
+    @property
+    def pending_count(self) -> int:
+        """Events still queued to dispatch (cancelled ones excluded)."""
+        return len(self._queue) - len(self._cancelled)
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._push(self.now + delay, event)
-
-    def _queue_trigger(self, event: Event) -> None:
-        """Queue an already-triggered event's callbacks to run now."""
-        self._push(self.now, event)
+    def _push(self, when: float, event: Event) -> int:
+        """Queue *event* to dispatch at *when*, after every event already
+        queued for the same instant; returns its ``seq``."""
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (when, seq, event))
+        return seq
 
     # -- public API ------------------------------------------------------
 
@@ -466,46 +466,28 @@ class Environment:
     def run(self, until: Optional[float] = None) -> None:
         """Dispatch events until the queue drains or *until* is reached.
 
-        When *until* is given, ``now`` is advanced to exactly ``until`` even
-        if the queue drains earlier (so throughput windows are well-defined).
-
-        Dispatch is *batched*: each scheduler call (``pop_run``) drains
-        the whole run of same-timestamp events, amortizing the queue
-        walk and the time bookkeeping over the run.  Order is
-        bit-identical to one-at-a-time pops — batch members dispatch in
-        seq order, same-time events scheduled *by* a batch member carry
-        higher seqs and so land in the next batch, and a member
-        cancelled by an earlier callback has its slot nulled in the
-        live batch list (hence the ``None`` check).  Backends exposing
-        a ``run_loop`` take the whole loop instead: the compiled event
-        core, and the default ``adaptive`` backend, whose small
-        populations are served faster one entry per turn.
+        Events scheduled for exactly *until* still run.  When *until* is
+        given, ``now`` is advanced to exactly ``until`` even if the queue
+        drains earlier (so throughput windows are well-defined).
         """
-        sched = self.sched
-        run_loop = getattr(sched, "run_loop", None)
-        if run_loop is not None:
-            run_loop(self, until)
-            if until is not None and until > self.now:
-                self.now = until
-            return
-        pop_run = sched.pop_run
+        queue = self._queue
+        cancelled = self._cancelled
         if until is None:
-            while True:
-                run = pop_run()
-                if run is None:
-                    return
-                self.now = run[0]
-                for item in run[1]:
-                    if item is not None:
-                        item._run_callbacks()
-        while True:
-            run = pop_run(until)
-            if run is None:
-                break
-            self.now = run[0]
-            for item in run[1]:
-                if item is not None:
-                    item._run_callbacks()
+            while queue:
+                when, seq, event = heappop(queue)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                self.now = when
+                event._run_callbacks()
+            return
+        while queue and queue[0][0] <= until:
+            when, seq, event = heappop(queue)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            self.now = when
+            event._run_callbacks()
         if until > self.now:
             self.now = until
 
@@ -520,22 +502,24 @@ class Environment:
         returns ``None`` when tolerant (``strict=False``), for drains
         that cap how long they wait without failing the run.
         """
-        pop = self.sched.pop
-        has_limit = limit != float("inf")
-        pop_limit = limit if has_limit else None
+        queue = self._queue
+        cancelled = self._cancelled
         while not event._triggered:
-            entry = pop(pop_limit)
-            if entry is None:
+            if not queue or queue[0][0] > limit:
                 if not strict:
-                    if has_limit and limit > self.now:
+                    if limit != float("inf") and limit > self.now:
                         self.now = limit
                     return None
-                if len(self.sched) == 0:
+                if len(queue) == len(cancelled):
                     raise SimulationError(
                         "queue drained before event triggered")
                 raise SimulationError(f"time limit {limit} exceeded")
-            self.now = entry[0]
-            entry[2]._run_callbacks()
+            when, seq, ev = heappop(queue)
+            if cancelled and seq in cancelled:
+                cancelled.discard(seq)
+                continue
+            self.now = when
+            ev._run_callbacks()
         if not event._ok:
             raise event._value
         return event._value

@@ -6,26 +6,7 @@ import pytest
 
 from repro import aceso_config, fusee_config
 from repro.core.store import AcesoCluster
-from repro.sim import Environment, SCHED_CORE_COMPILED, available_backends
-
-#: Backends the engine suite conforms against.  When the compiled core
-#: owns the ``flatheap`` registry name, the pure-Python kernels are no
-#: longer reachable by name — add a pseudo-backend that injects them
-#: directly so both implementations stay pinned by the same suite.
-ENV_BACKENDS = list(available_backends())
-if SCHED_CORE_COMPILED:
-    ENV_BACKENDS.append("flatheap-py")
-
-
-def _make_env(param: str) -> Environment:
-    if param == "flatheap-py":
-        from repro.sim.sched.flatheap import PyFlatHeapScheduler
-
-        env = Environment(scheduler="heapq")
-        env.sched = PyFlatHeapScheduler()   # swap before any push
-        env._push = env.sched.push
-        return env
-    return Environment(scheduler=param)
+from repro.sim import Environment
 
 
 def small_cluster_kwargs(**overrides):
@@ -53,11 +34,17 @@ def make_fusee(replication_factor: int = 3, **overrides):
     return cluster
 
 
-@pytest.fixture(params=ENV_BACKENDS)
+#: Case ids of the ``env`` fixture.  The engine once had four interchangeable
+#: event-queue backends and this fixture ran every engine test once per
+#: backend; the queue is now a single heapq inside Environment.  The ids
+#: are kept so every case keeps its name, and each builds the same
+#: Environment.
+ENV_IDS = ["adaptive", "calendar", "flatheap", "heapq"]
+
+
+@pytest.fixture(params=ENV_IDS)
 def env(request) -> Environment:
-    """A fresh Environment, parametrized over every scheduler backend so
-    the whole engine suite doubles as a per-backend conformance run."""
-    return _make_env(request.param)
+    return Environment()
 
 
 @pytest.fixture

@@ -79,7 +79,7 @@ def test_read_round_trip_calls():
                                       entry.len_units * 64)
         assert len(raw) == entry.len_units * 64
 
-    assert calls_per_iteration(cluster, body) <= 15    # measures 13; was 28
+    assert calls_per_iteration(cluster, body) <= 14    # measures 12; was 28
 
 
 def test_cas_round_trip_calls():
@@ -92,7 +92,7 @@ def test_cas_round_trip_calls():
                                           0, 1)
         assert not ok
 
-    assert calls_per_iteration(cluster, body) <= 15    # measures 13; was 26
+    assert calls_per_iteration(cluster, body) <= 14    # measures 12; was 26
 
 
 def test_cached_search_calls():
@@ -102,7 +102,7 @@ def test_cached_search_calls():
         value = yield from client.search(KEY)
         assert value == VALUE
 
-    assert calls_per_iteration(cluster, body) <= 55    # measures 49; was 91
+    assert calls_per_iteration(cluster, body) <= 53    # measures 46; was 91
 
 
 def events_per_op(cluster, op, iterations=10):

@@ -1,25 +1,22 @@
-"""Differential battery: every scheduler backend is bit-identical.
+"""Whole-artifact identity of harness runs on the one event queue.
 
-The engine's contract (PR 8) is that the event-queue backend is pure
-mechanism — swapping ``heapq`` for the calendar queue or the flat heap
-may change wall-clock speed but must never change a single simulated
-outcome.  These tests run real harness entry points (a fig-runner cell,
-a chaos scenario, a YCSB window) under every backend and require the
-emitted artifacts to match byte-for-byte, modulo the cells measured
-with the *host* clock and the provenance keys that name the backend
-itself.
+The engine once had several interchangeable event-queue backends, and
+these tests ran real harness entry points (a fig-runner cell, chaos
+scenarios, a YCSB window) under each, requiring byte-identical
+artifacts.  The queue is now a single heapq inside ``Environment``; the
+tests keep their names and now pin what that contract was protecting:
 
-The per-event ordering contract (FIFO ties, cancellation, limits) is
-fuzzed separately in ``test_sched_fuzz.py``; the engine conformance
-suite (``test_sim_engine.py``) already runs once per backend via the
-parametrized ``env`` fixture.
+* BENCH meta still records which queue produced a result;
+* a run repeated in the same process, after a different run in between,
+  reproduces its artifact exactly (no state leaks from one simulation
+  into the next);
+* tracing stays a pure observer across several chaos scenarios, not
+  just the one ``test_determinism`` covers.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -27,40 +24,22 @@ from repro.bench.common import SCALES, build_cluster, set_seed, ycsb_result
 from repro.bench.parallel import run_targets
 from repro.chaos import run_scenario
 from repro.obs import Observability
-from repro.sim import available_backends, resolve_backend, sched_provenance
-from repro.sim.sched import ENV_VAR
 
-BACKENDS = available_backends()
-
-#: Meta keys that name the active backend — the only part of a bench
-#: artifact allowed to differ between backends.
-_PROVENANCE_KEYS = {"scheduler", "sched_compiled", "sched_migration_target"}
 #: Cells measured with the host clock (see test_determinism).
 _HOST_CLOCK_CELLS = {"test_gbps"}
 
-
-@contextmanager
-def _backend(name: str):
-    """Select *name* via the env var, exactly as ``--scheduler`` does."""
-    old = os.environ.get(ENV_VAR)
-    os.environ[ENV_VAR] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(ENV_VAR, None)
-        else:
-            os.environ[ENV_VAR] = old
+#: Chaos scenario per case id (the ids once named queue backends): one
+#: CN crash mid-operation, an MN crash during recovery, a gray failure and
+#: a double MN failure.
+_TRACED_SCENARIOS = {"adaptive": "cn_mid_op",
+                     "calendar": "mn_crash_during_recovery",
+                     "flatheap": "gray_slow_nic",
+                     "heapq": "mn_double_flushed"}
 
 
 def _strip_rows(result):
     return [{k: v for k, v in row.items() if k not in _HOST_CLOCK_CELLS}
             for row in result.rows]
-
-
-def _strip_meta(result):
-    return {k: v for k, v in result.meta.items()
-            if k not in _PROVENANCE_KEYS}
 
 
 def _verdict_outcomes(result):
@@ -69,93 +48,72 @@ def _verdict_outcomes(result):
     return [(v["check"], v["ok"]) for v in result.verdicts]
 
 
-# ------------------------------------------------------------ selection
-
-def test_env_var_reaches_provenance():
-    for name in BACKENDS:
-        with _backend(name):
-            assert resolve_backend() == name
-            prov = sched_provenance()
-            assert prov["scheduler"] == name
-            assert isinstance(prov["sched_compiled"], bool)
-
+# ------------------------------------------------------------ provenance
 
 def test_bench_meta_records_backend():
-    """Every BENCH json must say which queue produced it."""
-    with _backend("calendar"):
-        run = run_targets(["tab02"], "smoke", seed=2)[0]
-    assert run.result.meta["scheduler"] == "calendar"
-    assert "sched_compiled" in run.result.meta
+    """Every BENCH json says which queue produced it."""
+    run = run_targets(["tab02"], "smoke", seed=2)[0]
+    assert run.result.meta["scheduler"] == "heapq"
+    assert run.result.meta["sched_compiled"] is False
 
 
 # ---------------------------------------------------- fig-runner cell
 
 @pytest.mark.slow
 def test_fig_runner_identical_across_backends():
-    """One tab02 smoke cell: identical rows, verdicts and meta under
-    every backend (only the provenance keys may differ)."""
-    outs = {}
-    for name in BACKENDS:
-        with _backend(name):
-            run = run_targets(["tab02"], "smoke", seed=5)[0]
-        outs[name] = run.result
-    ref = outs[BACKENDS[0]]
-    for name in BACKENDS[1:]:
-        got = outs[name]
-        assert _strip_rows(got) == _strip_rows(ref), name
-        assert _verdict_outcomes(got) == _verdict_outcomes(ref), name
-        assert _strip_meta(got) == _strip_meta(ref), name
-        assert got.meta["scheduler"] == name
+    """One tab02 smoke cell, run again after a different-seed cell: the
+    same rows, verdicts and meta."""
+    first = run_targets(["tab02"], "smoke", seed=5)[0].result
+    run_targets(["tab02"], "smoke", seed=6)
+    again = run_targets(["tab02"], "smoke", seed=5)[0].result
+    assert _strip_rows(again) == _strip_rows(first)
+    assert _verdict_outcomes(again) == _verdict_outcomes(first)
+    assert again.meta == first.meta
 
 
 # ------------------------------------------------------------ chaos
 
-def _chaos_bytes(seed: int, obs=None) -> bytes:
-    report = run_scenario("mn_single_hot", seed=seed, obs=obs)
+def _chaos_bytes(name: str, seed: int, obs=None) -> bytes:
+    report = run_scenario(name, seed=seed, obs=obs)
     return json.dumps(report, sort_keys=True).encode()
 
 
 def test_chaos_report_identical_across_backends():
-    """Fault injection, recovery timelines, invariant verdicts: the
-    whole report serialises to the same bytes on every backend."""
-    ref = None
-    for name in BACKENDS:
-        with _backend(name):
-            got = _chaos_bytes(seed=3)
-        if ref is None:
-            ref = got
-        else:
-            assert got == ref, name
+    """Fault injection, recovery timelines, invariant verdicts: the whole
+    report serialises to the same bytes when the scenario is run again
+    after a different one."""
+    first = _chaos_bytes("mn_single_hot", seed=3)
+    _chaos_bytes("cn_leaked_lock", seed=4)
+    assert _chaos_bytes("mn_single_hot", seed=3) == first
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", list(_TRACED_SCENARIOS))
 def test_tracing_neutral_under_each_backend(name):
-    """Observability stays a pure observer on every backend."""
-    with _backend(name):
-        plain = _chaos_bytes(seed=3)
-        traced = _chaos_bytes(seed=3, obs=Observability(enabled=True))
+    """Observability stays a pure observer in every kind of failure."""
+    scenario = _TRACED_SCENARIOS[name]
+    plain = _chaos_bytes(scenario, seed=3)
+    traced = _chaos_bytes(scenario, seed=3, obs=Observability(enabled=True))
     assert plain == traced
 
 
 # ------------------------------------------------------------ YCSB
 
+def _ycsb_window(seed: int):
+    set_seed(seed)
+    try:
+        scale = SCALES["smoke"]
+        cluster = build_cluster("aceso", scale)
+        res = ycsb_result(cluster, scale, "A")
+        return {"per_op": res.per_op, "counters": res.counters,
+                "total_ops": res.total_ops, "duration": res.duration}
+    finally:
+        set_seed(0)
+
+
 @pytest.mark.slow
 def test_ycsb_window_identical_across_backends():
-    """Full measurement window: per-op latencies, counters, durations."""
-    outs = {}
-    for name in BACKENDS:
-        with _backend(name):
-            set_seed(11)
-            try:
-                scale = SCALES["smoke"]
-                cluster = build_cluster("aceso", scale)
-                res = ycsb_result(cluster, scale, "A")
-                outs[name] = {"per_op": res.per_op,
-                              "counters": res.counters,
-                              "total_ops": res.total_ops,
-                              "duration": res.duration}
-            finally:
-                set_seed(0)
-    ref = outs[BACKENDS[0]]
-    for name in BACKENDS[1:]:
-        assert outs[name] == ref, name
+    """Full measurement window (per-op latencies, counters, durations),
+    run again after a different-seed window."""
+    first = _ycsb_window(11)
+    assert _ycsb_window(12) != first
+    assert _ycsb_window(11) == first

@@ -1,10 +1,13 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim import (
     AllOf,
     AnyOf,
+    Deferred,
     Environment,
     Event,
     Interrupt,
@@ -456,12 +459,13 @@ def test_cancel_drops_live_count_but_not_push_count(env):
     t = env.timeout(1.0)
     env.timeout(2.0)
     pushes = env.scheduled_count
-    assert len(env.sched) == 2
+    assert env.pending_count == 2
     t.cancel()
-    assert len(env.sched) == 1
+    assert env.pending_count == 1
     assert env.scheduled_count == pushes   # pushes is monotonic
     env.run()
     assert env.now == 2.0
+    assert env.pending_count == 0
 
 
 def test_base_event_cancel_rejected(env):
@@ -482,8 +486,6 @@ def test_run_until_advances_past_cancelled_tail(env):
 # ------------------------------------------------- deferred reschedule
 
 def test_reschedule_moves_firing_time(env):
-    from repro.sim import Deferred
-
     d = Deferred(env, 5.0, lambda: "v")
     d.reschedule(2.0)
     fired = []
@@ -491,11 +493,10 @@ def test_reschedule_moves_firing_time(env):
     env.run()
     assert fired == [2.0]
     assert d.value == "v"
+    assert env.now == 2.0          # the stale entry at 5.0 is skipped
 
 
 def test_reschedule_later_also_works(env):
-    from repro.sim import Deferred
-
     d = Deferred(env, 1.0, lambda: None)
     d.reschedule(7.0)
     env.run()
@@ -504,8 +505,6 @@ def test_reschedule_later_also_works(env):
 
 
 def test_reschedule_fired_deferred_rejected(env):
-    from repro.sim import Deferred
-
     d = Deferred(env, 1.0, lambda: None)
     env.run()
     with pytest.raises(SimulationError):
@@ -513,8 +512,6 @@ def test_reschedule_fired_deferred_rejected(env):
 
 
 def test_reschedule_cancelled_deferred_rejected(env):
-    from repro.sim import Deferred
-
     d = Deferred(env, 1.0, lambda: None)
     d.cancel()
     with pytest.raises(SimulationError):
@@ -523,9 +520,7 @@ def test_reschedule_cancelled_deferred_rejected(env):
 
 def test_reschedule_goes_to_back_of_fifo_tie(env):
     """A reschedule is a fresh arrival: among events at the same
-    timestamp it dispatches last, on every backend."""
-    from repro.sim import Deferred
-
+    timestamp it dispatches last."""
     order = []
     a = Deferred(env, 3.0, lambda: order.append("a"))
     Deferred(env, 3.0, lambda: order.append("b"))
@@ -535,8 +530,6 @@ def test_reschedule_goes_to_back_of_fifo_tie(env):
 
 
 def test_cancelled_deferred_resolver_never_runs(env):
-    from repro.sim import Deferred
-
     ran = []
     d = Deferred(env, 1.0, lambda: ran.append(1))
     assert d.cancel() is True
@@ -545,12 +538,11 @@ def test_cancelled_deferred_resolver_never_runs(env):
     assert not d.triggered
 
 
-# ----------------------------------------------- batched-dispatch edges
+# ------------------------------------------------- same-instant ordering
 
 def test_same_time_cancel_from_earlier_callback_never_fires(env):
-    """Batched dispatch hands the whole same-timestamp run to the
-    engine at once; a cancel issued by an earlier member of the run
-    must still suppress a later member (live-slot nulling)."""
+    """A cancel issued by an earlier callback at the same timestamp
+    suppresses a later peer that is already queued for that instant."""
     fired = []
     victim = [None]
     env.defer(1.0, lambda e: victim[0].cancel())
@@ -562,10 +554,8 @@ def test_same_time_cancel_from_earlier_callback_never_fires(env):
 
 
 def test_same_time_reschedule_from_callback_fires_once(env):
-    """Rescheduling a same-timestamp peer mid-run must move it out of
-    the current batch (fresh seq => next run), never double-fire."""
-    from repro.sim import Deferred
-
+    """Rescheduling a same-timestamp peer from a callback moves it behind
+    everything queued for that instant; it never double-fires."""
     fired = []
     d = [None]
     env.defer(1.0, lambda e: d[0].reschedule(1.0))
@@ -578,9 +568,8 @@ def test_same_time_reschedule_from_callback_fires_once(env):
 
 
 def test_callback_scheduling_same_instant_joins_dispatch(env):
-    """New work pushed at the current timestamp from inside a batch
-    still dispatches at that timestamp (as the next run), identically
-    to sequential pops."""
+    """New work pushed at the current timestamp from a callback still
+    dispatches at that timestamp, after the peers already queued there."""
     order = []
     def chain(e):
         order.append("first")
@@ -619,3 +608,70 @@ def test_empty_queue_run_terminates(env):
     assert env.now == 4.0
     env.run()                      # still nothing pending: no-op
     assert env.now == 4.0
+
+
+# ------------------------------------------------- seeded tie ordering
+
+def _tie_storm(seed=7, n=300):
+    """*n* Timeouts and Deferreds on a grid of 20 instants, so ties are
+    the norm; a third of them, when they fire, schedule a follow-up at
+    the instant they fire or one grid step later.  Returns the env, the
+    ``(when, creation index)`` of every event created so far (the list
+    grows as the run goes) and the dispatch log in the same form."""
+    rng = random.Random(seed)
+    env = Environment()
+    created, log = [], []
+
+    def make(delay):
+        idx, when = len(created), env.now + delay
+        if rng.random() < 0.5:
+            ev = env.timeout(delay)
+        else:
+            ev = Deferred(env, when, lambda: None)
+        created.append((when, idx))
+        ev.add_callback(lambda _e: fire(when, idx))
+
+    def fire(when, idx):
+        assert env.now == when
+        log.append((when, idx))
+        if rng.random() < 0.3:
+            make(rng.choice((0.0, 0.0, 0.5)))
+
+    for _ in range(n):
+        make(0.5 * rng.randrange(20))
+    return env, created, log
+
+
+def test_seeded_ties_dispatch_in_time_then_creation_order():
+    # run(): every event, in (time, creation order)
+    env, created, log = _tie_storm()
+    env.run()
+    assert len(created) > 300                    # follow-ups were made
+    assert len(log) - len({when for when, _ in log}) > 250   # ties
+    assert log == sorted(created)
+    assert env.scheduled_count == len(created)
+
+    # run(until): events at exactly `until` run, later ones wait
+    env, created, log = _tie_storm()
+    for until in (0.0, 2.5, 2.75, 6.0):
+        env.run(until=until)
+        assert env.now == until
+        assert log == sorted(c for c in created if c[0] <= until)
+    env.run()
+    assert log == sorted(created)
+
+    # run_until_event(limit): a tolerant stop at the limit, then a strict
+    # run up to a target that ties with earlier-created peers
+    env, created, log = _tie_storm()
+    assert env.run_until_event(env.event(), limit=3.0, strict=False) is None
+    assert env.now == 3.0
+    assert log == sorted(c for c in created if c[0] <= 3.0)
+    older = len(created)
+    target = Deferred(env, 7.5, lambda: "target")
+    assert env.run_until_event(target, limit=8.0) == "target"
+    assert env.now == 7.5
+    assert log == sorted(c for c in created
+                         if c[0] < 7.5 or (c[0] == 7.5 and c[1] < older))
+    env.run()
+    assert log == sorted(created)
+    assert env.scheduled_count == len(created) + 1
