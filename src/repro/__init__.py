@@ -58,10 +58,3 @@ __all__ = [
     "RetryBudgetExceeded",
     "__version__",
 ]
-
-
-def fusee_cluster(config=None):
-    """Convenience constructor for the FUSEE baseline cluster."""
-    from .baselines.fusee import FuseeCluster
-
-    return FuseeCluster(config)

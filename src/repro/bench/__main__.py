@@ -6,7 +6,6 @@ import argparse
 import sys
 import time
 
-from ..obs import use_metrics_window
 from . import REGISTRY, SCALES
 from .parallel import run_targets
 
@@ -44,14 +43,7 @@ def main(argv=None) -> int:
                              "utilization/timeline report and export "
                              "TRACE_<figure>_s<seed>_<n>.json "
                              "(Chrome-trace format) per cluster built")
-    parser.add_argument("--metrics-window", default=None,
-                        help="metrics bucket width in seconds for traced "
-                             "runs (default: $REPRO_METRICS_WINDOW or "
-                             "0.001; results are identical either way)")
     args = parser.parse_args(argv)
-
-    if args.metrics_window:
-        use_metrics_window(args.metrics_window)
 
     if "list" in args.targets:
         print("Available targets:")

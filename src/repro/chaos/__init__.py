@@ -10,8 +10,7 @@ locks, monotonic version chains.
 
 from .engine import DEFAULT_GEOMETRY, ChaosEngine, run_scenario
 from .oracle import History, evaluate, replay, walk_index
-from .scenarios import (SCENARIOS, ChaosAction, ScenarioSpec,
-                        fast_scenarios, scenario_names)
+from .scenarios import SCENARIOS, ChaosAction, ScenarioSpec, fast_scenarios
 
 __all__ = [
     "ChaosAction",
@@ -24,6 +23,5 @@ __all__ = [
     "fast_scenarios",
     "replay",
     "run_scenario",
-    "scenario_names",
     "walk_index",
 ]

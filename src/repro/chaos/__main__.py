@@ -15,7 +15,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..bench.common import FigureResult
-from ..obs import Observability, obs_provenance, use_metrics_window
+from ..obs import Observability, obs_provenance
 from ..obs import flight
 from ..sim import sched_provenance
 from .engine import run_scenario
@@ -108,13 +108,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(reports are identical either way)")
     parser.add_argument("--list", action="store_true",
                         help="list scenarios and exit")
-    parser.add_argument("--metrics-window", default=None,
-                        help="metrics bucket width in seconds (default: "
-                             "$REPRO_METRICS_WINDOW or 0.001)")
     args = parser.parse_args(argv)
 
-    if args.metrics_window:
-        use_metrics_window(args.metrics_window)
     # Flight-recorder dumps land next to BENCH_chaos.json.
     os.environ.setdefault(flight.ENV_DIR, args.json_dir)
 

@@ -23,8 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from ..cluster.master import MnState
 
-__all__ = ["ChaosAction", "ScenarioSpec", "SCENARIOS", "fast_scenarios",
-           "scenario_names"]
+__all__ = ["ChaosAction", "ScenarioSpec", "SCENARIOS", "fast_scenarios"]
 
 #: Verb mix of the background chaos traffic (weighted; single-writer keys).
 MIX_DEFAULT = (("UPDATE", 0.45), ("SEARCH", 0.30), ("INSERT", 0.15),
@@ -234,10 +233,6 @@ SCENARIOS: Dict[str, ScenarioSpec] = _registry(
         duration=0.03, fast=True,
     ),
 )
-
-
-def scenario_names() -> Tuple[str, ...]:
-    return tuple(SCENARIOS)
 
 
 def fast_scenarios() -> Tuple[str, ...]:

@@ -75,9 +75,6 @@ class StepTimings:
     decompress: float = 0.0
     apply_xor: float = 0.0
 
-    def total(self) -> float:
-        return self.copy_xor + self.compress + self.decompress + self.apply_xor
-
 
 class DifferentialCheckpointer:
     """Source-side state for one index's checkpoint stream."""

@@ -57,30 +57,6 @@ class FailureInjector:
     def schedule_mn_crash(self, at: float, node_id: int) -> None:
         self.schedule(FailureEvent(at=at, kind="mn", node_id=node_id))
 
-    def schedule_cn_crash(self, at: float, node_id: int) -> None:
-        self.schedule(FailureEvent(at=at, kind="cn", node_id=node_id))
-
-    def schedule_mn_recover(self, at: float, node_id: int) -> None:
-        """Arm a delayed MN recovery (transient failure modelling).
-
-        Meaningful when the cluster's master runs with ``auto_recover``
-        off: the node stays FAILED until this event triggers recovery."""
-        self.schedule(FailureEvent(at=at, kind="recover_mn", node_id=node_id))
-
-    def schedule_cn_rejoin(self, at: float, node_id: int) -> None:
-        """Arm a CN rejoin: restart the node and its crashed clients."""
-        self.schedule(FailureEvent(at=at, kind="rejoin_cn", node_id=node_id))
-
-    def schedule_nic_degrade(self, at: float, node_id: int,
-                             factor: float) -> None:
-        """Gray failure: multiply one node's NIC costs by *factor*."""
-        self.schedule(FailureEvent(at=at, kind="nic_degrade",
-                                   node_id=node_id, factor=factor))
-
-    def schedule_nic_restore(self, at: float, node_id: int) -> None:
-        self.schedule(FailureEvent(at=at, kind="nic_restore",
-                                   node_id=node_id))
-
     def _fire(self, event: FailureEvent):
         delay = event.at - self.env.now
         if delay > 0:

@@ -156,16 +156,7 @@ class MemoryNode:
             raise IndexError("CAS outside the Index Area")
         return self.index_region.cas_u64(offset, expected, new)
 
-    def faa_u64(self, offset: int, delta: int) -> int:
-        if offset + 8 > self.index_region.size:
-            raise IndexError("FAA outside the Index Area")
-        return self.index_region.faa_u64(offset, delta)
-
     # -- convenience --------------------------------------------------------
-
-    @property
-    def index_version(self) -> int:
-        return self.index.index_version
 
     def cpu_utilisation(self, window: float) -> Dict[str, float]:
         """Per-core utilisation over *window* seconds (Table 3)."""

@@ -24,7 +24,6 @@ __all__ = [
     "ReclamationConfig",
     "FaultToleranceConfig",
     "ClusterConfig",
-    "SimConfig",
     "SystemConfig",
     "aceso_config",
     "fusee_config",
@@ -156,20 +155,20 @@ class FaultToleranceConfig:
     * +CACHE  — +CKPT plus the addr+value cache (full Aceso)
     """
 
-    index_mode: str = "checkpoint"       # "checkpoint" | "replication" | "none"
-    kv_scheme: str = "ec"                # "ec" | "replication" | "none"
+    index_mode: str = "checkpoint"       # "checkpoint" | "replication"
+    kv_scheme: str = "ec"                # "ec" | "replication"
     slot_format: str = "wide16"          # "wide16" | "compact8"
-    cache_policy: str = "addr_value"     # "addr_value" | "value_only" | "none"
+    cache_policy: str = "addr_value"     # "addr_value" | "value_only"
     replication_factor: int = 3          # for the replication modes
 
     def validate(self) -> None:
-        if self.index_mode not in ("checkpoint", "replication", "none"):
+        if self.index_mode not in ("checkpoint", "replication"):
             raise ConfigError(f"bad index_mode {self.index_mode!r}")
-        if self.kv_scheme not in ("ec", "replication", "none"):
+        if self.kv_scheme not in ("ec", "replication"):
             raise ConfigError(f"bad kv_scheme {self.kv_scheme!r}")
         if self.slot_format not in ("wide16", "compact8"):
             raise ConfigError(f"bad slot_format {self.slot_format!r}")
-        if self.cache_policy not in ("addr_value", "value_only", "none"):
+        if self.cache_policy not in ("addr_value", "value_only"):
             raise ConfigError(f"bad cache_policy {self.cache_policy!r}")
         if self.index_mode == "checkpoint" and self.slot_format != "wide16":
             raise ConfigError("checkpointed index requires wide16 slots "
@@ -212,27 +211,6 @@ class ClusterConfig:
 
 
 @dataclass
-class SimConfig:
-    """Simulation-engine knobs (not part of the modelled system).
-
-    ``metrics_window`` sets the observability bucket width in seconds:
-    "auto" resolves ``$REPRO_METRICS_WINDOW`` (set by
-    ``--metrics-window``) and falls back to 1 ms.  It only shapes the
-    windowed metrics series — benchmark results never depend on it.
-    """
-
-    metrics_window: object = "auto"   # "auto" | seconds (float)
-
-    def validate(self) -> None:
-        from .obs import resolve_metrics_window
-
-        try:
-            resolve_metrics_window(self.metrics_window)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-
-@dataclass
 class SystemConfig:
     """Everything needed to build one system under test."""
 
@@ -241,7 +219,6 @@ class SystemConfig:
     coding: CodingConfig = field(default_factory=CodingConfig)
     checkpoint: CheckpointConfig = field(default_factory=CheckpointConfig)
     reclamation: ReclamationConfig = field(default_factory=ReclamationConfig)
-    sim: SimConfig = field(default_factory=SimConfig)
     seed: int = 42
     name: str = "aceso"
 
@@ -249,7 +226,6 @@ class SystemConfig:
         self.cluster.validate()
         self.ft.validate()
         self.coding.validate()
-        self.sim.validate()
         if self.ft.kv_scheme == "ec" and self.coding.group_size > self.cluster.num_mns:
             raise ConfigError(
                 f"coding group of {self.coding.group_size} MNs does not fit "

@@ -228,14 +228,6 @@ class AcesoClient:
     # fabric helpers
     # ------------------------------------------------------------------
 
-    def _cache_metric(self, hit: bool) -> None:
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            obs.metrics.add("cache.hit" if hit else "cache.miss", 1)
-
-    def _mn_nic(self, node: int):
-        return self.mns[node].nic
-
     # These three and ``_query_buckets`` are the only places a client
     # posts verbs (tests count an op's verbs by wrapping them).
 
@@ -339,13 +331,11 @@ class AcesoClient:
         path's generator (not a generator itself: one frame less on
         every resume of every SEARCH)."""
         cache = self.cache
-        if cache.enabled:
-            entry = cache.lookup(key)
-            self._cache_metric(entry is not None)
-            if entry is not None:
-                if cache.policy == "addr_value":
-                    return self._search_cached_addr(key, home, entry)
-                return self._search_cached_value(key, home, entry)
+        entry = cache.lookup(key)
+        if entry is not None:
+            if cache.policy == "addr_value":
+                return self._search_cached_addr(key, home, entry)
+            return self._search_cached_value(key, home, entry)
         return self._search_via_index(key, home)
 
     def _search_cached_addr(self, key: bytes, home: int,
@@ -803,9 +793,7 @@ class AcesoClient:
         failed since the entry was stored.
         """
         cache = self.cache
-        entry = cache.lookup(key) if cache.enabled else None
-        if cache.enabled:
-            self._cache_metric(entry is not None and entry.slot_offset >= 0)
+        entry = cache.lookup(key)
         if entry is not None and entry.slot_offset >= 0:
             if not (entry.heat and self.wide
                     and cache.policy == "addr_value"):

@@ -98,16 +98,14 @@ def search_many(client, keys: Sequence[bytes], sp=NULL_SPAN) -> Generator:
     cached: List[Tuple[bytes, CacheEntry]] = []
     uncached: List[Tuple[bytes, int]] = []
     master = client.master
-    use_addr = client.cache.enabled and client.cache.policy == "addr_value"
+    use_addr = client.cache.policy == "addr_value"
     for key in order:
         home = home_of(key, client.num_mns)
         if not master.mn_writable(home) or master.mn_degraded(home):
             # Recovery in progress: the single-key path knows how to wait.
             fallback.append(key)
             continue
-        entry = client.cache.lookup(key) if client.cache.enabled else None
-        if client.cache.enabled:
-            client._cache_metric(entry is not None)
+        entry = client.cache.lookup(key)
         if use_addr and entry is not None and entry.slot_offset >= 0:
             cached.append((key, entry))
         else:

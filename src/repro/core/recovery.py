@@ -1297,16 +1297,22 @@ class MemoryNodeRecovery:
             if dblk is None:
                 continue
             dbuf = server.mn.blocks.buffer(dblk)
+            # Re-claimed by _rebuild_parity_records with valid = False;
+            # its bytes become defined here, so readers may use it again.
+            server.mn.blocks.meta[dblk].valid = True
             slot_size = srv.mn.blocks.meta[block_id].slot_size
             if not slot_size:
                 dbuf[:] = bytes(block_size)
                 continue
             old = srv.mn.reclaim_backups.get(block_id) or bytes(block_size)
+            landed = []
             for off in range(0, block_size, slot_size):
                 if data_now[off:off + slot_size] == old[off:off + slot_size]:
                     continue  # KV pair not landed: keep in-flight delta
                 dbuf[off:off + slot_size] = bytes(slot_size)
                 rezero.append((dbuf, off, slot_size))
+                landed.append(off)
+            record.baselined[j] = frozenset(landed)
         for j in range(codec.k):
             record.sealed[j] = (record.data[j] is not None
                                 and record.delta_blocks[j] is None)
@@ -1465,9 +1471,11 @@ def _recover_block(cluster, client, node, server, info):
             except NodeFailedError:
                 status = None
     delta = None
+    baselined = frozenset()
     if status is not None and status["delta_addrs"][pos] is not None:
         dnode, doffset = status["delta_addrs"][pos]
         delta_base = (dnode, doffset)
+        baselined = status["baselined"][pos]
         delta = yield client._post_read(dnode, doffset,
                                         cluster.config.cluster.block_size)
 
@@ -1481,8 +1489,10 @@ def _recover_block(cluster, client, node, server, info):
         if not kv_written and not delta_written:
             obsolete.append(slot)  # never written: reclaimable
             continue
+        # A KV pair a P re-baseline folded into parity has a zero delta.
         consistent = wv_consistent(kv_raw) and (
             delta_raw is None or wv_consistent(delta_raw)
+            or (off in baselined and not delta_written)
         ) and kv_written
         if consistent:
             continue

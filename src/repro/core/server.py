@@ -27,7 +27,7 @@ Responsibilities implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,6 +104,10 @@ class StripeRecord:
     Mirrors what the paper stores in the PARITY block's metadata record:
     XOR Map (here ``sealed``), Delta Addr (here ``delta_blocks``), plus the
     data block locations recovery needs.
+
+    ``baselined`` (P only) holds, per position, the slot offsets whose KV
+    pair a parity re-baseline found landed and folded into P: their delta
+    restarts at zero, so a zero delta there is not a torn write.
     """
 
     stripe_id: int
@@ -112,10 +116,13 @@ class StripeRecord:
     data: List[Optional[Tuple[int, int]]]
     sealed: List[bool]
     delta_blocks: List[Optional[int]] = field(default=None)  # P only
+    baselined: List[FrozenSet[int]] = field(default=None)    # P only
 
     def __post_init__(self):
         if self.delta_blocks is None:
             self.delta_blocks = [None] * len(self.data)
+        if self.baselined is None:
+            self.baselined = [frozenset()] * len(self.data)
 
 
 @dataclass
@@ -203,11 +210,6 @@ class AcesoServer:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-
-    @property
-    def is_leader(self) -> bool:
-        alive = [i for i, s in self.servers.items() if s.mn.alive]
-        return bool(alive) and self.node_id == min(alive)
 
     def leader(self) -> "AcesoServer":
         alive = sorted(i for i, s in self.servers.items() if s.mn.alive)
@@ -456,6 +458,7 @@ class AcesoServer:
         delta_meta.stripe_id = stripe_id
         delta_meta.xor_id = pos
         record.delta_blocks[pos] = delta_meta.block_id
+        record.baselined[pos] = frozenset()
         pmeta = self.mn.blocks.meta[record.parity_block]
         while len(pmeta.delta_addrs) < self.codec.k:
             pmeta.delta_addrs.append(0)
@@ -524,6 +527,7 @@ class AcesoServer:
         self.codec.apply_delta(parity_buf, 0, pos, delta_bytes)
         record.sealed[pos] = True
         record.delta_blocks[pos] = None
+        record.baselined[pos] = frozenset()
         pmeta = self.mn.blocks.meta[record.parity_block]
         pmeta.xor_map |= 1 << pos
         if pos < len(pmeta.delta_addrs):
@@ -725,7 +729,8 @@ class AcesoServer:
         return {"parity_index": record.parity_index,
                 "sealed": list(record.sealed),
                 "data": list(record.data),
-                "delta_addrs": delta_addrs}
+                "delta_addrs": delta_addrs,
+                "baselined": list(record.baselined)}
 
     def h_read_backup(self, block_id: int, intra_offset: int, length: int):
         """Reclamation backup bytes (CN crash rollback, §3.4.2)."""
@@ -865,7 +870,6 @@ class AcesoServer:
                                         traffic_class="checkpoint")
                 offset += chunk
             if traced:
-                obs.metrics.add("ckpt.shipped_bytes", payload)
                 span.set(
                     raw_bytes=delta.raw_size,
                     compressed_bytes=delta.compressed_size,

@@ -103,9 +103,6 @@ class ClusterBase:
                 f"{proc.name}: {proc.value!r}"
             ) from proc.value
 
-    def run_event(self, event) -> object:
-        return self.env.run_until_event(event)
-
     def run_op(self, generator) -> object:
         """Drive one client operation to completion (test convenience).
 
@@ -127,9 +124,6 @@ class ClusterBase:
         if obs is not None and obs.enabled:
             obs.tracer.instant(f"crash.{kind}{node_id}", cat="fault",
                                track="faults", kind=kind, node=node_id)
-
-    def crash_mn(self, node_id: int) -> None:
-        raise NotImplementedError
 
     def crash_cn(self, node_id: int) -> None:
         self._mark_fault("cn", node_id)

@@ -57,19 +57,11 @@ class StripeCodec(abc.ABC):
     def reconstruct(self, shards: Sequence[Optional[bytes]]) -> List[bytes]:
         """Fill the ``None`` entries of a k+m shard list (<= m missing)."""
 
+    @abc.abstractmethod
     def parity_delta(self, data_index: int, delta: bytes) -> List[bytes]:
-        """Per-parity XOR contributions of a data-block delta.
-
-        Derived from linearity: the parity change equals the parity of a
-        stripe holding only the delta.  Codecs may override with a cheaper
-        closed form (RS does).
-        """
-        if not 0 <= data_index < self.k:
-            raise CodingError(f"data index {data_index} out of range")
-        zero = bytes(self.block_size)
-        sparse = [zero] * self.k
-        sparse[data_index] = bytes(delta)
-        return self.encode(sparse)
+        """Per-parity XOR contributions of a data-block delta (both codecs
+        are linear: it is the parity of a stripe holding only the
+        delta)."""
 
     def apply_delta(self, parity: bytearray, parity_index: int,
                     data_index: int, delta: bytes) -> None:
@@ -271,13 +263,3 @@ class StripeLayout:
         """Which stripe position lands on *node_id* for this stripe."""
         member = self.members.index(node_id)
         return (member - stripe_id) % self.width
-
-    def data_nodes(self, stripe_id: int) -> List[int]:
-        return [self.node_of(stripe_id, j) for j in range(self.k)]
-
-    def parity_nodes(self, stripe_id: int) -> List[int]:
-        return [self.node_of(stripe_id, self.k + j) for j in range(self.m)]
-
-    def primary_parity_node(self, stripe_id: int) -> int:
-        """The P-parity holder — where DELTA blocks for this stripe live."""
-        return self.node_of(stripe_id, self.k)

@@ -138,9 +138,6 @@ class XorArrayCode:
 
     # -- flat data mapping -------------------------------------------------------
 
-    def data_cell_count(self) -> int:
-        return len(self.data_cells)
-
     def load_data(self, array: np.ndarray, payload: np.ndarray) -> None:
         """Scatter a flat byte payload into the data cells (layout order)."""
         width = array.shape[2]
@@ -228,9 +225,3 @@ class RDP(XorArrayCode):
             cells.append((i, self.q_col))
             equations.append((cells, (i, self.q_col)))
         super().__init__(nrows, k + 2, data_cells, equations)
-
-    def diagonal_of(self, row: int, col: int) -> int:
-        """Construction diagonal index of a data cell (for delta updates)."""
-        if col >= self.k:
-            raise CodingError("diagonal_of applies to data columns")
-        return (row + col) % self.p

@@ -14,7 +14,7 @@ import sys
 import os
 
 from ..bench.common import SCALES
-from ..obs import flight, use_metrics_window
+from ..obs import flight
 from .bench import run_frontend
 from .request import DURABILITY_MODES
 
@@ -43,13 +43,8 @@ def main(argv=None) -> int:
                              "(results are identical either way)")
     parser.add_argument("--no-chaos", action="store_true",
                         help="skip the chaos-through-frontend check")
-    parser.add_argument("--metrics-window", default=None,
-                        help="metrics bucket width in seconds (default: "
-                             "$REPRO_METRICS_WINDOW or 0.001)")
     args = parser.parse_args(argv)
 
-    if args.metrics_window:
-        use_metrics_window(args.metrics_window)
     # Flight-recorder dumps land next to BENCH_frontend.json.
     os.environ.setdefault(flight.ENV_DIR, args.json_dir)
 

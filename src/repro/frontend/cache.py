@@ -123,8 +123,5 @@ class ValueCache:
         self.invalidations += len(self._entries)
         self._entries.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key: bytes) -> bool:
         return key in self._entries

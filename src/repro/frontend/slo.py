@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..sim.stats import LatencyRecorder
 from .request import TenantSpec
@@ -110,9 +110,3 @@ class SLOBook:
         return (f"p50 {lat.p50() * 1e6:.1f}/{spec.slo_p50_us:.0f}us, "
                 f"p99 {lat.p99() * 1e6:.1f}/{spec.slo_p99_us:.0f}us, "
                 f"p999 {lat.p999() * 1e6:.1f}/{spec.slo_p999_us:.0f}us")
-
-    def counters(self, tenant: str) -> Dict[str, int]:
-        return dict(self._tenants[tenant].counters)
-
-    def tenants(self) -> List[str]:
-        return sorted(self._tenants)

@@ -84,11 +84,9 @@ class IndexCache:
 
     def __init__(self, policy: str, capacity: int = 1 << 16,
                  epoch_of=None):
-        if policy not in ("addr_value", "value_only", "none"):
+        if policy not in ("addr_value", "value_only"):
             raise ValueError(f"unknown cache policy {policy!r}")
         self.policy = policy
-        #: False under the "none" policy: nothing is stored or found.
-        self.enabled = policy != "none"
         self.capacity = capacity
         self._epoch_of = epoch_of
         self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
@@ -96,8 +94,6 @@ class IndexCache:
         self.misses = 0
 
     def lookup(self, key: bytes) -> Optional[CacheEntry]:
-        if not self.enabled:
-            return None
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -125,8 +121,6 @@ class IndexCache:
         post-commit store builds a fresh object, and what the client
         learnt about the key's writers must outlive its own commits.
         """
-        if not self.enabled:
-            return
         if self._epoch_of is not None and entry.slot_node >= 0:
             entry.home_epoch = self._epoch_of(entry.slot_node)
         old = self._entries.pop(key, None)
@@ -138,9 +132,3 @@ class IndexCache:
 
     def invalidate(self, key: bytes) -> None:
         self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

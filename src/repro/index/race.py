@@ -16,17 +16,11 @@ paid by the verbs whose ``execute`` closures call into it.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from ..memory.region import MemoryRegion
-from .hashing import bucket_pair, fingerprint8
-from .slot import (
-    COMPACT_SLOT_SIZE,
-    WIDE_SLOT_SIZE,
-    AtomicField,
-    CompactSlot,
-    MetaField,
-)
+from .hashing import bucket_pair
+from .slot import COMPACT_SLOT_SIZE, WIDE_SLOT_SIZE, AtomicField, MetaField
 
 __all__ = ["RaceIndex"]
 
@@ -96,12 +90,6 @@ class RaceIndex:
     def write_meta(self, bucket: int, slot: int, field: MetaField) -> None:
         self.region.write_u64(self.meta_offset(bucket, slot), field.pack())
 
-    def read_compact(self, bucket: int, slot: int) -> CompactSlot:
-        return CompactSlot.unpack(self.region.read_u64(self.slot_offset(bucket, slot)))
-
-    def write_compact(self, bucket: int, slot: int, field: CompactSlot) -> None:
-        self.region.write_u64(self.slot_offset(bucket, slot), field.pack())
-
     @property
     def index_version(self) -> int:
         return self.region.read_u64(self.version_offset)
@@ -124,29 +112,6 @@ class RaceIndex:
             words.append(int.from_bytes(raw[off:off + 8], "little"))
         return words
 
-    def parse_bucket_meta(self, raw: bytes) -> List[int]:
-        """Meta words of a raw wide-bucket image."""
-        if not self.wide:
-            raise ValueError("compact slots have no Meta field")
-        words = []
-        for s in range(self.bucket_slots):
-            off = s * self.slot_size + 8
-            words.append(int.from_bytes(raw[off:off + 8], "little"))
-        return words
-
-    def match_fingerprint(self, raw: bytes, key: bytes) -> List[int]:
-        """Slot positions whose fingerprint matches *key*'s (may collide)."""
-        fp = fingerprint8(key)
-        if self.wide:
-            fields = [AtomicField.unpack(w) for w in self.parse_bucket(raw)]
-            return [i for i, f in enumerate(fields) if f.fp == fp and not f.empty]
-        fields = [CompactSlot.unpack(w) for w in self.parse_bucket(raw)]
-        return [i for i, f in enumerate(fields) if f.fp == fp and not f.empty]
-
-    def free_positions(self, raw: bytes) -> List[int]:
-        words = self.parse_bucket(raw)
-        return [i for i, w in enumerate(words) if w == 0]
-
     # -- whole-index iteration (server/recovery/tests) -------------------------
 
     def iter_slots(self) -> Iterator[Tuple[int, int, int]]:
@@ -156,7 +121,3 @@ class RaceIndex:
             for s, word in enumerate(self.parse_bucket(raw)):
                 if word:
                     yield b, s, word
-
-    def load_factor(self) -> float:
-        used = sum(1 for _ in self.iter_slots())
-        return used / (self.num_buckets * self.bucket_slots)

@@ -70,10 +70,6 @@ class MemoryRegion:
             )
         self._buf[:] = data
 
-    def view(self) -> memoryview:
-        """Zero-copy view (used by the erasure coder on block contents)."""
-        return memoryview(self._buf)
-
     def clear(self) -> None:
         """Wipe contents — models the data loss of a node crash."""
         self._buf[:] = bytes(self.size)

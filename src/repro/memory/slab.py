@@ -39,18 +39,6 @@ class SizeClass:
             raise IndexError(f"slot {slot} out of {self.slots_per_block}")
         return slot * self.slot_size
 
-    def slot_at(self, intra_offset: int) -> int:
-        if intra_offset % self.slot_size:
-            raise ValueError("offset not slot-aligned")
-        slot = intra_offset // self.slot_size
-        if slot >= self.slots_per_block:
-            raise IndexError("offset beyond last slot")
-        return slot
-
-    def __repr__(self) -> str:
-        return (f"SizeClass({self.slot_size}B x {self.slots_per_block}"
-                f"/block)")
-
 
 class SizeClasser:
     """Maps a KV pair's on-wire size to its slab class."""

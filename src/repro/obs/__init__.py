@@ -6,13 +6,14 @@ and a windowed :class:`~.metrics.MetricsCollector`, both stamped with
 obs=Observability(enabled=True))``); a disabled instance is created by
 default so instrumented hot paths cost a single attribute check.
 
-Two always-on companions ride alongside the opt-in tracer:
+Two always-on stores ride alongside the opt-in tracer:
 
+* :class:`~repro.sim.stats.StatsRegistry` — per-op latencies and named
+  counters of the current measurement window, which every BENCH row is
+  computed from;
 * the process-wide :mod:`flight <repro.obs.flight>` recorder — a
   bounded ring of cheap events dumped to ``FLIGHT_*.json`` when an
-  oracle/SLO check fails or an exception escapes the engine;
-* an optional :class:`~.registry.MetricsRegistry` of counters / gauges
-  / histograms with Prometheus-style text exposition.
+  oracle/SLO check fails or an exception escapes the engine.
 
 Typical use::
 
@@ -25,20 +26,16 @@ Typical use::
     print(render_report(obs))             # utilization/timeline tables
     write_chrome_trace(obs, "trace.json") # open in Perfetto / chrome://tracing
 
-The metrics window width is a config knob:
-``SimConfig.metrics_window`` <- ``$REPRO_METRICS_WINDOW`` <-
-``--metrics-window`` on the CLI entry points, resolved here by
-:func:`resolve_metrics_window`.
+The metrics series use fixed 1 ms windows of simulated time
+(:data:`METRICS_WINDOW`).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from .metrics import MetricsCollector, TimeSeries
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .trace import NULL_SPAN, Instant, Span, Tracer, traced
+from .metrics import METRICS_WINDOW, MetricsCollector, TimeSeries
+from .trace import NULL_SPAN, Instant, Span, Tracer
 
 __all__ = [
     "Observability",
@@ -46,62 +43,19 @@ __all__ = [
     "Span",
     "Instant",
     "NULL_SPAN",
-    "traced",
     "MetricsCollector",
     "TimeSeries",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "METRICS_WINDOW_ENV",
-    "DEFAULT_METRICS_WINDOW",
-    "resolve_metrics_window",
-    "use_metrics_window",
+    "METRICS_WINDOW",
     "obs_provenance",
 ]
 
-#: Environment variable consulted by the "auto" metrics-window
-#: resolution (seconds, e.g. "0.0005"); set by ``--metrics-window``.
-METRICS_WINDOW_ENV = "REPRO_METRICS_WINDOW"
-DEFAULT_METRICS_WINDOW = 1e-3
-
-
-def resolve_metrics_window(
-        value: Union[None, str, float] = None) -> float:
-    """Resolve a metrics-window request to a width in seconds.
-
-    ``None``/""/"auto" reads ``$REPRO_METRICS_WINDOW`` and falls back
-    to the 1 ms default; a number (or numeric string) is validated and
-    used as-is.
-    """
-    if value is None or value == "" or value == "auto":
-        value = os.environ.get(METRICS_WINDOW_ENV, "") \
-            or DEFAULT_METRICS_WINDOW
-    try:
-        window = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"metrics window must be a number of seconds or 'auto', "
-            f"got {value!r}") from None
-    if not window > 0:
-        raise ValueError(f"metrics window must be positive: {window}")
-    return window
-
-
-def use_metrics_window(value: Union[str, float]) -> float:
-    """Select *value* for every bundle built after this call (exported
-    via the environment so forked bench workers inherit it)."""
-    resolved = resolve_metrics_window(value)
-    os.environ[METRICS_WINDOW_ENV] = repr(resolved)
-    return resolved
-
 
 def obs_provenance() -> Dict[str, object]:
-    """Provenance block for BENCH json meta: the resolved metrics
-    window and whether the flight recorder was live."""
+    """Provenance block for BENCH json meta: the metrics window and
+    whether the flight recorder was live."""
     from .flight import RECORDER
     return {
-        "metrics_window_s": resolve_metrics_window(),
+        "metrics_window_s": METRICS_WINDOW,
         "flight_recorder": RECORDER.enabled,
     }
 
@@ -109,42 +63,17 @@ def obs_provenance() -> Dict[str, object]:
 class Observability:
     """Tracer + metrics bundle shared by one cluster's components."""
 
-    def __init__(self, env=None, enabled: bool = False,
-                 window: Union[None, str, float] = None):
+    def __init__(self, env=None, enabled: bool = False):
         self.enabled = enabled
         self.tracer = Tracer(env, enabled=enabled)
-        self.metrics = MetricsCollector(env,
-                                        window=resolve_metrics_window(window),
-                                        enabled=enabled)
-        #: Counter/gauge/histogram registry (text exposition export).
-        self.registry = MetricsRegistry()
-        self._env = env
+        self.metrics = MetricsCollector(env, enabled=enabled)
 
     # -- lifecycle -------------------------------------------------------
 
-    def enable(self) -> "Observability":
-        self.enabled = True
-        self.tracer.enabled = True
-        self.metrics.enabled = True
-        return self
-
-    def disable(self) -> "Observability":
-        self.enabled = False
-        self.tracer.enabled = False
-        self.metrics.enabled = False
-        return self
-
     def bind(self, env) -> "Observability":
         """Attach the simulation environment driving the clock."""
-        self._env = env
         self.tracer.bind(env)
         self.metrics.bind(env)
-        return self
-
-    def clear(self) -> "Observability":
-        self.tracer.clear()
-        self.metrics.clear()
-        self.registry.clear()
         return self
 
     # -- cluster wiring --------------------------------------------------
@@ -154,14 +83,9 @@ class Observability:
 
         Called by :class:`~repro.core.store.ClusterBase`; labels MN NICs
         ``mn<i>`` and CN NICs ``cn<j>`` so utilization series separate
-        the two sides of the paper's asymmetry arguments.  The cluster's
-        ``SimConfig.metrics_window`` takes effect here when it asks for
-        a specific width (the bundle predates the config).
+        the two sides of the paper's asymmetry arguments.
         """
         self.bind(cluster.env)
-        window = cluster.config.sim.metrics_window
-        if window not in (None, "", "auto"):
-            self.metrics.window = resolve_metrics_window(window)
         cluster.fabric.obs = self
         for node_id, mn in cluster.mns.items():
             mn.nic.obs_label = f"mn{node_id}"
@@ -170,9 +94,6 @@ class Observability:
         return self
 
     # -- convenience -----------------------------------------------------
-
-    def span(self, name: str, cat: str = "", track: str = "main", **args):
-        return self.tracer.span(name, cat=cat, track=track, **args)
 
     def nic_labels(self, prefix: str) -> list:
         """NIC labels of one side ("mn" or "cn") seen by the metrics."""

@@ -21,12 +21,12 @@ triggers fires:
 Recording never affects results: events are append-only side records
 with no RNG, no timing feedback, and no allocation beyond the tuple —
 ``tests/test_obs_v2.py`` pins recorder-on/off result neutrality, and
-``benchmarks/sim_perf.py --check`` gates the overhead at <= 5%.
+``tests/test_host_cost.py`` pins how many events a cached SEARCH and an
+uncontended UPDATE append.
 
-Environment knobs: ``REPRO_FLIGHT=0`` disables recording entirely,
-``REPRO_FLIGHT_CAP`` resizes the ring (default 4096 events), and
-``REPRO_FLIGHT_DIR`` redirects dumps (default: current directory; the
-CLIs point it at their ``--json-dir``).
+The ring holds the last 4096 events.  ``REPRO_FLIGHT_DIR`` redirects
+dumps (default: current directory; the CLIs point it at their
+``--json-dir``).
 """
 
 from __future__ import annotations
@@ -38,17 +38,8 @@ from typing import Dict, List, Optional
 
 __all__ = ["FlightRecorder", "RECORDER", "note", "dump", "dump_on_failure"]
 
-ENV_ENABLE = "REPRO_FLIGHT"
-ENV_CAP = "REPRO_FLIGHT_CAP"
 ENV_DIR = "REPRO_FLIGHT_DIR"
 DEFAULT_CAP = 4096
-
-
-def _env_cap() -> int:
-    try:
-        return max(16, int(os.environ.get(ENV_CAP, DEFAULT_CAP)))
-    except ValueError:
-        return DEFAULT_CAP
 
 
 class FlightRecorder:
@@ -56,11 +47,8 @@ class FlightRecorder:
 
     __slots__ = ("events", "enabled", "dumped", "_dump_seq")
 
-    def __init__(self, cap: Optional[int] = None,
-                 enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = os.environ.get(ENV_ENABLE, "1") != "0"
-        self.events: deque = deque(maxlen=cap or _env_cap())
+    def __init__(self, cap: int = DEFAULT_CAP, enabled: bool = True):
+        self.events: deque = deque(maxlen=cap)
         self.enabled = enabled
         #: Paths written by :meth:`dump` (newest last), for reporting.
         self.dumped: List[str] = []

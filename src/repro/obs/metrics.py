@@ -1,10 +1,10 @@
 """Time-series metrics on fixed-width windows of simulated time.
 
 The tracer answers "what happened when"; this layer answers "how busy
-was each resource over time".  Values are accumulated into fixed-width
-buckets keyed by ``int(now // window)``:
+was each resource over time".  Values are accumulated into fixed 1 ms
+buckets (:data:`METRICS_WINDOW`) keyed by ``int(now // window)``:
 
-* ``add``  — sum series (NIC busy seconds, bytes shipped, cache hits);
+* ``add``  — sum series (NIC busy seconds, bytes shipped);
 * ``peak`` — max series (queue depths / backlogs).
 
 Utilization falls out directly: a NIC that accumulated 0.8 ms of busy
@@ -18,7 +18,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["TimeSeries", "MetricsCollector"]
+__all__ = ["METRICS_WINDOW", "TimeSeries", "MetricsCollector"]
+
+#: Width of one bucket, in simulated seconds.
+METRICS_WINDOW = 1e-3
 
 
 class TimeSeries:
@@ -47,11 +50,6 @@ class TimeSeries:
     def peak(self) -> float:
         return max(self.buckets.values()) if self.buckets else 0.0
 
-    def mean(self) -> float:
-        if not self.buckets:
-            return 0.0
-        return self.total() / len(self.buckets)
-
     def items(self) -> List[Tuple[int, float]]:
         return sorted(self.buckets.items())
 
@@ -59,12 +57,9 @@ class TimeSeries:
 class MetricsCollector:
     """Windowed accumulator for all series of one simulation."""
 
-    def __init__(self, env=None, window: float = 1e-3,
-                 enabled: bool = False):
-        if window <= 0:
-            raise ValueError(f"window must be positive: {window}")
+    def __init__(self, env=None, enabled: bool = False):
         self._env = env
-        self.window = window
+        self.window = METRICS_WINDOW
         self.enabled = enabled
         self.series: Dict[str, TimeSeries] = {}
 
@@ -80,9 +75,6 @@ class MetricsCollector:
         if now is None:
             now = self.now()
         return int(now // self.window)
-
-    def clear(self) -> None:
-        self.series.clear()
 
     # -- recording -------------------------------------------------------
 

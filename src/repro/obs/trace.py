@@ -32,17 +32,15 @@ to the op span that issued it — giving the chain client op → phase
 :mod:`repro.obs.attr` walks for latency attribution.
 
 The whole API is zero-cost when disabled: ``span()`` returns a shared
-no-op context manager and the :func:`traced` decorator returns the
-undecorated generator, so a disabled tracer adds one attribute check to
+no-op context manager, so a disabled tracer adds one attribute check to
 instrumented paths.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "Instant", "Tracer", "NULL_SPAN", "traced"]
+__all__ = ["Span", "Instant", "Tracer", "NULL_SPAN"]
 
 
 class Span:
@@ -77,10 +75,6 @@ class Span:
             self.args = {}
         self.args.update(kwargs)
         return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span({self.name!r}, track={self.track!r}, "
-                f"[{self.start:.6f}, {self.end:.6f}])")
 
 
 class Instant:
@@ -249,10 +243,6 @@ class Tracer:
             out.append(span)
         return out
 
-    def span_index(self) -> Dict[int, Span]:
-        """id -> span map over everything recorded so far."""
-        return {span.id: span for span in self.spans}
-
     def children_of(self) -> Dict[Optional[int], List[Span]]:
         """parent-id -> children map (roots under the ``None`` key)."""
         out: Dict[Optional[int], List[Span]] = {}
@@ -260,34 +250,3 @@ class Tracer:
             out.setdefault(span.parent, []).append(span)
         return out
 
-
-def traced(name: str, cat: str = "op", track: Optional[str] = None,
-           obs_attr: str = "obs") -> Callable:
-    """Decorator tracing a simulation *generator method*.
-
-    The wrapped method's ``self`` must expose an observability handle at
-    ``obs_attr`` (``None`` or disabled → the original generator runs with
-    no wrapping at all).  ``track`` defaults to the object's ``_track``
-    attribute, falling back to the class name.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            obs = getattr(self, obs_attr, None)
-            if obs is None or not obs.enabled:
-                return fn(self, *args, **kwargs)
-            tracer = obs.tracer
-            span_track = track or getattr(self, "_track",
-                                          type(self).__name__)
-
-            def run():
-                with tracer.span(name, cat=cat, track=span_track):
-                    result = yield from fn(self, *args, **kwargs)
-                    return result
-
-            return run()
-
-        return wrapper
-
-    return decorate

@@ -26,7 +26,7 @@ __all__ = ["Fabric"]
 
 # What the opcode-named wrappers hand the post path in place of a Verb.
 _READ, _WRITE = (Opcode.READ,), (Opcode.WRITE,)
-_CAS, _FAA = (Opcode.CAS,), (Opcode.FAA,)
+_CAS = (Opcode.CAS,)
 _ATOMIC_WIRE = ATOMIC_SIZE + WIRE_HEADER
 #: Service-time shapes of an atomic: a plain message at the source, a
 #: PCIe read-modify-write (no doorbell) at the destination.
@@ -341,11 +341,4 @@ class Fabric:
             track: Optional[str] = None) -> Event:
         return self._submit(src, dst, src._svc_cache[_ATOMIC_SRC],
                             dst._svc_cache[_ATOMIC_DST], _ATOMIC_WIRE, _CAS,
-                            execute, args, traffic_class, track)
-
-    def faa(self, src: RNIC, dst: RNIC, execute, args: tuple = (),
-            traffic_class: str = "client",
-            track: Optional[str] = None) -> Event:
-        return self._submit(src, dst, src._svc_cache[_ATOMIC_SRC],
-                            dst._svc_cache[_ATOMIC_DST], _ATOMIC_WIRE, _FAA,
                             execute, args, traffic_class, track)

@@ -101,11 +101,5 @@ class RNIC:
     def messages(self) -> int:
         return self._pipe.jobs
 
-    def utilisation(self, window: float) -> float:
-        return self._pipe.utilisation(window)
-
     def backlog(self) -> float:
         return self._pipe.backlog()
-
-    def reset_accounting(self) -> None:
-        self._pipe.reset_accounting()

@@ -68,18 +68,6 @@ class Verb:
         self.execute = execute                # side effect at completion
         self.signaled = signaled              # selective signaling model
 
-    def __repr__(self) -> str:
-        return (f"Verb(opcode={self.opcode!r}, payload={self.payload!r}, "
-                f"execute={self.execute!r}, signaled={self.signaled!r})")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Verb):
-            return NotImplemented
-        return (self.opcode is other.opcode
-                and self.payload == other.payload
-                and self.execute == other.execute
-                and self.signaled == other.signaled)
-
     def wire_size(self) -> int:
         """Bytes that traverse the wire (payload + headers)."""
         return self.payload + WIRE_HEADER

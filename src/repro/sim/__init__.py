@@ -11,7 +11,7 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Resource, Store, ThroughputServer
+from .resources import Store, ThroughputServer
 from .sched import sched_provenance
 from .stats import LatencyRecorder, OpStats, StatsRegistry, percentile
 
@@ -25,7 +25,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "Resource",
     "Store",
     "ThroughputServer",
     "LatencyRecorder",

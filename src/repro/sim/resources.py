@@ -1,9 +1,7 @@
 """Shared-resource primitives for the simulation.
 
-Three building blocks cover everything the Aceso model needs:
+Two building blocks cover everything the Aceso model needs:
 
-* :class:`Resource` — a counted semaphore with a FIFO wait queue (used for
-  mutual exclusion and bounded concurrency).
 * :class:`ThroughputServer` — a single FIFO server that serializes *service
   times*; models an RNIC processing pipeline or an MN CPU core.  It keeps a
   running total of busy time so utilisation (Table 3 of the paper) can be
@@ -19,54 +17,7 @@ from typing import Any, Deque, Optional
 
 from .engine import Environment, Event
 
-__all__ = ["Resource", "ThroughputServer", "Store"]
-
-
-class Resource:
-    """Counted resource with FIFO queuing.
-
-    Usage from a process::
-
-        yield resource.acquire()
-        try:
-            ...
-        finally:
-            resource.release()
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def acquire(self) -> Event:
-        event = self.env.event()
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise RuntimeError("release without acquire")
-        if self._waiters:
-            # Hand the unit straight to the next waiter; _in_use unchanged.
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
+__all__ = ["ThroughputServer", "Store"]
 
 
 class ThroughputServer:

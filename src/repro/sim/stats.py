@@ -55,11 +55,6 @@ class LatencyRecorder:
     def count(self) -> int:
         return len(self.samples)
 
-    def mean(self) -> float:
-        if not self.samples:
-            return float("nan")
-        return sum(self.samples) / len(self.samples)
-
     def p50(self) -> float:
         return percentile(self.samples, 50.0)
 
@@ -111,9 +106,6 @@ class StatsRegistry:
 
     def _now(self) -> float:
         return self._env.now if self._env is not None else 0.0
-
-    def op(self, name: str) -> OpStats:
-        return self.per_op[name]
 
     def record_op(self, name: str, latency: float, *, cas: int = 0,
                   retries: int = 0) -> None:
@@ -169,15 +161,6 @@ class StatsRegistry:
 
     def total_ops(self) -> int:
         return sum(s.ops for s in self.per_op.values())
-
-    def total_throughput(self) -> float:
-        window = self._safe_window()
-        if window <= 0:
-            return 0.0
-        return self.total_ops() / window
-
-    def throughput(self, name: str) -> float:
-        return self.per_op[name].throughput(self._safe_window())
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Flat dict of headline numbers per op type (for reports)."""

@@ -151,7 +151,6 @@ def test_timings_populated():
     t = ckpt.last_timings
     assert t.copy_xor >= 0 and t.compress >= 0
     assert t.decompress >= 0 and t.apply_xor >= 0
-    assert t.total() >= 0
 
 
 def test_apply_from_none_base():

@@ -150,7 +150,7 @@ def test_injector_cn_crash():
     cluster = make_aceso()
     injector = FailureInjector(cluster.env, cluster)
     cn_id = cluster.clients[0].cn.node_id
-    injector.schedule_cn_crash(0.01, cn_id)
+    injector.schedule(FailureEvent(0.01, "cn", cn_id))
     cluster.env.run(until=0.02)
     assert not cluster.cns[cn_id].alive
     assert not cluster.clients[0].alive
@@ -170,11 +170,11 @@ def test_injector_delayed_mn_recover():
     cluster.master.auto_recover = False
     injector = FailureInjector(cluster.env, cluster)
     injector.schedule_mn_crash(0.005, 2)
-    injector.schedule_mn_recover(0.02, 2)
+    injector.schedule(FailureEvent(0.02, "recover_mn", 2))
     cluster.env.run(until=0.015)
     # well past the detection delay, but nobody triggered recovery
     assert cluster.master.mn_state(2) == MnState.FAILED
-    cluster.run_event(cluster.master.milestone(2, MnState.RECOVERED))
+    cluster.env.run_until_event(cluster.master.milestone(2, MnState.RECOVERED))
     assert cluster.master.mn_state(2) == MnState.RECOVERED
     kinds = [(ev.kind, ev.node_id) for ev in injector.injected]
     assert kinds == [("mn", 2), ("recover_mn", 2)]
@@ -185,8 +185,8 @@ def test_injector_cn_rejoin_restarts_clients():
     injector = FailureInjector(cluster.env, cluster)
     cn_id = cluster.clients[0].cn.node_id
     cli_id = cluster.clients[0].cli_id
-    injector.schedule_cn_crash(0.005, cn_id)
-    injector.schedule_cn_rejoin(0.02, cn_id)
+    injector.schedule(FailureEvent(0.005, "cn", cn_id))
+    injector.schedule(FailureEvent(0.02, "rejoin_cn", cn_id))
     cluster.env.run(until=0.01)
     assert not cluster.cns[cn_id].alive
     assert cn_id in cluster.master.failed_cns
@@ -205,7 +205,8 @@ def test_injector_trigger_recovery_guards():
     cluster.master.auto_recover = False
     cluster.crash_mn(0)
     assert cluster.master.trigger_recovery(0)       # failed node: starts
-    cluster.run_event(cluster.master.milestone(0, MnState.META_RECOVERED))
+    cluster.env.run_until_event(
+        cluster.master.milestone(0, MnState.META_RECOVERED))
     # past the first tier the node is no longer FAILED: re-triggering
     # must refuse rather than race a second recovery
     assert not cluster.master.trigger_recovery(0)

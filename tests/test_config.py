@@ -65,6 +65,9 @@ def test_coding_validation():
 def test_ft_validation():
     with pytest.raises(ConfigError):
         FaultToleranceConfig(index_mode="raid").validate()
+    for field in ("index_mode", "kv_scheme", "cache_policy"):
+        with pytest.raises(ConfigError):
+            FaultToleranceConfig(**{field: "none"}).validate()
     with pytest.raises(ConfigError):
         FaultToleranceConfig(index_mode="checkpoint",
                              slot_format="compact8").validate()

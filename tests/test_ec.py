@@ -383,7 +383,7 @@ def test_xor_codec_indivisible_block():
 
 def test_layout_rotation_balances_parity():
     layout = StripeLayout([0, 1, 2, 3, 4], 3, 2)
-    p_nodes = [layout.primary_parity_node(s) for s in range(5)]
+    p_nodes = [layout.node_of(s, layout.k) for s in range(5)]
     assert sorted(p_nodes) == [0, 1, 2, 3, 4]
 
 
@@ -409,7 +409,7 @@ def test_layout_size_checked():
 
 def test_layout_helpers():
     layout = StripeLayout([0, 1, 2, 3, 4], 3, 2)
-    assert len(layout.data_nodes(0)) == 3
-    assert len(layout.parity_nodes(0)) == 2
-    assert set(layout.data_nodes(0)) | set(layout.parity_nodes(0)) \
-        == {0, 1, 2, 3, 4}
+    data = {layout.node_of(0, j) for j in range(layout.k)}
+    parity = {layout.node_of(0, layout.k + j) for j in range(layout.m)}
+    assert len(data) == 3 and len(parity) == 2
+    assert data | parity == {0, 1, 2, 3, 4}

@@ -148,7 +148,7 @@ def test_batches_form_under_load():
     load_core_keys(cluster, keys)
     reqs = [fe.submit("t0", "SEARCH", key) for key in keys]
     done = cluster.env.all_of([r.done for r in reqs])
-    cluster.run_event(done)
+    cluster.env.run_until_event(done)
     assert all(r.outcome == "ok" for r in reqs)
     assert max(lane.max_batch_seen for lane in fe.lanes) > 1
     assert sum(lane.batched_requests for lane in fe.lanes) == 16
@@ -178,7 +178,7 @@ def test_cn_crash_reroutes_queued_requests():
     cluster.crash_cn(lane0.cn_id)  # before the dispatcher ever ran
     assert not lane0.alive
     done = cluster.env.all_of([r.done for r in reqs])
-    cluster.run_event(done)
+    cluster.env.run_until_event(done)
     assert all(r.outcome == "ok" for r in reqs)
     assert all(r.rerouted for r in reqs)
 
@@ -295,7 +295,7 @@ def test_read_fill_cannot_overwrite_concurrent_write():
     assert not req.done.triggered, "search finished before the write"
     # ...then a concurrent dispatcher commits a newer value and acks.
     lane.cache.put(key, new)
-    cluster.run_event(req.done)
+    cluster.env.run_until_event(req.done)
     # The in-flight read returned the old value to its caller (the ops
     # overlapped, so that is linearizable) but must not cache it.
     assert lane.cache.get(key) == new

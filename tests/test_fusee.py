@@ -182,6 +182,31 @@ def test_memory_distribution_redundancy_ratio():
     assert dist.delta == 0
 
 
+def test_mn_crash_serves_kvs_from_a_replica():
+    """FUSEE has no recovery: a crashed MN stays down, and a KV pair
+    whose primary copy was on it is read from the next replica
+    (``FuseeClient._degraded_read``).  With one MN crashed, every key
+    whose index lives on a surviving MN reads back its value, and each
+    one whose KV pair was on the dead MN costs one degraded read."""
+    from repro.memory.address import GlobalAddress
+    cluster = make_fusee()
+    writer, reader = cluster.clients
+    keys = [b"f-crash-%03d" % i for i in range(60)]
+    primary = {}
+    for key in keys:
+        cluster.run_op(writer.insert(key, b"v-" + key))
+        word = writer.cache.peek(key).atomic_word
+        primary[key] = GlobalAddress.unpack(word & ((1 << 48) - 1)).node_id
+    victim = primary[keys[0]]
+    cluster.crash_mn(victim)
+    served = [k for k in keys if home_of(k, 5) != victim]
+    on_victim = [k for k in served if primary[k] == victim]
+    assert on_victim
+    for key in served:
+        assert cluster.run_op(reader.search(key)) == b"v-" + key
+    assert cluster.stats.counters["degraded_reads"] == len(on_victim)
+
+
 def test_fusee_cluster_rejects_aceso_config():
     from repro import aceso_config
     from repro.baselines.fusee import FuseeCluster

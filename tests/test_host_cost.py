@@ -4,9 +4,10 @@ Frames may fall, events may not change: the Python-level calls one verb
 round trip and one cached SEARCH cost the host are held under a ceiling
 (about 15 % over what the code measures), and the simulated events an op
 schedules are held to the exact count — fewer events means the protocol
-or the NIC model moved, not that the host got faster.
+or the NIC model moved, not that the host got faster.  The flight
+recorder's appends per op are held to the exact count as well.
 
-Both are deterministic: ``cProfile`` counts calls, not time, and the
+All are deterministic: ``cProfile`` counts calls, not time, and the
 per-iteration figure is a difference of two run lengths, so whatever a
 run costs once (process start, the profiler's own frames) cancels out.
 """
@@ -133,6 +134,34 @@ def test_events_per_op_unchanged():
 
     # ... and the 16 B slot READ in front, for a key seen to be shared
     assert events_per_op(cluster, refreshed_update) == 2 + 5
+
+
+def flight_appends(cluster, op, iterations=10):
+    """Kinds of the flight-ring appends *iterations* runs of *op* make,
+    on an unbounded ring so none is evicted."""
+    from collections import deque
+
+    from repro.obs.flight import RECORDER
+    ring, enabled = RECORDER.events, RECORDER.enabled
+    RECORDER.events, RECORDER.enabled = deque(), True
+    try:
+        for _ in range(iterations):
+            cluster.run_op(op())
+        return [kind for _t, kind, _detail in RECORDER.events]
+    finally:
+        RECORDER.events, RECORDER.enabled = ring, enabled
+
+
+def test_flight_appends_per_op():
+    """The always-on flight recorder costs one ring append per completed
+    op and nothing per verb: a cached SEARCH and an uncontended UPDATE
+    each append exactly their own ``op.<NAME>`` event.  Result neutrality
+    is ``test_obs_v2.py::test_flight_recorder_is_result_neutral``."""
+    cluster, client = loaded_cluster()
+    assert flight_appends(cluster, lambda: client.search(KEY)) \
+        == ["op.SEARCH"] * 10
+    assert flight_appends(cluster, lambda: client.update(KEY, VALUE)) \
+        == ["op.UPDATE"] * 10
 
 
 @pytest.mark.slow

@@ -200,24 +200,28 @@ def test_parse_bucket_words():
 
 
 def test_match_fingerprint_and_free():
+    """The client's scan of a raw bucket image (``_find_slot``): the
+    fingerprint candidates and the free positions."""
+    from tests.conftest import make_aceso
+    client = make_aceso().clients[0]
     index = make_index()
     key = b"mykey"
     fp = fingerprint8(key)
     index.write_atomic(0, 1, AtomicField(fp=fp, ver=0, addr=5))
     raw = index.region.read(index.bucket_offset(0), index.bucket_size)
-    assert index.match_fingerprint(raw, key) == [1]
-    assert 1 not in index.free_positions(raw)
-    assert 0 in index.free_positions(raw)
+    _match, free, matches = client._find_slot(key, [(0, raw)])
+    assert [(b, s) for b, s, _atomic, _meta in matches] == [(0, 1)]
+    assert (0, 1) not in free
+    assert (0, 0) in free
 
 
 def test_iter_slots_and_load_factor():
     index = make_index(buckets=4, slots=4)
-    assert index.load_factor() == 0.0
+    assert list(index.iter_slots()) == []
     index.write_atomic(0, 0, AtomicField(fp=1, ver=0, addr=1))
     index.write_atomic(3, 3, AtomicField(fp=2, ver=0, addr=2))
     found = list(index.iter_slots())
-    assert len(found) == 2
-    assert index.load_factor() == pytest.approx(2 / 16)
+    assert [(b, s) for b, s, _word in found] == [(0, 0), (3, 3)]
 
 
 def test_parse_bucket_size_checked():
@@ -245,13 +249,6 @@ def test_cache_value_only_retains_write_location():
     entry = cache.lookup(b"k")
     assert entry.slot_node == 3
     assert entry.slot_offset == 64
-
-
-def test_cache_none_policy_disabled():
-    cache = IndexCache("none")
-    cache.store(b"k", CacheEntry(atomic_word=1, len_units=1))
-    assert cache.lookup(b"k") is None
-    assert not cache.enabled
 
 
 def test_cache_lru_eviction():

@@ -371,11 +371,8 @@ def test_size_class_by_len_units():
 def test_size_class_slot_offsets():
     cls = SizeClass(256, 1024)
     assert cls.slot_offset(3) == 768
-    assert cls.slot_at(512) == 2
     with pytest.raises(IndexError):
         cls.slot_offset(4)
-    with pytest.raises(ValueError):
-        cls.slot_at(100)
 
 
 def test_size_class_invalid():

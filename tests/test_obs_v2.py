@@ -1,5 +1,5 @@
 """Observability v2: causal span graph, latency attribution, flight
-recorder, metrics registry, trend gate (ISSUE 9)."""
+recorder, trend gate."""
 
 from __future__ import annotations
 
@@ -11,16 +11,7 @@ import pytest
 
 from repro.bench.common import SCALES, build_cluster, ycsb_result
 from repro.config import aceso_config
-from repro.errors import ConfigError
-from repro.obs import (
-    DEFAULT_METRICS_WINDOW,
-    METRICS_WINDOW_ENV,
-    MetricsRegistry,
-    Observability,
-    obs_provenance,
-    resolve_metrics_window,
-    use_metrics_window,
-)
+from repro.obs import METRICS_WINDOW, Observability, obs_provenance
 from repro.obs import flight
 from repro.obs.attr import (
     COMPONENTS,
@@ -364,97 +355,9 @@ def ycsb_fingerprint(seed: int):
         set_seed(0)
 
 
-# ------------------------------------------------------ metrics registry
-
-def test_registry_counter_gauge_histogram_exposition():
-    reg = MetricsRegistry()
-    ops = reg.counter("ops_total", "Completed operations")
-    ops.inc()
-    ops.inc(2.0)
-    depth = reg.gauge("queue_depth", "Pending requests")
-    depth.set(5)
-    depth.dec(2)
-    lat = reg.histogram("op_latency_seconds", "Op latency",
-                        buckets=(1e-6, 1e-3))
-    lat.observe(5e-7)
-    lat.observe(2e-6)
-    lat.observe(1.0)
-    text = reg.exposition()
-    assert "# TYPE ops_total counter" in text
-    assert "ops_total 3" in text
-    assert "queue_depth 3" in text
-    assert 'op_latency_seconds_bucket{le="1e-06"} 1' in text
-    assert 'op_latency_seconds_bucket{le="+Inf"} 3' in text
-    assert "op_latency_seconds_count 3" in text
-    flat = reg.to_dict()
-    assert flat["ops_total"] == 3.0
-
-
-def test_registry_rejects_type_clash_and_negative_counter():
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(ValueError):
-        reg.gauge("x")
-    with pytest.raises(ValueError):
-        reg.counter("x").inc(-1)
-    # Same-type re-registration is idempotent.
-    assert reg.counter("x") is reg.counter("x")
-
-
-def test_registry_ingest_counters_sanitises_names():
-    reg = MetricsRegistry()
-    reg.ingest_counters({"commit conflicts": 4.0, "fe.shed": 1.0},
-                        prefix="sim_")
-    flat = reg.to_dict()
-    assert flat["sim_commit_conflicts"] == 4.0
-    assert flat["sim_fe_shed"] == 1.0
-
-
-# ------------------------------------------------- metrics window plumbing
-
-def test_resolve_metrics_window_precedence(monkeypatch):
-    monkeypatch.delenv(METRICS_WINDOW_ENV, raising=False)
-    assert resolve_metrics_window() == DEFAULT_METRICS_WINDOW
-    assert resolve_metrics_window("auto") == DEFAULT_METRICS_WINDOW
-    monkeypatch.setenv(METRICS_WINDOW_ENV, "0.002")
-    assert resolve_metrics_window() == 0.002
-    assert resolve_metrics_window(5e-4) == 5e-4  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_metrics_window("bogus")
-    with pytest.raises(ValueError):
-        resolve_metrics_window(-1.0)
-
-
-def test_use_metrics_window_exports_env(monkeypatch):
-    monkeypatch.delenv(METRICS_WINDOW_ENV, raising=False)
-    assert use_metrics_window("0.0005") == 5e-4
-    assert os.environ[METRICS_WINDOW_ENV] == repr(5e-4)
-    assert Observability(FakeClock()).metrics.window == 5e-4
-
-
-def test_sim_config_metrics_window_validates():
-    cfg = aceso_config()
-    assert cfg.sim.metrics_window == "auto"
-    cfg.sim.metrics_window = "not-a-number"
-    with pytest.raises(ConfigError, match="metrics window"):
-        cfg.validate()
-
-
-def test_cluster_config_window_reaches_collector(monkeypatch):
-    from repro.core.store import AcesoCluster
-    from tests.conftest import small_cluster_kwargs
-    monkeypatch.delenv(METRICS_WINDOW_ENV, raising=False)
-    cfg = aceso_config(**small_cluster_kwargs())
-    cfg.sim.metrics_window = 2e-3
-    obs = Observability(enabled=True)
-    AcesoCluster(cfg, obs=obs)
-    assert obs.metrics.window == 2e-3
-
-
-def test_obs_provenance_shape(monkeypatch):
-    monkeypatch.delenv(METRICS_WINDOW_ENV, raising=False)
+def test_obs_provenance_shape():
     prov = obs_provenance()
-    assert prov["metrics_window_s"] == DEFAULT_METRICS_WINDOW
+    assert prov["metrics_window_s"] == METRICS_WINDOW == 0.001
     assert isinstance(prov["flight_recorder"], bool)
 
 

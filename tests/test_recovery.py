@@ -464,6 +464,92 @@ def test_cn_crash_torn_write_rolled_back():
     assert raw == bytes(block.size_class.slot_size)
 
 
+def test_cn_torn_write_into_a_reused_block_rolls_back_to_the_backup():
+    """§3.4.2 on a reused block: a torn write into a slot that held an
+    obsolete KV pair of the block's previous life is rolled back to those
+    bytes, which the data node kept as the block's reclamation backup
+    (``read_backup``).  Zeroing the slot instead would leave P, encoded
+    over the old contents, inconsistent with the stripe."""
+    from repro.chaos.oracle import walk_index
+    from repro.core.kvpair import encode_kv, wv_toggle
+    from tests.test_core_blocks import stripe_invariant_holds
+    cluster = make_aceso(blocks_per_mn=20)
+    victim = cluster.clients[0]
+    value = b"V" * 150
+    keys = [b"reuse-%04d" % i for i in range(96)]
+    for key in keys:
+        cluster.run_op(victim.insert(key, value))
+
+    def reused_block():
+        return next((b for b in victim.blocks.all_open() if b.grant.reused),
+                    None)
+
+    # Updates obsolete slots, and the small pool forces their reuse.
+    for _round in range(40):
+        if reused_block() is not None:
+            break
+        for key in keys:
+            cluster.run_op(victim.update(key, value))
+        cluster.run(cluster.env.now + 0.02)
+    block = reused_block()
+    assert block is not None
+    slot = block.take_slot()
+    old = block.slot_old_bytes(slot)
+    assert old[0] != 0
+    kv_addr = block.kv_address(slot)
+    slot_size = block.size_class.slot_size
+    cluster.mns[kv_addr.node_id].write_bytes(kv_addr.offset, encode_kv(
+        b"torn-key", b"torn-value", 99, slot_size,
+        write_version=wv_toggle(old[0])))
+    cluster.crash_cn(victim.cn.node_id)
+    new_client, proc = cluster.restart_client(victim)
+    cluster.env.run_until_event(proc, limit=cluster.env.now + 30)
+    assert proc.value is new_client
+    assert cluster.mns[kv_addr.node_id].read_bytes(
+        kv_addr.offset, slot_size) == old
+    cluster.run(cluster.env.now + 0.05)          # seal and fold settle
+    sid = block.grant.stripe_id
+    server = cluster.servers[cluster.layout.node_of(sid, cluster.codec.k)]
+    assert stripe_invariant_holds(cluster, sid, server.stripes[sid], server)
+    for key in keys:
+        assert cluster.run_op(new_client.search(key)) == value
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+
+
+def test_cn_recovery_after_its_p_holder_recovered():
+    """A recovered P holder re-claims each stripe's DELTA block as not
+    valid, and the parity re-baseline rewrites it.  The re-baseline has
+    to mark it valid again, or the CN recovery that later reads the delta
+    fails on a "lost" block and the restarted client never reports
+    recovered.  It also zeroes the deltas of the KV pairs it folded into
+    P, which CN recovery must not take for torn writes and roll back.
+    Crash and recover the P holder of a client's open block, then crash
+    that client with a torn write in the block."""
+    from repro.chaos.oracle import walk_index
+    from repro.core.kvpair import encode_kv
+    cluster, runner, n = loaded_cluster()
+    expected = snapshot(cluster, n)
+    victim = cluster.clients[1]
+    slot_size = ((cluster.config.cluster.kv_size + 63) // 64) * 64
+    block = victim.blocks.open_block(slot_size)
+    assert block is not None
+    crash_and_recover(cluster, cluster.layout.node_of(block.grant.stripe_id,
+                                                      cluster.codec.k))
+    kv_addr = block.kv_address(block.take_slot())
+    cluster.mns[kv_addr.node_id].write_bytes(
+        kv_addr.offset, encode_kv(b"torn-key", b"torn-value", 99, slot_size))
+    cluster.crash_cn(victim.cn.node_id)
+    new_client, proc = cluster.restart_client(victim)
+    cluster.env.run_until_event(proc, limit=cluster.env.now + 30)
+    assert proc.triggered and proc.value is new_client
+    assert cluster.mns[kv_addr.node_id].read_bytes(
+        kv_addr.offset, slot_size) == bytes(slot_size)
+    assert verify(cluster, expected) == []
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+
+
 def test_cn_recovery_seals_unfilled_blocks():
     cluster, runner, n = loaded_cluster()
     victim = cluster.clients[1]

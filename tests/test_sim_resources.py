@@ -1,91 +1,8 @@
-"""Tests for Resource, ThroughputServer, and Store."""
+"""Tests for ThroughputServer and Store."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store, ThroughputServer
-
-
-# ---------------------------------------------------------------- Resource
-
-def test_resource_immediate_acquire(env):
-    res = Resource(env, capacity=1)
-
-    def proc():
-        yield res.acquire()
-        return env.now
-
-    p = env.process(proc())
-    env.run()
-    assert p.value == 0.0
-    assert res.in_use == 1
-
-
-def test_resource_queues_fifo(env):
-    res = Resource(env, capacity=1)
-    order = []
-
-    def holder():
-        yield res.acquire()
-        yield env.timeout(5.0)
-        res.release()
-
-    def waiter(name):
-        yield res.acquire()
-        order.append((name, env.now))
-        res.release()
-
-    env.process(holder())
-    env.run(until=1.0)
-    env.process(waiter("first"))
-    env.process(waiter("second"))
-    env.run()
-    assert order == [("first", 5.0), ("second", 5.0)]
-
-
-def test_resource_capacity(env):
-    res = Resource(env, capacity=2)
-    active = []
-
-    def proc(name):
-        yield res.acquire()
-        active.append(name)
-        yield env.timeout(1.0)
-        res.release()
-
-    for n in range(3):
-        env.process(proc(n))
-    env.run(until=0.5)
-    assert len(active) == 2
-    env.run()
-    assert len(active) == 3
-
-
-def test_resource_release_without_acquire(env):
-    res = Resource(env)
-    with pytest.raises(RuntimeError):
-        res.release()
-
-
-def test_resource_bad_capacity(env):
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_resource_queue_length(env):
-    res = Resource(env, capacity=1)
-
-    def holder():
-        yield res.acquire()
-        yield env.timeout(10.0)
-
-    def waiter():
-        yield res.acquire()
-
-    env.process(holder())
-    env.run(until=0.1)
-    env.process(waiter())
-    env.run(until=0.2)
-    assert res.queue_length == 1
+from repro.sim import Store, ThroughputServer
 
 
 # ---------------------------------------------------------- ThroughputServer
