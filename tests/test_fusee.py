@@ -169,6 +169,30 @@ def test_slot_reuse_in_own_blocks():
         assert cluster.run_op(c.search(k)) == b"u" * 150
 
 
+def test_slot_reuse_on_wide_slots_keeps_neighbours():
+    """FUSEE's protocol on 16 B slots (fig13 ``+slot``): FUSEE never
+    repairs the slot's Meta ``len``, so a freed slot's size class must
+    come from the block that holds it.  Filed under the stale ``len`` of
+    a 900 B predecessor, c2's 128 B slot would be reused for a 900 B
+    pair and overwrite the neighbours written after it."""
+    from repro.baselines.fusee import FuseeCluster
+    from repro.config import factor_config
+    for step in ("origin", "+slot"):
+        cluster = FuseeCluster(factor_config(step, **small_cluster_kwargs()))
+        cluster.start()
+        c1, c2 = cluster.clients
+        cluster.run_op(c1.insert(b"victim", b"V" * 900))
+        cluster.run_op(c2.update(b"victim", b"s" * 40))
+        neighbours = [b"neighbour-%d" % i for i in range(8)]
+        for key in neighbours:
+            cluster.run_op(c2.insert(key, b"n" * 40))
+        cluster.run_op(c2.update(b"victim", b"t" * 40))
+        cluster.run_op(c2.insert(b"big", b"B" * 900))
+        for key in neighbours:
+            assert cluster.run_op(c1.search(key)) == b"n" * 40, (step, key)
+        assert cluster.run_op(c1.search(b"big")) == b"B" * 900
+
+
 def test_memory_distribution_redundancy_ratio():
     """Fig. 12: with r=3, redundancy ~= 2x the primary data bytes."""
     cluster = make_fusee(blocks_per_mn=96)
