@@ -199,17 +199,22 @@ def test_cache_trusts_coherent_pair():
 
 class VerbLog:
     """Records every one-sided verb one client posts, as (opcode, bytes),
-    plus its bucket queries (the only verbs not posted one by one) and
-    the instants it posted at: verbs posted at one instant share a round
-    trip, so the distinct instants of an op are its round trips."""
+    plus its bucket queries (the only verbs not posted one by one), its
+    control-plane RPCs by method name, and the instants it posted at:
+    verbs posted at one instant share a round trip, so the distinct
+    instants of an op are its round trips."""
 
     def __init__(self, client):
         self.verbs = []
         self.posted_at = []
         self.bucket_queries = 0
+        self.rpcs = []
+        self.rpc_at = []
+        self.bucket_size = client.mns[0].index.bucket_size
         env = client.env
         post_read, post_write = client._post_read, client._post_write
         post_cas, query = client._post_cas, client._query_buckets
+        rpc = client._rpc
 
         def read(node, offset, length):
             self.verbs.append(("READ", length))
@@ -228,10 +233,17 @@ class VerbLog:
 
         def query_buckets(key, home):
             self.bucket_queries += 1
+            self.posted_at.append(env.now)
             return query(key, home)
+
+        def call(server, method, *args, **kwargs):
+            self.rpcs.append(method)
+            self.rpc_at.append(env.now)
+            return rpc(server, method, *args, **kwargs)
 
         client._post_read, client._post_write = read, write
         client._post_cas, client._query_buckets = cas, query_buckets
+        client._rpc = call
 
     def count(self, opcode, size):
         return self.verbs.count((opcode, size))
@@ -241,6 +253,21 @@ class VerbLog:
         verbs, round_trips = self.verbs[:], len(set(self.posted_at))
         del self.verbs[:], self.posted_at[:]
         return verbs, round_trips
+
+    def cost(self):
+        """One row of the op-cost table for what was logged since the last
+        call: (verbs, round trips, CAS, verb bytes, RPC methods).  A bucket
+        query counts as its two bucket READs; an RPC is a round trip of
+        its own and not a verb."""
+        queries, rpcs = self.bucket_queries, self.rpcs[:]
+        round_trips = len(set(self.posted_at) | set(self.rpc_at))
+        verbs, _ = self.take()
+        self.bucket_queries = 0
+        del self.rpcs[:], self.rpc_at[:]
+        return (len(verbs) + 2 * queries, round_trips,
+                verbs.count(("CAS", 8)),
+                sum(size for _op, size in verbs)
+                + 2 * queries * self.bucket_size, rpcs)
 
 
 def run_writers(cluster, key, writers, between=None):
@@ -549,6 +576,87 @@ def test_op_cost_search_fusee_value_only_hit():
                                         ("READ", bucket_size)])
     assert log.bucket_queries == 0
     assert (round_trips, posted) == (1, 2)
+
+
+# The rest of the op-cost table: (verbs, round trips, CAS, verb bytes, RPCs)
+# per op on an idle cluster, with the client's block of the op's size class
+# already open.  Values are 100 B (a 192 B slab slot); a tombstone takes a
+# 64 B slot; wide buckets are 128 B, compact ones 64 B.
+OP_COSTS = {
+    # bucket query, KV + delta WRITE, Meta WRITE 8, CAS
+    ("aceso", "INSERT"): (6, 4, 1, 656, []),
+    # tombstone + delta WRITE, CAS, len repair WRITE 8
+    ("aceso", "DELETE"): (4, 3, 1, 144, []),
+    # bucket query, KV READ of the lost block, the block's stripe from its
+    # MN, the read plan from the P holder, the plan's four region READs
+    ("aceso", "degraded SEARCH"): (7, 5, 0, 1216,
+                                   ["block_info", "degraded_plan"]),
+    # r KV WRITEs, then the r - 1 backup CASes, then the primary CAS
+    ("fusee-r1", "UPDATE"): (2, 2, 1, 200, []),
+    ("fusee-r3", "UPDATE"): (6, 3, 3, 600, []),
+    # ... behind a bucket query
+    ("fusee-r1", "INSERT"): (4, 3, 1, 328, []),
+    ("fusee-r3", "INSERT"): (8, 4, 3, 728, []),
+    ("fusee-r1", "DELETE"): (2, 2, 1, 72, []),
+    ("fusee-r3", "DELETE"): (6, 3, 3, 216, []),
+    # bucket query, KV READ
+    ("fusee-r1", "SEARCH cold miss"): (3, 2, 0, 320, []),
+    ("fusee-r3", "SEARCH cold miss"): (3, 2, 0, 320, []),
+}
+
+
+def degraded_search_cost():
+    """Cold SEARCH of a key whose sealed block is lost (§3.4.1)."""
+    from repro.memory.address import GlobalAddress
+    cluster = make_aceso()
+    writer, reader = cluster.clients
+    keys = [b"cost-degraded-%02d" % i for i in range(40)]
+    for key in keys:
+        cluster.run_op(writer.insert(key, b"x" * 100))
+    cluster.run(cluster.env.now + 0.05)             # seal and fold
+    for key in keys:
+        ga = GlobalAddress.unpack(writer.cache.peek(key).atomic_word
+                                  & ((1 << 48) - 1))
+        block_id, _ = cluster.mns[ga.node_id].blocks.locate(ga.offset)
+        meta = cluster.mns[ga.node_id].blocks.meta[block_id]
+        if meta.stripe_id >= 0 and meta.index_version:
+            break
+    meta.valid = False                              # the block is lost
+    log = VerbLog(reader)
+    assert cluster.run_op(reader.search(key)) == b"x" * 100
+    assert cluster.stats.counters["degraded_reads"] == 1
+    return log.cost()
+
+
+def op_cost(system, op):
+    from tests.conftest import make_fusee
+    if op == "degraded SEARCH":
+        return degraded_search_cost()
+    cluster = (make_aceso() if system == "aceso"
+               else make_fusee(replication_factor=int(system[-1])))
+    c0, c1 = cluster.clients
+    value = b"x" * 100
+    # open the blocks of both size classes, then cache the key
+    cluster.run_op(c0.insert(b"cost-warm", value))
+    cluster.run_op(c0.delete(b"cost-warm"))
+    cluster.run_op(c0.insert(b"cost-key", value))
+    log = VerbLog(c1 if op == "SEARCH cold miss" else c0)
+    if op == "INSERT":
+        cluster.run_op(c0.insert(b"cost-fresh", value))
+    elif op == "UPDATE":
+        cluster.run_op(c0.update(b"cost-key", value))
+    elif op == "DELETE":
+        cluster.run_op(c0.delete(b"cost-key"))
+    else:
+        assert cluster.run_op(c1.search(b"cost-key")) == value
+    return log.cost()
+
+
+@pytest.mark.parametrize("system,op", sorted(OP_COSTS))
+def test_op_cost_table(system, op):
+    """INSERT, DELETE and degraded SEARCH for Aceso; UPDATE, INSERT, DELETE
+    and a cold SEARCH for FUSEE at one and three replicas."""
+    assert op_cost(system, op) == OP_COSTS[system, op]
 
 
 def committed_versions(cluster, key):
