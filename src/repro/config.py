@@ -155,8 +155,9 @@ class FaultToleranceConfig:
     * +CACHE  — +CKPT plus the addr+value cache (full Aceso)
     """
 
+    #: "checkpoint" pairs with erasure-coded KVs (Aceso), "replication"
+    #: with replicated KVs (FUSEE).
     index_mode: str = "checkpoint"       # "checkpoint" | "replication"
-    kv_scheme: str = "ec"                # "ec" | "replication"
     slot_format: str = "wide16"          # "wide16" | "compact8"
     cache_policy: str = "addr_value"     # "addr_value" | "value_only"
     replication_factor: int = 3          # for the replication modes
@@ -164,8 +165,6 @@ class FaultToleranceConfig:
     def validate(self) -> None:
         if self.index_mode not in ("checkpoint", "replication"):
             raise ConfigError(f"bad index_mode {self.index_mode!r}")
-        if self.kv_scheme not in ("ec", "replication"):
-            raise ConfigError(f"bad kv_scheme {self.kv_scheme!r}")
         if self.slot_format not in ("wide16", "compact8"):
             raise ConfigError(f"bad slot_format {self.slot_format!r}")
         if self.cache_policy not in ("addr_value", "value_only"):
@@ -226,7 +225,8 @@ class SystemConfig:
         self.cluster.validate()
         self.ft.validate()
         self.coding.validate()
-        if self.ft.kv_scheme == "ec" and self.coding.group_size > self.cluster.num_mns:
+        if self.ft.index_mode == "checkpoint" \
+                and self.coding.group_size > self.cluster.num_mns:
             raise ConfigError(
                 f"coding group of {self.coding.group_size} MNs does not fit "
                 f"a cluster of {self.cluster.num_mns} MNs"
@@ -253,7 +253,6 @@ def fusee_config(replication_factor: int = 3, **cluster_overrides) -> SystemConf
     """FUSEE baseline: replicated index + replicated KVs + value-only cache."""
     ft = FaultToleranceConfig(
         index_mode="replication",
-        kv_scheme="replication",
         slot_format="compact8",
         cache_policy="value_only",
         replication_factor=replication_factor,
@@ -267,14 +266,14 @@ def fusee_config(replication_factor: int = 3, **cluster_overrides) -> SystemConf
 
 _FACTOR_PRESETS = {
     # Fig. 13: step-by-step evolution from FUSEE to Aceso.
-    "origin": dict(index_mode="replication", kv_scheme="replication",
-                   slot_format="compact8", cache_policy="value_only"),
-    "+slot": dict(index_mode="replication", kv_scheme="replication",
-                  slot_format="wide16", cache_policy="value_only"),
-    "+ckpt": dict(index_mode="checkpoint", kv_scheme="ec",
-                  slot_format="wide16", cache_policy="value_only"),
-    "+cache": dict(index_mode="checkpoint", kv_scheme="ec",
-                   slot_format="wide16", cache_policy="addr_value"),
+    "origin": dict(index_mode="replication", slot_format="compact8",
+                   cache_policy="value_only"),
+    "+slot": dict(index_mode="replication", slot_format="wide16",
+                  cache_policy="value_only"),
+    "+ckpt": dict(index_mode="checkpoint", slot_format="wide16",
+                  cache_policy="value_only"),
+    "+cache": dict(index_mode="checkpoint", slot_format="wide16",
+                   cache_policy="addr_value"),
 }
 
 

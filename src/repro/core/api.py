@@ -1,36 +1,45 @@
-"""Aceso clients: the INSERT / UPDATE / SEARCH / DELETE API (§3.1).
+"""Clients of disaggregated memory: a shared base and Aceso's protocol.
 
 Clients run on compute nodes and execute every KV request through
 one-sided verbs on the simulated fabric; MN CPUs are involved only for the
 coarse-grained RPCs (block allocation, sealing, bitmap flushes).
 
-The write path is Algorithm 1: out-of-place KV + delta writes, then a
-single RDMA_CAS on the slot's Atomic field as the commit point, with the
-8-bit ``ver`` / 56-bit ``epoch`` slot-versioning protocol (lock the Meta
-field on rollover; on CAS failure re-stamp the orphan KV pair with the
-next Slot Version and CAS again, invalidating it only when the slot
-alone cannot decide the retry).  The slot read that opens Algorithm 1 is
-one 16 B READ at the cached slot address, and is skipped while the client
-has not seen another writer change the key (``CacheEntry.heat``).
+:class:`DMClient` is what both systems under test run: the verb and RPC
+helpers, the bucket query and slot match, the KV read and its validation,
+the SEARCH driver with the value-only cache hit (FUSEE's cache, and the
++CKPT factor step), the bucket-query half of locating a write, and the
+client's blocks (allocation, prefetch, size classes).  Slot words are
+decoded by the home MN's :class:`~repro.index.race.RaceIndex`, so the
+base reads a slot's address and length the same way in either slot
+format.  A protocol peer supplies ``_write_inner`` (its write path) and
+``_degraded_read`` (how it reads a KV pair whose MN is lost).
 
-The read path uses the local index cache (§3.5.1): with the ``addr_value``
-policy a hit costs one KV read plus one 16 B slot-validation read and
-never re-queries the index; the ``value_only`` policy (FUSEE's cache, and
-the +CKPT factor step) must re-read the candidate buckets to validate.
+:class:`AcesoClient` is Aceso's peer.  It runs on 16 B slots only.  Its
+write path is Algorithm 1: out-of-place KV + delta writes, then a single
+RDMA_CAS on the slot's Atomic field as the commit point, with the 8-bit
+``ver`` / 56-bit ``epoch`` slot-versioning protocol (lock the Meta field
+on rollover; on CAS failure re-stamp the orphan KV pair with the next
+Slot Version and CAS again, invalidating it only when the slot alone
+cannot decide the retry).  The slot read that opens Algorithm 1 is one
+16 B READ at the cached slot address, and is skipped while the client has
+not seen another writer change the key (``CacheEntry.heat``).  With the
+``addr_value`` cache policy (§3.5.1) a SEARCH hit costs one KV read plus
+one 16 B slot-validation read and never re-queries the index.  Degraded
+reads (§3.4.1): when a KV's block is still lost after an MN's Index-Area
+recovery, the client fetches a read plan from the stripe's P-parity
+server and rebuilds just the slot region element-wise.  Filled blocks are
+sealed and their deltas folded; obsolete slots reach their servers in
+periodic bitmap flushes.
 
-Degraded reads (§3.4.1): when a KV's block is still lost after an MN's
-Index-Area recovery, the client fetches a read plan from the stripe's
-P-parity server and rebuilds just the slot region element-wise.
+FUSEE's peer is :class:`repro.baselines.fusee.FuseeClient`.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import partial
 from typing import Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from ..checkpoint.differential import xor_bytes
-from ..config import SystemConfig
 from ..errors import (
     AllocationError,
     KeyNotFoundError,
@@ -41,7 +50,11 @@ from ..errors import (
 from ..index.cache import CacheEntry, IndexCache
 from ..index.hashing import fingerprint8, hash64, home_of
 from ..index.slot import (
+    ADDR_MASK,
     INVALID_SLOT_VERSION,
+    LEN_MASK,
+    WIDE_SLOT,
+    WIDE_SLOT_SIZE,
     AtomicField,
     MetaField,
     slot_version,
@@ -51,19 +64,18 @@ from ..memory.slab import SIZE_UNIT, SizeClasser
 from ..obs.trace import NULL_SPAN
 from ..rdma.qp import rpc_call
 from ..rdma.verbs import Opcode, Verb
-from ..sim import Interrupt
 from .blockmgr import ClientBlockManager, OpenBlock
 from .kvpair import (
     VERSION_FIELD_OFFSET,
-    KVRecord,
     encode_kv,
     kv_wire_size,
     parse_kv,
     stored_size,
     wv_toggle,
 )
+from .multiget import search_many as _search_many
 
-__all__ = ["AcesoClient"]
+__all__ = ["DMClient", "AcesoClient"]
 
 #: Give-up threshold for one op; generous, only guards against livelock.
 RETRY_BUDGET = 64
@@ -73,51 +85,32 @@ LOCK_POLL = 50e-6
 #: Slots left in the open block when the next one is allocated ahead.
 PREFETCH_MARGIN = 8
 
-#: Precompiled slot layouts for bucket decoding (hot read path).
-_WIDE_SLOT = struct.Struct("<QQ")
-_COMPACT_SLOT = struct.Struct("<Q")
-#: The 48-bit ``addr`` field of an Atomic (or compact) slot word.
-_ADDR_MASK = (1 << 48) - 1
 
-
-class _Orphan(NamedTuple):
-    """A written KV pair whose commit CAS lost (not referenced by any
-    slot), with what re-stamping its Slot Version needs."""
-
-    kv: GlobalAddress
-    delta: Optional[GlobalAddress]
-    #: Slot Version field of the slot's previous contents (0 in a fresh
-    #: block): the delta block holds ``old ^ current``.
-    old_field: int
-
-
-class AcesoClient:
+class DMClient:
     """One client endpoint; all public ops are simulation generators."""
 
-    def __init__(self, env, fabric, config: SystemConfig, cli_id: int,
-                 cn, mns: Dict[int, object], servers: Dict[int, object],
-                 master, layout, codec, stats, obs=None):
-        self.env = env
-        self.fabric = fabric
+    def __init__(self, cluster, cli_id: int, cn):
+        config = cluster.config
+        self.env = cluster.env
+        self.fabric = cluster.fabric
         self.config = config
         self.cli_id = cli_id
         self.cn = cn
         self.nic = cn.nic
-        self.mns = mns
-        self.servers = servers
-        self.master = master
-        self.layout = layout
-        self.codec = codec
-        self.stats = stats
-        #: Observability bundle; spans/metrics no-op when None or disabled.
-        self.obs = obs
+        self.mns = cluster.mns
+        self.servers = cluster.servers
+        self.master = cluster.master
+        self.stats = cluster.stats
+        #: Observability bundle; spans/metrics no-op when disabled.
+        self.obs = cluster.obs
         self._track = f"cli{cli_id}"
         self.cache = IndexCache(config.ft.cache_policy,
-                                epoch_of=master.mn_incarnation)
+                                epoch_of=self.master.mn_incarnation)
+        #: How a SEARCH uses a cache hit (a peer may pick its own).
+        self._search_hit = self._search_cached_value
         self.blocks = ClientBlockManager(cli_id)
         self.classer = SizeClasser(config.cluster.block_size)
         self.num_mns = config.cluster.num_mns
-        self.wide = config.ft.slot_format == "wide16"
         self._procs: List = []
         self._prefetched: Dict[int, OpenBlock] = {}
         self._prefetching: set = set()
@@ -126,12 +119,6 @@ class AcesoClient:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-
-    def start_background(self) -> None:
-        """Start the periodic free-bitmap flush (§3.3.3 step 1)."""
-        self._procs.append(self.env.process(
-            self._bitmap_flush_loop(), name=f"bitmaps@cli{self.cli_id}"
-        ))
 
     def stop(self) -> None:
         self.alive = False
@@ -155,7 +142,7 @@ class AcesoClient:
         toward its latency.
         """
         obs = self.obs
-        if obs is None or not obs.enabled:
+        if not obs.enabled:
             return self._search_op(key, NULL_SPAN)
         return self._traced_op("SEARCH", self._search_op, key)
 
@@ -170,7 +157,7 @@ class AcesoClient:
         track; :mod:`repro.obs.attr` claims these intervals first when
         decomposing op latency.  No-op when tracing is off."""
         obs = self.obs
-        if obs is None or not obs.enabled:
+        if not obs.enabled:
             return NULL_SPAN
         return obs.tracer.span(name, cat="phase", track=self._track)
 
@@ -196,25 +183,6 @@ class AcesoClient:
             return record.value
         raise RetryBudgetExceeded(f"SEARCH {key!r}")
 
-    def search_many(self, keys) -> Generator:
-        """Batched SEARCH: resolve several keys with doorbell-batched verb
-        groups (one op cost per touched MN per stage); returns
-        ``{key: ("ok", value) | ("miss", None) | ("error", exc)}``.
-
-        Used by the serving front-end; semantically equivalent to issuing
-        :meth:`search` per key (corner cases fall back to exactly that).
-        """
-        from .multiget import search_many as _search_many
-        obs = self.obs
-        if obs is None or not obs.enabled:
-            return _search_many(self, keys, NULL_SPAN)
-        return self._traced_op("MULTIGET", self._search_many_op, keys)
-
-    def _search_many_op(self, keys, sp) -> Generator:
-        from .multiget import search_many as _search_many
-        out = yield from _search_many(self, keys, sp)
-        return out
-
     def insert(self, key: bytes, value: bytes) -> Generator:
         yield from self._write(key, value, "INSERT")
 
@@ -223,6 +191,12 @@ class AcesoClient:
 
     def delete(self, key: bytes) -> Generator:
         yield from self._write(key, b"", "DELETE")
+
+    def _write(self, key: bytes, value: bytes, op: str) -> Generator:
+        obs = self.obs
+        if not obs.enabled:
+            return self._write_inner(key, value, op, NULL_SPAN)
+        return self._traced_op(op, self._write_inner, key, value, op)
 
     # ------------------------------------------------------------------
     # fabric helpers
@@ -271,17 +245,13 @@ class AcesoClient:
     def _home(self, key: bytes) -> int:
         return home_of(key, self.num_mns)
 
-    def _ensure_home_writable(self, home: int) -> Generator:
-        """Writes to a failed MN's index range block until its Index Area
-        is recovered (§3.4.1)."""
-        while not self.master.mn_writable(home):
-            yield self.master.milestone(home, "index_recovered")
-
     def _index_of(self, node: int):
         return self.mns[node].index
 
     def _query_buckets(self, key: bytes, home: int) -> Generator:
-        """Read both candidate buckets in one doorbell batch."""
+        """Read both candidate buckets in one doorbell batch; returns
+        ``[(bucket, slot words)]`` as :meth:`RaceIndex.slot_words`
+        decodes them."""
         index = self._index_of(home)
         b1, b2 = index.candidate_buckets(key)
         mn = self.mns[home]
@@ -292,10 +262,12 @@ class AcesoClient:
                       partial(mn.read_bytes, index.bucket_offset(b2), size))]
         raws = yield self.fabric.post_batch(self.nic, mn.nic, verbs,
                                             track=self._track)
-        return [(b1, raws[0]), (b2, raws[1])]
+        return [(b1, index.slot_words(raws[0])),
+                (b2, index.slot_words(raws[1]))]
 
-    def _find_slot(self, key: bytes, buckets):
-        """Locate *key* in raw bucket images.
+    @staticmethod
+    def _find_slot(key: bytes, buckets):
+        """Locate *key* in decoded buckets (``[(bucket, slot words)]``).
 
         Returns (match, free, matches): ``matches`` are all fingerprint
         candidates as (bucket, slot, atomic_word, meta_word); ``free`` the
@@ -304,8 +276,7 @@ class AcesoClient:
         matches = []
         free: List[Tuple[int, int]] = []
         fp = fingerprint8(key)
-        for bucket, raw in buckets:
-            words = self._bucket_words(raw)
+        for bucket, words in buckets:
             for slot, (atomic_word, meta_word) in enumerate(words):
                 if atomic_word == 0:
                     free.append((bucket, slot))
@@ -315,12 +286,28 @@ class AcesoClient:
         match = matches[0] if matches else None
         return match, free, matches
 
-    def _bucket_words(self, raw: bytes) -> List[Tuple[int, int]]:
-        """(atomic, meta) word pairs of a raw bucket image (meta = 0 when
-        slots are compact)."""
-        if self.wide:
-            return list(_WIDE_SLOT.iter_unpack(raw))
-        return [(atomic, 0) for (atomic,) in _COMPACT_SLOT.iter_unpack(raw)]
+    def _locate_in_buckets(self, key: bytes, home: int, op: str):
+        """Find (bucket, slot, atomic_word, meta_word, fresh_insert) with
+        a bucket query: the slot that holds *key*, or for an INSERT a
+        free one; None when an UPDATE or DELETE finds no such key."""
+        buckets = yield from self._query_buckets(key, home)
+        _match, free, matches = self._find_slot(key, buckets)
+        # Verify fingerprint candidates actually hold this key.
+        for bucket, slot, atomic_word, meta_word in matches:
+            record, _ = yield from self._read_kv_checked(
+                atomic_word & ADDR_MASK,
+                max(meta_word & LEN_MASK, 1) * SIZE_UNIT, key
+            )
+            if record is not None:
+                return bucket, slot, atomic_word, meta_word, False
+        if op in ("UPDATE", "DELETE"):
+            return None
+        if not free:
+            raise IndexFullError(f"no free slot for {key!r}")
+        # Spread concurrent inserts across the free positions (picking the
+        # first free slot would make unrelated keys contend on one CAS).
+        bucket, slot = free[hash64(key, b"slotpick") % len(free)]
+        return bucket, slot, 0, 0, True
 
     # ------------------------------------------------------------------
     # SEARCH path
@@ -330,69 +317,19 @@ class AcesoClient:
         """Pick the read path by what the cache knows; returns that
         path's generator (not a generator itself: one frame less on
         every resume of every SEARCH)."""
-        cache = self.cache
-        entry = cache.lookup(key)
+        entry = self.cache.lookup(key)
         if entry is not None:
-            if cache.policy == "addr_value":
-                return self._search_cached_addr(key, home, entry)
-            return self._search_cached_value(key, home, entry)
+            return self._search_hit(key, home, entry)
         return self._search_via_index(key, home)
-
-    def _search_cached_addr(self, key: bytes, home: int,
-                            entry: CacheEntry) -> Generator:
-        """Aceso's cache hit: KV read + 16 B slot read, in parallel."""
-        ga = GlobalAddress.unpack(entry.atomic_word & _ADDR_MASK)
-        kv_ev = self._post_read(ga.node_id, ga.offset,
-                                entry.len_units * SIZE_UNIT)
-        slot_ev = self._post_read(entry.slot_node, entry.slot_offset,
-                                  16 if self.wide else 8)
-        kv_raw, slot_raw = yield self.env.all_of([kv_ev, slot_ev])
-        current_word = int.from_bytes(slot_raw[:8], "little")
-        if current_word == entry.atomic_word:
-            if entry.heat:
-                entry.looked(False)
-            record = self._parse_or_none(kv_raw, key)
-            if record is not None:
-                return record
-            # Stale length or fp collision: fall through to a fresh query.
-            self.cache.invalidate(key)
-            record = yield from self._search_via_index(key, home)
-            return record
-        # Slot changed: read the new KV directly — no bucket query needed.
-        self.stats.bump("cache_slot_changed")
-        entry.looked(True)
-        new_atomic = AtomicField.unpack(current_word)
-        if new_atomic.empty:
-            # The slot was vacated (e.g. recovery re-placed the key in a
-            # different free slot): only a full query is authoritative.
-            self.cache.invalidate(key)
-            record = yield from self._search_via_index(key, home)
-            return record
-        meta_word = (int.from_bytes(slot_raw[8:16], "little")
-                     if self.wide else 0)
-        len_units = (MetaField.unpack(meta_word).len_units
-                     if self.wide else entry.len_units)
-        record, raw = yield from self._read_kv_checked(
-            new_atomic.addr, max(len_units, 1) * SIZE_UNIT, key
-        )
-        if record is not None:
-            entry.atomic_word = current_word
-            entry.meta_word = meta_word
-            entry.len_units = len(raw) // SIZE_UNIT
-            self.cache.store(key, entry)
-            return record
-        self.cache.invalidate(key)
-        record = yield from self._search_via_index(key, home)
-        return record
 
     def _search_cached_value(self, key: bytes, home: int,
                              entry: CacheEntry) -> Generator:
-        """Value-only cache hit (FUSEE's policy): the KV read must be
-        validated by re-reading the slot's bucket — the cache holds no
-        slot address to check with a single-word read, so the whole
-        bucket comes back (the read amplification §3.5.1 removes)."""
+        """Value-only cache hit: the KV read must be validated by
+        re-reading the slot's bucket — the cache holds no slot address to
+        check with a single-word read, so the whole bucket comes back (the
+        read amplification §3.5.1 removes)."""
         atomic_word = entry.atomic_word
-        ga = GlobalAddress.unpack(atomic_word & _ADDR_MASK)
+        ga = GlobalAddress.unpack(atomic_word & ADDR_MASK)
         kv_ev = self._post_read(ga.node_id, ga.offset,
                                 entry.len_units * SIZE_UNIT)
         index = self._index_of(home)
@@ -403,7 +340,8 @@ class AcesoClient:
         bucket_ev = self._post_read(home, offset, size)
         outcome = yield self.env.all_of([kv_ev, bucket_ev])
         kv_raw, raw = outcome
-        match, _free, _all = self._find_slot(key, [(bucket, raw)])
+        match, _free, _all = self._find_slot(
+            key, [(bucket, index.slot_words(raw))])
         if match is not None and match[2] == atomic_word:
             record = self._parse_or_none(kv_raw, key)
             if record is not None:
@@ -426,15 +364,9 @@ class AcesoClient:
         _match, _free, matches = self._find_slot(key, buckets)
         index = self._index_of(home)
         for bucket, slot, atomic_word, meta_word in matches:
-            atomic = AtomicField.unpack(atomic_word) if self.wide else None
-            if self.wide:
-                addr = atomic.addr
-                len_units = MetaField.unpack(meta_word).len_units
-            else:
-                addr = atomic_word & _ADDR_MASK
-                len_units = (atomic_word >> 48) & 0xFF
             record, raw = yield from self._read_kv_checked(
-                addr, max(len_units, 1) * SIZE_UNIT, key
+                atomic_word & ADDR_MASK,
+                max(meta_word & LEN_MASK, 1) * SIZE_UNIT, key
             )
             if record is not None:
                 self.cache.store(key, CacheEntry(
@@ -461,8 +393,9 @@ class AcesoClient:
     def _read_kv_checked(self, packed_addr: int, length: int,
                          key: bytes) -> Generator:
         """Read a KV pair, tolerating a stale ``len`` (§3.2.2) and lost
-        blocks (degraded read).  Returns ``(record, raw)``; ``raw`` is
-        exactly the record's slab slot when ``record`` is not None."""
+        blocks (the peer's degraded read).  Returns ``(record, raw)``;
+        ``raw`` is exactly the record's slab slot when ``record`` is not
+        None."""
         ga = GlobalAddress.unpack(packed_addr)
         block_id, intra = self._locate_block_slot(ga)
         if block_id is None:
@@ -497,6 +430,220 @@ class AcesoClient:
             return None, raw
         return record, raw
 
+    def _locate_block_slot(self, ga: GlobalAddress):
+        """(block_id, intra-block byte offset) of a KV address."""
+        mn = self.mns[ga.node_id]
+        try:
+            return mn.blocks.locate(ga.offset)
+        except IndexError:
+            return None, None
+
+    # ------------------------------------------------------------------
+    # block lifecycle
+    # ------------------------------------------------------------------
+
+    def open_blocks(self) -> List[OpenBlock]:
+        """Every block this client holds open: the one installed per size
+        class, then those allocated ahead."""
+        return self.blocks.all_open() + list(self._prefetched.values())
+
+    def _get_write_slot(self, size_class) -> Generator:
+        slot_size = size_class.slot_size
+        block = self.blocks.open_block(slot_size)
+        if block is None:
+            old = self.blocks.retire(slot_size)
+            if old is not None:
+                self._seal_async(old)
+            block = self._prefetched.pop(slot_size, None)
+            if block is None:
+                block = yield from self._fetch_block(size_class)
+            self.blocks.install(slot_size, block)
+        slot = block.take_slot()
+        # Allocate the next block ahead of time so the allocation RPC
+        # chain never sits on the write critical path.
+        if block.slots_left() == PREFETCH_MARGIN:
+            self._start_prefetch(size_class)
+        return block, slot
+
+    def _seal_async(self, block: OpenBlock) -> None:
+        """A filled block left the open set.  What that takes is the
+        protocol's: Aceso seals it and folds its delta; a replicated
+        block needs nothing."""
+
+    def _start_prefetch(self, size_class) -> None:
+        slot_size = size_class.slot_size
+        if slot_size in self._prefetching or slot_size in self._prefetched:
+            return
+        self._prefetching.add(slot_size)
+        self._spawn(self._prefetch_block(size_class),
+                    name=f"prefetch@cli{self.cli_id}")
+
+    def _prefetch_block(self, size_class) -> Generator:
+        try:
+            block = yield from self._fetch_block(size_class)
+            self._prefetched[size_class.slot_size] = block
+        except (AllocationError, NodeFailedError):
+            pass  # the write path will allocate synchronously instead
+        finally:
+            self._prefetching.discard(size_class.slot_size)
+
+    def _fetch_block(self, size_class) -> Generator:
+        """Allocate one block (plus, under Aceso, its DELTA twin) and
+        fetch the old contents when it is a reused block (§3.3.3)."""
+        slot_size = size_class.slot_size
+        grant = None
+        for _attempt in range(64):
+            leader = self._leader()
+            try:
+                grant = yield from self._rpc(leader, "alloc_block",
+                                             self.cli_id, slot_size,
+                                             response_size=128)
+                break
+            except AllocationError:
+                # Pool under pressure: back off so bitmap flushes can
+                # surface reclamation candidates (§3.3.3), then retry.
+                yield from self.flush_bitmaps()
+                yield self.env.timeout(
+                    self.config.reclamation.bitmap_flush_interval
+                )
+            except NodeFailedError:
+                # Leader crashed mid-allocation; wait out the failover
+                # and retry against the new leader.
+                yield self.env.timeout(LOCK_TIMEOUT)
+        if grant is None:
+            raise AllocationError("block allocation failed repeatedly")
+        block = OpenBlock(grant, size_class)
+        block.epoch = (
+            self.master.mn_incarnation(grant.data_node),
+            self.master.mn_incarnation(grant.delta_node)
+            if grant.delta_node >= 0 else 0,
+        )
+        if block.needs_old_content:
+            # Read the whole reused block once (§3.3.3) — chunked so
+            # other clients' verbs interleave.
+            mn = self.mns[grant.data_node]
+            size = self.config.cluster.block_size
+            raw = yield self.fabric.transfer(
+                self.nic, mn.nic, size, opcode=Opcode.READ,
+                execute=lambda: mn.read_bytes(grant.data_offset, size),
+                traffic_class="reclaim",
+            )
+            block.old_content = raw
+            self.stats.bump("reused_blocks")
+        return block
+
+    def flush_bitmaps(self) -> Generator:
+        """Send pending obsolescence bits to their owning servers (only
+        Aceso queues any: replication reuses its slots in place)."""
+        pending = self.blocks.drain_obsolete()
+        by_node: Dict[int, List] = {}
+        for (node, block_id), slots in pending.items():
+            by_node.setdefault(node, []).append(
+                (block_id, sorted(slots.items())))
+        for node, entries in by_node.items():
+            if not self.fabric.is_alive(node):
+                for block_id, slots in entries:
+                    for slot, ts in slots:
+                        self.blocks.mark_obsolete(node, block_id, slot,
+                                                  now=ts)
+                continue
+            try:
+                yield from self._rpc(self.servers[node], "update_bitmaps",
+                                     entries, response_size=64)
+            except NodeFailedError:
+                for block_id, slots in entries:
+                    for slot, ts in slots:
+                        self.blocks.mark_obsolete(node, block_id, slot,
+                                                  now=ts)
+
+
+class _Orphan(NamedTuple):
+    """A written KV pair whose commit CAS lost (not referenced by any
+    slot), with what re-stamping its Slot Version needs."""
+
+    kv: GlobalAddress
+    delta: Optional[GlobalAddress]
+    #: Slot Version field of the slot's previous contents (0 in a fresh
+    #: block): the delta block holds ``old ^ current``.
+    old_field: int
+
+
+class AcesoClient(DMClient):
+    """A client speaking Aceso's protocol on 16 B slots."""
+
+    def __init__(self, cluster, cli_id: int, cn):
+        super().__init__(cluster, cli_id, cn)
+        self.layout = cluster.layout
+        self.codec = cluster.codec
+        if self.cache.policy == "addr_value":
+            self._search_hit = self._search_cached_addr
+
+    def start_background(self) -> None:
+        """Start the periodic free-bitmap flush (§3.3.3 step 1)."""
+        self._procs.append(self.env.process(
+            self._bitmap_flush_loop(), name=f"bitmaps@cli{self.cli_id}"
+        ))
+
+    def search_many(self, keys) -> Generator:
+        """Batched SEARCH: resolve several keys with doorbell-batched verb
+        groups (one op cost per touched MN per stage); returns
+        ``{key: ("ok", value) | ("miss", None) | ("error", exc)}``.
+
+        Used by the serving front-end; semantically equivalent to issuing
+        :meth:`search` per key (corner cases fall back to exactly that).
+        """
+        obs = self.obs
+        if not obs.enabled:
+            return _search_many(self, keys, NULL_SPAN)
+        return self._traced_op("MULTIGET", _search_many, self, keys)
+
+    # ------------------------------------------------------------------
+    # SEARCH: the addr+value cache hit (§3.5.1)
+    # ------------------------------------------------------------------
+
+    def _search_cached_addr(self, key: bytes, home: int,
+                            entry: CacheEntry) -> Generator:
+        """Aceso's cache hit: KV read + 16 B slot read, in parallel."""
+        ga = GlobalAddress.unpack(entry.atomic_word & ADDR_MASK)
+        kv_ev = self._post_read(ga.node_id, ga.offset,
+                                entry.len_units * SIZE_UNIT)
+        slot_ev = self._post_read(entry.slot_node, entry.slot_offset,
+                                  WIDE_SLOT_SIZE)
+        kv_raw, slot_raw = yield self.env.all_of([kv_ev, slot_ev])
+        current_word, meta_word = WIDE_SLOT.unpack(slot_raw)
+        if current_word == entry.atomic_word:
+            if entry.heat:
+                entry.looked(False)
+            record = self._parse_or_none(kv_raw, key)
+            if record is not None:
+                return record
+            # Stale length or fp collision: fall through to a fresh query.
+            self.cache.invalidate(key)
+            record = yield from self._search_via_index(key, home)
+            return record
+        # Slot changed: read the new KV directly — no bucket query needed.
+        self.stats.bump("cache_slot_changed")
+        entry.looked(True)
+        new_atomic = AtomicField.unpack(current_word)
+        if new_atomic.empty:
+            # The slot was vacated (e.g. recovery re-placed the key in a
+            # different free slot): only a full query is authoritative.
+            self.cache.invalidate(key)
+            record = yield from self._search_via_index(key, home)
+            return record
+        record, raw = yield from self._read_kv_checked(
+            new_atomic.addr, max(meta_word & LEN_MASK, 1) * SIZE_UNIT, key
+        )
+        if record is not None:
+            entry.atomic_word = current_word
+            entry.meta_word = meta_word
+            entry.len_units = len(raw) // SIZE_UNIT
+            self.cache.store(key, entry)
+            return record
+        self.cache.invalidate(key)
+        record = yield from self._search_via_index(key, home)
+        return record
+
     # ------------------------------------------------------------------
     # degraded read (§3.4.1)
     # ------------------------------------------------------------------
@@ -527,12 +674,6 @@ class AcesoClient:
     # write path (Algorithm 1)
     # ------------------------------------------------------------------
 
-    def _write(self, key: bytes, value: bytes, op: str) -> Generator:
-        obs = self.obs
-        if obs is None or not obs.enabled:
-            return self._write_inner(key, value, op, NULL_SPAN)
-        return self._traced_op(op, self._write_inner, key, value, op)
-
     def _write_inner(self, key: bytes, value: bytes, op: str,
                      sp) -> Generator:
         t0 = self.env.now
@@ -540,7 +681,10 @@ class AcesoClient:
         cas_count = 0
         retries = 0
         while retries < RETRY_BUDGET:
-            yield from self._ensure_home_writable(home)
+            # Writes to a failed MN's index range block until its Index
+            # Area is recovered (§3.4.1).
+            while not self.master.mn_writable(home):
+                yield self.master.milestone(home, "index_recovered")
             # Incarnation of the home index the located slot was verified
             # under: a cached slot address carries the one it was stored
             # under (taken before the lookup below; no yield in between).
@@ -645,7 +789,8 @@ class AcesoClient:
             writes = [self._post_write(kv_addr.node_id, kv_addr.offset,
                                        kv_bytes)]
             if delta_addr is not None:
-                writes.append(self._delta_write_event(delta_addr, delta_bytes))
+                writes.append(self._post_write(
+                    delta_addr.node_id, delta_addr.offset, delta_bytes))
             try:
                 yield self.env.all_of(writes)
             except NodeFailedError:
@@ -713,7 +858,7 @@ class AcesoClient:
                     "little"))
                 # Inserts race for an empty slot and a rollover holds the
                 # Meta lock: neither can be served from the slot alone.
-                keep = self.wide and not (fresh_insert or rolled)
+                keep = not (fresh_insert or rolled)
                 with self._phase("cas_retry"):
                     won, rounds = yield from self._resolve_conflict(
                         home, slot_offset, slot_epoch, fp, size_class,
@@ -748,9 +893,6 @@ class AcesoClient:
             return
         raise RetryBudgetExceeded(f"{op} {key!r} exceeded {RETRY_BUDGET} retries")
 
-    def _delta_write_event(self, delta_addr: GlobalAddress, data: bytes):
-        return self._post_write(delta_addr.node_id, delta_addr.offset, data)
-
     def _wait_or_takeover(self, key, home, bucket, slot, meta_locked):
         """Meta locked by another client: poll, then take over after the
         timeout (remark 2 of §3.2.2).  Returns the new meta word when the
@@ -784,10 +926,9 @@ class AcesoClient:
         small round trip more, and the CAS loses only to a true race.
         The entry's ``heat`` picks (trust while no look at the slot found
         it changed, and again after two unchanged looks in a row); only
-        the addr_value cache on wide slots refreshes — the slot address
-        is that cache's feature (§3.5.1), and FUSEE and the earlier factor
-        steps keep their verbs.  Without a hit the candidate buckets are
-        queried.
+        the addr_value cache refreshes — the slot address is that cache's
+        feature (§3.5.1), and the +CKPT factor step keeps its verbs.
+        Without a hit the candidate buckets are queried.
 
         Raises ``NodeFailedError`` when a refresh finds the home MN
         failed since the entry was stored.
@@ -795,34 +936,15 @@ class AcesoClient:
         cache = self.cache
         entry = cache.lookup(key)
         if entry is not None and entry.slot_offset >= 0:
-            if not (entry.heat and self.wide
-                    and cache.policy == "addr_value"):
+            if not (entry.heat and cache.policy == "addr_value"):
                 return (entry.bucket, entry.slot, entry.atomic_word,
                         entry.meta_word, False)
             pair = yield from self._refresh_slot(key, home, entry)
             if pair is not None:
                 return (entry.bucket, entry.slot, *pair, False)
             cache.invalidate(key)
-        buckets = yield from self._query_buckets(key, home)
-        _match, free, matches = self._find_slot(key, buckets)
-        # Verify fingerprint candidates actually hold this key.
-        for bucket, slot, atomic_word, meta_word in matches:
-            addr = atomic_word & _ADDR_MASK
-            len_units = ((meta_word & 0xFF) if self.wide
-                         else (atomic_word >> 48) & 0xFF)
-            record, _ = yield from self._read_kv_checked(
-                addr, max(len_units, 1) * SIZE_UNIT, key
-            )
-            if record is not None:
-                return bucket, slot, atomic_word, meta_word, False
-        if op in ("UPDATE", "DELETE"):
-            return None
-        if not free:
-            raise IndexFullError(f"no free slot for {key!r}")
-        # Spread concurrent inserts across the free positions (picking the
-        # first free slot would make unrelated keys contend on one CAS).
-        bucket, slot = free[hash64(key, b"slotpick") % len(free)]
-        return bucket, slot, 0, 0, True
+        located = yield from self._locate_in_buckets(key, home, op)
+        return located
 
     def _refresh_slot(self, key: bytes, home: int,
                       entry: CacheEntry) -> Generator:
@@ -835,20 +957,20 @@ class AcesoClient:
         `_resolve_conflict` does: index recovery may re-key a slot, and a
         fingerprint match alone would then adopt another key's slot.
         """
-        raw = yield self._post_read(home, entry.slot_offset, 16)
+        raw = yield self._post_read(home, entry.slot_offset, WIDE_SLOT_SIZE)
         master = self.master
         if not master.mn_writable(home) \
                 or master.mn_incarnation(home) != entry.home_epoch:
             raise NodeFailedError(home, "home index recovered since the "
                                   "slot was cached")
         self.stats.bump("slot_refreshes")
-        atomic_word, meta_word = _WIDE_SLOT.unpack(raw)
+        atomic_word, meta_word = WIDE_SLOT.unpack(raw)
         changed = atomic_word != entry.atomic_word
         entry.looked(changed)
         if changed:
             self.stats.bump("slot_refresh_stale")
             if atomic_word >> 56 != fingerprint8(key) \
-                    or atomic_word & _ADDR_MASK == 0:
+                    or atomic_word & ADDR_MASK == 0:
                 return None
         return atomic_word, meta_word
 
@@ -922,10 +1044,10 @@ class AcesoClient:
         rounds = 0
         while rounds < budget:
             try:
-                raw = yield self._post_read(home, slot_offset, 16)
+                raw = yield self._post_read(home, slot_offset, WIDE_SLOT_SIZE)
             except NodeFailedError:
                 break
-            atomic_word, meta_word = _WIDE_SLOT.unpack(raw)
+            atomic_word, meta_word = WIDE_SLOT.unpack(raw)
             atomic = AtomicField.unpack(atomic_word)
             meta = MetaField.unpack(meta_word)
             if (atomic.fp != fp or atomic.addr == 0 or atomic.ver == 0xFF
@@ -971,100 +1093,9 @@ class AcesoClient:
             self.blocks.mark_obsolete(ga.node_id, block_id, intra,
                                       now=self.env.now)
 
-    def _locate_block_slot(self, ga: GlobalAddress):
-        """(block_id, intra-block byte offset) of a KV address."""
-        mn = self.mns[ga.node_id]
-        try:
-            return mn.blocks.locate(ga.offset)
-        except IndexError:
-            return None, None
-
     # ------------------------------------------------------------------
-    # block lifecycle
+    # sealing and bitmap flushes
     # ------------------------------------------------------------------
-
-    def _get_write_slot(self, size_class) -> Generator:
-        slot_size = size_class.slot_size
-        block = self.blocks.open_block(slot_size)
-        if block is None:
-            old = self.blocks.retire(slot_size)
-            if old is not None:
-                self._seal_async(old)
-            block = self._take_prefetched(slot_size)
-            if block is None:
-                block = yield from self._fetch_block(size_class)
-            self.blocks.install(slot_size, block)
-        slot = block.take_slot()
-        # Allocate the next block ahead of time so the allocation RPC
-        # chain never sits on the write critical path.
-        if block.slots_left() == PREFETCH_MARGIN:
-            self._start_prefetch(size_class)
-        return block, slot
-
-    def _take_prefetched(self, slot_size: int) -> Optional[OpenBlock]:
-        return self._prefetched.pop(slot_size, None)
-
-    def _start_prefetch(self, size_class) -> None:
-        slot_size = size_class.slot_size
-        if slot_size in self._prefetching or slot_size in self._prefetched:
-            return
-        self._prefetching.add(slot_size)
-        self._spawn(self._prefetch_block(size_class),
-                    name=f"prefetch@cli{self.cli_id}")
-
-    def _prefetch_block(self, size_class) -> Generator:
-        try:
-            block = yield from self._fetch_block(size_class)
-            self._prefetched[size_class.slot_size] = block
-        except (AllocationError, NodeFailedError):
-            pass  # the write path will allocate synchronously instead
-        finally:
-            self._prefetching.discard(size_class.slot_size)
-
-    def _fetch_block(self, size_class) -> Generator:
-        """Allocate one block (plus its DELTA twin) and fetch the old
-        contents when it is a reused block (§3.3.3)."""
-        slot_size = size_class.slot_size
-        grant = None
-        for _attempt in range(64):
-            leader = self._leader()
-            try:
-                grant = yield from self._rpc(leader, "alloc_block",
-                                             self.cli_id, slot_size,
-                                             response_size=128)
-                break
-            except AllocationError:
-                # Pool under pressure: back off so bitmap flushes can
-                # surface reclamation candidates (§3.3.3), then retry.
-                yield from self.flush_bitmaps()
-                yield self.env.timeout(
-                    self.config.reclamation.bitmap_flush_interval
-                )
-            except NodeFailedError:
-                # Leader crashed mid-allocation; wait out the failover
-                # and retry against the new leader.
-                yield self.env.timeout(LOCK_TIMEOUT)
-        if grant is None:
-            raise AllocationError("block allocation failed repeatedly")
-        block = OpenBlock(grant, size_class)
-        block.epoch = (
-            self.master.mn_incarnation(grant.data_node),
-            self.master.mn_incarnation(grant.delta_node)
-            if grant.delta_node >= 0 else 0,
-        )
-        if block.needs_old_content:
-            # Read the whole reused block once (§3.3.3) — chunked so
-            # other clients' verbs interleave.
-            mn = self.mns[grant.data_node]
-            size = self.config.cluster.block_size
-            raw = yield self.fabric.transfer(
-                self.nic, mn.nic, size, opcode=Opcode.READ,
-                execute=lambda: mn.read_bytes(grant.data_offset, size),
-                traffic_class="reclaim",
-            )
-            block.old_content = raw
-            self.stats.bump("reused_blocks")
-        return block
 
     def _maybe_seal(self, size_class, block: OpenBlock) -> None:
         """Seal the block (asynchronously) once its last slot was written."""
@@ -1096,26 +1127,3 @@ class AcesoClient:
         while True:
             yield self.env.timeout(interval)
             yield from self.flush_bitmaps()
-
-    def flush_bitmaps(self) -> Generator:
-        """Send pending obsolescence bits to their owning servers."""
-        pending = self.blocks.drain_obsolete()
-        by_node: Dict[int, List] = {}
-        for (node, block_id), slots in pending.items():
-            by_node.setdefault(node, []).append(
-                (block_id, sorted(slots.items())))
-        for node, entries in by_node.items():
-            if not self.fabric.is_alive(node):
-                for block_id, slots in entries:
-                    for slot, ts in slots:
-                        self.blocks.mark_obsolete(node, block_id, slot,
-                                                  now=ts)
-                continue
-            try:
-                yield from self._rpc(self.servers[node], "update_bitmaps",
-                                     entries, response_size=64)
-            except NodeFailedError:
-                for block_id, slots in entries:
-                    for slot, ts in slots:
-                        self.blocks.mark_obsolete(node, block_id, slot,
-                                                  now=ts)

@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Sequence, Tuple
 from ..errors import KeyNotFoundError, NodeFailedError, RetryBudgetExceeded
 from ..index.cache import CacheEntry
 from ..index.hashing import home_of
-from ..index.slot import AtomicField, MetaField
+from ..index.slot import ADDR_MASK, LEN_MASK, WIDE_SLOT_SIZE, AtomicField
 from ..memory.address import GlobalAddress
 from ..memory.slab import SIZE_UNIT
 from ..obs.trace import NULL_SPAN
@@ -115,14 +115,13 @@ def search_many(client, keys: Sequence[bytes], sp=NULL_SPAN) -> Generator:
     if cached:
         groups: Dict[int, List[Verb]] = {}
         plans = []
-        slot_size = 16 if client.wide else 8
         for key, entry in cached:
             atomic = AtomicField.unpack(entry.atomic_word)
             ga = GlobalAddress.unpack(atomic.addr)
             kv_len = max(entry.len_units, 1) * SIZE_UNIT
             kv_ref = _add_read(client, groups, ga.node_id, ga.offset, kv_len)
             slot_ref = _add_read(client, groups, entry.slot_node,
-                                 entry.slot_offset, slot_size)
+                                 entry.slot_offset, WIDE_SLOT_SIZE)
             plans.append((key, entry, kv_ref, slot_ref))
         results = yield from _post_groups(client, groups)
         for key, entry, kv_ref, slot_ref in plans:
@@ -171,8 +170,10 @@ def search_many(client, keys: Sequence[bytes], sp=NULL_SPAN) -> Generator:
             if raw1 is None or raw2 is None:
                 fallback.append(key)
                 continue
+            index = client._index_of(home)
             _m, _free, matches = client._find_slot(
-                key, [(b1, raw1), (b2, raw2)])
+                key, [(b1, index.slot_words(raw1)),
+                      (b2, index.slot_words(raw2))])
             if not matches:
                 resolved.append(key)
                 client.stats.bump("search_miss")
@@ -183,13 +184,8 @@ def search_many(client, keys: Sequence[bytes], sp=NULL_SPAN) -> Generator:
                 fallback.append(key)
                 continue
             bucket, slot, atomic_word, meta_word = matches[0]
-            if client.wide:
-                addr = AtomicField.unpack(atomic_word).addr
-                len_units = MetaField.unpack(meta_word).len_units
-            else:
-                addr = atomic_word & ((1 << 48) - 1)
-                len_units = (atomic_word >> 48) & 0xFF
-            ga = GlobalAddress.unpack(addr)
+            len_units = meta_word & LEN_MASK
+            ga = GlobalAddress.unpack(atomic_word & ADDR_MASK)
             ref = _add_read(client, kv_groups, ga.node_id, ga.offset,
                             max(len_units, 1) * SIZE_UNIT)
             kv_plans.append((key, home, bucket, slot, atomic_word,

@@ -1419,11 +1419,7 @@ def restart_client(cluster, old_client, cn=None):
         new_cn = cn
     else:
         new_cn = next(c for c in cluster.cns.values() if c.alive)
-    client = AcesoClient(cluster.env, cluster.fabric, cluster.config,
-                         old_client.cli_id, new_cn, cluster.mns,
-                         cluster.servers, cluster.master, cluster.layout,
-                         cluster.codec, cluster.stats,
-                         obs=getattr(cluster, "obs", None))
+    client = AcesoClient(cluster, old_client.cli_id, new_cn)
     cluster.clients.append(client)
     proc = cluster.env.process(_client_recovery(cluster, client),
                                name=f"cn-recover(cli{client.cli_id})")

@@ -797,8 +797,6 @@ class AcesoServer:
         return self._meta_neighbor()
 
     def _checkpoint_loop(self):
-        if self.config.ft.index_mode != "checkpoint":
-            return
         interval = self.config.checkpoint.interval
         while True:
             started = self.env.now

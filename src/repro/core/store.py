@@ -87,6 +87,13 @@ class ClusterBase:
         self._started = False
         self.obs.attach_cluster(self)
 
+    def _add_clients(self, client_cls) -> None:
+        """One client per (CN, slot), numbered in that order."""
+        per_cn = self.config.cluster.clients_per_cn
+        for i, cn in enumerate(self.cns.values()):
+            for slot in range(per_cn):
+                self.clients.append(client_cls(self, i * per_cn + slot, cn))
+
     # -- running -----------------------------------------------------------
 
     def run(self, until: float) -> None:
@@ -160,11 +167,9 @@ class AcesoCluster(ClusterBase):
         if config is None:
             from ..config import aceso_config
             config = aceso_config()
-        if config.ft.kv_scheme != "ec" or config.ft.index_mode != "checkpoint":
-            raise ConfigError(
-                "AcesoCluster requires kv_scheme='ec' and "
-                "index_mode='checkpoint'; use FuseeCluster for replication"
-            )
+        if config.ft.index_mode != "checkpoint":
+            raise ConfigError("AcesoCluster requires index_mode='checkpoint'; "
+                              "use FuseeCluster for replication")
         super().__init__(config, env, obs)
         coding = config.coding
         if config.cluster.num_mns != coding.group_size:
@@ -186,16 +191,7 @@ class AcesoCluster(ClusterBase):
             server.servers = self.servers
         self.servers[0].directory = StripeDirectory(coding.k, coding.m)
 
-        cluster = config.cluster
-        cli_id = 0
-        for cn in self.cns.values():
-            for _slot in range(cluster.clients_per_cn):
-                client = AcesoClient(self.env, self.fabric, config, cli_id,
-                                     cn, self.mns, self.servers, self.master,
-                                     self.layout, self.codec, self.stats,
-                                     obs=self.obs)
-                self.clients.append(client)
-                cli_id += 1
+        self._add_clients(AcesoClient)
 
         from .recovery import MemoryNodeRecovery
         self._recovery = MemoryNodeRecovery(self)
@@ -242,14 +238,14 @@ class AcesoCluster(ClusterBase):
         """Block-Area byte accounting for Fig. 12."""
         block_size = self.config.cluster.block_size
         valid = obsolete = redundancy = delta = unused = 0
-        open_blocks = set()
+        # Slots written so far in each open block (if two clients list
+        # one block, the first one counts).
+        open_fill: Dict[tuple, int] = {}
         for client in self.clients:
-            for block in client.blocks.all_open():
-                open_blocks.add((block.grant.data_node,
-                                 block.grant.data_block))
-            for block in client._prefetched.values():
-                open_blocks.add((block.grant.data_node,
-                                 block.grant.data_block))
+            for block in client.open_blocks():
+                open_fill.setdefault(
+                    (block.grant.data_node, block.grant.data_block),
+                    block.writes_done)
         for i, mn in self.mns.items():
             for meta in mn.blocks.meta:
                 if meta.role is Role.PARITY:
@@ -260,9 +256,9 @@ class AcesoCluster(ClusterBase):
                     if meta.free_bitmap is None or meta.slots == 0:
                         continue
                     dead = meta.free_bitmap.popcount()
-                    if (i, meta.block_id) in open_blocks:
+                    written = open_fill.get((i, meta.block_id))
+                    if written is not None:
                         # Unfilled tail of a currently-open block.
-                        written = self._written_slots(i, meta.block_id)
                         unused += (meta.slots - written) * meta.slot_size
                         valid += (written - dead) * meta.slot_size
                     else:
@@ -270,15 +266,6 @@ class AcesoCluster(ClusterBase):
                     obsolete += dead * meta.slot_size
                     unused += block_size - meta.slots * meta.slot_size
         return MemoryDistribution(valid, obsolete, redundancy, delta, unused)
-
-    def _written_slots(self, node: int, block_id: int) -> int:
-        for client in self.clients:
-            for block in (list(client.blocks.all_open())
-                          + list(client._prefetched.values())):
-                if (block.grant.data_node, block.grant.data_block) \
-                        == (node, block_id):
-                    return block.writes_done
-        return 0
 
     def leader_server(self) -> AcesoServer:
         alive = sorted(i for i in self.servers if self.mns[i].alive)

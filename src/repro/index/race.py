@@ -16,13 +16,24 @@ paid by the verbs whose ``execute`` closures call into it.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+import struct
+from typing import Iterator, List, Optional, Tuple
 
 from ..memory.region import MemoryRegion
 from .hashing import bucket_pair
-from .slot import COMPACT_SLOT_SIZE, WIDE_SLOT_SIZE, AtomicField, MetaField
+from .slot import (
+    COMPACT_SLOT_SIZE,
+    LEN_MASK,
+    WIDE_SLOT,
+    WIDE_SLOT_SIZE,
+    AtomicField,
+    CompactSlot,
+    MetaField,
+)
 
 __all__ = ["RaceIndex"]
+
+_COMPACT_SLOT = struct.Struct("<Q")
 
 
 class RaceIndex:
@@ -106,11 +117,37 @@ class RaceIndex:
             raise ValueError(
                 f"bucket image of {len(raw)} bytes, expected {self.bucket_size}"
             )
-        words = []
-        for s in range(self.bucket_slots):
-            off = s * self.slot_size
-            words.append(int.from_bytes(raw[off:off + 8], "little"))
-        return words
+        return [atomic for atomic, _meta in self.slot_words(raw)]
+
+    def slot_words(self, raw: bytes) -> List[Tuple[int, int]]:
+        """(Atomic word, Meta word) of every slot of a raw bucket image.
+
+        A compact slot has no Meta field: its ``len`` stands in the Meta
+        position, so ``atomic & ADDR_MASK`` and ``meta & LEN_MASK`` read
+        a slot's address and length in either format.
+        """
+        if self.wide:
+            return list(WIDE_SLOT.iter_unpack(raw))
+        return [(atomic, (atomic >> 48) & LEN_MASK)
+                for (atomic,) in _COMPACT_SLOT.iter_unpack(raw)]
+
+    # -- slot encoding (FUSEE's commit) ---------------------------------------
+
+    def commit_word(self, fp: int, old_word: int, addr: int,
+                    len_units: int) -> int:
+        """The word a replicated commit CASes over *old_word* to publish
+        the KV pair at packed *addr*: a wide slot's Atomic field with
+        ``ver`` bumped (its ``len`` lives in Meta), or a compact slot that
+        names ``len`` itself."""
+        if self.wide:
+            ver = (AtomicField.unpack(old_word).ver + 1) & 0xFF
+            return AtomicField(fp=fp, ver=ver, addr=addr).pack()
+        return CompactSlot(fp=fp, len_units=len_units, addr=addr).pack()
+
+    def insert_meta(self, len_units: int) -> Optional[int]:
+        """The Meta word a fresh INSERT publishes before its commit CAS,
+        or None: a compact slot has no Meta field."""
+        return MetaField(0, len_units).pack() if self.wide else None
 
     # -- whole-index iteration (server/recovery/tests) -------------------------
 

@@ -14,10 +14,15 @@ with ``ver`` (lower 8 bits).
 
 The FUSEE baseline keeps the original compact 8-byte slot:
 ``fp`` | ``len`` | ``addr``.
+
+Clients decode whole slots through :class:`~repro.index.race.RaceIndex`,
+which presents both formats as (Atomic word, Meta word) pairs: ``addr``
+is ``atomic & ADDR_MASK`` and ``len`` is ``meta & LEN_MASK`` in either.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,12 +35,20 @@ __all__ = [
     "INVALID_SLOT_VERSION",
     "WIDE_SLOT_SIZE",
     "COMPACT_SLOT_SIZE",
+    "WIDE_SLOT",
+    "ADDR_MASK",
+    "LEN_MASK",
 ]
 
 WIDE_SLOT_SIZE = 16
 COMPACT_SLOT_SIZE = 8
 
-_ADDR_MASK = (1 << 48) - 1
+#: One wide slot as read off the wire: (Atomic word, Meta word).
+WIDE_SLOT = struct.Struct("<QQ")
+#: The 48-bit ``addr`` of an Atomic (or compact) slot word.
+ADDR_MASK = (1 << 48) - 1
+#: The 8-bit ``len`` of a Meta word (64 B units).
+LEN_MASK = 0xFF
 _EPOCH_MASK = (1 << 56) - 1
 
 # The slot words are decoded on every op: ``unpack`` builds the tuple
@@ -74,14 +87,14 @@ class AtomicField(NamedTuple):
             raise ValueError(f"fp out of range: {self.fp}")
         if not 0 <= self.ver <= 0xFF:
             raise ValueError(f"ver out of range: {self.ver}")
-        if not 0 <= self.addr <= _ADDR_MASK:
+        if not 0 <= self.addr <= ADDR_MASK:
             raise ValueError(f"addr out of range: {self.addr:#x}")
         return (self.fp << 56) | (self.ver << 48) | self.addr
 
     @classmethod
     def unpack(cls, word: int) -> "AtomicField":
         return _new(cls, ((word >> 56) & 0xFF, (word >> 48) & 0xFF,
-                          word & _ADDR_MASK))
+                          word & ADDR_MASK))
 
     @property
     def empty(self) -> bool:
@@ -128,14 +141,14 @@ class CompactSlot:
             raise ValueError(f"fp out of range: {self.fp}")
         if not 0 <= self.len_units <= 0xFF:
             raise ValueError(f"len out of range: {self.len_units}")
-        if not 0 <= self.addr <= _ADDR_MASK:
+        if not 0 <= self.addr <= ADDR_MASK:
             raise ValueError(f"addr out of range: {self.addr:#x}")
         return (self.fp << 56) | (self.len_units << 48) | self.addr
 
     @classmethod
     def unpack(cls, word: int) -> "CompactSlot":
         return cls(fp=(word >> 56) & 0xFF, len_units=(word >> 48) & 0xFF,
-                   addr=word & _ADDR_MASK)
+                   addr=word & ADDR_MASK)
 
     @property
     def empty(self) -> bool:

@@ -58,9 +58,5 @@ class SizeClasser:
             self._classes[slot_size] = cls
         return cls
 
-    def class_for_len_units(self, len_units: int) -> SizeClass:
-        """Class addressed by an index slot's ``len`` field."""
-        return self.class_for(len_units * SIZE_UNIT)
-
     def known_classes(self) -> List[SizeClass]:
         return [self._classes[k] for k in sorted(self._classes)]

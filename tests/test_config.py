@@ -19,7 +19,6 @@ from repro.errors import ConfigError
 def test_default_aceso_valid():
     cfg = aceso_config()
     assert cfg.ft.index_mode == "checkpoint"
-    assert cfg.ft.kv_scheme == "ec"
     assert cfg.coding.k + cfg.coding.m == cfg.coding.group_size
 
 
@@ -65,7 +64,7 @@ def test_coding_validation():
 def test_ft_validation():
     with pytest.raises(ConfigError):
         FaultToleranceConfig(index_mode="raid").validate()
-    for field in ("index_mode", "kv_scheme", "cache_policy"):
+    for field in ("index_mode", "cache_policy"):
         with pytest.raises(ConfigError):
             FaultToleranceConfig(**{field: "none"}).validate()
     with pytest.raises(ConfigError):

@@ -209,7 +209,8 @@ def test_match_fingerprint_and_free():
     fp = fingerprint8(key)
     index.write_atomic(0, 1, AtomicField(fp=fp, ver=0, addr=5))
     raw = index.region.read(index.bucket_offset(0), index.bucket_size)
-    _match, free, matches = client._find_slot(key, [(0, raw)])
+    _match, free, matches = client._find_slot(key,
+                                              [(0, index.slot_words(raw))])
     assert [(b, s) for b, s, _atomic, _meta in matches] == [(0, 1)]
     assert (0, 1) not in free
     assert (0, 0) in free

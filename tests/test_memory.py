@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.errors import AllocationError
 from repro.memory import (
-    SIZE_UNIT,
     BlockMeta,
     BlockStore,
     FreeBitmap,
@@ -361,11 +360,6 @@ def test_size_class_exact_multiple():
 def test_size_class_cached():
     classer = SizeClasser(8192)
     assert classer.class_for(100) is classer.class_for(128)
-
-
-def test_size_class_by_len_units():
-    classer = SizeClasser(8192)
-    assert classer.class_for_len_units(4).slot_size == 4 * SIZE_UNIT
 
 
 def test_size_class_slot_offsets():
