@@ -1,14 +1,6 @@
-"""Ablations: recovery pipelining, checkpoint compression, codec choice."""
+"""Ablations: checkpoint compression, codec choice."""
 
 from conftest import regen
-
-
-def test_ablation_pipeline_helps_recovery(benchmark):
-    result = regen(benchmark, "abl-pipeline")
-    on = result.lookup(pipeline=True)
-    off = result.lookup(pipeline=False)
-    assert on["lblock_ms"] + on["old_ms"] <= \
-        (off["lblock_ms"] + off["old_ms"]) * 1.05
 
 
 def test_ablation_compression_shrinks_traffic(benchmark):
@@ -28,13 +20,3 @@ def test_ablation_offline_ec_hides_codec_cost(benchmark):
     # ...but the RS EC core works harder
     assert rs["ec_core_util"] >= xor["ec_core_util"] * 0.9
 
-
-def test_ablation_parallel_recovery_extension(benchmark):
-    """The paper's future work: CN-distributed stripe recovery."""
-    result = regen(benchmark, "abl-parallel-recovery")
-    one = result.lookup(workers=1)
-    four = result.lookup(workers=4)
-    # fan-out must not slow recovery down, and typically speeds the
-    # block phase up
-    assert four["block_ms"] <= one["block_ms"] * 1.1
-    assert four["total_ms"] <= one["total_ms"] * 1.15

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from .ablations import (
-    run_ablation_codec_writes,
-    run_ablation_compression,
-    run_ablation_parallel_recovery,
-    run_ablation_pipeline,
-)
+from .ablations import run_ablation_codec_writes, run_ablation_compression
 from .common import SCALES, FigureResult, Scale
 from .fig_block import run_fig20
 from .fig_ckpt import run_fig17, run_fig19
@@ -52,8 +47,6 @@ REGISTRY: Dict[str, Callable[[Scale], FigureResult]] = {
     "fig20": run_fig20,
     "tab02": run_tab02,
     "tab03": run_tab03,
-    "abl-pipeline": run_ablation_pipeline,
-    "abl-parallel-recovery": run_ablation_parallel_recovery,
     "abl-compression": run_ablation_compression,
     "abl-codec": run_ablation_codec_writes,
 }
@@ -68,9 +61,12 @@ def run_figure(name: str, scale: str = "smoke") -> FigureResult:
             f"unknown figure {name!r}; choose from {sorted(REGISTRY)}"
         ) from None
     result = runner(SCALES[scale])
-    from ..checkpoint.compress import default_codec_name
+    from ..checkpoint.compress import make_compressor
+    from ..config import CheckpointConfig
     from .common import bench_seed
     result.meta.setdefault("scale", scale)
     result.meta.setdefault("seed", bench_seed())
-    result.meta.setdefault("checkpoint_codec", default_codec_name())
+    result.meta.setdefault(
+        "checkpoint_codec",
+        make_compressor(CheckpointConfig.compression).name)
     return result

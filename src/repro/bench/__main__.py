@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -52,6 +53,8 @@ def main(argv=None) -> int:
         return 0
 
     targets = sorted(REGISTRY) if "all" in args.targets else args.targets
+    # BENCH and TRACE files land here: create it before anything runs.
+    os.makedirs(args.json_dir, exist_ok=True)
     start = time.perf_counter()
     runs = run_targets(targets, args.scale, seed=args.seed,
                        repeat=args.repeat, jobs=args.jobs,

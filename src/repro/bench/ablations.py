@@ -2,99 +2,23 @@
 
 Not figures from the paper — these isolate individual Aceso mechanisms:
 
-* ``recovery_pipeline`` — the two-stage read/decode pipeline of §3.4.1
-  remark 1, on vs off (block-recovery time).
 * ``ckpt_compression`` — differential checkpointing with vs without
   compression (bytes on the wire per round and SEARCH throughput).
 * ``codec_writes`` — XOR vs RS codec under a 100% UPDATE load: since
   erasure coding is *offline* (§3.3.2), the client-visible write path
   should be nearly identical; only the MN EC-core utilisation differs.
+
+MN recovery has no ablation: its read/decode pipeline (§3.4.1 remark 1)
+has no off switch, and ``tests/test_recovery.py`` pins that it keeps the
+recovering NIC busy.
 """
 
 from __future__ import annotations
 
-from ..workloads import WorkloadRunner, load_ops
-from .common import (
-    FigureResult,
-    bench_seed,
-    Scale,
-    build_cluster,
-    load_micro,
-    micro_throughput,
-)
-from .fig_recovery import crash_recover_report
+from .common import (FigureResult, Scale, build_cluster, load_micro,
+                     micro_throughput)
 
-__all__ = ["run_ablation_pipeline", "run_ablation_compression",
-           "run_ablation_codec_writes", "run_ablation_parallel_recovery"]
-
-
-def run_ablation_parallel_recovery(scale: Scale) -> FigureResult:
-    """The paper's stated future work: distribute stripe recovery across
-    CN workers (RAMCloud-style) instead of one recovering server."""
-    result = FigureResult(
-        figure="abl-parallel-recovery",
-        title="Extension: parallel stripe-recovery workers (paper's "
-              "future work)",
-        columns=["workers", "index_ms", "block_ms", "total_ms"],
-        notes="Expected: worker fan-out shortens block recovery — shard "
-              "reads spread over many CN NICs and only reconstructed "
-              "blocks reach the recovering MN.",
-    )
-    for workers in (1, 2, 4):
-        def mutate(cfg, workers=workers):
-            cfg.coding.recovery_workers = workers
-            cfg.checkpoint.interval = 0.02
-
-        cluster = build_cluster("aceso", scale, mutate=mutate)
-        runner = WorkloadRunner(cluster)
-        from .fig_recovery import recovery_keys
-        keys = recovery_keys(scale, blocks_per_client=4.0)
-        runner.load([load_ops(c.cli_id, keys, scale.kv_size - 64,
-                              seed=bench_seed())
-                     for c in cluster.clients])
-        cluster.run(cluster.env.now + 0.2)
-        report = crash_recover_report(cluster)
-        result.add(workers=workers,
-                   index_ms=report.index_time * 1e3,
-                   block_ms=report.block_time * 1e3,
-                   total_ms=report.total_time * 1e3)
-    block = result.series("block_ms")
-    result.add_verdict("worker fan-out shortens block recovery",
-                       block[-1] < block[0],
-                       f"{block[0]:.1f} -> {block[-1]:.1f} ms (1 -> 4 "
-                       "workers)")
-    return result
-
-
-def run_ablation_pipeline(scale: Scale) -> FigureResult:
-    result = FigureResult(
-        figure="abl-pipeline",
-        title="Ablation: two-stage recovery pipelining",
-        columns=["pipeline", "lblock_ms", "old_ms", "total_ms"],
-        notes="Expected: pipelining overlaps stripe reads with decode, "
-              "shortening block recovery.",
-    )
-    for pipeline in (True, False):
-        def mutate(cfg, pipeline=pipeline):
-            cfg.coding.recovery_pipeline = pipeline
-            cfg.checkpoint.interval = 0.02
-
-        cluster = build_cluster("aceso", scale, mutate=mutate)
-        runner = WorkloadRunner(cluster)
-        runner.load([load_ops(c.cli_id, scale.keys_per_client,
-                              scale.kv_size - 64, seed=bench_seed())
-                     for c in cluster.clients])
-        cluster.run(cluster.env.now + 0.2)
-        report = crash_recover_report(cluster)
-        result.add(pipeline=pipeline,
-                   lblock_ms=report.recover_lblock_s * 1e3,
-                   old_ms=report.recover_old_s * 1e3,
-                   total_ms=report.total_time * 1e3)
-    on = result.lookup(pipeline=True)["total_ms"]
-    off = result.lookup(pipeline=False)["total_ms"]
-    result.add_verdict("pipelining shortens recovery", on < off,
-                       f"{off:.1f} -> {on:.1f} ms")
-    return result
+__all__ = ["run_ablation_compression", "run_ablation_codec_writes"]
 
 
 def run_ablation_compression(scale: Scale) -> FigureResult:

@@ -103,7 +103,7 @@ def run_fig19(scale: Scale) -> FigureResult:
         snapshot1 = arr.tobytes()
         snapshot2 = _dirty_snapshot(snapshot1, rng, _DIRTY_FRACTION)
 
-        ckpt = DifferentialCheckpointer(ZlibCompressor(1), size)
+        ckpt = DifferentialCheckpointer(ZlibCompressor(), size)
         image = ckpt.apply_delta(None, ckpt.make_delta(snapshot1, 1))
         delta = ckpt.make_delta(snapshot2, 2)      # the measured round
         image = ckpt.apply_delta(image, delta)

@@ -132,6 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         names = list(SCENARIOS)
     seeds = [args.seed + i for i in range(max(1, args.seeds))]
+    os.makedirs(args.json_dir, exist_ok=True)
 
     start = time.perf_counter()
     result = run_matrix(names, seeds, trace=args.trace)

@@ -1,10 +1,10 @@
 """Pluggable compression for checkpoint deltas.
 
 The paper uses LZ4 for its speed and notes the algorithm is orthogonal to
-the design.  When the ``lz4`` package is importable the ``"lz4"`` codec
-(and the ``"auto"`` default) binds to the real thing; offline images fall
-back to zlib at level 1 — the same role (fast byte-stream compression of
-a mostly-zero XOR delta).  A null compressor is provided for ablations.
+the design.  Here zlib at level 1 plays that role (fast byte-stream
+compression of a mostly-zero XOR delta) on every host, so the checkpoint
+bytes of a run do not depend on which optional packages are installed.
+A null compressor is provided for the no-compression ablation.
 """
 
 from __future__ import annotations
@@ -14,13 +14,8 @@ import zlib
 
 from ..errors import ConfigError
 
-try:  # optional accelerator; never installed by us (see ISSUE constraints)
-    import lz4.frame as _lz4frame
-except ImportError:  # pragma: no cover - depends on host image
-    _lz4frame = None
-
-__all__ = ["Compressor", "ZlibCompressor", "Lz4Compressor", "NullCompressor",
-           "make_compressor", "default_codec_name"]
+__all__ = ["Compressor", "ZlibCompressor", "NullCompressor",
+           "make_compressor"]
 
 
 class Compressor(abc.ABC):
@@ -38,35 +33,15 @@ class Compressor(abc.ABC):
 
 
 class ZlibCompressor(Compressor):
-    """zlib-backed compressor (LZ4 stand-in; see DESIGN.md)."""
+    """zlib at level 1, its fastest (LZ4 stand-in; see DESIGN.md)."""
 
-    def __init__(self, level: int = 1):
-        if not 0 <= level <= 9:
-            raise ConfigError(f"zlib level out of range: {level}")
-        self.level = level
-        self.name = f"zlib{level}"
+    name = "zlib1"
 
     def compress(self, data: bytes) -> bytes:
-        return zlib.compress(data, self.level)
+        return zlib.compress(data, 1)
 
     def decompress(self, data: bytes) -> bytes:
         return zlib.decompress(data)
-
-
-class Lz4Compressor(Compressor):
-    """The paper's actual codec; available only when ``lz4`` is installed."""
-
-    name = "lz4"
-
-    def __init__(self):
-        if _lz4frame is None:
-            raise ConfigError("lz4 is not installed on this host")
-
-    def compress(self, data: bytes) -> bytes:
-        return _lz4frame.compress(data)
-
-    def decompress(self, data: bytes) -> bytes:
-        return _lz4frame.decompress(data)
 
 
 class NullCompressor(Compressor):
@@ -81,20 +56,10 @@ class NullCompressor(Compressor):
         return bytes(data)
 
 
-def default_codec_name(level: int = 1) -> str:
-    """The codec an ``"auto"`` config resolves to on this host (reported
-    in benchmark metadata so results are comparable across machines)."""
-    return "lz4" if _lz4frame is not None else f"zlib{level}"
-
-
-def make_compressor(name: str, level: int = 1) -> Compressor:
-    if name == "auto":
-        return Lz4Compressor() if _lz4frame is not None \
-            else ZlibCompressor(level)
-    if name == "lz4":
-        return Lz4Compressor()
+def make_compressor(name: str) -> Compressor:
+    """The compressor a ``CheckpointConfig.compression`` value names."""
     if name == "zlib":
-        return ZlibCompressor(level)
+        return ZlibCompressor()
     if name == "none":
         return NullCompressor()
     raise ConfigError(f"unknown compressor {name!r}")

@@ -63,7 +63,6 @@ class NICConfig:
     bandwidth: float = 6e9            # wire bandwidth (bytes/s)
     rtt: float = 1.5e-6               # propagation round trip (s)
     inline_max: int = 256             # WRITEs <= this skip the src DMA read
-    doorbell_batching: bool = True    # batch to one doorbell per op group
 
 
 def paper_nic() -> NICConfig:
@@ -97,13 +96,6 @@ class CodingConfig:
     k: int = 3                        # data blocks per stripe
     m: int = 2                        # parity blocks per stripe
     group_size: int = 5               # MNs per coding group (n = k + m)
-    #: Overlap stripe reads with decode computation during recovery
-    #: (§3.4.1 remark 1); off = serial, for the ablation benchmark.
-    recovery_pipeline: bool = True
-    #: Parallel stripe-recovery workers.  1 = the paper's evaluated
-    #: design; >1 implements its stated future work ("distributing coding
-    #: stripe recovery tasks across multiple CNs, similar to RAMCloud").
-    recovery_workers: int = 1
 
     def validate(self) -> None:
         if self.codec not in ("xor", "rs"):
@@ -115,8 +107,8 @@ class CodingConfig:
                 f"stripe width k+m={self.k + self.m} must equal "
                 f"coding group size {self.group_size}"
             )
-        if self.codec == "xor" and self.m > 2:
-            raise ConfigError("XOR array code supports at most 2 parities")
+        if self.codec == "xor" and self.m != 2:
+            raise ConfigError("XOR array code needs exactly 2 parities")
 
 
 @dataclass
@@ -124,11 +116,9 @@ class CheckpointConfig:
     """Differential index checkpointing (§3.2.1)."""
 
     interval: float = 0.5             # seconds between rounds (paper: 500 ms)
-    #: "auto" binds to real LZ4 when the ``lz4`` package is importable and
-    #: falls back to zlib at ``compression_level``; "zlib"/"lz4"/"none"
-    #: force a codec.  The resolved name lands in bench metadata.
-    compression: str = "auto"
-    compression_level: int = 1
+    #: "zlib" (level 1, the paper's LZ4 stand-in) or "none" (the
+    #: no-compression ablation).  The codec's name lands in bench metadata.
+    compression: str = "zlib"
     #: Extra bytes appended to every shipped checkpoint (Fig. 1b's
     #: bandwidth-interference experiment varies this).
     extra_bytes: int = 0

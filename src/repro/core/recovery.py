@@ -14,9 +14,7 @@ data flow is arranged so the NIC neither waits for a core nor carries a
 byte twice — live deltas are folded into P by their holder, each block
 image is walked once as it arrives, slot keys come from images already
 held, and every stage keeps the next job's reads on the wire while it
-finishes the current one (``coding.recovery_pipeline``; off = each job
-runs to completion before the next one starts).  DESIGN.md §5 has the
-byte table.
+finishes the current one.  DESIGN.md §5 has the byte table.
 
 Compute-node recovery (§3.4.2) restarts a client, re-finds its unfilled
 blocks via the ``CLI ID`` metadata field, checks every KV/delta pair's
@@ -239,22 +237,18 @@ class MemoryNodeRecovery:
         reads blocks and then computes on them.  ``start(job)`` posts one
         job's reads and returns ``(state, all-read event)``, or None for
         a job with nothing to do; ``finish(state)`` is the generator that
-        consumes them.  With ``coding.recovery_pipeline`` the next job's
-        reads are posted before the current job is waited for and
-        finished, so the NIC always has a job queued; without it each job
-        runs to completion before the next one starts."""
-        pipeline = self.cluster.config.coding.recovery_pipeline
+        consumes them.  The next job's reads are posted before the
+        current job is waited for and finished, so the NIC always has a
+        job queued."""
         pending = None
         for job in jobs:
             started = start(job)
             if started is None:
                 continue
-            if pipeline:
-                started, pending = pending, started
-                if started is None:
-                    continue
-            yield started[1]
-            yield from finish(started[0])
+            if pending is not None:
+                yield pending[1]
+                yield from finish(pending[0])
+            pending = started
         if pending is not None:
             yield pending[1]
             yield from finish(pending[0])
@@ -514,7 +508,6 @@ class MemoryNodeRecovery:
     def _recover_index(self, server, report: RecoveryReport):
         cluster = self.cluster
         node_id = server.node_id
-        pipeline = cluster.config.coding.recovery_pipeline
         scan_rate = cluster.config.cluster.cpu.scan_rate
         ec_core = server.mn.ec_core
         t0 = self.env.now
@@ -565,8 +558,7 @@ class MemoryNodeRecovery:
         def scan(owner: int, meta, data: bytes) -> None:
             walked = self._scan_image(node_id, rescan, owner, meta, data)
             report.kv_count += walked
-            if pipeline:
-                rescan.cpu_done = ec_core.submit(walked / scan_rate)
+            rescan.cpu_done = ec_core.submit(walked / scan_rate)
 
         # 2a. recover new local blocks by erasure decoding (Recover LBlock).
         t1 = self.env.now
@@ -621,8 +613,6 @@ class MemoryNodeRecovery:
         # 2c. whatever of the scan the reads did not hide.
         t3 = self.env.now
         report.scan_kv_s = report.kv_count / scan_rate
-        if not pipeline:
-            rescan.cpu_done = ec_core.submit(report.scan_kv_s)
         if rescan.cpu_done is not None:
             yield rescan.cpu_done
         report.scan_tail_s = self.env.now - t3
@@ -885,52 +875,44 @@ class MemoryNodeRecovery:
     def _fetch_slot_keys(self, server, remote, lost):
         """The slot keys that cost verbs: *remote* records are one READ
         each, slots of *lost* blocks of the node's own a degraded read
-        each.  With ``recovery_pipeline`` every plan is asked for before
-        the first is waited for, and likewise every read; without, one
-        at a time.  A read that fails leaves its slot out."""
+        each.  Every plan is asked for before the first is waited for,
+        and likewise every read.  A read that fails leaves its slot
+        out."""
         cluster = self.cluster
         fabric = cluster.fabric
         nic = server.mn.nic
-        pipeline = cluster.config.coding.recovery_pipeline
-        asked = (
+        asked = [
             (where, self._aside(self._call(
                 nic, psrv, "degraded_plan", meta.stripe_id, meta.xor_id,
                 intra, length, response_size=256),
                 f"slot-plan(s{meta.stripe_id}@mn{psrv.node_id})"))
             for where, meta, intra, length in lost
             for psrv, prec in [self._p_record(meta.stripe_id)]
-            if prec is not None)
-        if pipeline:
-            asked = list(asked)
+            if prec is not None]
         plans = []
         for where, asking in asked:
             plans.append((where, (yield asking)))
 
-        def lookups():
-            """(slot, its reads' events, what gives the key once they
-            landed), posting the reads as it is advanced."""
-            for where, target, offset, length in remote:
-                yield where, [fabric.read(
-                    nic, target.nic, min(length, HEADER_SIZE + 256),
-                    traffic_class="recovery")], \
-                    partial(self._key_at, target, offset, length)
-            for where, plan in plans:
-                regions = [(cluster.mns[node], offset)
-                           for node, offset in plan.regions()]
-                try:
-                    raw = plan.solve(cluster.codec, [
-                        mn.read_bytes(offset, plan.length)
-                        for mn, offset in regions])
-                except (NodeFailedError, IndexError):
-                    continue  # a second lost shard: stays unknown
-                yield where, [fabric.read(nic, mn.nic, plan.length,
-                                          traffic_class="recovery")
-                              for mn, _offset in regions], \
-                    partial(self._record_key, raw)
-
-        lookups = lookups()
-        if pipeline:
-            lookups = list(lookups)
+        # (slot, its reads' events, what gives the key once they landed)
+        lookups = [
+            (where, [fabric.read(nic, target.nic,
+                                 min(length, HEADER_SIZE + 256),
+                                 traffic_class="recovery")],
+             partial(self._key_at, target, offset, length))
+            for where, target, offset, length in remote]
+        for where, plan in plans:
+            regions = [(cluster.mns[node], offset)
+                       for node, offset in plan.regions()]
+            try:
+                raw = plan.solve(cluster.codec, [
+                    mn.read_bytes(offset, plan.length)
+                    for mn, offset in regions])
+            except (NodeFailedError, IndexError):
+                continue  # a second lost shard: stays unknown
+            lookups.append((where, [fabric.read(nic, mn.nic, plan.length,
+                                                traffic_class="recovery")
+                                    for mn, _offset in regions],
+                            partial(self._record_key, raw)))
         keys = {}
         for where, reads, key_of in lookups:
             try:
@@ -970,21 +952,9 @@ class MemoryNodeRecovery:
 
     def _decode_and_install(self, server, metas, on_block=None):
         """Erasure-decode lost DATA blocks; ``on_block(meta, content)``
-        sees each one as it is installed.
-
-        Default (the paper's evaluated design): a single recovery driver,
-        two-stage pipelined — the next stripe's reads are issued while the
-        current one is XOR-decoded.  With ``coding.recovery_workers`` > 1
-        the stripes are spread across compute nodes instead (the paper's
-        stated future work, RAMCloud-style): each worker reads surviving
-        shards through its own CN NIC, decodes locally, and ships only the
-        reconstructed block to the recovering MN.
-        """
-        workers = self.cluster.config.coding.recovery_workers
-        if workers > 1 and len(metas) > 1:
-            yield from self._decode_parallel(server, metas, workers,
-                                             on_block)
-            return
+        sees each one as it is installed.  One recovery driver, two-stage
+        pipelined: the next stripe's reads are issued while the current
+        one is decoded."""
 
         def finish(resolver):
             content = yield from self._finish_block(server, resolver)
@@ -995,56 +965,7 @@ class MemoryNodeRecovery:
             metas, lambda meta: self._start_block_reads(server, meta),
             finish)
 
-    def _decode_parallel(self, server, metas, workers: int, on_block=None):
-        """Distribute stripe recovery across CN workers (future work)."""
-        cluster = self.cluster
-        cns = [cn for cn in cluster.cns.values() if cn.alive]
-        workers = max(1, min(workers, len(cns)))
-        block_size = cluster.config.cluster.block_size
-        rate = (cluster.config.cluster.cpu.xor_rate
-                if cluster.codec.name == "xor"
-                else cluster.config.cluster.cpu.rs_rate)
-
-        def worker(cn, chunk):
-            for meta in chunk:
-                started = self._start_block_reads(server, meta,
-                                                  src_nic=cn.nic)
-                if started is None:
-                    continue
-                yield started[1]
-                resolver, _ev = started
-                # Decode on the worker CN's own cores.
-                read_blocks = sum(
-                    1 for s in resolver["shards"] if s is not None)
-                yield self.env.timeout(read_blocks * block_size / rate)
-                content = self._resolve_content(resolver)
-                if content is None:
-                    continue
-
-                def install(meta=meta, content=content):
-                    server.mn.blocks.set_block(meta.block_id, content)
-                    meta.valid = True
-                    if on_block is not None:
-                        on_block(meta, content)
-                    return None
-
-                # Ship only the reconstructed block to the recovering MN.
-                yield cluster.fabric.transfer(cn.nic, server.mn.nic,
-                                              block_size, execute=install,
-                                              traffic_class="recovery")
-
-        procs = []
-        for w in range(workers):
-            chunk = metas[w::workers]
-            if chunk:
-                procs.append(self.env.process(
-                    worker(cns[w], chunk),
-                    name=f"recover-worker{w}@mn{server.node_id}",
-                ))
-        if procs:
-            yield self.env.all_of(procs)
-
-    def _start_block_reads(self, server, meta, src_nic=None):
+    def _start_block_reads(self, server, meta):
         """Issue the reads needed to rebuild one lost block — the other
         data shards and the parity a decode of what is missing needs;
         returns (resolver, all-read-event) or None when unrecoverable.
@@ -1054,14 +975,10 @@ class MemoryNodeRecovery:
         blocks into a scratch copy of P (:meth:`_read_folded_parity`),
         which is the parity of the shards as they are *now*, so nothing
         is left to fold here.  A dead P holder or a second lost shard
-        reads P and/or Q plus every live DELTA block instead.
-
-        Reads land at ``src_nic`` (default: the recovering server's own
-        NIC; parallel recovery workers pass their CN NIC instead)."""
+        reads P and/or Q plus every live DELTA block instead."""
         cluster = self.cluster
         codec = cluster.codec
-        if src_nic is None:
-            src_nic = server.mn.nic
+        nic = server.mn.nic
         sid, pos = meta.stripe_id, meta.xor_id
         if sid < 0:
             return None
@@ -1112,16 +1029,16 @@ class MemoryNodeRecovery:
             # below are on the wire.
             psrv = cluster.servers[p_node]
             shards[codec.k] = psrv.folded_parity(sid)
-            events.append(self._read_folded_parity(src_nic, psrv, sid))
+            events.append(self._read_folded_parity(server, psrv, sid))
         for j, srv, block_id in sources:
-            events += self._post_reads(src_nic, srv.node_id, block_size)
+            events += self._post_reads(nic, srv.node_id, block_size)
             shards[j] = bytes(srv.mn.blocks.buffer(block_id))
         if not fold:
             for parity_index, record in enumerate(records):
                 if record is None or (single and parity_index > 0):
                     continue
                 node = cluster.layout.node_of(sid, codec.k + parity_index)
-                events += self._post_reads(src_nic, node, block_size)
+                events += self._post_reads(nic, node, block_size)
                 shards[codec.k + parity_index] = bytes(
                     cluster.servers[node].mn.blocks.buffer(
                         record.parity_block))
@@ -1129,20 +1046,21 @@ class MemoryNodeRecovery:
                 psrv = cluster.servers[p_node]
                 for j, dblk in enumerate(primary.delta_blocks):
                     if dblk is not None:
-                        events += self._post_reads(src_nic, p_node,
-                                                   block_size)
+                        events += self._post_reads(nic, p_node, block_size)
                         deltas[j] = bytes(psrv.mn.blocks.buffer(dblk))
         return resolver, self.env.all_of(events)
 
-    def _read_folded_parity(self, src_nic, psrv, sid: int):
+    def _read_folded_parity(self, server, psrv, sid: int):
         """Event: the P holder of stripe *sid* folded the stripe's live
         deltas into a scratch copy of P (one small RPC; its EC core pays
-        the XOR passes) and that one block was read.  Fails with
-        :class:`NodeFailedError` when the holder dies on the way."""
+        the XOR passes) and that one block was read into *server*.  Fails
+        with :class:`NodeFailedError` when the holder dies on the way."""
+        nic = server.mn.nic
+
         def fold_then_read():
-            yield from self._call(src_nic, psrv, "fold_parity", sid)
+            yield from self._call(nic, psrv, "fold_parity", sid)
             yield self.env.all_of(self._post_reads(
-                src_nic, psrv.node_id,
+                nic, psrv.node_id,
                 self.cluster.config.cluster.block_size))
 
         return self._aside(fold_then_read(),
@@ -1184,15 +1102,11 @@ class MemoryNodeRecovery:
         With ``install=False`` the reconstructed bytes are returned only —
         used to scan blocks that live on a *different* crashed node during
         a two-MN recovery."""
-        cluster = self.cluster
-        codec = cluster.codec
         meta = resolver["meta"]
-        block_size = cluster.config.cluster.block_size
-        rate = (cluster.config.cluster.cpu.xor_rate
-                if codec.name == "xor"
-                else cluster.config.cluster.cpu.rs_rate)
+        block_size = self.cluster.config.cluster.block_size
         read_blocks = sum(1 for s in resolver["shards"] if s is not None)
-        yield server.mn.ec_core.submit(read_blocks * block_size / rate)
+        yield server.mn.ec_core.submit(
+            read_blocks * block_size / server._ec_rate())
         content = self._resolve_content(resolver)
         if content is None:
             return None
@@ -1283,10 +1197,8 @@ class MemoryNodeRecovery:
         cluster = self.cluster
         codec = cluster.codec
         block_size = cluster.config.cluster.block_size
-        rate = (cluster.config.cluster.cpu.xor_rate
-                if codec.name == "xor"
-                else cluster.config.cluster.cpu.rs_rate)
-        yield server.mn.ec_core.submit(codec.k * block_size / rate)
+        yield server.mn.ec_core.submit(
+            codec.k * block_size / server._ec_rate())
         # ---- single-instant capture: datas, parity, delta reset -------
         datas = [bytes(block_size)] * codec.k
         rezero: List[Tuple[object, int, int]] = []  # (delta buf, off, size)
@@ -1351,11 +1263,9 @@ class MemoryNodeRecovery:
         cluster = self.cluster
         codec = cluster.codec
         block_size = cluster.config.cluster.block_size
-        rate = (cluster.config.cluster.cpu.xor_rate
-                if codec.name == "xor"
-                else cluster.config.cluster.cpu.rs_rate)
         psrv, prec = self._p_record(sid)
-        yield server.mn.ec_core.submit(codec.k * block_size / rate)
+        yield server.mn.ec_core.submit(
+            codec.k * block_size / server._ec_rate())
         # ---- single-instant capture of shards and deltas --------------
         datas = [bytes(block_size)] * codec.k
         shards: Dict[int, bytes] = {}

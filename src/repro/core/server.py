@@ -190,10 +190,9 @@ class AcesoServer:
         self._offered_reclaim: set = set()
         self._procs: List = []
 
-        compressor = make_compressor(config.checkpoint.compression,
-                                     config.checkpoint.compression_level)
         self.checkpointer = DifferentialCheckpointer(
-            compressor, mn.index_region.size
+            make_compressor(config.checkpoint.compression),
+            mn.index_region.size
         )
         self.ckpt_rounds = 0
         self.last_delta_size = 0

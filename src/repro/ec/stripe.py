@@ -90,22 +90,18 @@ class XorStripeCodec(StripeCodec):
     name = "xor"
 
     def __init__(self, k: int, block_size: int, m: int = 2):
-        if m == 1:
-            # Single parity: plain XOR (RAID-5).  Kept for ablations.
-            self._rdp = None
-        elif m == 2:
-            p = k + 1
-            while not is_prime(p):
-                p += 1
-            self._rdp = RDP(p, k)
-            rows = p - 1
-            if block_size % rows:
-                raise CodingError(
-                    f"block size {block_size} not divisible by p-1={rows}"
-                )
-            self._row_width = block_size // rows
-        else:
-            raise CodingError("XOR codec supports m in (1, 2)")
+        if m != 2:
+            raise CodingError("XOR codec needs exactly m = 2 parities")
+        p = k + 1
+        while not is_prime(p):
+            p += 1
+        self._rdp = RDP(p, k)
+        rows = p - 1
+        if block_size % rows:
+            raise CodingError(
+                f"block size {block_size} not divisible by p-1={rows}"
+            )
+        self._row_width = block_size // rows
         self.k = k
         self.m = m
         self.block_size = block_size
@@ -122,11 +118,6 @@ class XorStripeCodec(StripeCodec):
     def encode(self, data_blocks: Sequence[bytes]) -> List[bytes]:
         if len(data_blocks) != self.k:
             raise CodingError(f"expected {self.k} data blocks")
-        if self.m == 1:
-            acc = np.zeros(self.block_size, dtype=np.uint8)
-            for b in data_blocks:
-                np.bitwise_xor(acc, _as_array(b, self.block_size), out=acc)
-            return [acc.tobytes()]
         rdp = self._rdp
         array = rdp.empty_array(self._row_width)
         for c, block in enumerate(data_blocks):
@@ -143,13 +134,6 @@ class XorStripeCodec(StripeCodec):
             return [bytes(s) for s in shards]  # type: ignore[arg-type]
         if len(missing) > self.m:
             raise CodingError(f"{len(missing)} erasures exceed m={self.m}")
-        if self.m == 1:
-            acc = np.zeros(self.block_size, dtype=np.uint8)
-            for s in shards:
-                if s is not None:
-                    np.bitwise_xor(acc, _as_array(s, self.block_size), out=acc)
-            out = [bytes(s) if s is not None else acc.tobytes() for s in shards]
-            return out
         rdp = self._rdp
         array = rdp.empty_array(self._row_width)
         for i, shard in enumerate(shards):
@@ -171,8 +155,6 @@ class XorStripeCodec(StripeCodec):
     def parity_delta(self, data_index: int, delta: bytes) -> List[bytes]:
         if not 0 <= data_index < self.k:
             raise CodingError(f"data index {data_index} out of range")
-        if self.m == 1:
-            return [bytes(delta)]
         # P changes by the delta itself; Q changes both directly (the data
         # cell's diagonal) and through P (the P column participates in Q's
         # diagonals in the RDP construction).

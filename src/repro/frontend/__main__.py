@@ -9,9 +9,8 @@ verdict failed.
 from __future__ import annotations
 
 import argparse
-import sys
-
 import os
+import sys
 
 from ..bench.common import SCALES
 from ..obs import flight
@@ -47,6 +46,7 @@ def main(argv=None) -> int:
 
     # Flight-recorder dumps land next to BENCH_frontend.json.
     os.environ.setdefault(flight.ENV_DIR, args.json_dir)
+    os.makedirs(args.json_dir, exist_ok=True)
 
     modes = tuple(args.durability) if args.durability else DURABILITY_MODES
     result = run_frontend(scale_name=args.scale, seed=args.seed,

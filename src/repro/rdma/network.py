@@ -222,13 +222,12 @@ class Fabric:
                    track: Optional[str] = None) -> Event:
         """Post a doorbell-batched group of verbs to one destination.
 
-        With doorbell batching enabled, *both* sides charge the group as
-        one doorbell ring plus per-byte wire time (atomics still pay their
-        PCIe read-modify-write each): the per-message overhead is paid
-        once for the whole group, which is the point of doorbell batching
-        (§2.4).  With batching disabled, each message pays its own
-        overhead on each side.  The returned event triggers with the list
-        of per-verb results (the single result for a single verb).
+        *Both* sides charge the group as one doorbell ring plus per-byte
+        wire time (atomics still pay their PCIe read-modify-write each):
+        the per-message overhead is paid once for the whole group, which
+        is the point of doorbell batching (§2.4).  The returned event
+        triggers with the list of per-verb results (the single result for
+        a single verb).
         """
         if not verbs:
             raise ValueError("empty verb batch")
@@ -244,19 +243,11 @@ class Fabric:
             opcodes.append(v.opcode)
             if v.opcode.is_atomic:
                 atomics += 1
-        if src.config.doorbell_batching:
-            # One op cost for the group plus the per-byte cost of
-            # everything on the wire, on both sides.
-            src_service = src._svc_cache[(src_bytes, 1, 0)]
-            dst_service = dst._svc_cache[
-                (dst_bytes, 1 if atomics < len(verbs) else 0, atomics)]
-        else:
-            src_service = src._svc_cache[(src_bytes, len(verbs), 0)]
-            dst_service = 0.0
-            for v in verbs:
-                wire = v.payload + WIRE_HEADER
-                dst_service += dst._svc_cache[
-                    (wire, 0, 1) if v.opcode.is_atomic else (wire, 1, 0)]
+        # One op cost for the group plus the per-byte cost of everything
+        # on the wire, on both sides.
+        src_service = src._svc_cache[(src_bytes, 1, 0)]
+        dst_service = dst._svc_cache[
+            (dst_bytes, 1 if atomics < len(verbs) else 0, atomics)]
         return self._submit(src, dst, src_service, dst_service, dst_bytes,
                             opcodes, _execute_all, (verbs,), traffic_class,
                             track)

@@ -12,7 +12,6 @@ from repro.checkpoint import (
     make_compressor,
     xor_bytes,
 )
-from repro.checkpoint.compress import default_codec_name
 from repro.errors import ConfigError
 
 
@@ -44,12 +43,12 @@ def test_xor_length_mismatch():
 
 @given(st.binary(max_size=1024))
 def test_zlib_roundtrip(data):
-    comp = ZlibCompressor(1)
+    comp = ZlibCompressor()
     assert comp.decompress(comp.compress(data)) == data
 
 
 def test_zlib_compresses_sparse_deltas():
-    comp = ZlibCompressor(1)
+    comp = ZlibCompressor()
     sparse = bytearray(64 * 1024)
     sparse[100:108] = b"\xff" * 8
     compressed = comp.compress(bytes(sparse))
@@ -64,35 +63,20 @@ def test_null_roundtrip(data):
 
 
 def test_make_compressor():
-    assert make_compressor("zlib", 3).name == "zlib3"
+    """Config names: "zlib" is level 1 on every host, "none" the
+    ablation; no codec is chosen by what the host can import."""
+    assert make_compressor("zlib").name == "zlib1"
     assert make_compressor("none").name == "none"
-    with pytest.raises(ConfigError):
-        make_compressor("bogus")
-    with pytest.raises(ConfigError):
-        make_compressor("zlib", 42)
-
-
-def test_auto_codec_matches_host():
-    """"auto" binds to lz4 when importable, zlib otherwise — and always
-    round-trips; bench metadata reports the resolved name."""
-    comp = make_compressor("auto", 1)
-    assert comp.name == default_codec_name(1)
-    data = b"\x00" * 4096 + b"delta" * 17
-    assert comp.decompress(comp.compress(data)) == data
-    try:
-        import lz4.frame  # noqa: F401
-        assert comp.name == "lz4"
-    except ImportError:
-        assert comp.name == "zlib1"
+    for name in ("bogus", "auto", "lz4"):
         with pytest.raises(ConfigError):
-            make_compressor("lz4")
+            make_compressor(name)
 
 
 # ---------------------------------------------------------------- pipeline
 
 def chained_images(snapshots, compressor=None):
     """Run the full source->neighbour pipeline over snapshot history."""
-    comp = compressor or ZlibCompressor(1)
+    comp = compressor or ZlibCompressor()
     ckpt = DifferentialCheckpointer(comp, len(snapshots[0]))
     image = None
     for iv, snap in enumerate(snapshots, start=1):
@@ -124,7 +108,7 @@ def test_delta_shrinks_when_changes_are_small():
     snap1 = bytes(base)
     base[5000:5008] = b"\x11" * 8
     snap2 = bytes(base)
-    ckpt = DifferentialCheckpointer(ZlibCompressor(1), len(snap1))
+    ckpt = DifferentialCheckpointer(ZlibCompressor(), len(snap1))
     first = ckpt.make_delta(snap1, 1)
     second = ckpt.make_delta(snap2, 2)
     assert second.compressed_size < max(first.compressed_size, 1024)
@@ -145,7 +129,7 @@ def test_rounds_counted():
 
 def test_timings_populated():
     snap = bytes(8192)
-    ckpt = DifferentialCheckpointer(ZlibCompressor(1), len(snap))
+    ckpt = DifferentialCheckpointer(ZlibCompressor(), len(snap))
     delta = ckpt.make_delta(snap, 1)
     ckpt.apply_delta(None, delta)
     t = ckpt.last_timings

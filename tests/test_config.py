@@ -59,6 +59,9 @@ def test_coding_validation():
         CodingConfig(k=4, m=2, group_size=5).validate()
     with pytest.raises(ConfigError):
         CodingConfig(codec="xor", k=2, m=3, group_size=5).validate()
+    with pytest.raises(ConfigError):
+        CodingConfig(codec="xor", k=4, m=1, group_size=5).validate()
+    CodingConfig(codec="rs", k=4, m=1, group_size=5).validate()
 
 
 def test_ft_validation():

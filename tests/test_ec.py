@@ -350,23 +350,13 @@ def test_stripe_block_size_mismatch():
         codec.encode([b"short"] * 3)
 
 
-def test_stripe_raid5_mode():
-    codec = XorStripeCodec(3, 512, m=1)
-    rng = np.random.default_rng(5)
-    blocks = [rng.integers(0, 256, 512, dtype=np.uint8).tobytes()
-              for _ in range(3)]
-    parity = codec.encode(blocks)
-    assert len(parity) == 1
-    shards = blocks + parity
-    partial = [None, shards[1], shards[2], shards[3]]
-    assert codec.reconstruct(partial) == shards
-
-
 def test_make_codec():
     assert make_codec("xor", 3, 512).name == "xor"
     assert make_codec("rs", 3, 512).name == "rs"
     with pytest.raises(CodingError):
         make_codec("lrc", 3, 512)
+    with pytest.raises(CodingError):
+        make_codec("xor", 3, 512, m=1)
 
 
 def test_xor_codec_unsupported_m():

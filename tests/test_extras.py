@@ -213,6 +213,15 @@ def test_scales_are_valid_cluster_kwargs():
         aceso_config(**scale.cluster_kwargs()).validate()
 
 
+def test_bench_cli_creates_a_missing_json_dir(tmp_path, capsys):
+    """A nested ``--json-dir`` that does not exist yet is created before
+    the run, so the run's BENCH json is not lost at the end."""
+    from repro.bench.__main__ import main
+    out = tmp_path / "not" / "yet"
+    assert main(["fig19", "--scale", "smoke", "--json-dir", str(out)]) == 0
+    assert (out / "BENCH_fig19.json").is_file()
+
+
 def test_encode_throughput_order():
     xor = encode_throughput("xor", block_mb=1)
     rs = encode_throughput("rs", block_mb=1)

@@ -204,19 +204,40 @@ def test_attribution_on_real_cluster_conserves():
     assert fabric > 0.0
 
 
-@pytest.mark.slow
+#: The op of each figure's smoke cell that the conservation check traces.
+_FIGURE_CELL_OP = {"fig8": "UPDATE", "fig9": "DELETE"}
+
+
 @pytest.mark.parametrize("figure", ["fig8", "fig9"])
 def test_attribution_conserves_on_figure_smoke(figure):
-    # Acceptance: attribution conservation asserted on fig8/fig9 smoke
-    # runs (attribution_tables runs check_conservation internally; a
-    # leak raises out of run_targets).
-    from repro.bench.parallel import run_targets
-    [run] = run_targets([figure], "smoke", seed=0, trace=True,
-                        trace_dir="/tmp")
-    attribution = run.result.meta.get("attribution")
-    assert attribution, "traced bench run must attach attribution tables"
-    for tables in attribution.values():
-        assert any(t["count"] > 0 for t in tables)
+    # Attribution conservation on one traced smoke cell of fig8/fig9: one
+    # FUSEE and one Aceso cluster, one op over a fifth of the window,
+    # through attribution_tables as the bench worker calls it (it runs
+    # check_conservation; a leak raises).
+    from dataclasses import replace
+
+    from repro.bench.common import (drain_trace_bundles, load_micro,
+                                    micro_throughput, set_seed,
+                                    set_tracing)
+    smoke = SCALES["smoke"]
+    scale = replace(smoke, duration=smoke.duration / 5,
+                    warmup=smoke.warmup / 5)
+    op = _FIGURE_CELL_OP[figure]
+    set_seed(0)
+    drain_trace_bundles()
+    set_tracing(True)
+    try:
+        for system in ("fusee", "aceso"):
+            cluster = build_cluster(system, scale)
+            micro_throughput(cluster, scale, op,
+                             runner=load_micro(cluster, scale))
+    finally:
+        set_tracing(False)
+    bundles = drain_trace_bundles()
+    assert len(bundles) == 2
+    for obs in bundles:
+        tables = attribution_tables(obs)
+        assert any(t["op"] == op and t["count"] > 0 for t in tables)
         for t in tables:
             total = sum(t[f"{c}_us"] for c in COMPONENTS)
             assert total == pytest.approx(t["mean_us"], rel=1e-6,

@@ -11,14 +11,12 @@ from repro.workloads.micro import micro_key
 from tests.conftest import make_aceso, small_cluster_kwargs
 
 
-def make_coded(codec="xor", pipeline=True, workers=1, **overrides):
-    """An Aceso cluster with its ``coding`` section set."""
+def make_coded(codec="xor", **overrides):
+    """An Aceso cluster with the given erasure codec."""
     from repro import aceso_config
     from repro.core.store import AcesoCluster
     cfg = aceso_config(**small_cluster_kwargs(**overrides))
     cfg.coding.codec = codec
-    cfg.coding.recovery_pipeline = pipeline
-    cfg.coding.recovery_workers = workers
     cluster = AcesoCluster(cfg)
     cluster.start()
     return cluster
@@ -187,17 +185,17 @@ def log_block_reads(cluster):
     start, fold = recovery._start_block_reads, recovery._read_folded_parity
     reads, folds = [], []
 
-    def hooked(server, meta, src_nic=None):
+    def hooked(server, meta):
         before = fabric.bytes_by_class.get("recovery", 0)
-        started = start(server, meta, src_nic)
+        started = start(server, meta)
         if started is not None:
             posted = fabric.bytes_by_class.get("recovery", 0) - before
             reads.append((posted, started[0]))
         return started
 
-    def hooked_fold(src_nic, psrv, sid):
+    def hooked_fold(server, psrv, sid):
         folds.append(sid)
-        return fold(src_nic, psrv, sid)
+        return fold(server, psrv, sid)
 
     recovery._start_block_reads = hooked
     recovery._read_folded_parity = hooked_fold
@@ -576,20 +574,6 @@ def test_mixed_crash_cn_then_mn():
     assert verify(cluster, expected) == []
 
 
-def test_parallel_recovery_workers_preserve_data():
-    """Extension (paper's future work): recovery distributed over CN
-    workers reconstructs exactly the same state as the single driver."""
-    cluster = make_coded(workers=3)
-    runner = WorkloadRunner(cluster)
-    n = 128  # exact block multiples: everything seals
-    runner.load([load_ops(c.cli_id, n, 180) for c in cluster.clients])
-    cluster.run(cluster.env.now + 0.1)
-    expected = snapshot(cluster, n)
-    report = crash_and_recover(cluster, 1)
-    assert verify(cluster, expected) == []
-    assert report.total_time > 0
-
-
 # ------------------------------------------------- crash-timing windows
 
 def test_crash_during_checkpoint_round():
@@ -700,7 +684,7 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
         victim = next(loc[0] for loc in p_record(cluster, sid)[1].data if loc)
         second = crash_holder_when(
             cluster, ["_read_folded_parity"],
-            lambda src_nic, psrv, sid: psrv.node_id)
+            lambda server, psrv, sid: psrv.node_id)
     else:
         # a holder of two parity blocks: while the first stripe is being
         # finished the second one's reads are on the wire
@@ -835,62 +819,27 @@ def test_recovery_runs_at_the_recovering_nics_line_rate():
     """The pin of the data flow, small enough for tier 1: a single
     driver pulls everything through one NIC, so that NIC has to be busy
     nearly all the time, it has to carry exactly the bytes the closed
-    form names — each block once — and overlapping the stages has to
-    pay."""
+    form names — each block once.  A driver that waited for each job
+    before it posted the next one's reads would leave the NIC idle for
+    every decode and fall below the busy share."""
     from repro.core.kvpair import HEADER_SIZE
     from repro.rdma.verbs import WIRE_HEADER
-    reports = {}
-    for pipeline in (True, False):
-        cluster = make_coded(pipeline=pipeline, num_cns=4, kv_size=1024,
-                             block_size=64 * 1024, blocks_per_mn=128,
-                             index_buckets=1024)
-        WorkloadRunner(cluster).load([load_ops(c.cli_id, 1500, 900)
-                                      for c in cluster.clients])
-        cluster.run(cluster.env.now + 1.6)      # seals, folds, checkpoints
-        victim = 1
-        expected = expected_recovery_bytes(cluster, victim)
-        posts = log_posts(cluster)
-        report = reports[pipeline] = crash_and_recover(cluster, victim)
-        lookups = [p for p in posts
-                   if p[1] == victim and p[3] == "recovery"
-                   and p[4] == HEADER_SIZE + 256 + WIRE_HEADER
-                   and p[0] >= report.index_done_at - report.apply_s - 1e-12]
-        assert report.recovery_bytes == expected + sum(
-            p[4] for p in lookups)
-        assert report.lblock_count and report.rblock_count \
-            and report.old_count
-    piped, serial = reports[True], reports[False]
-    assert piped.recovery_bytes == serial.recovery_bytes
-    assert piped.nic_busy_s / piped.total_time >= 0.85
-    assert piped.total_time < 0.85 * serial.total_time
-
-
-def test_index_area_is_the_same_with_and_without_pipelining():
-    """``recovery_pipeline`` moves work in time, never in kind: the
-    recovered Index Area, the block contents and every counter of the
-    report are identical, and only the serial run is slower."""
-    outcomes = []
-    for pipeline in (True, False):
-        cluster, runner, n = loaded_cluster(
-            make=lambda **kw: make_coded(pipeline=pipeline, **kw))
-        written = updated_after_checkpoint(cluster)
-        victim = home_of(next(iter(written)), 5)
-        report = crash_and_recover(cluster, victim)
-        mn = cluster.mns[victim]
-        assert verify(cluster, written) == []
-        outcomes.append((
-            mn.index_region.read(0, mn.index.index_bytes),
-            data_blocks(mn),
-            (report.kv_count, report.lblock_count, report.rblock_count,
-             report.old_count, report.applied_slots, report.scrubbed_slots,
-             report.recovery_bytes),
-            report.total_time))
-    (index_on, blocks_on, counts_on, time_on), \
-        (index_off, blocks_off, counts_off, time_off) = outcomes
-    assert index_on == index_off
-    assert blocks_on == blocks_off
-    assert counts_on == counts_off and counts_on[4] > 0
-    assert time_on < time_off
+    cluster = make_coded(num_cns=4, kv_size=1024, block_size=64 * 1024,
+                         blocks_per_mn=128, index_buckets=1024)
+    WorkloadRunner(cluster).load([load_ops(c.cli_id, 1500, 900)
+                                  for c in cluster.clients])
+    cluster.run(cluster.env.now + 1.6)      # seals, folds, checkpoints
+    victim = 1
+    expected = expected_recovery_bytes(cluster, victim)
+    posts = log_posts(cluster)
+    report = crash_and_recover(cluster, victim)
+    lookups = [p for p in posts
+               if p[1] == victim and p[3] == "recovery"
+               and p[4] == HEADER_SIZE + 256 + WIRE_HEADER
+               and p[0] >= report.index_done_at - report.apply_s - 1e-12]
+    assert report.recovery_bytes == expected + sum(p[4] for p in lookups)
+    assert report.lblock_count and report.rblock_count and report.old_count
+    assert report.nic_busy_s / report.total_time >= 0.85
 
 
 def test_same_fingerprint_keys_sharing_a_bucket_pair_applied_in_one_pass():

@@ -32,7 +32,7 @@ try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
     HAVE_HYPOTHESIS = True
-except ImportError:            # gated exactly like lz4: degrade, don't skip
+except ImportError:            # optional dependency: degrade, don't skip
     HAVE_HYPOTHESIS = False
 
 #: Old backend id -> the dispatch loop that drains the vector.

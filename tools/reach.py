@@ -58,8 +58,7 @@ PKG = os.path.join(SRC, "repro")
 FIGURES = (
     "fig1a", "fig1b", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
     "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "tab02",
-    "tab03", "abl-pipeline", "abl-parallel-recovery", "abl-compression",
-    "abl-codec",
+    "tab03", "abl-compression", "abl-codec",
 )
 PERFBENCH_WORKLOADS = ("ycsb_a", "ycsb_b", "micro4_sat", "mn_crash")
 EXAMPLES = ("quickstart", "ycsb_comparison", "space_efficiency",
