@@ -81,14 +81,17 @@ def run_tab02(scale: Scale) -> FigureResult:
                  "rblock_count", "scan_kv_ms", "kv_count", "scan_tail_ms",
                  "scrub_ms", "apply_ms", "recover_old_ms", "old_count",
                  "rebaseline_ms", "total_ms", "recovery_bytes",
-                 "nic_busy_ms", "test_gbps"],
+                 "recovering_nic_bytes", "nic_busy_ms", "helper_nic_busy_ms",
+                 "test_gbps"],
         notes="Expected: XOR beats RS on the erasure-coding stages "
               "(Recover LBlock / Recover OldLBlock) and in raw encode "
               "throughput; other stages are similar (paper: 18% total "
               "saving, 68% higher encode tpt).  Scan KV is CPU time "
               "spent under the block reads; the wall-clock stages "
-              "(every *_ms column but scan_kv, nic_busy and total) sum "
-              "to total_ms.",
+              "(every *_ms column but scan_kv, the two nic_busy and "
+              "total) sum to total_ms.  recovery_bytes is the whole "
+              "fabric's; each rebuilt block crosses the recovering NIC "
+              "once (recovering_nic_bytes).",
     )
     for codec in ("xor", "rs"):
         def mutate(cfg, codec=codec):
@@ -120,7 +123,8 @@ def run_fig16(scale: Scale) -> FigureResult:
     result = FigureResult(
         figure="fig16",
         title="Recovery time vs lost data size",
-        columns=["lost_mb", "meta_ms", "index_ms", "block_ms", "total_ms"],
+        columns=["lost_mb", "meta_ms", "index_ms", "block_ms", "total_ms",
+                 "recovering_nic_bytes", "helper_nic_busy_ms"],
         notes="Expected: Meta and Index Area times flat; Block Area time "
               "grows with the lost data size.",
     )
@@ -135,7 +139,9 @@ def run_fig16(scale: Scale) -> FigureResult:
                    meta_ms=report.meta_time * 1e3,
                    index_ms=report.index_time * 1e3,
                    block_ms=report.block_time * 1e3,
-                   total_ms=report.total_time * 1e3)
+                   total_ms=report.total_time * 1e3,
+                   recovering_nic_bytes=report.recovering_nic_bytes,
+                   helper_nic_busy_ms=report.helper_nic_busy_s * 1e3)
     block = result.series("block_ms")
     result.add_verdict("Block-Area time grows with lost size",
                        block[-1] > block[0],
@@ -153,7 +159,8 @@ def run_fig18(scale: Scale) -> FigureResult:
     result = FigureResult(
         figure="fig18",
         title="Recovery time vs checkpoint interval",
-        columns=["interval", "meta_ms", "index_ms", "block_ms", "total_ms"],
+        columns=["interval", "meta_ms", "index_ms", "block_ms", "total_ms",
+                 "recovering_nic_bytes", "helper_nic_busy_ms"],
         notes="Intervals labelled with paper-equivalent values (25x time "
               "scale). Expected: Index Area recovery grows with the "
               "interval (more KV pairs to scan); Block Area shrinks "
@@ -183,7 +190,9 @@ def run_fig18(scale: Scale) -> FigureResult:
                    meta_ms=report.meta_time * 1e3,
                    index_ms=report.index_time * 1e3,
                    block_ms=report.block_time * 1e3,
-                   total_ms=report.total_time * 1e3)
+                   total_ms=report.total_time * 1e3,
+                   recovering_nic_bytes=report.recovering_nic_bytes,
+                   helper_nic_busy_ms=report.helper_nic_busy_s * 1e3)
     index = result.series("index_ms")
     result.add_verdict("Index-Area time grows with the interval",
                        index[-1] > index[0],

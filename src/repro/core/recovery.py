@@ -8,13 +8,16 @@ finally re-derive parity state in the background).  Functionality returns
 after the Index milestone — writes at full speed, reads degraded — which
 is what minimises user disruption.
 
-A single driver pulls every byte through the recovering node's NIC, so
-that NIC is the floor: k block reads per lost or re-encoded block.  The
-data flow is arranged so the NIC neither waits for a core nor carries a
-byte twice — live deltas are folded into P by their holder, each block
-image is walked once as it arrives, slot keys come from images already
-held, and every stage keeps the next job's reads on the wire while it
-finishes the current one.  DESIGN.md §5 has the byte table.
+Every lost or re-encoded block is rebuilt at a survivor, so it crosses
+the recovering node's NIC once (partial-parallel repair): each job picks
+as *aggregator* the surviving holder of its stripe this recovery has
+loaded least so far, the other holders' blocks go to it by one-sided
+READs, its EC core decodes or encodes them, and the recovering node
+reads back the one block that results.  Live deltas are folded into P by
+their holder, each block image is walked once as it arrives, slot keys
+come from images already held, and every stage keeps one job in flight
+per surviving MN, so the survivors' NICs together are the floor.
+DESIGN.md §5 has the byte table.
 
 Compute-node recovery (§3.4.2) restarts a client, re-finds its unfilled
 blocks via the ``CLI ID`` metadata field, checks every KV/delta pair's
@@ -25,6 +28,7 @@ reused blocks) and seals the blocks so nothing leaks.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -89,10 +93,14 @@ class RecoveryReport:
     applied_slots: int = 0
     scrubbed_slots: int = 0
     lost_bytes: int = 0
-    #: Recovery-class bytes on the fabric while this recovery ran.
+    #: Recovery-class bytes on the whole fabric while this recovery ran.
     recovery_bytes: int = 0
+    #: Recovery-class bytes this recovery read into the recovering NIC.
+    recovering_nic_bytes: int = 0
     #: Seconds the recovering node's NIC was busy while it ran.
     nic_busy_s: float = 0.0
+    #: Seconds the busiest other MN's NIC was busy while it ran.
+    helper_nic_busy_s: float = 0.0
     #: Tier restarts forced by a dependency dying mid-recovery.
     attempts: int = 1
 
@@ -137,7 +145,7 @@ class RecoveryReport:
 
     def row(self) -> Dict[str, float]:
         """Table 2's row for this recovery: its columns, then the stages
-        Table 2 leaves out, then what the recovering NIC carried."""
+        Table 2 leaves out, then what the fabric and the NICs carried."""
         row = {f"{stage}_ms": seconds * 1e3
                for stage, seconds in self.stages()}
         row.update(
@@ -145,7 +153,9 @@ class RecoveryReport:
             scan_kv_ms=self.scan_kv_s * 1e3, kv_count=self.kv_count,
             old_count=self.old_count, total_ms=self.total_time * 1e3,
             recovery_bytes=self.recovery_bytes,
+            recovering_nic_bytes=self.recovering_nic_bytes,
             nic_busy_ms=self.nic_busy_s * 1e3,
+            helper_nic_busy_ms=self.helper_nic_busy_s * 1e3,
         )
         return row
 
@@ -199,6 +209,23 @@ class _Rescan:
     cpu_done: Optional[object] = None
 
 
+@dataclass
+class _Run:
+    """One attempt at recovering one MN: what its jobs charge and leave
+    running."""
+
+    node: int
+    report: RecoveryReport
+    #: Recovery bytes each MN's NIC has carried for this attempt: the
+    #: ledger aggregators are picked by.
+    ledger: Counter = field(default_factory=Counter)
+    #: Grace periods and Q pushes running beside the driver.
+    tails: list = field(default_factory=list)
+    #: Set when the attempt lost a dependency: its jobs still in flight
+    #: change nothing from then on.
+    over: bool = False
+
+
 class MemoryNodeRecovery:
     """Drives tiered recovery of crashed MNs for one Aceso cluster."""
 
@@ -210,6 +237,8 @@ class MemoryNodeRecovery:
         #: Index milestone until it triggers — experiments use this to
         #: hold the system in the degraded-read window (Fig. 14).
         self.hold_block_phase = None
+        #: The current attempt of each recovering MN.
+        self._runs: Dict[int, _Run] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -217,41 +246,80 @@ class MemoryNodeRecovery:
         return [s for i, s in self.cluster.servers.items()
                 if s.mn.alive and i != excluding]
 
-    def _post_reads(self, src_nic, node: int, size: int) -> list:
-        """Post a bulk READ of *size* bytes from *node* in chunks other
-        traffic can interleave with; returns the chunks' events.  Only
-        fabric time is charged — contents are handled at object level."""
+    def _post_reads(self, run: _Run, src: int, node: int, size: int) -> list:
+        """Post a bulk READ of *size* bytes from *node* into *src* in
+        chunks other traffic can interleave with; returns the chunks'
+        events.  Only fabric time is charged — contents are handled at
+        object level — and the bytes go on *run*'s ledger."""
         fabric = self.cluster.fabric
-        dst = self.cluster.mns[node].nic
-        return [fabric.read(src_nic, dst, min(_READ_CHUNK, size - done),
-                            traffic_class="recovery")
-                for done in range(0, size, _READ_CHUNK)]
+        mns = self.cluster.mns
+        by_class = fabric.bytes_by_class
+        before = by_class.get("recovery", 0)
+        reads = [fabric.read(mns[src].nic, mns[node].nic,
+                             min(_READ_CHUNK, size - done),
+                             traffic_class="recovery")
+                 for done in range(0, size, _READ_CHUNK)]
+        run.ledger[src] += size
+        run.ledger[node] += size
+        if src == run.node:
+            run.report.recovering_nic_bytes += \
+                by_class.get("recovery", 0) - before
+        return reads
 
-    def _read_remote(self, me, node: int, size: int):
+    def _read_remote(self, run: _Run, node: int, size: int):
         """Bulk-read *size* bytes from *node* into the recovering server."""
         if size > 0:
-            yield self.env.all_of(self._post_reads(me.mn.nic, node, size))
+            yield self.env.all_of(self._post_reads(run, run.node, node, size))
 
-    def _pipelined(self, jobs, start, finish):
-        """The two-stage pipeline of §3.4.1 (remark 1), for any stage that
-        reads blocks and then computes on them.  ``start(job)`` posts one
-        job's reads and returns ``(state, all-read event)``, or None for
-        a job with nothing to do; ``finish(state)`` is the generator that
-        consumes them.  The next job's reads are posted before the
-        current job is waited for and finished, so the NIC always has a
-        job queued."""
-        pending = None
+    def _pipelined(self, server, jobs, start, finish):
+        """The pipeline of §3.4.1 (remark 1), for any stage of jobs that
+        gather blocks and compute on them.  ``start(job)`` posts one job
+        and returns ``(state, delivered event)``, or None for a job with
+        nothing to do; ``finish(state)`` consumes what was delivered.
+        One job is in flight per surviving MN of the coding group: a job
+        loads its aggregator's NIC with about k blocks and each other
+        holder's with one, so that many jobs keep every survivor's NIC
+        busy.  The next job starts as soon as any one is delivered — the
+        oldest may sit behind a later job's blocks in its aggregator's
+        NIC queue."""
+        cluster = self.cluster
+        window = max(1, sum(1 for node in cluster.layout.members
+                            if node != server.node_id
+                            and cluster.mns[node].alive))
+        pending: List[tuple] = []
+
+        def finish_one():
+            index, _value = yield self.env.any_of(
+                [delivered for _state, delivered in pending])
+            finish(pending.pop(index)[0])
+
         for job in jobs:
             started = start(job)
             if started is None:
                 continue
-            if pending is not None:
-                yield pending[1]
-                yield from finish(pending[0])
-            pending = started
-        if pending is not None:
-            yield pending[1]
-            yield from finish(pending[0])
+            pending.append(started)
+            if len(pending) >= window:
+                yield from finish_one()
+        while pending:
+            yield from finish_one()
+
+    @staticmethod
+    def _aggregator(run: _Run, holders):
+        """The holder this attempt has charged least so far (the first
+        such, in the order given)."""
+        return min(holders, key=lambda srv: run.ledger[srv.node_id])
+
+    @staticmethod
+    def _needs(run: _Run, *servers) -> None:
+        """Raise :class:`NodeFailedError` unless *run* is still the
+        current attempt and every one of *servers* is alive.  The fabric
+        fails a verb whose *destination* died; what an aggregator posts,
+        captures or pushes needs this check of its source."""
+        if run.over:
+            raise NodeFailedError(run.node, "recovery attempt restarted")
+        for srv in servers:
+            if not srv.mn.alive:
+                raise NodeFailedError(srv.node_id, "died mid-job")
 
     def _call(self, src_nic, server, method: str, *args,
               response_size: int = 64):
@@ -295,12 +363,13 @@ class MemoryNodeRecovery:
         self.reports.append(report)
         bytes_by_class = cluster.fabric.bytes_by_class
         bytes0 = bytes_by_class.get("recovery", 0)
-        busy0 = mn.nic.busy_time
+        busy0 = {i: other.nic.busy_time for i, other in cluster.mns.items()}
         while True:
             try:
                 yield from self._recover_once(node_id, report)
                 break
             except NodeFailedError:
+                self._runs[node_id].over = True
                 if report.attempts >= 6:
                     raise RecoveryError(
                         f"mn{node_id} recovery kept losing dependencies "
@@ -315,13 +384,17 @@ class MemoryNodeRecovery:
                 cluster.master.reset_to_failed(node_id)
                 yield self.env.timeout(cluster.master.detection_delay)
         report.recovery_bytes = bytes_by_class.get("recovery", 0) - bytes0
-        report.nic_busy_s = mn.nic.busy_time - busy0
+        busy = {i: other.nic.busy_time - busy0[i]
+                for i, other in cluster.mns.items()}
+        report.nic_busy_s = busy.pop(node_id)
+        report.helper_nic_busy_s = max(busy.values(), default=0.0)
         return report
 
     def _recover_once(self, node_id: int, report: RecoveryReport):
         cluster = self.cluster
         mn = cluster.mns[node_id]
         server = cluster.servers[node_id]
+        run = self._runs[node_id] = _Run(node_id, report)
 
         mn.reset_for_recovery()
         server.reset_after_crash()
@@ -334,11 +407,11 @@ class MemoryNodeRecovery:
         if leader.directory is None:
             leader.directory = rebuild_directory(cluster)
 
-        yield from self._recover_meta(server, report)
+        yield from self._recover_meta(server, run)
         cluster.master.reach_milestone(node_id, MnState.META_RECOVERED)
         report.meta_done_at = self.env.now
 
-        ckpt_iv = yield from self._recover_index(server, report)
+        ckpt_iv = yield from self._recover_index(server, run)
         cluster.master.reach_milestone(node_id, MnState.INDEX_RECOVERED)
         report.index_done_at = self.env.now
 
@@ -372,9 +445,10 @@ class MemoryNodeRecovery:
 
     # -- tier 1: Meta Area -------------------------------------------------------
 
-    def _recover_meta(self, server, report: RecoveryReport):
+    def _recover_meta(self, server, run: _Run):
         cluster = self.cluster
         node_id = server.node_id
+        report = run.report
         holder = None
         for other in self._alive_servers(excluding=node_id):
             if node_id in other.mn.meta_replicas:
@@ -384,7 +458,7 @@ class MemoryNodeRecovery:
         if holder is not None:
             replicas = holder.mn.meta_replicas[node_id]
             total = len(replicas) * server.mn.meta_record_size
-            yield from self._read_remote(server, holder.node_id, total)
+            yield from self._read_remote(run, holder.node_id, total)
             blocks = server.mn.blocks
             for block_id, meta in replicas.items():
                 restored = meta.copy()
@@ -505,15 +579,16 @@ class MemoryNodeRecovery:
                 return other, image
         return None, None
 
-    def _recover_index(self, server, report: RecoveryReport):
+    def _recover_index(self, server, run: _Run):
         cluster = self.cluster
         node_id = server.node_id
+        report = run.report
         scan_rate = cluster.config.cluster.cpu.scan_rate
         ec_core = server.mn.ec_core
         t0 = self.env.now
         holder, image = self._find_ckpt_image(node_id)
         if image is not None:
-            yield from self._read_remote(server, holder.node_id,
+            yield from self._read_remote(run, holder.node_id,
                                          len(image.data))
             server.mn.index_region.restore(image.data)
             ckpt_iv = image.index_version
@@ -577,7 +652,7 @@ class MemoryNodeRecovery:
         def start_rblock(job):
             other, meta = job
             if other.mn.alive and meta.valid:
-                reads = self._post_reads(server.mn.nic, other.node_id,
+                reads = self._post_reads(run, node_id, other.node_id,
                                          other.mn.blocks.block_size)
                 return (other, meta, None), self.env.all_of(reads)
             started = self._start_block_reads(server, meta)
@@ -589,9 +664,8 @@ class MemoryNodeRecovery:
             other, meta, resolver = state
             if resolver is None:
                 content = bytes(other.mn.blocks.buffer(meta.block_id))
-            else:
-                content = yield from self._finish_block(server, resolver,
-                                                        install=False)
+            else:  # another failed node's block: rebuilt, not installed
+                content = self._resolve_content(resolver)
                 if content is None:
                     return
             scan(other.node_id, meta, content)
@@ -605,8 +679,8 @@ class MemoryNodeRecovery:
                 yield cluster.master.milestone(other_id,
                                                MnState.META_RECOVERED)
             yield from self._pipelined(
-                ((other, meta) for meta in other.mn.blocks.meta
-                 if is_new(meta)),
+                server, ((other, meta) for meta in other.mn.blocks.meta
+                         if is_new(meta)),
                 start_rblock, finish_rblock)
         report.read_rblock_s = self.env.now - t2
 
@@ -879,7 +953,7 @@ class MemoryNodeRecovery:
         and likewise every read.  A read that fails leaves its slot
         out."""
         cluster = self.cluster
-        fabric = cluster.fabric
+        run = self._runs[server.node_id]
         nic = server.mn.nic
         asked = [
             (where, self._aside(self._call(
@@ -895,9 +969,8 @@ class MemoryNodeRecovery:
 
         # (slot, its reads' events, what gives the key once they landed)
         lookups = [
-            (where, [fabric.read(nic, target.nic,
-                                 min(length, HEADER_SIZE + 256),
-                                 traffic_class="recovery")],
+            (where, self._post_reads(run, run.node, target.node_id,
+                                     min(length, HEADER_SIZE + 256)),
              partial(self._key_at, target, offset, length))
             for where, target, offset, length in remote]
         for where, plan in plans:
@@ -909,9 +982,10 @@ class MemoryNodeRecovery:
                     for mn, offset in regions])
             except (NodeFailedError, IndexError):
                 continue  # a second lost shard: stays unknown
-            lookups.append((where, [fabric.read(nic, mn.nic, plan.length,
-                                                traffic_class="recovery")
-                                    for mn, _offset in regions],
+            lookups.append((where, [read for mn, _offset in regions
+                                    for read in self._post_reads(
+                                        run, run.node, mn.node_id,
+                                        plan.length)],
                             partial(self._record_key, raw)))
         keys = {}
         for where, reads, key_of in lookups:
@@ -951,34 +1025,62 @@ class MemoryNodeRecovery:
         report.rebaseline_s = self.env.now - t1
 
     def _decode_and_install(self, server, metas, on_block=None):
-        """Erasure-decode lost DATA blocks; ``on_block(meta, content)``
-        sees each one as it is installed.  One recovery driver, two-stage
-        pipelined: the next stripe's reads are issued while the current
-        one is decoded."""
+        """Erasure-decode lost DATA blocks into the recovering node's Block
+        Area; ``on_block(meta, content)`` sees each one as it is
+        installed."""
 
         def finish(resolver):
-            content = yield from self._finish_block(server, resolver)
-            if content is not None and on_block is not None:
-                on_block(resolver["meta"], content)
+            content = self._resolve_content(resolver)
+            if content is None:
+                return
+            meta = resolver["meta"]
+            server.mn.blocks.set_block(meta.block_id, content)
+            meta.valid = True
+            if on_block is not None:
+                on_block(meta, content)
 
         yield from self._pipelined(
-            metas, lambda meta: self._start_block_reads(server, meta),
+            server, metas, lambda meta: self._start_block_reads(server, meta),
             finish)
 
-    def _start_block_reads(self, server, meta):
-        """Issue the reads needed to rebuild one lost block — the other
-        data shards and the parity a decode of what is missing needs;
-        returns (resolver, all-read-event) or None when unrecoverable.
+    def _deliver(self, run: _Run, agg, gathered: list, blocks: int,
+                 capture=None):
+        """The aggregator's side of one job, run beside the driver: once
+        the blocks it *gathered* have landed, its EC core decodes or
+        encodes *blocks* blocks; a re-baseline's ``capture()`` then takes
+        the stripe at that instant and returns what follows it (grace,
+        Q push), which runs on beside the driver; and the recovering node
+        reads the one block that results — no verb when it aggregated
+        itself, having nothing to gather."""
+        yield self.env.all_of(gathered)
+        self._needs(run, agg)
+        yield agg.mn.ec_core.submit(
+            blocks * self.cluster.config.cluster.block_size / agg._ec_rate())
+        if capture is not None:
+            run.tails.append(self._aside(
+                capture(), f"settle@mn{run.node}(via mn{agg.node_id})"))
+        if agg.node_id != run.node:
+            yield self.env.all_of(self._post_reads(
+                run, run.node, agg.node_id,
+                self.cluster.config.cluster.block_size))
 
-        A single erasure whose P holder is alive costs one parity read
-        whatever the stripe's state: the holder folds its live DELTA
-        blocks into a scratch copy of P (:meth:`_read_folded_parity`),
-        which is the parity of the shards as they are *now*, so nothing
-        is left to fold here.  A dead P holder or a second lost shard
-        reads P and/or Q plus every live DELTA block instead."""
+    def _start_block_reads(self, server, meta):
+        """Start the rebuild of one lost block at an aggregator; returns
+        (resolver, delivered event) or None when unrecoverable.
+
+        The job gathers the other data shards and the parity a decode of
+        what is missing needs.  A single erasure whose P holder is alive
+        needs one parity block whatever the stripe's state: the holder
+        folds its live DELTA blocks into a scratch copy of P
+        (:meth:`_fold_parity`), which is the parity of the shards as they
+        are *now*, so nothing is left to fold.  A dead P holder or a
+        second lost shard gathers P and/or Q plus every live DELTA block
+        instead.  Contents are captured here, at one instant; the
+        aggregator is the holder of any of those blocks this recovery has
+        loaded least, and reads the rest."""
         cluster = self.cluster
         codec = cluster.codec
-        nic = server.mn.nic
+        run = self._runs[server.node_id]
         sid, pos = meta.stripe_id, meta.xor_id
         if sid < 0:
             return None
@@ -1000,14 +1102,9 @@ class MemoryNodeRecovery:
         reference = primary or (records[1] if len(records) > 1 else None)
         if reference is None:
             return None
-        block_size = cluster.config.cluster.block_size
-        events = []
         shards: List[Optional[bytes]] = [None] * (codec.k + codec.m)
         deltas: Dict[int, bytes] = {}
-        resolver = {"meta": meta, "sid": sid, "pos": pos,
-                    "reference": reference, "records": records,
-                    "shards": shards, "deltas": deltas, "p_node": p_node}
-        sources = []  # (position, owner, block id) of readable data shards
+        holders = []  # the server of each block to gather, one per block
         for j in range(codec.k):
             loc = reference.data[j]
             if j == pos or loc is None:
@@ -1015,56 +1112,63 @@ class MemoryNodeRecovery:
             srv = cluster.servers.get(loc[0])
             if srv is not None and srv.mn.alive \
                     and srv.mn.blocks.meta[loc[1]].valid:
-                sources.append((j, srv, loc[1]))
+                shards[j] = bytes(srv.mn.blocks.buffer(loc[1]))
+                holders.append(srv)
         # A single erasure decodes from P alone: with the P record and
         # every other allocated data shard at hand, Q is neither fetched
         # nor charged (`codec.reconstruct` fills it in as a second
         # erasure).  Q stays for a dead P holder or a second lost shard.
-        single = primary is not None and len(sources) == sum(
+        single = primary is not None and len(holders) == sum(
             1 for j in range(codec.k)
             if j != pos and reference.data[j] is not None)
+        psrv = cluster.servers[p_node]
         fold = single and any(d is not None for d in primary.delta_blocks)
         if fold:
-            # Asked for first, so the holder folds while the data shards
-            # below are on the wire.
-            psrv = cluster.servers[p_node]
             shards[codec.k] = psrv.folded_parity(sid)
-            events.append(self._read_folded_parity(server, psrv, sid))
-        for j, srv, block_id in sources:
-            events += self._post_reads(nic, srv.node_id, block_size)
-            shards[j] = bytes(srv.mn.blocks.buffer(block_id))
-        if not fold:
+        else:
             for parity_index, record in enumerate(records):
                 if record is None or (single and parity_index > 0):
                     continue
-                node = cluster.layout.node_of(sid, codec.k + parity_index)
-                events += self._post_reads(nic, node, block_size)
+                srv = cluster.servers[
+                    cluster.layout.node_of(sid, codec.k + parity_index)]
                 shards[codec.k + parity_index] = bytes(
-                    cluster.servers[node].mn.blocks.buffer(
-                        record.parity_block))
+                    srv.mn.blocks.buffer(record.parity_block))
+                holders.append(srv)
             if primary is not None:
-                psrv = cluster.servers[p_node]
                 for j, dblk in enumerate(primary.delta_blocks):
                     if dblk is not None:
-                        events += self._post_reads(nic, p_node, block_size)
                         deltas[j] = bytes(psrv.mn.blocks.buffer(dblk))
-        return resolver, self.env.all_of(events)
+                        holders.append(psrv)
+        agg = self._aggregator(run, holders + [psrv] * fold)
+        block_size = cluster.config.cluster.block_size
+        gathered = [self._aside(self._fold_parity(run, agg, psrv, sid),
+                                f"fold-parity(s{sid}@mn{p_node})")] \
+            if fold else []
+        for srv in holders:
+            if srv is not agg:
+                gathered += self._post_reads(run, agg.node_id, srv.node_id,
+                                             block_size)
+        resolver = {"meta": meta, "sid": sid, "pos": pos, "agg": agg.node_id,
+                    "reference": reference, "shards": shards,
+                    "deltas": deltas}
+        return resolver, self._aside(
+            self._deliver(run, agg, gathered,
+                          sum(s is not None for s in shards)),
+            f"rebuild(s{sid}.{pos}@mn{agg.node_id})")
 
-    def _read_folded_parity(self, server, psrv, sid: int):
-        """Event: the P holder of stripe *sid* folded the stripe's live
-        deltas into a scratch copy of P (one small RPC; its EC core pays
-        the XOR passes) and that one block was read into *server*.  Fails
+    def _fold_parity(self, run: _Run, agg, psrv, sid: int):
+        """The P holder of stripe *sid* folds the stripe's live deltas into
+        a scratch copy of P (its EC core pays the XOR passes), asked by
+        one small RPC, and the aggregator reads that one block once the
+        call returned — or folds it locally, being the P holder.  Fails
         with :class:`NodeFailedError` when the holder dies on the way."""
-        nic = server.mn.nic
-
-        def fold_then_read():
-            yield from self._call(nic, psrv, "fold_parity", sid)
-            yield self.env.all_of(self._post_reads(
-                nic, psrv.node_id,
-                self.cluster.config.cluster.block_size))
-
-        return self._aside(fold_then_read(),
-                           f"fold-parity(s{sid}@mn{psrv.node_id})")
+        if psrv is agg:
+            yield from psrv.h_fold_parity(sid)
+            return
+        yield from self._call(agg.mn.nic, psrv, "fold_parity", sid)
+        yield self.env.all_of(self._post_reads(
+            run, agg.node_id, psrv.node_id,
+            self.cluster.config.cluster.block_size))
 
     def _resolve_content(self, resolver):
         """Pure decode: reconstruct a lost block's current contents from
@@ -1095,26 +1199,6 @@ class MemoryNodeRecovery:
             content = xor_bytes(content, deltas[pos])
         return content
 
-    def _finish_block(self, server, resolver, install: bool = True):
-        """Decode one block after its reads landed, charge CPU, and
-        (optionally) install it into the recovering node's Block Area.
-
-        With ``install=False`` the reconstructed bytes are returned only —
-        used to scan blocks that live on a *different* crashed node during
-        a two-MN recovery."""
-        meta = resolver["meta"]
-        block_size = self.cluster.config.cluster.block_size
-        read_blocks = sum(1 for s in resolver["shards"] if s is not None)
-        yield server.mn.ec_core.submit(
-            read_blocks * block_size / server._ec_rate())
-        content = self._resolve_content(resolver)
-        if content is None:
-            return None
-        if install:
-            server.mn.blocks.set_block(meta.block_id, content)
-            meta.valid = True
-        return content
-
     def _rebaseline_parity(self, server):
         """Rebuild parity blocks held on the recovered node.
 
@@ -1124,20 +1208,23 @@ class MemoryNodeRecovery:
         Q holder re-encodes from the folded states (P's baseline), which
         the surviving P holder still knows.
 
-        Clients keep writing while parity is re-derived, so the capture
-        must not straddle them: a stripe's reads (every surviving data
-        block and, for a Q holder, the P holder's delta blocks) are only
-        charged, and once they landed the blocks are copied at a single
-        simulation instant (:meth:`_rebaseline_p`, :meth:`_rebaseline_q`).
-        """
+        Each stripe is one job at an aggregator, picked among its data
+        holders and the Q holder (P re-baseline) or, with live deltas,
+        the P holder (Q re-baseline): it gathers the other holders'
+        blocks and encodes, and the recovering node reads back its parity
+        block.  Clients keep writing meanwhile, so the capture must not
+        straddle them: the reads are only charged, and once they landed
+        and were encoded the blocks are copied at a single simulation
+        instant (:meth:`_rebaseline_p`, :meth:`_rebaseline_q`).  Grace
+        periods and Q pushes run beside the driver; the stage ends when
+        the last of them did."""
         cluster = self.cluster
         block_size = cluster.config.cluster.block_size
-        nic = server.mn.nic
+        run = self._runs[server.node_id]
 
         def start(job):
             sid, record = job
             sources = []  # (position, data owner, block id)
-            events = []
             for j, loc in enumerate(record.data):
                 if loc is None:
                     continue
@@ -1145,25 +1232,32 @@ class MemoryNodeRecovery:
                 if srv is None or not srv.mn.alive \
                         or not srv.mn.blocks.meta[loc[1]].valid:
                     continue
-                events += self._post_reads(nic, loc[0], block_size)
                 sources.append((j, srv, loc[1]))
-            if record.parity_index != 0:
-                psrv, prec = self._p_record(sid)
-                for j, _srv, _block_id in sources:
-                    if prec is not None and prec.delta_blocks[j] is not None:
-                        events += self._post_reads(nic, psrv.node_id,
-                                                   block_size)
-            return (sid, record, sources), self.env.all_of(events)
-
-        def finish(state):
-            sid, record, sources = state
+            holders = [srv for _j, srv, _block_id in sources]
             if record.parity_index == 0:
-                yield from self._rebaseline_p(server, sid, record, sources)
+                capture = self._rebaseline_p
+                qsrv = self._q_holder(sid)
+                candidates = holders + ([qsrv] if qsrv else [])
             else:
-                yield from self._rebaseline_q(server, sid, record, sources)
+                capture = self._rebaseline_q
+                psrv, prec = self._p_record(sid)
+                holders += [psrv for j, _srv, _block_id in sources
+                            if prec is not None
+                            and prec.delta_blocks[j] is not None]
+                candidates = holders
+            agg = self._aggregator(run, candidates) if candidates else server
+            gathered = [read for srv in holders if srv is not agg
+                        for read in self._post_reads(
+                            run, agg.node_id, srv.node_id, block_size)]
+            return None, self._aside(
+                self._deliver(run, agg, gathered, cluster.codec.k,
+                              partial(capture, run, server, agg, sid, record,
+                                      sources)),
+                f"rebaseline(s{sid}@mn{agg.node_id})")
 
-        yield from self._pipelined(list(server.stripes.items()), start,
-                                   finish)
+        yield from self._pipelined(server, list(server.stripes.items()),
+                                   start, lambda _state: None)
+        yield self.env.all_of(run.tails)
 
     def _p_record(self, sid: int):
         """(P holder's server, its record of stripe *sid*); the record is
@@ -1174,12 +1268,26 @@ class MemoryNodeRecovery:
             return psrv, None
         return psrv, psrv.stripes.get(sid)
 
+    def _q_holder(self, sid: int):
+        """The server a re-baselined P stripe's Q goes to: its Q holder
+        when alive and knowing the stripe, else None."""
+        cluster = self.cluster
+        if cluster.codec.m < 2:
+            return None
+        qsrv = cluster.servers.get(
+            cluster.layout.node_of(sid, cluster.codec.k + 1))
+        if qsrv is None or not qsrv.mn.alive or sid not in qsrv.stripes:
+            return None
+        return qsrv
+
     #: Grace period for fabric writes already in flight when a parity
     #: re-baseline captures its data blocks (one write latency, padded).
     _REBASE_GRACE = 10e-6
 
-    def _rebaseline_p(self, server, sid, record, sources):
+    def _rebaseline_p(self, run: _Run, server, agg, sid, record, sources):
         """Recovered P holder: folded := current, deltas restart at zero.
+        Captures the stripe now and returns what follows beside the
+        driver: the grace period, then the Q push from *agg*.
 
         Three hazards with live writers (each KV pair and its delta are
         posted in parallel, so either can land first):
@@ -1197,8 +1305,7 @@ class MemoryNodeRecovery:
         cluster = self.cluster
         codec = cluster.codec
         block_size = cluster.config.cluster.block_size
-        yield server.mn.ec_core.submit(
-            codec.k * block_size / server._ec_rate())
+        self._needs(run, agg, *(srv for _j, srv, _block_id in sources))
         # ---- single-instant capture: datas, parity, delta reset -------
         datas = [bytes(block_size)] * codec.k
         rezero: List[Tuple[object, int, int]] = []  # (delta buf, off, size)
@@ -1231,28 +1338,42 @@ class MemoryNodeRecovery:
         parity = codec.encode(datas)
         server.mn.blocks.set_block(record.parity_block, parity[0])
         server.mn.blocks.meta[record.parity_block].valid = True
-        # ---- grace: drop deltas that were racing the capture ----------
-        if rezero:
-            yield self.env.timeout(self._REBASE_GRACE)
-            for dbuf, off, slot_size in rezero:
-                if any(dbuf[off:off + slot_size]):
-                    dbuf[off:off + slot_size] = bytes(slot_size)
-        # ---- push the matching Q to its (alive) holder ----------------
-        qnode = cluster.layout.node_of(sid, codec.k + 1)
-        qsrv = cluster.servers.get(qnode)
-        if codec.m > 1 and qsrv is not None and qsrv.mn.alive:
-            qrec = qsrv.stripes.get(sid)
-            if qrec is not None:
-                yield cluster.fabric.transfer(
-                    server.mn.nic, qsrv.mn.nic, block_size,
-                    traffic_class="recovery",
-                )
-                qsrv.mn.blocks.set_block(qrec.parity_block, parity[1])
-                qrec.sealed = list(record.sealed)
 
-    def _rebaseline_q(self, server, sid, record, sources):
+        def settle():
+            # ---- grace: drop deltas that were racing the capture ------
+            if rezero:
+                yield self.env.timeout(self._REBASE_GRACE)
+                self._needs(run)
+                for dbuf, off, slot_size in rezero:
+                    if any(dbuf[off:off + slot_size]):
+                        dbuf[off:off + slot_size] = bytes(slot_size)
+            yield from self._push_q(run, agg, sid, parity[1], record)
+
+        return settle()
+
+    def _push_q(self, run: _Run, agg, sid: int, q: bytes, record):
+        """Install the Q matching a re-baselined P at its holder: pushed
+        from the aggregator, or a local copy when that is the holder.  A
+        push whose aggregator died on the way installs nothing."""
+        qsrv = self._q_holder(sid)
+        if qsrv is None:
+            return
+        if qsrv is not agg:
+            self._needs(run, agg)
+            size = self.cluster.config.cluster.block_size
+            run.ledger[agg.node_id] += size
+            run.ledger[qsrv.node_id] += size
+            yield self.cluster.fabric.transfer(
+                agg.mn.nic, qsrv.mn.nic, size, traffic_class="recovery")
+        self._needs(run, agg)
+        qrec = qsrv.stripes[sid]
+        qsrv.mn.blocks.set_block(qrec.parity_block, q)
+        qrec.sealed = list(record.sealed)
+
+    def _rebaseline_q(self, run: _Run, server, agg, sid, record, sources):
         """Recovered Q holder: re-encode from the folded states, which the
-        surviving P holder still covers (shard XOR its delta).
+        surviving P holder still covers (shard XOR its delta).  Captures
+        the stripe now and returns what follows beside the driver.
 
         The shard and delta captures happen at one instant, so the only
         skew is a delta still in flight for a KV write that already
@@ -1264,8 +1385,7 @@ class MemoryNodeRecovery:
         codec = cluster.codec
         block_size = cluster.config.cluster.block_size
         psrv, prec = self._p_record(sid)
-        yield server.mn.ec_core.submit(
-            codec.k * block_size / server._ec_rate())
+        self._needs(run, agg, *(srv for _j, srv, _block_id in sources))
         # ---- single-instant capture of shards and deltas --------------
         datas = [bytes(block_size)] * codec.k
         shards: Dict[int, bytes] = {}
@@ -1283,9 +1403,12 @@ class MemoryNodeRecovery:
             slot_size = srv.mn.blocks.meta[block_id].slot_size
             deltas[j] = (psrv.mn.blocks.buffer(dblk), dbytes, slot_size)
             datas[j] = xor_bytes(shard, dbytes)
-        # ---- grace: re-fold slots whose delta arrived late ------------
-        if deltas:
-            yield self.env.timeout(self._REBASE_GRACE)
+
+        def settle():
+            # ---- grace: re-fold slots whose delta arrived late --------
+            if deltas:
+                yield self.env.timeout(self._REBASE_GRACE)
+                self._needs(run)
             for j, (dbuf, dbytes, slot_size) in deltas.items():
                 if not slot_size:
                     continue
@@ -1309,10 +1432,12 @@ class MemoryNodeRecovery:
                         shard[off:off + slot_size],
                         now[off:off + slot_size])
                 datas[j] = bytes(folded)
-        parity = codec.encode(datas)
-        server.mn.blocks.set_block(record.parity_block,
-                                   parity[record.parity_index])
-        server.mn.blocks.meta[record.parity_block].valid = True
+            parity = codec.encode(datas)
+            server.mn.blocks.set_block(record.parity_block,
+                                       parity[record.parity_index])
+            server.mn.blocks.meta[record.parity_block].valid = True
+
+        return settle()
 
 
 # ----------------------------------------------------------------------
