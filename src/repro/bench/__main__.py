@@ -1,4 +1,8 @@
-"""CLI entry point: ``python -m repro.bench <figure|all|list>``."""
+"""CLI entry point: ``python -m repro.bench <figure|all|list>``.
+
+Exits 1 if any target's :attr:`~repro.bench.common.FigureResult.shape_ok`
+is false, i.e. one of its non-noisy shape verdicts failed.
+"""
 
 from __future__ import annotations
 
@@ -74,7 +78,10 @@ def main(argv=None) -> int:
     if len(runs) > 1 or args.jobs > 1:
         print(f"[total: {total:.1f}s wall, jobs={args.jobs}, "
               f"seed={args.seed}, repeat={args.repeat}]")
-    return 0
+    failed = [run.name for run in runs if not run.result.shape_ok]
+    if failed:
+        print(f"[shape verdicts failed: {' '.join(failed)}]")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

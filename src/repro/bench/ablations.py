@@ -46,6 +46,11 @@ def run_ablation_compression(scale: Scale) -> FigureResult:
     raw = result.lookup(compression="none")["ckpt_bytes_per_round"]
     result.add_verdict("compression shrinks checkpoint traffic",
                        zl < raw * 0.5, f"{raw} -> {zl} B/round")
+    zl_r = result.lookup(compression="zlib")["search_mops"]
+    raw_r = result.lookup(compression="none")["search_mops"]
+    result.add_verdict("compression keeps reads (>= 0.9x)",
+                       zl_r >= raw_r * 0.9,
+                       f"SEARCH {raw_r:.3f} -> {zl_r:.3f} Mops")
     return result
 
 
@@ -79,4 +84,8 @@ def run_ablation_codec_writes(scale: Scale) -> FigureResult:
              if max(xor["update_mops"], rs["update_mops"]) else 0.0)
     result.add_verdict("codec choice off the write critical path",
                        close > 0.9, f"xor/rs tpt ratio={close:.2f}")
+    result.add_verdict("RS EC core works at least as hard (>= 0.9x)",
+                       rs["ec_core_util"] >= xor["ec_core_util"] * 0.9,
+                       f"ec core {xor['ec_core_util']:.2%} (xor) vs "
+                       f"{rs['ec_core_util']:.2%} (rs)")
     return result

@@ -4,10 +4,9 @@ Every figure/table of the paper's §4 has a runner module in this package;
 each exposes ``run(scale)`` returning a :class:`FigureResult` whose rows
 are the same series the paper plots.  ``scale`` picks the geometry:
 
-* ``"smoke"`` — seconds-scale, used by the pytest-benchmark wrappers and
-  CI; shapes hold but are noisy;
-* ``"small"`` — the default for `python -m repro.bench`, a few minutes
-  for the full set; all headline shape assertions hold;
+* ``"smoke"`` — seconds-scale: the default of `python -m repro.bench`
+  and the tier the CI bench-trend job runs;
+* ``"small"`` — a few minutes for the full set;
 * ``"medium"`` — 64 clients over 16 CNs; the NICs start saturating.
 * ``"paper"`` — the paper's testbed geometry (23 CNs : 5 MNs, 184
   client threads); write paths run fully NIC-saturated, which is the
@@ -16,7 +15,11 @@ are the same series the paper plots.  ``scale`` picks the geometry:
 
 Absolute numbers differ from the paper (its testbed is 28 physical
 machines; ours is a calibrated simulator) — the *shapes* are the
-reproduction target, and each runner documents the expected shape.
+reproduction target.  Each runner documents the expected shape and
+checks it with ``add_verdict``; those verdicts are the harness's only
+shape check, and :attr:`FigureResult.shape_ok` folds them into the one
+pass bit that BENCH json and the exit codes of ``repro.bench``,
+``repro.frontend`` and ``repro.chaos`` report.
 """
 
 from __future__ import annotations
@@ -163,13 +166,24 @@ class FigureResult:
 
         ``noisy`` marks a check whose outcome is known to flip across
         seeds at small scales; it is still reported, but excluded from
-        the aggregate ``shape_ok`` so seed-sensitive flips don't read as
+        :attr:`shape_ok` so seed-sensitive flips don't read as
         regressions.
         """
         verdict = {"check": check, "ok": bool(ok), "detail": detail}
         if noisy:
             verdict["noisy"] = True
         self.verdicts.append(verdict)
+
+    @property
+    def shape_ok(self) -> bool:
+        """Every non-noisy, non-flaky verdict passed.
+
+        ``noisy`` checks are known seed-sensitive a priori; ``flaky``
+        ones were *observed* flipping across a ``--repeat`` seed sweep.
+        Neither belongs in the pass bit.
+        """
+        return all(v["ok"] for v in self.verdicts
+                   if not v.get("noisy") and not v.get("flaky"))
 
     def series(self, key: str, where: Optional[Dict] = None) -> List:
         out = []
@@ -214,12 +228,7 @@ class FigureResult:
                      for row in self.rows],
             "notes": self.notes,
             "verdicts": list(self.verdicts),
-            # ``noisy`` checks are known seed-sensitive a priori;
-            # ``flaky`` ones were *observed* flipping across this run's
-            # seed sweep.  Neither belongs in the aggregate pass bit.
-            "shape_ok": all(v["ok"] for v in self.verdicts
-                            if not v.get("noisy") and not v.get("flaky"))
-            if self.verdicts else None,
+            "shape_ok": self.shape_ok if self.verdicts else None,
             "meta": dict(self.meta),
         }
         if self.variance:
@@ -363,7 +372,7 @@ def average_results(results: Sequence[FigureResult]) -> FigureResult:
 
     A shape verdict passes only if it passed in every repeat; a verdict
     whose outcome *flipped* across the seeds is additionally flagged
-    ``flaky: true`` and excluded from the aggregate ``shape_ok`` — a
+    ``flaky: true`` and excluded from :attr:`FigureResult.shape_ok` — a
     seed-sensitive check is a fact about noise, not a regression, and
     must not gate CI (the per-seed outcomes stay visible in ``detail``).
     """

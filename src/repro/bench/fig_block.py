@@ -66,4 +66,8 @@ def run_fig20(scale: Scale) -> FigureResult:
     result.add_verdict("UPDATE throughput rises with block size",
                        mops[-1] > mops[0],
                        f"{mops[0]:.3f} -> {mops[-1]:.3f} Mops")
+    total = result.series("total_ms")
+    result.add_verdict("recovery completes at every block size",
+                       all(t > 0 for t in total),
+                       f"total {min(total):.2f} - {max(total):.2f} ms")
     return result

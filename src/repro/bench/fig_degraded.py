@@ -142,7 +142,7 @@ def run_fig14(scale: Scale) -> FigureResult:
     _reclaimed_update(scale, result)
     deg = result.lookup(experiment="degraded_search", mode="degraded")["ratio"]
     result.add_verdict("degraded SEARCH slower but alive",
-                       0.0 < deg < 0.95, f"ratio={deg:.2f} (paper 0.53)")
+                       0.15 < deg < 0.95, f"ratio={deg:.2f} (band 0.15-0.95, paper 0.53)")
     rec = result.lookup(experiment="reclaimed_update",
                         mode="reclaimed")["ratio"]
     result.add_verdict("reclaimed UPDATE near normal", rec > 0.7,

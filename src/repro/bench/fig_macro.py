@@ -54,6 +54,12 @@ def run_fig10(scale: Scale) -> FigureResult:
         all(g > 1.0 for g in gains.values()),
         ", ".join(f"{w}={g:.2f}x" for w, g in gains.items()),
     )
+    result.add_verdict(
+        "write-heavy A gains most (> 1.2x, >= 0.95x of B and C)",
+        gains["A"] > 1.2
+        and gains["A"] >= 0.95 * max(gains["B"], gains["C"]),
+        f"A={gains['A']:.2f}x (paper 1.63)",
+    )
     return result
 
 
@@ -81,6 +87,12 @@ def run_fig11(scale: Scale) -> FigureResult:
         "aceso ahead on every Twitter trace",
         all(g > 1.0 for g in gains.values()),
         ", ".join(f"{t}={g:.2f}x" for t, g in gains.items()),
+    )
+    result.add_verdict(
+        "write-heavy traces gain most (COMPUTE > STORAGE, best > 1.15x)",
+        gains["COMPUTE"] > gains["STORAGE"]
+        and max(gains["COMPUTE"], gains["TRANSIENT"]) > 1.15,
+        "paper: STORAGE 1.10x, up to 1.94x",
     )
     return result
 
@@ -116,4 +128,18 @@ def run_fig15(scale: Scale) -> FigureResult:
     ]
     result.add_verdict("aceso at/above fusee at every ratio", all(ahead),
                        f"per-ratio={ahead}")
+
+    def mops(ratio, system):
+        return result.lookup(update_ratio=ratio, system=system)["mops"]
+
+    declines = [mops(1.0, system) < mops(0.0, system)
+                for system in ("fusee", "aceso")]
+    result.add_verdict("updates cost more than reads", all(declines),
+                       f"write-only below read-only (fusee, aceso)="
+                       f"{declines}")
+    gap_low = mops(0.25, "aceso") / mops(0.25, "fusee")
+    gap_high = mops(1.0, "aceso") / mops(1.0, "fusee")
+    result.add_verdict("aceso's lead holds as updates grow (>= 0.9x)",
+                       gap_high > 0.9 * gap_low,
+                       f"{gap_low:.2f}x at 25% -> {gap_high:.2f}x at 100%")
     return result

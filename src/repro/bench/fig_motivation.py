@@ -48,16 +48,24 @@ def run_fig1a(scale: Scale) -> FigureResult:
             result.add(replicas=replicas, op=op,
                        mops=res.throughput(op) / 1e6,
                        mean_cas=res.mean_cas(op))
-    degrade = [
-        result.lookup(replicas=3, op=op)["mops"]
-        < result.lookup(replicas=1, op=op)["mops"]
-        for op in ("INSERT", "UPDATE", "DELETE")
-    ]
+
+    def mops(replicas, op):
+        return result.lookup(replicas=replicas, op=op)["mops"]
+
+    writes = ("INSERT", "UPDATE", "DELETE")
+    degrade = [mops(3, op) < 0.7 * mops(1, op) for op in writes]
     result.add_verdict("writes degrade 1 -> 3 replicas", all(degrade),
-                       f"per-op={degrade}")
+                       f"per-op below 0.7x={degrade}")
+    cas = [result.lookup(replicas=3, op=op)["mean_cas"] for op in writes]
+    result.add_verdict("writes issue >= 3 CAS at 3 replicas",
+                       all(c >= 3.0 for c in cas), f"mean_cas={cas}")
     search_cas = result.lookup(replicas=3, op="SEARCH")["mean_cas"]
     result.add_verdict("SEARCH issues no CAS", search_cas == 0.0,
                        f"mean_cas={search_cas}")
+    result.add_verdict("SEARCH unaffected by replicas",
+                       mops(3, "SEARCH") > 0.9 * mops(1, "SEARCH"),
+                       f"{mops(1, 'SEARCH'):.3f} -> "
+                       f"{mops(3, 'SEARCH'):.3f} Mops")
     return result
 
 

@@ -50,6 +50,12 @@ def run_tab03(scale: Scale) -> FigureResult:
         result.add(core=name, utilisation=totals[name] / num_mns)
     utils = result.series("utilisation")
     result.add_verdict("every MN core below 50%",
-                       all(u < 0.5 for u in utils),
+                       all(0.0 <= u < 0.5 for u in utils),
                        f"max={max(utils):.1%}")
+    rpc = result.lookup(core="rpc")["utilisation"]
+    others = [r["utilisation"] for r in result.rows if r["core"] != "rpc"]
+    result.add_verdict("RPC core no busier than the others (+5 points)",
+                       rpc <= max(others) + 0.05,
+                       f"rpc={rpc:.1%}, others {min(others):.1%} - "
+                       f"{max(others):.1%} (paper 3.8%, the lightest)")
     return result

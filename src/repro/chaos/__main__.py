@@ -3,7 +3,8 @@
 Runs every requested scenario under several seeds, prints a per-run
 table plus per-scenario PASS/FAIL verdicts, and writes the machine-
 readable ``BENCH_chaos.json`` (same schema as the benchmark figures,
-with each run's recovery timeline nested in its row).
+with each run's recovery timeline nested in its row).  Exits 1 if any
+scenario's verdict failed (``shape_ok``).
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.no_json:
         path = result.write_json(args.json_dir)
         print(f"wrote {path}")
-    return 0 if all(v["ok"] for v in result.verdicts) else 1
+    return 0 if result.shape_ok else 1
 
 
 if __name__ == "__main__":

@@ -56,8 +56,7 @@ def main(argv=None) -> int:
     if not args.no_json:
         path = result.write_json(args.json_dir)
         print(f"\nwrote {path}")
-    ok = all(v["ok"] for v in result.verdicts if not v.get("noisy"))
-    return 0 if ok else 1
+    return 0 if result.shape_ok else 1
 
 
 if __name__ == "__main__":

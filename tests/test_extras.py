@@ -222,6 +222,36 @@ def test_bench_cli_creates_a_missing_json_dir(tmp_path, capsys):
     assert (out / "BENCH_fig19.json").is_file()
 
 
+@pytest.mark.parametrize("noisy, code", [(False, 1), (True, 0)])
+def test_bench_cli_exit_code_follows_shape_ok(monkeypatch, tmp_path, capsys,
+                                              noisy, code):
+    """``repro.bench`` exits 1 when a target's non-noisy verdict fails and
+    0 when only a noisy one does (stub runners: no simulation)."""
+    from repro.bench import REGISTRY
+    from repro.bench.__main__ import main
+
+    def passing(scale):
+        result = FigureResult(figure="stub-pass", title="t", columns=["a"])
+        result.add(a=1)
+        result.add_verdict("holds", True)
+        return result
+
+    def failing(scale):
+        result = FigureResult(figure="stub-fail", title="t", columns=["a"])
+        result.add(a=1)
+        result.add_verdict("holds", True)
+        result.add_verdict("breaks", False, "why", noisy=noisy)
+        return result
+
+    monkeypatch.setitem(REGISTRY, "stub-pass", passing)
+    monkeypatch.setitem(REGISTRY, "stub-fail", failing)
+    assert main(["stub-pass", "--json-dir", str(tmp_path)]) == 0
+    assert main(["stub-pass", "stub-fail",
+                 "--json-dir", str(tmp_path)]) == code
+    assert ("[shape verdicts failed: stub-fail]"
+            in capsys.readouterr().out) == (code == 1)
+
+
 def test_encode_throughput_order():
     xor = encode_throughput("xor", block_mb=1)
     rs = encode_throughput("rs", block_mb=1)
