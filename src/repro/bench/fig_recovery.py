@@ -86,12 +86,15 @@ def run_tab02(scale: Scale) -> FigureResult:
         notes="Expected: XOR beats RS on the erasure-coding stages "
               "(Recover LBlock / Recover OldLBlock) and in raw encode "
               "throughput; other stages are similar (paper: 18% total "
-              "saving, 68% higher encode tpt).  Scan KV is CPU time "
-              "spent under the block reads; the wall-clock stages "
-              "(every *_ms column but scan_kv, the two nic_busy and "
-              "total) sum to total_ms.  recovery_bytes is the whole "
-              "fabric's; each rebuilt block crosses the recovering NIC "
-              "once (recovering_nic_bytes).",
+              "saving, 68% higher encode tpt).  Scan KV is EC-core time "
+              "on whichever node walked: the holders walk their own "
+              "recent blocks within Read RBlock and ship only the index "
+              "records homed on the lost node; the recovering node's "
+              "walks of the blocks it rebuilds run under its reads.  "
+              "The wall-clock stages (every *_ms column but scan_kv, "
+              "the two nic_busy and total) sum to total_ms.  "
+              "recovery_bytes is the whole fabric's; each rebuilt block "
+              "crosses the recovering NIC once (recovering_nic_bytes).",
     )
     for codec in ("xor", "rs"):
         def mutate(cfg, codec=codec):

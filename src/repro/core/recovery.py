@@ -14,9 +14,13 @@ as *aggregator* the surviving holder of its stripe this recovery has
 loaded least so far, the other holders' blocks go to it by one-sided
 READs, its EC core decodes or encodes them, and the recovering node
 reads back the one block that results.  Live deltas are folded into P by
-their holder, each block image is walked once as it arrives, slot keys
-come from images already held, and every stage keeps one job in flight
-per surviving MN, so the survivors' NICs together are the floor.
+their holder.  The Index tier's rescan of the blocks written since the
+checkpoint runs at their holders: each live holder walks its own on its
+EC core and ships only the records homed on the recovering node (a few
+bytes each instead of whole blocks), while a block of the node's own,
+or of another failed node, is walked once where it is rebuilt.  Slot
+keys come from records already held, and every stage keeps one job in
+flight per surviving MN, so the survivors' NICs together are the floor.
 DESIGN.md §5 has the byte table.
 
 Compute-node recovery (§3.4.2) restarts a client, re-finds its unfilled
@@ -54,6 +58,12 @@ _READ_CHUNK = 32 * 1024
 _EPOCH_SANITY_BOUND = 1 << 40
 #: Front write version, flags, key and value length of a KV header.
 _KV_EXTENT = struct.Struct("<BBHI")
+#: Bytes a holder-side scan ships per block walked (block id, entry
+#: count) and per record homed on the lost node, before its key (Slot
+#: Version, which also marks an invalidated pair; intra-block offset;
+#: slot size; key length).
+_SCAN_BLOCK_BYTES = 8
+_SCAN_ENTRY_BYTES = 8 + 4 + 2 + 2
 
 
 @dataclass
@@ -63,8 +73,10 @@ class RecoveryReport:
     The ``*_s`` stage fields are wall-clock and, for a recovery that ran
     its tiers once and was not held between them, partition
     ``total_time`` (:meth:`stages`); after a tier restart they describe
-    the last attempt.  ``scan_kv_s`` is CPU, not wall-clock: with the
-    scan running under the block reads only ``scan_tail_s`` is exposed.
+    the last attempt.  ``scan_kv_s`` is CPU, not wall-clock, summed over
+    the cores that walked: a live holder's walk is part of
+    ``read_rblock_s``, and of the recovering node's own only
+    ``scan_tail_s`` is exposed.
     """
 
     node_id: int = -1
@@ -80,7 +92,8 @@ class RecoveryReport:
     lblock_count: int = 0
     read_rblock_s: float = 0.0
     rblock_count: int = 0
-    #: Scan KV: seconds of EC-core time walking ``kv_count`` records.
+    #: Scan KV: seconds of EC-core time walking ``kv_count`` records, on
+    #: whichever core walked (the holder's for a live holder's block).
     scan_kv_s: float = 0.0
     kv_count: int = 0
     #: Scan time still outstanding when the last block image had arrived.
@@ -195,14 +208,14 @@ def rebuild_directory(cluster) -> StripeDirectory:
 
 @dataclass
 class _Rescan:
-    """What the Index tier keeps of the block images it reads."""
+    """What the Index tier keeps of the blocks it rescans."""
 
     #: key -> (Slot Version, record, packed address, slot size) of the
     #: best KV pair per key homed on the lost node.
     best: Dict[bytes, tuple] = field(default_factory=dict)
-    #: (owner, block id) -> {intra-block offset: record}, one entry per
-    #: rescanned block (the scrub tells "rescanned, nothing there" from
-    #: "not rescanned" by it).
+    #: (owner, block id) -> {intra-block offset: record}, homed records
+    #: only, one entry per rescanned block (the scrub tells "rescanned,
+    #: nothing homed there" from "not rescanned" by it).
     records: Dict[Tuple[int, int], Dict[int, object]] = \
         field(default_factory=dict)
     #: Completion of the scan CPU time submitted so far.
@@ -624,14 +637,16 @@ class MemoryNodeRecovery:
                     data_gens[(mn_id, meta.block_id)] = meta.alloc_gen
 
         # 2c runs under 2a and 2b: every block image is walked the moment
-        # it arrives (Scan KV), and the walk's CPU time goes to the EC
-        # core right then, so it is spent while later blocks are still
-        # on the wire.
+        # it is at hand (Scan KV), and the walk's CPU time goes to the
+        # walking node's EC core right then, so it is spent while later
+        # blocks are still on the wire.
         rescan = _Rescan()
         report.kv_count = report.rblock_count = 0  # of this attempt
 
         def scan(owner: int, meta, data: bytes) -> None:
-            walked = self._scan_image(node_id, rescan, owner, meta, data)
+            walked, homed = self._homed_records(node_id, data,
+                                                meta.slot_size)
+            self._merge(rescan, owner, meta.block_id, homed)
             report.kv_count += walked
             rescan.cpu_done = ec_core.submit(walked / scan_rate)
 
@@ -643,45 +658,58 @@ class MemoryNodeRecovery:
         report.recover_lblock_s = self.env.now - t1
         report.lblock_count = len(local_new)
 
-        # 2b. read new remote blocks (Read RBlock).  Blocks on *other*
-        # failed nodes (a concurrent two-MN recovery) are reconstructed
-        # transiently from their stripes instead; wait for those nodes'
-        # Meta milestone first so their block inventory is known.
+        # 2b. scan new remote blocks at their holders (Read RBlock): each
+        # live holder walks its own new, valid blocks and ships only the
+        # records homed on this node, all holders at once.  Blocks on
+        # *other* failed nodes (a concurrent two-MN recovery), or not
+        # valid yet, are reconstructed transiently from their stripes
+        # instead; wait for a failed node's Meta milestone first so its
+        # block inventory is known.
         t2 = self.env.now
+        scans = []
+
+        def split(other) -> list:
+            """Start *other*'s holder-side scan; returns its new blocks
+            left to rebuild."""
+            new = [meta for meta in other.mn.blocks.meta if is_new(meta)]
+            if not other.mn.alive:
+                return new
+            held = [meta for meta in new if meta.valid]
+            if held:
+                scans.append(self._aside(
+                    self._scan_at_holder(run, rescan, other, held),
+                    f"rblock-scan@mn{other.node_id}"))
+            return [meta for meta in new if not meta.valid]
 
         def start_rblock(job):
-            other, meta = job
-            if other.mn.alive and meta.valid:
-                reads = self._post_reads(run, node_id, other.node_id,
-                                         other.mn.blocks.block_size)
-                return (other, meta, None), self.env.all_of(reads)
+            owner, meta = job
             started = self._start_block_reads(server, meta)
             if started is None:
                 return None
-            return (other, meta, started[0]), started[1]
+            return (owner, started[0]), started[1]
 
         def finish_rblock(state):
-            other, meta, resolver = state
-            if resolver is None:
-                content = bytes(other.mn.blocks.buffer(meta.block_id))
-            else:  # another failed node's block: rebuilt, not installed
-                content = self._resolve_content(resolver)
-                if content is None:
-                    return
-            scan(other.node_id, meta, content)
-            report.rblock_count += 1
+            owner, resolver = state  # rebuilt, not installed
+            content = self._resolve_content(resolver)
+            if content is not None:
+                scan(owner, resolver["meta"], content)
+                report.rblock_count += 1
 
-        for other_id, other in list(cluster.servers.items()):
-            if other_id == node_id:
-                continue
-            if not other.mn.alive and \
-                    cluster.master.mn_state(other_id) == MnState.FAILED:
-                yield cluster.master.milestone(other_id,
-                                               MnState.META_RECOVERED)
+        others = [srv for i, srv in cluster.servers.items() if i != node_id]
+        rebuilds = {other.node_id: split(other) for other in others
+                    if other.mn.alive}
+        for other in others:
+            other_id = other.node_id
+            if other_id not in rebuilds:
+                if not other.mn.alive and cluster.master.mn_state(
+                        other_id) == MnState.FAILED:
+                    yield cluster.master.milestone(other_id,
+                                                   MnState.META_RECOVERED)
+                rebuilds[other_id] = split(other)
             yield from self._pipelined(
-                server, ((other, meta) for meta in other.mn.blocks.meta
-                         if is_new(meta)),
+                server, ((other_id, meta) for meta in rebuilds[other_id]),
                 start_rblock, finish_rblock)
+        yield self.env.all_of(scans)
         report.read_rblock_s = self.env.now - t2
 
         # 2c. whatever of the scan the reads did not hide.
@@ -737,32 +765,68 @@ class MemoryNodeRecovery:
             yield pos, stride, record
             pos += stride
 
-    def _scan_image(self, node_id: int, rescan: "_Rescan", owner: int,
-                    meta, data: bytes) -> int:
-        """Walk one rescanned block image, once, for all three of its
-        users: the best (highest Slot Version) KV per key homed on the
-        lost node, and every record by position for the scrub and the
-        re-apply pass.  Returns the number of records walked."""
-        base = self.cluster.mns[owner].blocks.offset_of(meta.block_id)
+    def _homed_records(self, node_id: int, data, slot_size: int):
+        """Walk one block image: (records walked, [(offset, slot size,
+        record)] of the records homed on *node_id*)."""
         num_mns = self.cluster.config.cluster.num_mns
+        walked = 0
+        homed = []
+        for off, size, record in self._walk_records(data, slot_size):
+            walked += 1
+            if home_of(record.key, num_mns) == node_id:
+                homed.append((off, size, record))
+        return walked, homed
+
+    def _merge(self, rescan: "_Rescan", owner: int, block_id: int,
+               homed: list) -> None:
+        """Take one rescanned block's homed records into *rescan*: by
+        position for the scrub and the re-apply pass, and as the best
+        (highest Slot Version) KV pair of their key."""
+        base = self.cluster.mns[owner].blocks.offset_of(block_id)
         best = rescan.best
-        records = rescan.records[(owner, meta.block_id)] = {}
-        for off, slot_size, record in self._walk_records(data,
-                                                         meta.slot_size):
+        records = rescan.records[(owner, block_id)] = {}
+        for off, slot_size, record in homed:
             records[off] = record
             if record.invalidated:
                 continue
             epoch, _ver = split_slot_version(record.slot_version)
             if epoch > _EPOCH_SANITY_BOUND:
                 continue  # corrupted reconstruction survivor
-            if home_of(record.key, num_mns) != node_id:
-                continue
             current = best.get(record.key)
             if current is None or record.slot_version > current[0]:
                 addr = GlobalAddress(owner, base + off).pack()
                 best[record.key] = (record.slot_version, record, addr,
                                     slot_size)
-        return len(records)
+
+    def _scan_at_holder(self, run: _Run, rescan: "_Rescan", holder, metas):
+        """Read RBlock at one live *holder*, run beside the driver.  The
+        holder walks its blocks *metas* as they are now, on its EC core,
+        and keeps the records homed on the recovering node; the
+        recovering node reads those entries (per block its id and entry
+        count, per record its offset, slot size, Slot Version and key),
+        and only once they landed are they merged into *rescan*.  Fails
+        with :class:`NodeFailedError` when the holder died on the way or
+        the attempt was restarted, so a stale job merges nothing."""
+        walked = size = 0
+        scanned = []
+        for meta in metas:
+            count, homed = self._homed_records(
+                run.node, holder.mn.blocks.buffer(meta.block_id),
+                meta.slot_size)
+            walked += count
+            size += _SCAN_BLOCK_BYTES + sum(
+                _SCAN_ENTRY_BYTES + len(record.key)
+                for _off, _size, record in homed)
+            scanned.append((meta.block_id, homed))
+        yield holder.mn.ec_core.submit(
+            walked / self.cluster.config.cluster.cpu.scan_rate)
+        yield self.env.all_of(self._post_reads(run, run.node,
+                                               holder.node_id, size))
+        self._needs(run, holder)
+        for block_id, homed in scanned:
+            self._merge(rescan, holder.node_id, block_id, homed)
+        run.report.kv_count += walked
+        run.report.rblock_count += len(scanned)
 
     def _scrub_index(self, server, rescan: "_Rescan", data_gens,
                      report: RecoveryReport):
@@ -778,13 +842,15 @@ class MemoryNodeRecovery:
         Every block mutated since the checkpoint is in the rescan set —
         open blocks and reuse grants carry Index Version 0 and re-sealed
         blocks a fresh stamp — so each restored pointer into a rescanned
-        block can be checked against the freshly read bytes and cleared
-        when the record there no longer matches the slot's fingerprint
-        and home.  Pointers into blocks outside the rescan set are
-        untouched since the checkpoint and stay as restored — with one
-        exception: a block that was freed (or repurposed as parity/delta
-        space) holds no live record by definition, yet it escapes the
-        rescan set precisely because nobody has written it since.  A
+        block can be checked against the records just scanned there,
+        which are those homed on this node only, and cleared when none
+        is at its offset or it no longer matches the slot's fingerprint
+        (a record of a key homed elsewhere is not there).  Pointers into
+        blocks outside the rescan set are untouched since the checkpoint
+        and stay as restored — with one exception: a block that was
+        freed (or repurposed as parity/delta space) holds no live record
+        by definition, yet it escapes the rescan set precisely because
+        nobody has written it since.  A
         restored pointer into such a block is stale, and if left in
         place it would silently go corrupt the moment the allocator
         hands the space to a new writer — so those slots are cleared
@@ -798,8 +864,6 @@ class MemoryNodeRecovery:
         reuse) makes every restored pointer into the block stale.
         """
         index = server.mn.index
-        node_id = server.node_id
-        num_mns = self.cluster.config.cluster.num_mns
         checked = 0
         for bucket, slot, word in index.iter_slots():
             atomic = AtomicField.unpack(word)
@@ -827,8 +891,7 @@ class MemoryNodeRecovery:
                     continue  # not rescanned: as restored
                 record = records.get(intra)
                 stale = (record is None or record.invalidated
-                         or fingerprint8(record.key) != atomic.fp
-                         or home_of(record.key, num_mns) != node_id)
+                         or fingerprint8(record.key) != atomic.fp)
             if stale:
                 index.write_atomic(bucket, slot,
                                    AtomicField(fp=0, ver=0, addr=0))
@@ -892,14 +955,15 @@ class MemoryNodeRecovery:
         """Key of the KV pair behind every occupied slot a candidate
         could collide with: ``{(bucket, slot): key or None}``.
 
-        Nearly all of those slots point into a block image recovery has
-        just read (the bytes the scrub already trusted), and a pointer
-        into a rebuilt block of the node's own is a local memory access:
-        neither costs a verb.  What is left is fetched, all of it
-        together: a pointer into a block of another node that was not
-        rescanned is one READ; a pointer into a block of the node's own
-        that the Block tier has yet to rebuild is a degraded read of that
-        one slot, as a client would do it (§3.4.1: the P holder's plan,
+        Nearly all of those slots point into a block recovery has just
+        rescanned (the records the scrub already trusted: a slot with no
+        homed record there resolves to None, as no candidate key can
+        match it), and a pointer into a rebuilt block of the node's own
+        is a local memory access: neither costs a verb.  What is left is
+        fetched, all of it together: a pointer into a block of another
+        node that was not rescanned is one READ; a pointer into a block
+        of the node's own that the Block tier has yet to rebuild is a
+        degraded read of that one slot, as a client would do it (§3.4.1: the P holder's plan,
         then the slot's region of each shard, delta and P) — left
         unknown, the key's newer KV pair would take a second slot and
         the old one would shadow it.  A pointer whose bytes cannot be

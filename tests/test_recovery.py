@@ -686,15 +686,18 @@ def crash_holder_when(cluster, triggers, pick):
 
 @pytest.mark.parametrize("dies", ["p_holder_while_folding",
                                   "data_holder_mid_rebaseline",
-                                  "aggregator_mid_job"])
+                                  "aggregator_mid_job",
+                                  "holder_mid_scan"])
 def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     """The waits of an aggregated job.  The P holder dying with a fold
     on its EC core fails the fold; a data holder dying before a
     re-baseline's capture fails that job; the aggregator dying after its
     helpers' blocks landed and before it delivered the Q of a P
-    re-baseline fails the push, which installs nothing.  Either
-    way the recovery wipes what it restored and restarts its tiers, now a
-    double failure that needs the Q parity, and every key reads back
+    re-baseline fails the push, which installs nothing; a holder dying
+    with its Read RBlock scan on its EC core fails the scan, which
+    merges nothing.  Either way the recovery wipes what it restored and
+    restarts its tiers, now a double failure that needs the Q parity,
+    and every key reads back
     (every written block is sealed; the live DELTA blocks the dead P
     holder takes with it belong to prefetched, still empty blocks)."""
     from repro.chaos.oracle import walk_index
@@ -724,7 +727,7 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
 
         second = crash_holder_when(
             cluster, ["_rebaseline_p", "_rebaseline_q"], holder_being_read)
-    else:
+    elif dies == "aggregator_mid_job":
         # the first aggregator to push a Q to another node dies once the
         # recovering node has its P, before the push: nothing else fails
         push = recovery._push_q
@@ -739,6 +742,25 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
             pushed.append(agg.mn.alive)
 
         recovery._push_q = crash_then_push
+    else:
+        # the first holder to scan its recent blocks dies while the walk
+        # is on its EC core
+        scan = recovery._scan_at_holder
+        second, on_core, merged = [], [], []
+
+        def crash_soon(holder):
+            yield cluster.env.timeout(1e-6)
+            on_core.append(holder.mn.ec_core.backlog() > 0)
+            cluster.crash_mn(holder.node_id)
+
+        def crash_mid_scan(run, rescan, holder, metas):
+            if not second:
+                second.append(holder.node_id)
+                cluster.env.process(crash_soon(holder))
+            yield from scan(run, rescan, holder, metas)
+            merged.append(holder.node_id)
+
+        recovery._scan_at_holder = crash_mid_scan
     cluster.crash_mn(victim)
     done = cluster.master.milestone(victim, MnState.RECOVERED)
     cluster.env.run_until_event(done, limit=cluster.env.now + 240)
@@ -752,6 +774,10 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     if dies == "aggregator_mid_job":
         # every Q installed came from a live aggregator
         assert pushed and all(pushed)
+    if dies == "holder_mid_scan":
+        # the dead holder's scan merged nothing; the others' did
+        assert on_core == [True]
+        assert merged and second[0] not in merged
     assert verify(cluster, expected) == []
     _versions, problems = walk_index(cluster)
     assert not any(problems.values()), problems
@@ -824,23 +850,36 @@ def expected_recovery_bytes(cluster, victim):
     moves, from the cluster's state before the crash, as (into the
     victim's NIC, on the whole fabric at most).
 
-    Into the NIC: the Meta replica, the checkpoint image and one block
-    per lost DATA block, per recently sealed or open block elsewhere and
-    per parity block held — every rebuilt or re-encoded block crosses it
-    once.  On the fabric at most what a driver pulling every stripe mate
+    Into the NIC: the Meta replica, the checkpoint image, one block per
+    lost DATA block and per parity block held — every rebuilt or
+    re-encoded block crosses it once — and one read per other MN of the
+    index entries its scan of its recently sealed or open blocks ships:
+    8 B per block, and 16 B plus the key per record homed on the victim.
+    On the fabric at most what a driver pulling every stripe mate
     through that NIC moved: k blocks per lost DATA block (its other
-    allocated shards and one parity), and per parity block held the
-    stripe's data blocks plus the Q push (P) or the live DELTA blocks
-    (Q); the aggregator's own block is local, its hand-back takes that
-    block's place, and a Q it holds itself is not pushed.  Key look-ups
-    of the re-apply pass are in neither."""
+    allocated shards and one parity), the scanned entries, and per
+    parity block held the stripe's data blocks plus the Q push (P) or
+    the live DELTA blocks (Q); the aggregator's own block is local, its
+    hand-back takes that block's place, and a Q it holds itself is not
+    pushed.  Key look-ups of the re-apply pass are in neither."""
+    from repro.core.kvpair import parse_kv
     from repro.core.recovery import _READ_CHUNK
     from repro.memory.blocks import Role
     from repro.rdma.verbs import WIRE_HEADER
     block_size = cluster.config.cluster.block_size
+    num_mns = cluster.config.cluster.num_mns
 
     def bulk(size, chunk=_READ_CHUNK):
         return size + -(-size // chunk) * WIRE_HEADER
+
+    def shipped(other, meta):
+        data = bytes(other.blocks.buffer(meta.block_id))
+        size = meta.slot_size
+        records = [parse_kv(data[off:off + size])
+                   for off in range(0, block_size - size + 1, size)]
+        return 8 + sum(16 + len(record.key) for record in records
+                       if record is not None
+                       and home_of(record.key, num_mns) == victim)
 
     others = [s for i, s in cluster.servers.items() if i != victim]
     mn = cluster.mns[victim]
@@ -856,12 +895,12 @@ def expected_recovery_bytes(cluster, victim):
             into += 1
             pulled += sum(loc is not None for loc in data)
     threshold = max(image.index_version - 1, 1)
-    rescanned = sum(1 for s in others for meta in s.mn.blocks.meta
-                    if meta.role is Role.DATA and (
-                        meta.index_version == 0
-                        or meta.index_version >= threshold))
-    into += rescanned
-    pulled += rescanned
+    for s in others:
+        scanned = sum(shipped(s.mn, meta) for meta in s.mn.blocks.meta
+                      if meta.role is Role.DATA and (
+                          meta.index_version == 0
+                          or meta.index_version >= threshold))
+        total += bulk(scanned) if scanned else 0
     pushes = 0
     for sid, record in cluster.servers[victim].stripes.items():
         held = [j for j, loc in enumerate(record.data) if loc is not None]
@@ -999,6 +1038,84 @@ def test_apply_pass_costs_no_verb_for_pointers_it_already_holds():
     nic = cluster.config.cluster.nic
     assert report.apply_s <= nic.rtt + len(looked_up) / nic.iops + 1e-9
     assert verify(cluster, written) == []
+
+
+def test_scrub_drops_a_slot_whose_record_is_now_homed_elsewhere():
+    """The scrub on the rescan's homed-records map.  Key A's checkpointed
+    slot points into a client's open block on another MN; A was updated
+    since, and its old offset was rewritten with a record of a key homed
+    elsewhere, as a reuse grant would — one with A's fingerprint, so the
+    home alone tells them apart.  The block is rescanned at its holder,
+    which ships only the records homed on the crashed MN, so nothing is
+    at that offset: the slot is scrubbed (left in place it would stand
+    for A but lead to the other key's record) and A is re-applied from
+    its newer record.  Key C's slot, pointing at its live record in
+    such a block, is kept: A's is the one slot scrubbed.  All three keys
+    read back."""
+    from repro.chaos.oracle import walk_index
+    from repro.checkpoint.differential import xor_bytes
+    from repro.core.kvpair import parse_kv
+    from repro.index.hashing import fingerprint8
+    from repro.memory.address import GlobalAddress
+    from tests.test_core_blocks import stripe_invariant_holds
+    from tests.test_core_versioning import locate_slot
+    cluster, runner, n = loaded_cluster()
+    cluster.run(cluster.env.now + 0.6)      # a checkpoint round saw the load
+    num_mns = cluster.config.cluster.num_mns
+
+    def live(key):
+        index, bucket, slot = locate_slot(cluster, key)
+        return GlobalAddress.unpack(index.read_atomic(bucket, slot).addr)
+
+    # the committed records of each client's open blocks, by home MN
+    homed = {}      # home -> [(client, open block, slot, key)]
+    for client in cluster.clients:
+        for block in client.blocks.all_open():
+            if block.grant.delta_node < 0 or block.slots_left() < 2:
+                continue
+            size = block.size_class.slot_size
+            for slot in range(block.slots - block.slots_left()):
+                addr = block.kv_address(slot)
+                record = parse_kv(cluster.mns[addr.node_id].read_bytes(
+                    addr.offset, size))
+                if record is not None and live(record.key) == addr:
+                    homed.setdefault(home_of(record.key, num_mns), []).append(
+                        (client, block, slot, record.key))
+    victim, held = next(
+        (home, [e for e in entries if e[1].grant.data_node != home])
+        for home, entries in sorted(homed.items())
+        if sum(e[1].grant.data_node != home for e in entries) >= 2)
+    (client, block, slot, key_a), (_c, _b, _s, key_c) = held[:2]
+    other = next(c for c in cluster.clients if c is not client)
+    key_b = next(key for key in (micro_key(other.cli_id, n + i)
+                                 for i in range(100000))
+                 if fingerprint8(key) == fingerprint8(key_a)
+                 and home_of(key, num_mns) != victim)
+    cluster.run_op(other.insert(key_b, b"B" * 180))
+    cluster.run_op(client.update(key_a, b"A-after-ckpt"))
+    assert block in client.blocks.all_open()    # still open, delta live
+    # rewrite A's old offset with B's record, its delta to match
+    size = block.size_class.slot_size
+    old_at, delta_at, b_at = (block.kv_address(slot),
+                              block.delta_address(slot), live(key_b))
+    mns = cluster.mns
+    old = mns[old_at.node_id].read_bytes(old_at.offset, size)
+    new = mns[b_at.node_id].read_bytes(b_at.offset, size)
+    mns[old_at.node_id].write_bytes(old_at.offset, new)
+    mns[delta_at.node_id].write_bytes(delta_at.offset, xor_bytes(
+        mns[delta_at.node_id].read_bytes(delta_at.offset, size),
+        xor_bytes(old, new)))
+    psrv, record = p_record(cluster, block.grant.stripe_id)
+    assert stripe_invariant_holds(cluster, block.grant.stripe_id, record,
+                                  psrv)
+    expected = {key: cluster.run_op(cluster.clients[0].search(key))
+                for key in (key_a, key_b, key_c)}
+    assert expected[key_a] == b"A-after-ckpt"
+    report = crash_and_recover(cluster, victim)
+    assert report.scrubbed_slots == 1
+    assert verify(cluster, expected) == []
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
 
 
 def test_checkpointed_slot_into_a_block_still_lost_is_not_duplicated():
