@@ -92,7 +92,10 @@ def run_tab02(scale: Scale) -> FigureResult:
               "records homed on the lost node; the recovering node's "
               "walks of the blocks it rebuilds run under its reads.  "
               "The wall-clock stages (every *_ms column but scan_kv, "
-              "the two nic_busy and total) sum to total_ms.  "
+              "the two nic_busy and total) sum to total_ms.  The old-"
+              "block decodes and the parity re-baselines are one job "
+              "pool: recover_old ends at the last old block installed, "
+              "rebaseline is the rest of the Block tier.  "
               "recovery_bytes is the whole fabric's; each rebuilt block "
               "crosses the recovering NIC once (recovering_nic_bytes).",
     )

@@ -19,9 +19,10 @@ checkpoint runs at their holders: each live holder walks its own on its
 EC core and ships only the records homed on the recovering node (a few
 bytes each instead of whole blocks), while a block of the node's own,
 or of another failed node, is walked once where it is rebuilt.  Slot
-keys come from records already held, and every stage keeps one job in
-flight per surviving MN, so the survivors' NICs together are the floor.
-DESIGN.md §5 has the byte table.
+keys come from records already held, and every stage keeps two jobs in
+flight per surviving MN — the Block tier's decodes and parity
+re-baselines as one pool — so the survivors' NICs together are the
+floor.  DESIGN.md §5 has the byte table.
 
 Compute-node recovery (§3.4.2) restarts a client, re-finds its unfilled
 blocks via the ``CLI ID`` metadata field, checks every KV/delta pair's
@@ -76,7 +77,11 @@ class RecoveryReport:
     the last attempt.  ``scan_kv_s`` is CPU, not wall-clock, summed over
     the cores that walked: a live holder's walk is part of
     ``read_rblock_s``, and of the recovering node's own only
-    ``scan_tail_s`` is exposed.
+    ``scan_tail_s`` is exposed.  The Block tier runs its old-block
+    decodes and parity re-baselines as one job pool: ``recover_old_s``
+    ends when the last old block was installed, and ``rebaseline_s`` is
+    the rest of the tier, re-baselines that overlapped the decodes
+    having started inside ``recover_old_s``.
     """
 
     node_id: int = -1
@@ -289,16 +294,18 @@ class MemoryNodeRecovery:
         gather blocks and compute on them.  ``start(job)`` posts one job
         and returns ``(state, delivered event)``, or None for a job with
         nothing to do; ``finish(state)`` consumes what was delivered.
-        One job is in flight per surviving MN of the coding group: a job
-        loads its aggregator's NIC with about k blocks and each other
-        holder's with one, so that many jobs keep every survivor's NIC
-        busy.  The next job starts as soon as any one is delivered — the
-        oldest may sit behind a later job's blocks in its aggregator's
-        NIC queue."""
+        Two jobs are in flight per surviving MN of the coding group: a
+        job loads its aggregator's NIC with about k blocks and each other
+        holder's with one, so one job per survivor keeps every survivor's
+        NIC busy only while its blocks are on the wire; the second job
+        gathers while the first is decoded and handed back (double
+        buffering).  The next job starts as soon as any one is delivered
+        — the oldest may sit behind a later job's blocks in its
+        aggregator's NIC queue."""
         cluster = self.cluster
-        window = max(1, sum(1 for node in cluster.layout.members
-                            if node != server.node_id
-                            and cluster.mns[node].alive))
+        window = 2 * max(1, sum(1 for node in cluster.layout.members
+                                if node != server.node_id
+                                and cluster.mns[node].alive))
         pending: List[tuple] = []
 
         def finish_one():
@@ -424,7 +431,7 @@ class MemoryNodeRecovery:
         cluster.master.reach_milestone(node_id, MnState.META_RECOVERED)
         report.meta_done_at = self.env.now
 
-        ckpt_iv = yield from self._recover_index(server, run)
+        yield from self._recover_index(server, run)
         cluster.master.reach_milestone(node_id, MnState.INDEX_RECOVERED)
         report.index_done_at = self.env.now
 
@@ -432,7 +439,7 @@ class MemoryNodeRecovery:
                 and not self.hold_block_phase.triggered:
             yield self.hold_block_phase
 
-        yield from self._recover_blocks(server, report, ckpt_iv)
+        yield from self._recover_blocks(server, run)
         cluster.master.reach_milestone(node_id, MnState.RECOVERED)
         report.blocks_done_at = self.env.now
 
@@ -650,11 +657,17 @@ class MemoryNodeRecovery:
             report.kv_count += walked
             rescan.cpu_done = ec_core.submit(walked / scan_rate)
 
+        def install_and_scan(resolver):
+            content = self._install(server, resolver)
+            if content is not None:
+                scan(node_id, resolver["meta"], content)
+
         # 2a. recover new local blocks by erasure decoding (Recover LBlock).
         t1 = self.env.now
         local_new = [m for m in server.mn.blocks.meta if is_new(m)]
-        yield from self._decode_and_install(server, local_new,
-                                            on_block=partial(scan, node_id))
+        yield from self._pipelined(
+            server, local_new, partial(self._start_block_reads, server),
+            install_and_scan)
         report.recover_lblock_s = self.env.now - t1
         report.lblock_count = len(local_new)
 
@@ -728,7 +741,6 @@ class MemoryNodeRecovery:
         t5 = self.env.now
         yield from self._apply_candidates(server, rescan, report)
         report.apply_s = self.env.now - t5
-        return ckpt_iv
 
     @staticmethod
     def _walk_records(data: bytes, slot_size: int):
@@ -1075,37 +1087,50 @@ class MemoryNodeRecovery:
 
     # -- tier 3: Block Area -----------------------------------------------------
 
-    def _recover_blocks(self, server, report: RecoveryReport, ckpt_iv: int):
+    def _recover_blocks(self, server, run: _Run):
+        """The Block tier as one job pool: the decodes of the old DATA
+        blocks first, then the re-baselines of the parity this node holds
+        (not critical, §3.4.1 — functionality returned at the Index
+        milestone), with no drain between them, so the survivors' NICs
+        stay busy across the seam.  ``recover_old_s`` ends when the last
+        old block was installed; ``rebaseline_s`` is the rest — the
+        re-baselines still in flight then and the grace periods and Q
+        pushes they left running beside the driver."""
+        report = run.report
         t0 = self.env.now
         old = [m for m in server.mn.blocks.meta
                if m.role is Role.DATA and not m.valid]
-        yield from self._decode_and_install(server, old)
         report.old_count = len(old)
-        report.recover_old_s = self.env.now - t0
-        # Background: re-derive parity held on this node (not critical,
-        # §3.4.1 — PARITY blocks recover after functionality returns).
-        t1 = self.env.now
-        yield from self._rebaseline_parity(server)
-        report.rebaseline_s = self.env.now - t1
+        report.recover_old_s = 0.0
 
-    def _decode_and_install(self, server, metas, on_block=None):
-        """Erasure-decode lost DATA blocks into the recovering node's Block
-        Area; ``on_block(meta, content)`` sees each one as it is
-        installed."""
+        def jobs():
+            for meta in old:
+                yield self._start_block_reads, meta
+            for stripe in list(server.stripes.items()):
+                yield self._start_rebaseline, stripe
 
         def finish(resolver):
-            content = self._resolve_content(resolver)
-            if content is None:
+            if resolver is None:  # a re-baseline installed at its capture
                 return
+            self._install(server, resolver)
+            report.recover_old_s = self.env.now - t0
+
+        yield from self._pipelined(server, jobs(),
+                                   lambda job: job[0](server, job[1]),
+                                   finish)
+        yield self.env.all_of(run.tails)
+        report.rebaseline_s = self.env.now - t0 - report.recover_old_s
+
+    def _install(self, server, resolver) -> Optional[bytes]:
+        """Decode one gathered lost DATA block into the recovering node's
+        Block Area; returns its contents, or None when the survivors'
+        shards could not rebuild it."""
+        content = self._resolve_content(resolver)
+        if content is not None:
             meta = resolver["meta"]
             server.mn.blocks.set_block(meta.block_id, content)
             meta.valid = True
-            if on_block is not None:
-                on_block(meta, content)
-
-        yield from self._pipelined(
-            server, metas, lambda meta: self._start_block_reads(server, meta),
-            finish)
+        return content
 
     def _deliver(self, run: _Run, agg, gathered: list, blocks: int,
                  capture=None):
@@ -1263,8 +1288,9 @@ class MemoryNodeRecovery:
             content = xor_bytes(content, deltas[pos])
         return content
 
-    def _rebaseline_parity(self, server):
-        """Rebuild parity blocks held on the recovered node.
+    def _start_rebaseline(self, server, stripe):
+        """Start the rebuild of one parity block held on the recovered
+        node; returns (None, delivered event).
 
         A recovered P holder lost the DELTA blocks too, so the stripe is
         re-baselined: both parities are re-encoded from the data blocks'
@@ -1272,7 +1298,7 @@ class MemoryNodeRecovery:
         Q holder re-encodes from the folded states (P's baseline), which
         the surviving P holder still knows.
 
-        Each stripe is one job at an aggregator, picked among its data
+        The job runs at an aggregator, picked among the stripe's data
         holders and the Q holder (P re-baseline) or, with live deltas,
         the P holder (Q re-baseline): it gathers the other holders'
         blocks and encodes, and the recovering node reads back its parity
@@ -1280,48 +1306,41 @@ class MemoryNodeRecovery:
         straddle them: the reads are only charged, and once they landed
         and were encoded the blocks are copied at a single simulation
         instant (:meth:`_rebaseline_p`, :meth:`_rebaseline_q`).  Grace
-        periods and Q pushes run beside the driver; the stage ends when
-        the last of them did."""
+        periods and Q pushes run beside the driver, on ``run.tails``."""
         cluster = self.cluster
-        block_size = cluster.config.cluster.block_size
         run = self._runs[server.node_id]
-
-        def start(job):
-            sid, record = job
-            sources = []  # (position, data owner, block id)
-            for j, loc in enumerate(record.data):
-                if loc is None:
-                    continue
-                srv = cluster.servers.get(loc[0])
-                if srv is None or not srv.mn.alive \
-                        or not srv.mn.blocks.meta[loc[1]].valid:
-                    continue
-                sources.append((j, srv, loc[1]))
-            holders = [srv for _j, srv, _block_id in sources]
-            if record.parity_index == 0:
-                capture = self._rebaseline_p
-                qsrv = self._q_holder(sid)
-                candidates = holders + ([qsrv] if qsrv else [])
-            else:
-                capture = self._rebaseline_q
-                psrv, prec = self._p_record(sid)
-                holders += [psrv for j, _srv, _block_id in sources
-                            if prec is not None
-                            and prec.delta_blocks[j] is not None]
-                candidates = holders
-            agg = self._aggregator(run, candidates) if candidates else server
-            gathered = [read for srv in holders if srv is not agg
-                        for read in self._post_reads(
-                            run, agg.node_id, srv.node_id, block_size)]
-            return None, self._aside(
-                self._deliver(run, agg, gathered, cluster.codec.k,
-                              partial(capture, run, server, agg, sid, record,
-                                      sources)),
-                f"rebaseline(s{sid}@mn{agg.node_id})")
-
-        yield from self._pipelined(server, list(server.stripes.items()),
-                                   start, lambda _state: None)
-        yield self.env.all_of(run.tails)
+        sid, record = stripe
+        sources = []  # (position, data owner, block id)
+        for j, loc in enumerate(record.data):
+            if loc is None:
+                continue
+            srv = cluster.servers.get(loc[0])
+            if srv is None or not srv.mn.alive \
+                    or not srv.mn.blocks.meta[loc[1]].valid:
+                continue
+            sources.append((j, srv, loc[1]))
+        holders = [srv for _j, srv, _block_id in sources]
+        if record.parity_index == 0:
+            capture = self._rebaseline_p
+            qsrv = self._q_holder(sid)
+            candidates = holders + ([qsrv] if qsrv else [])
+        else:
+            capture = self._rebaseline_q
+            psrv, prec = self._p_record(sid)
+            holders += [psrv for j, _srv, _block_id in sources
+                        if prec is not None
+                        and prec.delta_blocks[j] is not None]
+            candidates = holders
+        agg = self._aggregator(run, candidates) if candidates else server
+        block_size = cluster.config.cluster.block_size
+        gathered = [read for srv in holders if srv is not agg
+                    for read in self._post_reads(
+                        run, agg.node_id, srv.node_id, block_size)]
+        return None, self._aside(
+            self._deliver(run, agg, gathered, cluster.codec.k,
+                          partial(capture, run, server, agg, sid, record,
+                                  sources)),
+            f"rebaseline(s{sid}@mn{agg.node_id})")
 
     def _p_record(self, sid: int):
         """(P holder's server, its record of stripe *sid*); the record is
@@ -1399,6 +1418,7 @@ class MemoryNodeRecovery:
         for j in range(codec.k):
             record.sealed[j] = (record.data[j] is not None
                                 and record.delta_blocks[j] is None)
+        sealed = list(record.sealed)
         parity = codec.encode(datas)
         server.mn.blocks.set_block(record.parity_block, parity[0])
         server.mn.blocks.meta[record.parity_block].valid = True
@@ -1411,14 +1431,31 @@ class MemoryNodeRecovery:
                 for dbuf, off, slot_size in rezero:
                     if any(dbuf[off:off + slot_size]):
                         dbuf[off:off + slot_size] = bytes(slot_size)
-            yield from self._push_q(run, agg, sid, parity[1], record)
+            if not self._q_is_current(sid, record, sealed):
+                yield from self._push_q(run, agg, sid, parity[1], record)
 
         return settle()
+
+    def _q_is_current(self, sid: int, record, sealed) -> bool:
+        """Whether the Q holder's Q already is the Q of the data a P
+        re-baseline captured: every allocated position was sealed in the
+        captured P record (*sealed*: no live delta, the data is its own
+        folded state) and is sealed in the Q holder's record, which
+        happens only once the position's forwarded Q contribution has
+        landed — one still on the wire leaves it unsealed.  Such a Q is
+        neither pushed nor installed again."""
+        qsrv = self._q_holder(sid)
+        if qsrv is None:
+            return False
+        qsealed = qsrv.stripes[sid].sealed
+        return all(sealed[j] and qsealed[j]
+                   for j, loc in enumerate(record.data) if loc is not None)
 
     def _push_q(self, run: _Run, agg, sid: int, q: bytes, record):
         """Install the Q matching a re-baselined P at its holder: pushed
         from the aggregator, or a local copy when that is the holder.  A
-        push whose aggregator died on the way installs nothing."""
+        push whose aggregator died on the way installs nothing.  A Q that
+        is already current is not pushed at all (:meth:`_q_is_current`)."""
         qsrv = self._q_holder(sid)
         if qsrv is None:
             return

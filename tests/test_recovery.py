@@ -950,6 +950,135 @@ def test_recovery_runs_at_the_recovering_nics_line_rate():
     assert report.nic_busy_s <= report.total_time
 
 
+def stripe_data(cluster, sid):
+    """The current contents of stripe *sid*'s data blocks, zero blocks
+    for positions never allocated."""
+    block_size = cluster.config.cluster.block_size
+    return [bytes(cluster.mns[loc[0]].blocks.buffer(loc[1])) if loc
+            else bytes(block_size) for loc in p_record(cluster, sid)[1].data]
+
+
+def test_rebaseline_skips_the_q_push_only_when_q_is_current():
+    """A recovered P holder re-encodes P of every stripe it holds, but
+    leaves Q alone where Q already matches the data: every allocated
+    position sealed in the captured P record (no live delta) and sealed
+    at the Q holder (its forwarded Q contribution landed).  A stripe
+    with a live delta, or one whose Q holder still waits for a forwarded
+    contribution (set up by hand), gets its Q pushed; every stripe ends
+    with P and Q encoding its current data, and every key reads back."""
+    cluster, runner, n = loaded_cluster(keys_per_client=600)
+    cluster.run(cluster.env.now + 0.1)  # drain seal + fold + Q forwards
+    expected = snapshot(cluster, n)
+    k = cluster.codec.k
+    layout, recovery = cluster.layout, cluster._recovery
+
+    def q_record(sid):
+        return cluster.servers[layout.node_of(sid, k + 1)].stripes[sid]
+
+    def kinds(victim):
+        live, sealed = [], []
+        for sid, record in cluster.servers[victim].stripes.items():
+            if record.parity_index:
+                continue
+            if live_deltas(cluster, sid):
+                live.append(sid)
+            elif all(record.sealed[j] and q_record(sid).sealed[j]
+                     for j, loc in enumerate(record.data) if loc):
+                sealed.append(sid)
+        return live, sealed
+
+    victim = next(node for node in cluster.servers
+                  if kinds(node)[0] and len(kinds(node)[1]) >= 2)
+    (live, *_), (current, in_flight, *_) = kinds(victim)
+    # a Q contribution of a sealed position still on the wire
+    q_record(in_flight).sealed[
+        next(j for j, loc in enumerate(q_record(in_flight).data) if loc)] \
+        = False
+    push, transfer = recovery._push_q, cluster.fabric.transfer
+    pushed, transfers = [], []
+
+    def hooked_push(run, agg, sid, q, record):
+        pushed.append(sid)
+        yield from push(run, agg, sid, q, record)
+
+    def hooked_transfer(src, dst, size, **kw):
+        if kw.get("traffic_class") == "recovery":
+            transfers.append((pushed[-1], dst.node_id))
+        return transfer(src, dst, size, **kw)
+
+    recovery._push_q = hooked_push
+    cluster.fabric.transfer = hooked_transfer
+    crash_and_recover(cluster, victim)
+    assert current not in pushed
+    assert not [t for t in transfers if t[0] == current]
+    assert live in pushed and in_flight in pushed
+    for sid in (current, live, in_flight):
+        parity = cluster.codec.encode(stripe_data(cluster, sid))
+        p_block = p_record(cluster, sid)[1].parity_block
+        assert bytes(cluster.mns[victim].blocks.buffer(p_block)) == parity[0]
+        q_node = layout.node_of(sid, k + 1)
+        assert bytes(cluster.mns[q_node].blocks.buffer(
+            q_record(sid).parity_block)) == parity[1]
+    assert verify(cluster, expected) == []
+
+
+def test_block_tier_is_one_job_pool():
+    """The Block tier's old-block decodes and parity re-baselines share
+    one pool: the first re-baseline is posted before the last decode is
+    delivered (no drain between the two), every old block is installed
+    by ``index_done_at + recover_old_s``, and no stage of the recovery
+    ever has more than two jobs per survivor in flight."""
+    from repro.memory.blocks import Role
+    cluster, runner, n = loaded_cluster(keys_per_client=600)
+    cluster.run(cluster.env.now + 1.6)  # checkpoints: old blocks exist
+    expected = snapshot(cluster, n)
+    recovery, env = cluster._recovery, cluster.env
+    deliver, install = recovery._deliver, recovery._install
+    blocks = recovery._recover_blocks
+    posted, delivered, installed, old = [], [], {}, []
+    in_flight, peak = [0], [0]
+
+    def hooked_deliver(run, agg, gathered, count, capture=None):
+        kind = "old" if capture is None else "rebaseline"
+        posted.append((env.now, kind))
+        in_flight[0] += 1
+        peak[0] = max(peak[0], in_flight[0])
+
+        def body():
+            yield from deliver(run, agg, gathered, count, capture)
+            delivered.append((env.now, kind))
+            in_flight[0] -= 1
+
+        return body()
+
+    def hooked_install(server, resolver):
+        installed[resolver["meta"].block_id] = env.now
+        return install(server, resolver)
+
+    def hooked_blocks(server, run):
+        old.extend(m.block_id for m in server.mn.blocks.meta
+                   if m.role is Role.DATA and not m.valid)
+        yield from blocks(server, run)
+
+    recovery._deliver = hooked_deliver
+    recovery._install = hooked_install
+    recovery._recover_blocks = hooked_blocks
+    victim = 1
+    report = crash_and_recover(cluster, victim)
+    survivors = len(cluster.layout.members) - 1
+    assert report.old_count == len(old) > 0
+    block_tier = report.index_done_at
+    first_rebaseline = min(t for t, kind in posted if kind == "rebaseline")
+    last_old = max(t for t, kind in delivered
+                   if kind == "old" and t >= block_tier)
+    assert block_tier <= first_rebaseline < last_old
+    done_at = max(installed[block_id] for block_id in old)
+    assert done_at == block_tier + report.recover_old_s
+    assert all(cluster.mns[victim].blocks.meta[b].valid for b in old)
+    assert peak[0] <= 2 * survivors
+    assert verify(cluster, expected) == []
+
+
 def test_same_fingerprint_keys_sharing_a_bucket_pair_applied_in_one_pass():
     """Two keys with one home, one fingerprint and one bucket pair, both
     re-applied by the same pass (no checkpoint: the index is rebuilt from
