@@ -76,9 +76,9 @@ def run_tab02(scale: Scale) -> FigureResult:
     result = FigureResult(
         figure="tab02",
         title="MN recovery breakdown: XOR vs Reed-Solomon",
-        columns=["codec", "read_meta_ms", "read_ckpt_ms",
-                 "recover_lblock_ms", "lblock_count", "read_rblock_ms",
-                 "rblock_count", "scan_kv_ms", "kv_count", "scan_tail_ms",
+        columns=["codec", "read_meta_ms", "recover_lblock_ms",
+                 "lblock_count", "read_rblock_ms", "rblock_count",
+                 "read_ckpt_ms", "scan_kv_ms", "kv_count", "scan_tail_ms",
                  "scrub_ms", "apply_ms", "recover_old_ms", "old_count",
                  "rebaseline_ms", "total_ms", "recovery_bytes",
                  "recovering_nic_bytes", "nic_busy_ms", "helper_nic_busy_ms",
@@ -91,6 +91,10 @@ def run_tab02(scale: Scale) -> FigureResult:
               "recent blocks within Read RBlock and ship only the index "
               "records homed on the lost node; the recovering node's "
               "walks of the blocks it rebuilds run under its reads.  "
+              "The checkpoint read and the holder scans start with "
+              "Recover LBlock: recover_lblock ends at the last LBlock "
+              "installed, read_rblock and read_ckpt are what each "
+              "leaves after it.  "
               "The wall-clock stages (every *_ms column but scan_kv, "
               "the two nic_busy and total) sum to total_ms.  The old-"
               "block decodes and the parity re-baselines are one job "

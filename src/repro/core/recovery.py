@@ -1,7 +1,7 @@
 """Failure recovery (§3.4).
 
 Memory-node recovery is *tiered* (§3.4.1): Meta Area (read the replica),
-then Index Area (read the latest checkpoint, decode the recent blocks,
+then Index Area (read the latest checkpoint, rebuild the recent blocks,
 scan their KV pairs and re-apply each index slot to the KV pair with the
 highest Slot Version), then Block Area (decode the remaining lost blocks,
 finally re-derive parity state in the background).  Functionality returns
@@ -10,17 +10,22 @@ is what minimises user disruption.
 
 Every lost or re-encoded block is rebuilt at a survivor, so it crosses
 the recovering node's NIC once (partial-parallel repair): each job picks
-as *aggregator* the surviving holder of its stripe this recovery has
-loaded least so far, the other holders' blocks go to it by one-sided
-READs, its EC core decodes or encodes them, and the recovering node
-reads back the one block that results.  Live deltas are folded into P by
-their holder.  The Index tier's rescan of the blocks written since the
-checkpoint runs at their holders: each live holder walks its own on its
-EC core and ships only the records homed on the recovering node (a few
-bytes each instead of whole blocks), while a block of the node's own,
-or of another failed node, is walked once where it is rebuilt.  Slot
-keys come from records already held, and every stage keeps two jobs in
-flight per surviving MN — the Block tier's decodes and parity
+as *aggregator* the surviving holder of its stripe with the fewest
+recovery bytes in flight on its NIC, the other holders' blocks go to it
+by one-sided READs, its EC core decodes or encodes them, and the
+recovering node reads back the one block that results.  Live deltas are
+folded into P by their holder.  A lost unsealed block granted fresh is
+its DELTA block's twin (P's baseline for it is zero) and is read from
+the P holder as it is, with nothing decoded.  The Index tier's rescan of
+the blocks written since the checkpoint runs at their holders: each live
+holder walks its own on its EC core and ships only the records homed on
+the recovering node (a few bytes each instead of whole blocks), while a
+block of the node's own, or of another failed node, is walked once where
+it is rebuilt; the checkpoint read and those scans run under the
+rebuilds.  No node whose master state is FAILED is a source of anything:
+back up before its Meta milestone, it holds only the zeros of a reboot.
+Slot keys come from records already held, and every stage keeps two
+jobs in flight per surviving MN — the Block tier's decodes and parity
 re-baselines as one pool — so the survivors' NICs together are the
 floor.  DESIGN.md §5 has the byte table.
 
@@ -74,9 +79,15 @@ class RecoveryReport:
     The ``*_s`` stage fields are wall-clock and, for a recovery that ran
     its tiers once and was not held between them, partition
     ``total_time`` (:meth:`stages`); after a tier restart they describe
-    the last attempt.  ``scan_kv_s`` is CPU, not wall-clock, summed over
-    the cores that walked: a live holder's walk is part of
-    ``read_rblock_s``, and of the recovering node's own only
+    the last attempt.  The Index tier starts the checkpoint read and the
+    live holders' scans (Read RBlock) beside Recover LBlock, so its
+    stages are the slices between the moments each kind of work is
+    done: ``recover_lblock_s`` runs to the last LBlock installed,
+    ``read_rblock_s`` is the rest up to the last holder scan merged (and
+    the blocks of any other failed node rebuilt), and ``read_ckpt_s``
+    the rest up to the image landing.  ``scan_kv_s`` is CPU, not
+    wall-clock, summed over the cores that walked: a live holder's walk
+    is part of ``read_rblock_s``, and of the recovering node's own only
     ``scan_tail_s`` is exposed.  The Block tier runs its old-block
     decodes and parity re-baselines as one job pool: ``recover_old_s``
     ends when the last old block was installed, and ``rebaseline_s`` is
@@ -148,12 +159,12 @@ class RecoveryReport:
         ]
 
     def stages(self) -> List[Tuple[str, float]]:
-        """Wall-clock stages in the order they run."""
+        """Wall-clock stages in the order they end."""
         return [
             ("read_meta", self.read_meta_s),
-            ("read_ckpt", self.read_ckpt_s),
             ("recover_lblock", self.recover_lblock_s),
             ("read_rblock", self.read_rblock_s),
+            ("read_ckpt", self.read_ckpt_s),
             ("scan_tail", self.scan_tail_s),
             ("scrub", self.scrub_s),
             ("apply", self.apply_s),
@@ -234,8 +245,9 @@ class _Run:
 
     node: int
     report: RecoveryReport
-    #: Recovery bytes each MN's NIC has carried for this attempt: the
-    #: ledger aggregators are picked by.
+    #: Recovery bytes in flight on each MN's NIC for this attempt, each
+    #: read or push credited back when it completes: the ledger
+    #: aggregators are picked by.
     ledger: Counter = field(default_factory=Counter)
     #: Grace periods and Q pushes running beside the driver.
     tails: list = field(default_factory=list)
@@ -260,25 +272,49 @@ class MemoryNodeRecovery:
 
     # -- helpers ------------------------------------------------------------
 
-    def _alive_servers(self, excluding: int = -1):
+    def _is_source(self, node_id: int) -> bool:
+        """Whether recovery may take blocks, records or a block inventory
+        from *node_id*.  A node whose master state is FAILED may not: it
+        is down, or back up (``mn.alive`` set) with the fresh metadata of
+        a reboot until its Meta milestone — every block FREE, every
+        buffer zero."""
+        return (self.cluster.mns[node_id].alive
+                and self.cluster.master.mn_state(node_id) != MnState.FAILED)
+
+    def _sources(self, excluding: int = -1):
         return [s for i, s in self.cluster.servers.items()
-                if s.mn.alive and i != excluding]
+                if i != excluding and self._is_source(i)]
+
+    @staticmethod
+    def _charge(run: _Run, a: int, b: int, size: int, event) -> None:
+        """Put *size* bytes on the ledger of NICs *a* and *b* until
+        *event* (the verb carrying them) completes, either way."""
+        ledger = run.ledger
+        ledger[a] += size
+        ledger[b] += size
+
+        def landed(_event):
+            ledger[a] -= size
+            ledger[b] -= size
+
+        event.add_callback(landed)
 
     def _post_reads(self, run: _Run, src: int, node: int, size: int) -> list:
         """Post a bulk READ of *size* bytes from *node* into *src* in
         chunks other traffic can interleave with; returns the chunks'
         events.  Only fabric time is charged — contents are handled at
-        object level — and the bytes go on *run*'s ledger."""
+        object level — and each chunk is on *run*'s ledger while in
+        flight."""
         fabric = self.cluster.fabric
         mns = self.cluster.mns
         by_class = fabric.bytes_by_class
         before = by_class.get("recovery", 0)
-        reads = [fabric.read(mns[src].nic, mns[node].nic,
-                             min(_READ_CHUNK, size - done),
-                             traffic_class="recovery")
-                 for done in range(0, size, _READ_CHUNK)]
-        run.ledger[src] += size
-        run.ledger[node] += size
+        reads = []
+        for done in range(0, size, _READ_CHUNK):
+            chunk = min(_READ_CHUNK, size - done)
+            reads.append(fabric.read(mns[src].nic, mns[node].nic, chunk,
+                                     traffic_class="recovery"))
+            self._charge(run, src, node, chunk, reads[-1])
         if src == run.node:
             run.report.recovering_nic_bytes += \
                 by_class.get("recovery", 0) - before
@@ -305,7 +341,7 @@ class MemoryNodeRecovery:
         cluster = self.cluster
         window = 2 * max(1, sum(1 for node in cluster.layout.members
                                 if node != server.node_id
-                                and cluster.mns[node].alive))
+                                and self._is_source(node)))
         pending: List[tuple] = []
 
         def finish_one():
@@ -325,20 +361,20 @@ class MemoryNodeRecovery:
 
     @staticmethod
     def _aggregator(run: _Run, holders):
-        """The holder this attempt has charged least so far (the first
-        such, in the order given)."""
+        """The holder with the fewest recovery bytes of this attempt in
+        flight on its NIC now (the first such, in the order given)."""
         return min(holders, key=lambda srv: run.ledger[srv.node_id])
 
-    @staticmethod
-    def _needs(run: _Run, *servers) -> None:
+    def _needs(self, run: _Run, *servers) -> None:
         """Raise :class:`NodeFailedError` unless *run* is still the
-        current attempt and every one of *servers* is alive.  The fabric
-        fails a verb whose *destination* died; what an aggregator posts,
-        captures or pushes needs this check of its source."""
+        current attempt and every one of *servers* is still a source
+        (:meth:`_is_source`).  The fabric fails a verb whose
+        *destination* died; what an aggregator posts, captures or pushes
+        needs this check of its source."""
         if run.over:
             raise NodeFailedError(run.node, "recovery attempt restarted")
         for srv in servers:
-            if not srv.mn.alive:
+            if not self._is_source(srv.node_id):
                 raise NodeFailedError(srv.node_id, "died mid-job")
 
     def _call(self, src_nic, server, method: str, *args,
@@ -470,7 +506,7 @@ class MemoryNodeRecovery:
         node_id = server.node_id
         report = run.report
         holder = None
-        for other in self._alive_servers(excluding=node_id):
+        for other in self._sources(excluding=node_id):
             if node_id in other.mn.meta_replicas:
                 holder = other
                 break
@@ -497,8 +533,11 @@ class MemoryNodeRecovery:
         # Free list last: only after DATA, PARITY and DELTA blocks have
         # all been re-claimed may the remainder be handed out again.
         blocks = server.mn.blocks
-        blocks._free = [m.block_id for m in blocks.meta
-                        if m.role is Role.FREE]
+        blocks._free = []
+        for meta in blocks.meta:
+            if meta.role is Role.FREE:
+                meta.valid = True  # nothing of it is lost
+                blocks._free.append(meta.block_id)
         blocks._free.reverse()
         report.read_meta_s = self.env.now - t0
         report.lost_bytes = sum(
@@ -518,7 +557,7 @@ class MemoryNodeRecovery:
         node_id = server.node_id
         blocks = server.mn.blocks
         seen = set()
-        for other in self._alive_servers(excluding=node_id):
+        for other in self._sources(excluding=node_id):
             for sid, record in other.stripes.items():
                 for pos, loc in enumerate(record.data):
                     if loc is None or loc[0] != node_id:
@@ -593,13 +632,22 @@ class MemoryNodeRecovery:
     # -- tier 2: Index Area --------------------------------------------------------
 
     def _find_ckpt_image(self, node_id: int):
-        for other in self._alive_servers(excluding=node_id):
+        for other in self._sources(excluding=node_id):
             image = other.mn.ckpt_images.get(node_id)
             if image is not None:
                 return other, image
         return None, None
 
     def _recover_index(self, server, run: _Run):
+        """The Index tier.  The checkpoint image's Index Version is known
+        before its bytes arrive, and it alone decides which blocks are
+        rescanned, so the image read and the live holders' scans (Read
+        RBlock) start at once, beside the driver, and Recover LBlock runs
+        under them; the image is restored once both are done, before the
+        scrub.  The stages end in that order: ``recover_lblock_s`` runs to
+        the last LBlock installed, ``read_rblock_s`` is the rest up to the
+        last holder scan merged (and the blocks of other failed nodes
+        rebuilt), ``read_ckpt_s`` the rest up to the image landing."""
         cluster = self.cluster
         node_id = server.node_id
         report = run.report
@@ -608,17 +656,13 @@ class MemoryNodeRecovery:
         t0 = self.env.now
         holder, image = self._find_ckpt_image(node_id)
         if image is not None:
-            yield from self._read_remote(run, holder.node_id,
-                                         len(image.data))
-            server.mn.index_region.restore(image.data)
             ckpt_iv = image.index_version
+            ckpt_read = self._aside(
+                self._read_remote(run, holder.node_id, len(image.data)),
+                f"ckpt-read@mn{holder.node_id}")
         else:
             ckpt_iv = 0  # no checkpoint: full rebuild from all blocks
-        report.read_ckpt_s = self.env.now - t0
-
-        alive_ivs = [s.mn.index.index_version
-                     for s in self._alive_servers(excluding=node_id)]
-        server.mn.index.index_version = max(alive_ivs + [ckpt_iv + 1])
+            ckpt_read = None
 
         # Blocks whose KV pairs may postdate the checkpoint: Index Version
         # 0 (unfilled) or >= ckpt_iv - 1 (one round of cross-MN skew slack,
@@ -630,21 +674,27 @@ class MemoryNodeRecovery:
                 meta.index_version == 0 or meta.index_version >= threshold
             )
 
-        # Allocation generations of every DATA block at rescan-set build
-        # time.  Recovery takes simulated time with clients still
-        # running, so a block that is FREE now can be re-granted as DATA
-        # (and look perfectly live) by the time the scrub inspects it —
-        # the scrub compares against this snapshot to catch that.
+        # Allocation generations of every DATA block when its node's
+        # rescan set is built.  Recovery takes simulated time with
+        # clients still running, so a block that is FREE now can be
+        # re-granted as DATA (and look perfectly live) by the time the
+        # scrub inspects it — the scrub compares against this snapshot to
+        # catch that.
         data_gens: Dict[Tuple[int, int], int] = {}
-        for mn_id, mn in self.cluster.mns.items():
-            if mn_id != node_id and not mn.alive:
-                continue
-            for meta in mn.blocks.meta:
+
+        def inventory(mn_id: int) -> list:
+            """*mn_id*'s DATA blocks into ``data_gens``; returns its new
+            ones."""
+            new = []
+            for meta in cluster.mns[mn_id].blocks.meta:
                 if meta.role is Role.DATA:
                     data_gens[(mn_id, meta.block_id)] = meta.alloc_gen
+                    if is_new(meta):
+                        new.append(meta)
+            return new
 
-        # 2c runs under 2a and 2b: every block image is walked the moment
-        # it is at hand (Scan KV), and the walk's CPU time goes to the
+        # Scan KV runs under the reads: every block image is walked the
+        # moment it is at hand, and the walk's CPU time goes to the
         # walking node's EC core right then, so it is spent while later
         # blocks are still on the wire.
         rescan = _Rescan()
@@ -662,31 +712,19 @@ class MemoryNodeRecovery:
             if content is not None:
                 scan(node_id, resolver["meta"], content)
 
-        # 2a. recover new local blocks by erasure decoding (Recover LBlock).
-        t1 = self.env.now
-        local_new = [m for m in server.mn.blocks.meta if is_new(m)]
-        yield from self._pipelined(
-            server, local_new, partial(self._start_block_reads, server),
-            install_and_scan)
-        report.recover_lblock_s = self.env.now - t1
-        report.lblock_count = len(local_new)
-
-        # 2b. scan new remote blocks at their holders (Read RBlock): each
-        # live holder walks its own new, valid blocks and ships only the
-        # records homed on this node, all holders at once.  Blocks on
-        # *other* failed nodes (a concurrent two-MN recovery), or not
-        # valid yet, are reconstructed transiently from their stripes
-        # instead; wait for a failed node's Meta milestone first so its
-        # block inventory is known.
-        t2 = self.env.now
+        # Read RBlock: each source walks its own new, valid blocks at once
+        # and ships only the records homed on this node.  New blocks of a
+        # node past its Meta tier but not yet rebuilt, and those of
+        # another failed node (a concurrent two-MN recovery), are
+        # reconstructed transiently from their stripes instead; a failed
+        # node's inventory is read only once its Meta milestone is
+        # reached — before that it lists no block at all.
         scans = []
 
         def split(other) -> list:
             """Start *other*'s holder-side scan; returns its new blocks
             left to rebuild."""
-            new = [meta for meta in other.mn.blocks.meta if is_new(meta)]
-            if not other.mn.alive:
-                return new
+            new = inventory(other.node_id)
             held = [meta for meta in new if meta.valid]
             if held:
                 scans.append(self._aside(
@@ -710,35 +748,54 @@ class MemoryNodeRecovery:
 
         others = [srv for i, srv in cluster.servers.items() if i != node_id]
         rebuilds = {other.node_id: split(other) for other in others
-                    if other.mn.alive}
+                    if self._is_source(other.node_id)}
+
+        # Recover LBlock: rebuild the new local blocks, from their DELTA
+        # twins or by erasure decoding.
+        local_new = inventory(node_id)
+        yield from self._pipelined(
+            server, local_new, partial(self._start_block_reads, server),
+            install_and_scan)
+        t1 = self.env.now
+        report.recover_lblock_s = t1 - t0
+        report.lblock_count = len(local_new)
+
         for other in others:
             other_id = other.node_id
             if other_id not in rebuilds:
-                if not other.mn.alive and cluster.master.mn_state(
-                        other_id) == MnState.FAILED:
-                    yield cluster.master.milestone(other_id,
-                                                   MnState.META_RECOVERED)
+                yield cluster.master.milestone(other_id,
+                                               MnState.META_RECOVERED)
                 rebuilds[other_id] = split(other)
             yield from self._pipelined(
                 server, ((other_id, meta) for meta in rebuilds[other_id]),
                 start_rblock, finish_rblock)
         yield self.env.all_of(scans)
-        report.read_rblock_s = self.env.now - t2
+        t2 = self.env.now
+        report.read_rblock_s = t2 - t1
 
-        # 2c. whatever of the scan the reads did not hide.
+        # Read Checkpoint: whatever of the image read is left.
+        if ckpt_read is not None:
+            yield ckpt_read
+            server.mn.index_region.restore(image.data)
+        alive_ivs = [s.mn.index.index_version
+                     for s in self._sources(excluding=node_id)]
+        server.mn.index.index_version = max(alive_ivs + [ckpt_iv + 1])
         t3 = self.env.now
+        report.read_ckpt_s = t3 - t2
+
+        # Scan KV: whatever of the walks the reads did not hide.
         report.scan_kv_s = report.kv_count / scan_rate
         if rescan.cpu_done is not None:
             yield rescan.cpu_done
-        report.scan_tail_s = self.env.now - t3
-
-        # 2d. scrub restored entries dangling into rescanned blocks.
         t4 = self.env.now
-        yield from self._scrub_index(server, rescan, data_gens, report)
-        report.scrub_s = self.env.now - t4
+        report.scan_tail_s = t4 - t3
 
-        # 2e. re-apply each slot to its highest-versioned KV pair.
+        # Scrub restored entries dangling into rescanned blocks.
+        yield from self._scrub_index(server, rescan, data_gens, report)
         t5 = self.env.now
+        report.scrub_s = t5 - t4
+
+        # Re-apply each slot to its highest-versioned KV pair.
         yield from self._apply_candidates(server, rescan, report)
         report.apply_s = self.env.now - t5
 
@@ -891,7 +948,7 @@ class MemoryNodeRecovery:
             except IndexError:
                 block_id = None  # outside any block area
             stale = False
-            if owner_mn.alive:
+            if self._is_source(ga.node_id):
                 bmeta = None if block_id is None \
                     else owner_mn.blocks.meta[block_id]
                 stale = (bmeta is None or bmeta.role is not Role.DATA
@@ -1154,25 +1211,33 @@ class MemoryNodeRecovery:
                 self.cluster.config.cluster.block_size))
 
     def _start_block_reads(self, server, meta):
-        """Start the rebuild of one lost block at an aggregator; returns
-        (resolver, delivered event) or None when unrecoverable.
+        """Start the rebuild of one lost block; returns (resolver,
+        delivered event) or None when unrecoverable.
 
-        The job gathers the other data shards and the parity a decode of
-        what is missing needs.  A single erasure whose P holder is alive
-        needs one parity block whatever the stripe's state: the holder
-        folds its live DELTA blocks into a scratch copy of P
-        (:meth:`_fold_parity`), which is the parity of the shards as they
-        are *now*, so nothing is left to fold.  A dead P holder or a
-        second lost shard gathers P and/or Q plus every live DELTA block
-        instead.  Contents are captured here, at one instant; the
-        aggregator is the holder of any of those blocks this recovery has
-        loaded least, and reads the rest."""
+        A block granted fresh whose DELTA block is live is its DELTA
+        block's twin (:attr:`StripeRecord.fresh`): the recovering node
+        reads that one block from the P holder (:meth:`_start_twin`).
+        Every other block is decoded at an aggregator.  The job gathers
+        the other data shards and the parity a decode of what is missing
+        needs.  A single erasure whose P holder is alive needs one parity
+        block whatever the stripe's state: the holder folds its live
+        DELTA blocks into a scratch copy of P (:meth:`_fold_parity`),
+        which is the parity of the shards as they are *now*, so nothing
+        is left to fold.  A dead P holder or a second lost shard gathers
+        P and/or Q plus every live DELTA block instead.  Contents are
+        captured here, at one instant; the aggregator is the holder of
+        any of those blocks with the fewest recovery bytes in flight, and
+        reads the rest."""
         cluster = self.cluster
         codec = cluster.codec
         run = self._runs[server.node_id]
         sid, pos = meta.stripe_id, meta.xor_id
         if sid < 0:
             return None
+        psrv, prec = self._p_record(sid)
+        if prec is not None and prec.fresh[pos] \
+                and prec.delta_blocks[pos] is not None:
+            return self._start_twin(run, meta, psrv, prec)
         # Prefer the P holder's record; fall back to Q's for 2-MN failures.
         # A holder that is itself mid-recovery knows the stripe again but
         # has not re-derived its parity block yet: as good as dead.
@@ -1181,7 +1246,7 @@ class MemoryNodeRecovery:
         for j in range(codec.m):
             srv = cluster.servers.get(cluster.layout.node_of(sid, codec.k + j))
             record = None
-            if srv is not None and srv.mn.alive:
+            if srv is not None and self._is_source(srv.node_id):
                 record = srv.stripes.get(sid)
                 if record is not None and not \
                         srv.mn.blocks.meta[record.parity_block].valid:
@@ -1198,9 +1263,8 @@ class MemoryNodeRecovery:
             loc = reference.data[j]
             if j == pos or loc is None:
                 continue
-            srv = cluster.servers.get(loc[0])
-            if srv is not None and srv.mn.alive \
-                    and srv.mn.blocks.meta[loc[1]].valid:
+            srv = self._data_source(loc)
+            if srv is not None:
                 shards[j] = bytes(srv.mn.blocks.buffer(loc[1]))
                 holders.append(srv)
         # A single erasure decodes from P alone: with the P record and
@@ -1210,7 +1274,6 @@ class MemoryNodeRecovery:
         single = primary is not None and len(holders) == sum(
             1 for j in range(codec.k)
             if j != pos and reference.data[j] is not None)
-        psrv = cluster.servers[p_node]
         fold = single and any(d is not None for d in primary.delta_blocks)
         if fold:
             shards[codec.k] = psrv.folded_parity(sid)
@@ -1245,6 +1308,31 @@ class MemoryNodeRecovery:
                           sum(s is not None for s in shards)),
             f"rebuild(s{sid}.{pos}@mn{agg.node_id})")
 
+    def _start_twin(self, run: _Run, meta, psrv, prec):
+        """Rebuild lost DATA block *meta* from its DELTA twin: with P's
+        baseline zero for the position, the DELTA block holds the data
+        block's current bytes, so one block-sized read from the P holder
+        into the recovering node rebuilds it — no shard gathered, no fold,
+        no decode.  Contents are captured now, like a decode's shards;
+        returns (resolver, delivered event), the resolver keyed as a
+        decode's with nothing gathered."""
+        codec = self.cluster.codec
+        sid, pos = meta.stripe_id, meta.xor_id
+        content = bytes(psrv.mn.blocks.buffer(prec.delta_blocks[pos]))
+        reads = self._post_reads(run, run.node, psrv.node_id,
+                                 self.cluster.config.cluster.block_size)
+        resolver = {"meta": meta, "sid": sid, "pos": pos,
+                    "agg": psrv.node_id, "reference": prec,
+                    "shards": [None] * (codec.k + codec.m), "deltas": {},
+                    "twin": content}
+        return resolver, self._aside(self._await_reads(run, psrv, reads),
+                                     f"twin(s{sid}.{pos}@mn{psrv.node_id})")
+
+    def _await_reads(self, run: _Run, srv, reads):
+        """Wait for *reads* from *srv*, then check the job still counts."""
+        yield self.env.all_of(reads)
+        self._needs(run, srv)
+
     def _fold_parity(self, run: _Run, agg, psrv, sid: int):
         """The P holder of stripe *sid* folds the stripe's live deltas into
         a scratch copy of P (its EC core pays the XOR passes), asked by
@@ -1261,7 +1349,10 @@ class MemoryNodeRecovery:
 
     def _resolve_content(self, resolver):
         """Pure decode: reconstruct a lost block's current contents from
-        the gathered shard/delta bytes (no simulated time)."""
+        the gathered shard/delta bytes (no simulated time); a twin's
+        contents are its DELTA block's."""
+        if "twin" in resolver:
+            return resolver["twin"]
         codec = self.cluster.codec
         pos = resolver["pos"]
         shards = resolver["shards"]
@@ -1312,13 +1403,9 @@ class MemoryNodeRecovery:
         sid, record = stripe
         sources = []  # (position, data owner, block id)
         for j, loc in enumerate(record.data):
-            if loc is None:
-                continue
-            srv = cluster.servers.get(loc[0])
-            if srv is None or not srv.mn.alive \
-                    or not srv.mn.blocks.meta[loc[1]].valid:
-                continue
-            sources.append((j, srv, loc[1]))
+            srv = self._data_source(loc)
+            if srv is not None:
+                sources.append((j, srv, loc[1]))
         holders = [srv for _j, srv, _block_id in sources]
         if record.parity_index == 0:
             capture = self._rebaseline_p
@@ -1342,12 +1429,22 @@ class MemoryNodeRecovery:
                                   sources)),
             f"rebaseline(s{sid}@mn{agg.node_id})")
 
+    def _data_source(self, loc):
+        """The server of data block *loc* (node, block id) when it may be
+        read as a shard — its node is a source and the block a valid
+        DATA block there — else None."""
+        if loc is None or not self._is_source(loc[0]):
+            return None
+        srv = self.cluster.servers[loc[0]]
+        meta = srv.mn.blocks.meta[loc[1]]
+        return srv if meta.role is Role.DATA and meta.valid else None
+
     def _p_record(self, sid: int):
         """(P holder's server, its record of stripe *sid*); the record is
-        None when the holder is dead or does not know the stripe."""
+        None when the holder is no source or does not know the stripe."""
         psrv = self.cluster.servers.get(
             self.cluster.layout.node_of(sid, self.cluster.codec.k))
-        if psrv is None or not psrv.mn.alive:
+        if psrv is None or not self._is_source(psrv.node_id):
             return psrv, None
         return psrv, psrv.stripes.get(sid)
 
@@ -1359,7 +1456,8 @@ class MemoryNodeRecovery:
             return None
         qsrv = cluster.servers.get(
             cluster.layout.node_of(sid, cluster.codec.k + 1))
-        if qsrv is None or not qsrv.mn.alive or sid not in qsrv.stripes:
+        if qsrv is None or not self._is_source(qsrv.node_id) \
+                or sid not in qsrv.stripes:
             return None
         return qsrv
 
@@ -1418,6 +1516,7 @@ class MemoryNodeRecovery:
         for j in range(codec.k):
             record.sealed[j] = (record.data[j] is not None
                                 and record.delta_blocks[j] is None)
+        record.fresh = [False] * codec.k  # the baseline is the data now
         sealed = list(record.sealed)
         parity = codec.encode(datas)
         server.mn.blocks.set_block(record.parity_block, parity[0])
@@ -1462,10 +1561,10 @@ class MemoryNodeRecovery:
         if qsrv is not agg:
             self._needs(run, agg)
             size = self.cluster.config.cluster.block_size
-            run.ledger[agg.node_id] += size
-            run.ledger[qsrv.node_id] += size
-            yield self.cluster.fabric.transfer(
+            push = self.cluster.fabric.transfer(
                 agg.mn.nic, qsrv.mn.nic, size, traffic_class="recovery")
+            self._charge(run, agg.node_id, qsrv.node_id, size, push)
+            yield push
         self._needs(run, agg)
         qrec = qsrv.stripes[sid]
         qsrv.mn.blocks.set_block(qrec.parity_block, q)

@@ -108,6 +108,12 @@ class StripeRecord:
     ``baselined`` (P only) holds, per position, the slot offsets whose KV
     pair a parity re-baseline found landed and folded into P: their delta
     restarts at zero, so a zero delta there is not a torn write.
+
+    ``fresh`` (P only) marks a position granted fresh whose baseline in P
+    no re-baseline has touched since: P holds zero for it, so its live
+    DELTA block is a byte-for-byte twin of the data block.  A reuse grant
+    (P holds the block's old contents), a fold, a re-baseline and a
+    record rebuilt by recovery all leave it False.
     """
 
     stripe_id: int
@@ -117,12 +123,15 @@ class StripeRecord:
     sealed: List[bool]
     delta_blocks: List[Optional[int]] = field(default=None)  # P only
     baselined: List[FrozenSet[int]] = field(default=None)    # P only
+    fresh: List[bool] = field(default=None)                  # P only
 
     def __post_init__(self):
         if self.delta_blocks is None:
             self.delta_blocks = [None] * len(self.data)
         if self.baselined is None:
             self.baselined = [frozenset()] * len(self.data)
+        if self.fresh is None:
+            self.fresh = [False] * len(self.data)
 
 
 @dataclass
@@ -359,7 +368,7 @@ class AcesoServer:
                            data_offset=data_offset, stripe_id=sid,
                            stripe_pos=pos)
         # Register the data block with both parity holders; the P holder
-        # also allocates the DELTA block (Fig. 6).
+        # also allocates the DELTA block (Fig. 6), the twin of a fresh one.
         for j in range(self.codec.m):
             pnode = self.layout.node_of(sid, self.codec.k + j)
             if not self._node_alive(pnode):
@@ -367,7 +376,7 @@ class AcesoServer:
             try:
                 delta = yield from self._srv_call(
                     self.servers[pnode], "_srv_register_data",
-                    sid, pos, node, data_block, j == 0,
+                    sid, pos, node, data_block, j == 0, True,
                 )
             except NodeFailedError:
                 continue
@@ -442,9 +451,12 @@ class AcesoServer:
         return meta.block_id, self.mn.blocks.offset_of(meta.block_id)
 
     def h_srv_register_data(self, stripe_id: int, pos: int, data_node: int,
-                            data_block: int, is_primary: bool):
+                            data_block: int, is_primary: bool,
+                            fresh: bool = False):
         """Record a stripe member on a parity holder; P allocates the DELTA
-        block and tracks its address (Fig. 5's Delta Addr)."""
+        block and tracks its address (Fig. 5's Delta Addr).  *fresh* says
+        the grant is a new block, not a reuse grant: P's baseline for the
+        position is zero (:attr:`StripeRecord.fresh`)."""
         record = self.stripes.get(stripe_id)
         if record is None:
             raise NodeFailedError(self.node_id,
@@ -458,6 +470,7 @@ class AcesoServer:
         delta_meta.xor_id = pos
         record.delta_blocks[pos] = delta_meta.block_id
         record.baselined[pos] = frozenset()
+        record.fresh[pos] = fresh
         pmeta = self.mn.blocks.meta[record.parity_block]
         while len(pmeta.delta_addrs) < self.codec.k:
             pmeta.delta_addrs.append(0)
@@ -527,6 +540,7 @@ class AcesoServer:
         record.sealed[pos] = True
         record.delta_blocks[pos] = None
         record.baselined[pos] = frozenset()
+        record.fresh[pos] = False
         pmeta = self.mn.blocks.meta[record.parity_block]
         pmeta.xor_map |= 1 << pos
         if pos < len(pmeta.delta_addrs):

@@ -349,7 +349,11 @@ class BlockStore:
         return len(self._buffers) * self.block_size
 
     def crash(self) -> None:
-        """Lose all volatile state (MN fail-stop)."""
+        """Lose all volatile state (MN fail-stop).  Every block comes back
+        not valid: until the Meta tier of recovery has restored the
+        records, a zero buffer must not be served as a block's contents
+        (:meth:`read` sends the reader down the degraded path)."""
         self._buffers.clear()
-        self.meta = [BlockMeta(i) for i in range(self.num_blocks)]
+        self.meta = [BlockMeta(i, valid=False)
+                     for i in range(self.num_blocks)]
         self._free = list(range(self.num_blocks - 1, -1, -1))

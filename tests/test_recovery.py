@@ -234,6 +234,20 @@ def live_deltas(cluster, sid):
             if dblk is not None]
 
 
+def twin_served(cluster, meta):
+    """Whether lost DATA block *meta* would be copied from its DELTA twin:
+    its P holder's record says the position was granted fresh (baseline
+    zero in P) and its DELTA block is live."""
+    record = p_record(cluster, meta.stripe_id)[1]
+    return (record.fresh[meta.xor_id]
+            and record.delta_blocks[meta.xor_id] is not None)
+
+
+def decoded(reads):
+    """The rebuilds of *reads* that decode (not copied from a twin)."""
+    return [(posted, r) for posted, r in reads if "twin" not in r]
+
+
 def test_single_failure_reads_only_the_shards_it_needs():
     """One lost MN is one erasure per stripe, and one parity block
     decodes it whatever the stripe's state: a rebuild gathers the other
@@ -242,20 +256,26 @@ def test_single_failure_reads_only_the_shards_it_needs():
     once it returned, or nothing to read when the P holder aggregates).
     The aggregator is one of those holders and reads the others' blocks;
     neither Q nor any DELTA block is read or charged, and every block
-    comes back byte for byte."""
-    cluster, runner, n = loaded_cluster()
+    comes back byte for byte.  A block the DELTA twin serves is not
+    decoded, so the open block's stripe is re-baselined first (its P
+    holder crashed and recovered): its deltas stay live, and its blocks
+    are decoded through the fold."""
     from repro.rdma.verbs import WIRE_HEADER
+    cluster, runner, n = loaded_cluster()
     k = cluster.codec.k
     # an 8 KiB block is one read chunk: one wire header per block
     per_block = cluster.config.cluster.block_size + WIRE_HEADER
     # the MN holding a client's open block: its stripe has a live delta
-    victim = next(iter(cluster.clients[0].blocks.all_open())).grant.data_node
+    grant = next(iter(cluster.clients[0].blocks.all_open())).grant
+    crash_and_recover(cluster, cluster.layout.node_of(grant.stripe_id, k))
+    assert live_deltas(cluster, grant.stripe_id)
+    victim = grant.data_node
     before = data_blocks(cluster.mns[victim])
     reads, folds = log_block_reads(cluster)
     report = crash_and_recover(cluster, victim)
     assert len(reads) >= len(before) > 0
     folded, fold_reads = [], 0
-    for posted, resolver in reads:
+    for posted, resolver in decoded(reads):
         shards, reference = resolver["shards"], resolver["reference"]
         others = [j for j in range(k)
                   if j != resolver["pos"] and reference.data[j] is not None]
@@ -277,10 +297,11 @@ def test_single_failure_reads_only_the_shards_it_needs():
     assert served >= fold_reads
     # all in all: every rebuild gathered its other data shards and one
     # parity block but the aggregator's own — nothing DELTA-sized on top
-    gathered = sum(posted for posted, _r in reads) + fold_reads * per_block
+    gathered = (sum(posted for posted, _r in decoded(reads))
+                + fold_reads * per_block)
     assert gathered == sum(
         sum(s is not None for s in r["shards"]) - 1
-        for _p, r in reads) * per_block
+        for _p, r in decoded(reads)) * per_block
     assert report.recovery_bytes >= gathered + len(reads) * per_block
     assert data_blocks(cluster.mns[victim]) == before
 
@@ -289,13 +310,15 @@ def test_a_second_erasure_still_reads_the_live_deltas():
     """The holder-side fold is for single erasures.  With two data
     holders of an unsealed stripe down and its P holder alive, a rebuild
     gathers P, Q and every live DELTA block at its aggregator, which
-    folds them itself."""
+    folds them itself.  The stripe is re-baselined first (its P holder
+    crashed and recovered), so no block of it is a DELTA twin."""
     from repro.rdma.verbs import WIRE_HEADER
     cluster, runner, n = loaded_cluster()
     k = cluster.codec.k
     per_block = cluster.config.cluster.block_size + WIRE_HEADER
     grant = next(iter(cluster.clients[0].blocks.all_open())).grant
     sid = grant.stripe_id
+    crash_and_recover(cluster, cluster.layout.node_of(sid, k))
     assert live_deltas(cluster, sid)
     first, second = [cluster.layout.node_of(sid, j) for j in range(k)][:2]
     reads, folds = log_block_reads(cluster)
@@ -327,7 +350,11 @@ def test_rebuilt_blocks_are_byte_identical_for_any_number_of_live_deltas(
     stripes with 0 ... k live DELTA blocks (open blocks of other clients,
     its own open block, allocated-but-empty ones); each comes back byte
     for byte under either codec, and the fold left the holder's P block,
-    DELTA blocks and XOR Map exactly as they were."""
+    DELTA blocks and XOR Map exactly as they were.  The 0 ... k count is
+    of decoded blocks: a fresh grant with a live delta is copied from its
+    DELTA twin instead, with no fold, until its P holder's turn
+    re-baselines the stripe — later victims' blocks there are decoded, so
+    the P holders of stripes open at every position go first."""
     from repro.memory.blocks import Role
     fills = (10, 10, 10, 96, 96, 96, 20, 32)    # 32 slots per block
     cluster = make_coded(codec, num_cns=len(fills), clients_per_cn=1)
@@ -339,14 +366,26 @@ def test_rebuilt_blocks_are_byte_identical_for_any_number_of_live_deltas(
     k = cluster.codec.k
     seen = set()
     reads, folds = log_block_reads(cluster)
-    for victim, mn in cluster.mns.items():
+
+    def all_open(node):
+        """P stripes of *node* with a live delta at every position."""
+        return sum(1 for record in cluster.servers[node].stripes.values()
+                   if record.parity_index == 0
+                   and len(live_deltas(cluster, record.stripe_id)) == k)
+
+    # the P holders of stripes open everywhere go first: their turn
+    # re-baselines those stripes, and later turns decode blocks there
+    for victim in sorted(cluster.mns, key=lambda node: -all_open(node)):
+        mn = cluster.mns[victim]
         before = data_blocks(mn)
-        holders = {}
+        holders, folded = {}, set()
         for meta in mn.blocks.meta:
             if meta.role is not Role.DATA:
                 continue
             server, record = p_record(cluster, meta.stripe_id)
-            seen.add(len(live_deltas(cluster, meta.stripe_id)))
+            if not twin_served(cluster, meta):
+                seen.add(len(live_deltas(cluster, meta.stripe_id)))
+                folded.add(meta.stripe_id)
             holders[meta.stripe_id] = (
                 server, record, list(record.sealed),
                 list(record.delta_blocks),
@@ -357,7 +396,7 @@ def test_rebuilt_blocks_are_byte_identical_for_any_number_of_live_deltas(
         crash_and_recover(cluster, victim)
         assert data_blocks(mn) == before, victim
         assert sorted(folds) == sorted(
-            sid for sid, held in holders.items() if any(
+            sid for sid, held in holders.items() if sid in folded and any(
                 b is not None for b in held[3]))
         for server, record, sealed, delta_blocks, contents in \
                 holders.values():
@@ -369,6 +408,99 @@ def test_rebuilt_blocks_are_byte_identical_for_any_number_of_live_deltas(
                 for b in [record.parity_block] + delta_blocks
                 if b is not None]
     assert seen == set(range(k + 1))
+    assert any("twin" in r for _posted, r in reads)
+
+
+def test_a_fresh_unsealed_block_is_rebuilt_from_its_delta_twin():
+    """A fresh grant's baseline in P is zero, so while the block is
+    unsealed its DELTA block holds the same bytes: its twin.  Each such
+    lost block is rebuilt by one block-sized read from its P holder into
+    the recovering node — no shard gathered, no fold asked for, no decode
+    run — and comes back byte for byte."""
+    from repro.memory.blocks import Role
+    from repro.rdma.verbs import WIRE_HEADER
+    cluster, runner, n = loaded_cluster()
+    k = cluster.codec.k
+    per_block = cluster.config.cluster.block_size + WIRE_HEADER
+    grant = next(iter(cluster.clients[0].blocks.all_open())).grant
+    victim = grant.data_node
+    mn = cluster.mns[victim]
+    before = data_blocks(mn)
+    twins = {meta.block_id for meta in mn.blocks.meta
+             if meta.role is Role.DATA and twin_served(cluster, meta)}
+    assert grant.data_block in twins and len(twins) < len(before)
+    for block_id in twins:
+        meta = mn.blocks.meta[block_id]
+        psrv, record = p_record(cluster, meta.stripe_id)
+        assert bytes(psrv.mn.blocks.buffer(
+            record.delta_blocks[meta.xor_id])) == before[block_id]
+    reads, folds = log_block_reads(cluster)
+    reconstruct, decodes = cluster.codec.reconstruct, []
+
+    def counted(shards):
+        decodes.append(shards)
+        return reconstruct(shards)
+
+    cluster.codec.reconstruct = counted
+    crash_and_recover(cluster, victim)
+    copied = [(posted, r) for posted, r in reads if "twin" in r]
+    assert {r["meta"].block_id for _posted, r in copied} == twins
+    for posted, resolver in copied:
+        assert posted == per_block
+        assert resolver["agg"] == cluster.layout.node_of(resolver["sid"], k)
+        assert resolver["shards"] == [None] * len(resolver["shards"])
+        assert resolver["sid"] not in folds
+    assert len(decodes) == len(reads) - len(copied) > 0
+    assert data_blocks(mn) == before
+
+
+@pytest.mark.parametrize("baseline", ["reuse_grant", "rebaselined"])
+def test_a_block_whose_p_baseline_is_not_zero_is_decoded_not_copied(
+        baseline):
+    """The twin rule holds only while P's baseline for the position is
+    zero.  A reuse grant's baseline is the block's old contents; a parity
+    re-baseline (its P holder crashed and recovered) folds the landed KV
+    pairs into P and zeroes their deltas.  Either way the DELTA block is
+    no copy of the unsealed data block, P's record says so, and the lost
+    block is decoded from its stripe, byte for byte."""
+    if baseline == "reuse_grant":
+        cluster = make_aceso(blocks_per_mn=20)
+        client = cluster.clients[0]
+        keys = [b"reuse-%04d" % i for i in range(96)]
+        for key in keys:
+            cluster.run_op(client.insert(key, b"V" * 150))
+
+        def reused_block():
+            return next((b for b in client.blocks.all_open()
+                         if b.grant.reused and b.writes_done), None)
+
+        # Updates obsolete slots, and the small pool forces their reuse.
+        for _round in range(40):
+            if reused_block() is not None:
+                break
+            for key in keys:
+                cluster.run_op(client.update(key, b"W" * 150))
+            cluster.run(cluster.env.now + 0.02)
+        grant = reused_block().grant
+    else:
+        cluster, runner, n = loaded_cluster()
+        grant = next(iter(cluster.clients[0].blocks.all_open())).grant
+        crash_and_recover(cluster, cluster.layout.node_of(
+            grant.stripe_id, cluster.codec.k))
+    psrv, record = p_record(cluster, grant.stripe_id)
+    pos = grant.stripe_pos
+    mn = cluster.mns[grant.data_node]
+    assert record.delta_blocks[pos] is not None and not record.fresh[pos]
+    assert bytes(psrv.mn.blocks.buffer(record.delta_blocks[pos])) \
+        != bytes(mn.blocks.buffer(grant.data_block))
+    before = data_blocks(mn)
+    reads, _folds = log_block_reads(cluster)
+    crash_and_recover(cluster, grant.data_node)
+    rebuilt = [r for _posted, r in reads
+               if r["meta"].block_id == grant.data_block]
+    assert len(rebuilt) == 1 and "twin" not in rebuilt[0]
+    assert rebuilt[0]["shards"][cluster.codec.k] is not None
+    assert data_blocks(mn) == before
 
 
 def test_two_mn_failures_recover_sealed_data():
@@ -782,6 +914,91 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     _versions, problems = walk_index(cluster)
     assert not any(problems.values()), problems
     assert cluster.env.unexpected_failures() == []
+
+
+def hold_meta_tier(cluster, node_id, delay):
+    """Wrap ``recovery._recover_meta`` so that *node_id*'s first Meta tier
+    starts *delay* seconds late: the node is back up (``mn.alive``) with
+    the fresh metadata of a reboot, its master state still FAILED."""
+    recovery = cluster._recovery
+    recover_meta = recovery._recover_meta
+    held = []
+
+    def hooked(server, run):
+        if server.node_id == node_id and not held:
+            held.append(node_id)
+            yield cluster.env.timeout(delay)
+        yield from recover_meta(server, run)
+
+    recovery._recover_meta = hooked
+    return held
+
+
+@pytest.mark.parametrize("first, second", [(1, 2), (2, 3), (1, 0)])
+def test_a_node_in_its_meta_tier_is_no_recovery_source(first, second):
+    """A second MN crashes while the first is back up but still before
+    its Meta tier: the first's blocks all read FREE and its buffers zero.
+    The second recovery must take neither a shard nor a parity
+    re-baseline source from it, and must read its inventory of recent
+    blocks only once its Meta milestone is reached — a zero shard decodes
+    wrong bytes, an empty inventory rescans nothing.  Every key of both
+    victims' blocks reads back, each recovery walked every record, and
+    the index walks clean."""
+    from repro.chaos.oracle import walk_index
+    cluster, runner, n = loaded_cluster(keys_per_client=128)
+    expected = snapshot(cluster, n)
+    held = hold_meta_tier(cluster, first, 2e-3)
+    cluster.crash_mn(first)
+    cluster.run(cluster.env.now + 0.5e-3)
+    assert held and cluster.mns[first].alive
+    assert cluster.master.mn_state(first) == MnState.FAILED
+    cluster.crash_mn(second)
+    for victim in (first, second):
+        done = cluster.master.milestone(victim, MnState.RECOVERED)
+        cluster.env.run_until_event(done, limit=cluster.env.now + 240)
+    assert verify(cluster, expected) == []
+    assert [r.kv_count for r in cluster._recovery.reports] \
+        == [len(expected)] * 2
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+
+
+def test_a_client_read_of_a_node_in_its_meta_tier_is_degraded():
+    """A crashed MN's blocks come back not valid, so while the node is up
+    but before its Meta tier a one-sided read of its Block Area fails
+    instead of returning the zeros of a reboot.  A client reading a KV
+    pair there sees the failure (its search is interrupted and waits for
+    the node, or it reads the slot degraded) and gets the value."""
+    from repro.errors import NodeFailedError
+    from repro.memory.address import GlobalAddress
+    from tests.test_core_versioning import locate_slot
+    cluster, runner, n = loaded_cluster()
+    expected = snapshot(cluster, n)
+    victim = 1
+
+    def kv_address(key):
+        index, bucket, slot = locate_slot(cluster, key)
+        return GlobalAddress.unpack(index.read_atomic(bucket, slot).addr)
+
+    key = next(key for key in expected if home_of(key, 5) != victim
+               and kv_address(key).node_id == victim)
+    addr = kv_address(key)
+    hold_meta_tier(cluster, victim, 2e-3)
+    cluster.crash_mn(victim)
+    cluster.run(cluster.env.now + 0.5e-3)
+    mn = cluster.mns[victim]
+    assert mn.alive and cluster.master.mn_state(victim) == MnState.FAILED
+    assert not any(meta.valid for meta in mn.blocks.meta)
+    with pytest.raises(NodeFailedError):
+        mn.read_bytes(addr.offset, 64)
+    counters = cluster.stats.counters
+    assert not counters["degraded_reads"] + counters["search_interrupted"]
+    assert cluster.run_op(cluster.clients[0].search(key)) == expected[key]
+    assert counters["degraded_reads"] + counters["search_interrupted"] > 0
+    assert cluster.master.mn_state(victim) != MnState.FAILED
+    done = cluster.master.milestone(victim, MnState.RECOVERED)
+    cluster.env.run_until_event(done, limit=cluster.env.now + 120)
+    assert verify(cluster, expected) == []
 
 
 # --------------------------------------------- the Index tier's data flow
