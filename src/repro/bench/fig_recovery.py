@@ -80,7 +80,8 @@ def run_tab02(scale: Scale) -> FigureResult:
                  "lblock_count", "read_rblock_ms", "rblock_count",
                  "read_ckpt_ms", "scan_kv_ms", "kv_count", "scan_tail_ms",
                  "scrub_ms", "apply_ms", "recover_old_ms", "old_count",
-                 "rebaseline_ms", "total_ms", "recovery_bytes",
+                 "rebaseline_ms", "total_ms", "twins_done_ms",
+                 "recovery_bytes",
                  "recovering_nic_bytes", "nic_busy_ms", "helper_nic_busy_ms",
                  "test_gbps"],
         notes="Expected: XOR beats RS on the erasure-coding stages "
@@ -88,15 +89,21 @@ def run_tab02(scale: Scale) -> FigureResult:
               "throughput; other stages are similar (paper: 18% total "
               "saving, 68% higher encode tpt).  Scan KV is EC-core time "
               "on whichever node walked: the holders walk their own "
-              "recent blocks within Read RBlock and ship only the index "
-              "records homed on the lost node; the recovering node's "
-              "walks of the blocks it rebuilds run under its reads.  "
+              "recent blocks within Read RBlock, and the P holders the "
+              "DELTA twins of the lost unsealed blocks granted fresh, "
+              "and ship only the index records homed on the lost node; "
+              "the recovering node's walks of the blocks it decodes run "
+              "under its reads.  "
               "The checkpoint read and the holder scans start with "
-              "Recover LBlock: recover_lblock ends at the last LBlock "
-              "installed, read_rblock and read_ckpt are what each "
-              "leaves after it.  "
+              "Recover LBlock: recover_lblock ends at the last decoded "
+              "LBlock installed (0 when every LBlock is a twin; "
+              "lblock_count counts the twins), read_rblock and read_ckpt "
+              "are what each leaves after it.  The twins' bytes follow "
+              "by one stream beside the tiers, from the scrub on: "
+              "twins_done is the recovery's start to the last twin "
+              "installed, 0 without a twin.  "
               "The wall-clock stages (every *_ms column but scan_kv, "
-              "the two nic_busy and total) sum to total_ms.  The old-"
+              "twins_done, the two nic_busy and total) sum to total_ms.  The old-"
               "block decodes and the parity re-baselines are one job "
               "pool: recover_old ends at the last old block installed, "
               "rebaseline is the rest of the Block tier.  "

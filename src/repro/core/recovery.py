@@ -17,12 +17,15 @@ recovering node reads back the one block that results.  Live deltas are
 folded into P by their holder.  A lost unsealed block granted fresh is
 its DELTA block's twin (P's baseline for it is zero) and is read from
 the P holder as it is, with nothing decoded.  The Index tier's rescan of
-the blocks written since the checkpoint runs at their holders: each live
-holder walks its own on its EC core and ships only the records homed on
-the recovering node (a few bytes each instead of whole blocks), while a
-block of the node's own, or of another failed node, is walked once where
-it is rebuilt; the checkpoint read and those scans run under the
-rebuilds.  No node whose master state is FAILED is a source of anything:
+the blocks written since the checkpoint runs where the bytes are: each
+live holder walks its own, and each P holder the DELTA twins it holds of
+the recovering node's lost blocks, on its EC core and ships only the
+records homed on the recovering node (a few bytes each instead of whole
+blocks), while a block of the node's own that has no twin, or of another
+failed node, is walked once where it is rebuilt; the checkpoint read and
+those scans run under the rebuilds.  The twins' bytes follow in one
+stream beside the driver that the Index milestone does not wait for.
+No node whose master state is FAILED is a source of anything:
 back up before its Meta milestone, it holds only the zeros of a reboot.
 Slot keys come from records already held, and every stage keeps two
 jobs in flight per surviving MN — the Block tier's decodes and parity
@@ -80,13 +83,18 @@ class RecoveryReport:
     its tiers once and was not held between them, partition
     ``total_time`` (:meth:`stages`); after a tier restart they describe
     the last attempt.  The Index tier starts the checkpoint read and the
-    live holders' scans (Read RBlock) beside Recover LBlock, so its
-    stages are the slices between the moments each kind of work is
-    done: ``recover_lblock_s`` runs to the last LBlock installed,
+    holders' scans (Read RBlock, and the P holders' walks of the DELTA
+    twins) beside Recover LBlock, so its stages are the slices between
+    the moments each kind of work is done: ``recover_lblock_s`` runs to
+    the last *decoded* LBlock installed (0 when every LBlock is a twin),
     ``read_rblock_s`` is the rest up to the last holder scan merged (and
     the blocks of any other failed node rebuilt), and ``read_ckpt_s``
-    the rest up to the image landing.  ``scan_kv_s`` is CPU, not
-    wall-clock, summed over the cores that walked: a live holder's walk
+    the rest up to the image landing.  ``lblock_count`` counts the twins
+    too; ``rblock_count`` does not.  The twins' bytes are installed by a
+    stream beside the driver that starts with the scrub and that only
+    ``RECOVERED`` waits for: ``twins_done_at`` is when the last landed.
+    ``scan_kv_s`` is CPU, not
+    wall-clock, summed over the cores that walked: a holder's walk
     is part of ``read_rblock_s``, and of the recovering node's own only
     ``scan_tail_s`` is exposed.  The Block tier runs its old-block
     decodes and parity re-baselines as one job pool: ``recover_old_s``
@@ -101,6 +109,8 @@ class RecoveryReport:
     meta_done_at: float = 0.0
     index_done_at: float = 0.0
     blocks_done_at: float = 0.0
+    #: When the twin stream installed its last block (0.0: no twin).
+    twins_done_at: float = 0.0
     # per-stage durations (Table 2's columns)
     read_meta_s: float = 0.0
     read_ckpt_s: float = 0.0
@@ -181,6 +191,8 @@ class RecoveryReport:
             lblock_count=self.lblock_count, rblock_count=self.rblock_count,
             scan_kv_ms=self.scan_kv_s * 1e3, kv_count=self.kv_count,
             old_count=self.old_count, total_ms=self.total_time * 1e3,
+            twins_done_ms=(self.twins_done_at - self.started_at) * 1e3
+            if self.twins_done_at else 0.0,
             recovery_bytes=self.recovery_bytes,
             recovering_nic_bytes=self.recovering_nic_bytes,
             nic_busy_ms=self.nic_busy_s * 1e3,
@@ -249,8 +261,15 @@ class _Run:
     #: read or push credited back when it completes: the ledger
     #: aggregators are picked by.
     ledger: Counter = field(default_factory=Counter)
-    #: Grace periods and Q pushes running beside the driver.
+    #: Grace periods, Q pushes and the twin stream running beside the
+    #: driver.
     tails: list = field(default_factory=list)
+    #: Lost blocks scanned at their P holders whose DELTA twins the twin
+    #: stream has yet to post (:meth:`MemoryNodeRecovery._stream_twins`),
+    #: and the (resolver, delivered event) of each posted one not yet
+    #: installed.
+    twins: list = field(default_factory=list)
+    twin_reads: list = field(default_factory=list)
     #: Set when the attempt lost a dependency: its jobs still in flight
     #: change nothing from then on.
     over: bool = False
@@ -470,6 +489,11 @@ class MemoryNodeRecovery:
         yield from self._recover_index(server, run)
         cluster.master.reach_milestone(node_id, MnState.INDEX_RECOVERED)
         report.index_done_at = self.env.now
+        # Until a twin is installed its DELTA block is the only live copy
+        # of the block: every one left goes on the wire ahead of the
+        # Block tier, whose old blocks still have a second parity.
+        while run.twins:
+            self._post_twin(server, run)
 
         if self.hold_block_phase is not None \
                 and not self.hold_block_phase.triggered:
@@ -641,13 +665,17 @@ class MemoryNodeRecovery:
     def _recover_index(self, server, run: _Run):
         """The Index tier.  The checkpoint image's Index Version is known
         before its bytes arrive, and it alone decides which blocks are
-        rescanned, so the image read and the live holders' scans (Read
-        RBlock) start at once, beside the driver, and Recover LBlock runs
-        under them; the image is restored once both are done, before the
-        scrub.  The stages end in that order: ``recover_lblock_s`` runs to
-        the last LBlock installed, ``read_rblock_s`` is the rest up to the
-        last holder scan merged (and the blocks of other failed nodes
-        rebuilt), ``read_ckpt_s`` the rest up to the image landing."""
+        rescanned, so the image read and the holders' scans (Read RBlock,
+        and the P holders' walks of the DELTA twins) start at once,
+        beside the driver, and Recover LBlock decodes the other lost new
+        blocks under them; the image is restored once both are done,
+        before the scrub.  The stages end in that order:
+        ``recover_lblock_s`` runs to the last decoded LBlock installed,
+        ``read_rblock_s`` is the rest up to the last holder scan merged
+        (and the blocks of other failed nodes rebuilt), ``read_ckpt_s``
+        the rest up to the image landing.  The twins' bytes come after,
+        by the twin stream (:meth:`_stream_twins`), which starts with the
+        scrub."""
         cluster = self.cluster
         node_id = server.node_id
         report = run.report
@@ -699,6 +727,7 @@ class MemoryNodeRecovery:
         # blocks are still on the wire.
         rescan = _Rescan()
         report.kv_count = report.rblock_count = 0  # of this attempt
+        report.twins_done_at = 0.0
 
         def scan(owner: int, meta, data: bytes) -> None:
             walked, homed = self._homed_records(node_id, data,
@@ -712,8 +741,24 @@ class MemoryNodeRecovery:
             if content is not None:
                 scan(node_id, resolver["meta"], content)
 
-        # Read RBlock: each source walks its own new, valid blocks at once
-        # and ships only the records homed on this node.  New blocks of a
+        # The new local blocks: one that is its DELTA block's twin is
+        # walked at its P holder and installed by the twin stream; every
+        # other one is decoded by Recover LBlock.
+        local_new = inventory(node_id)
+        twins: Dict[int, list] = {}     # P holder -> [(meta, its twin)]
+        decoded = []
+        for meta in local_new:
+            twin = self._twin_of(meta)
+            if twin is None:
+                decoded.append(meta)
+            else:
+                twins.setdefault(twin[0].node_id, []).append(
+                    (meta, twin[1].delta_blocks[meta.xor_id]))
+                run.twins.append(meta)
+
+        # Read RBlock: each source walks its own new, valid blocks at once,
+        # and the DELTA twins it holds of this node's lost blocks, and
+        # ships only the records homed on this node.  New blocks of a
         # node past its Meta tier but not yet rebuilt, and those of
         # another failed node (a concurrent two-MN recovery), are
         # reconstructed transiently from their stripes instead; a failed
@@ -725,10 +770,16 @@ class MemoryNodeRecovery:
             """Start *other*'s holder-side scan; returns its new blocks
             left to rebuild."""
             new = inventory(other.node_id)
-            held = [meta for meta in new if meta.valid]
-            if held:
+            blocks = other.mn.blocks
+            entries = [(other.node_id, meta.block_id,
+                        blocks.buffer(meta.block_id), meta.slot_size)
+                       for meta in new if meta.valid]
+            entries += [(node_id, meta.block_id, blocks.buffer(dblk),
+                         meta.slot_size)
+                        for meta, dblk in twins.get(other.node_id, ())]
+            if entries:
                 scans.append(self._aside(
-                    self._scan_at_holder(run, rescan, other, held),
+                    self._scan_at_holder(run, rescan, other, entries),
                     f"rblock-scan@mn{other.node_id}"))
             return [meta for meta in new if not meta.valid]
 
@@ -750,11 +801,9 @@ class MemoryNodeRecovery:
         rebuilds = {other.node_id: split(other) for other in others
                     if self._is_source(other.node_id)}
 
-        # Recover LBlock: rebuild the new local blocks, from their DELTA
-        # twins or by erasure decoding.
-        local_new = inventory(node_id)
+        # Recover LBlock: decode the new local blocks without a twin.
         yield from self._pipelined(
-            server, local_new, partial(self._start_block_reads, server),
+            server, decoded, partial(self._start_block_reads, server),
             install_and_scan)
         t1 = self.env.now
         report.recover_lblock_s = t1 - t0
@@ -789,6 +838,9 @@ class MemoryNodeRecovery:
             yield rescan.cpu_done
         t4 = self.env.now
         report.scan_tail_s = t4 - t3
+        if run.twins:
+            run.tails.append(self._aside(self._stream_twins(server, run),
+                                         f"twins@mn{node_id}"))
 
         # Scrub restored entries dangling into rescanned blocks.
         yield from self._scrub_index(server, rescan, data_gens, report)
@@ -867,35 +919,39 @@ class MemoryNodeRecovery:
                 best[record.key] = (record.slot_version, record, addr,
                                     slot_size)
 
-    def _scan_at_holder(self, run: _Run, rescan: "_Rescan", holder, metas):
-        """Read RBlock at one live *holder*, run beside the driver.  The
-        holder walks its blocks *metas* as they are now, on its EC core,
-        and keeps the records homed on the recovering node; the
-        recovering node reads those entries (per block its id and entry
-        count, per record its offset, slot size, Slot Version and key),
-        and only once they landed are they merged into *rescan*.  Fails
-        with :class:`NodeFailedError` when the holder died on the way or
-        the attempt was restarted, so a stale job merges nothing."""
+    def _scan_at_holder(self, run: _Run, rescan: "_Rescan", holder,
+                        entries):
+        """The Index tier's walk at one live *holder*, run beside the
+        driver.  *entries* are (owner, block id, bytes, slot size): the
+        holder's own new blocks (Read RBlock), and the DELTA twins it
+        holds of the recovering node's lost blocks, whose records are
+        merged under the lost block's own address (owner, block id).  The
+        holder walks the bytes as they are now, on its EC core, and keeps
+        the records homed on the recovering node; the recovering node
+        reads those entries (per block its id and entry count, per record
+        its offset, slot size, Slot Version and key), and only once they
+        landed are they merged into *rescan*.  Fails with
+        :class:`NodeFailedError` when the holder died on the way or the
+        attempt was restarted, so a stale job merges nothing."""
         walked = size = 0
         scanned = []
-        for meta in metas:
-            count, homed = self._homed_records(
-                run.node, holder.mn.blocks.buffer(meta.block_id),
-                meta.slot_size)
+        for owner, block_id, data, slot_size in entries:
+            count, homed = self._homed_records(run.node, data, slot_size)
             walked += count
             size += _SCAN_BLOCK_BYTES + sum(
                 _SCAN_ENTRY_BYTES + len(record.key)
                 for _off, _size, record in homed)
-            scanned.append((meta.block_id, homed))
+            scanned.append((owner, block_id, homed))
         yield holder.mn.ec_core.submit(
             walked / self.cluster.config.cluster.cpu.scan_rate)
         yield self.env.all_of(self._post_reads(run, run.node,
                                                holder.node_id, size))
         self._needs(run, holder)
-        for block_id, homed in scanned:
-            self._merge(rescan, holder.node_id, block_id, homed)
+        for owner, block_id, homed in scanned:
+            self._merge(rescan, owner, block_id, homed)
         run.report.kv_count += walked
-        run.report.rblock_count += len(scanned)
+        run.report.rblock_count += sum(owner != run.node
+                                       for owner, _block, _homed in scanned)
 
     def _scrub_index(self, server, rescan: "_Rescan", data_gens,
                      report: RecoveryReport):
@@ -1152,11 +1208,15 @@ class MemoryNodeRecovery:
         stay busy across the seam.  ``recover_old_s`` ends when the last
         old block was installed; ``rebaseline_s`` is the rest — the
         re-baselines still in flight then and the grace periods and Q
-        pushes they left running beside the driver."""
+        pushes they left running beside the driver, and the twins still
+        on the wire (:meth:`_stream_twins`), which are no old blocks."""
         report = run.report
         t0 = self.env.now
+        streamed = {resolver["meta"].block_id
+                    for resolver, _delivered in run.twin_reads}
         old = [m for m in server.mn.blocks.meta
-               if m.role is Role.DATA and not m.valid]
+               if m.role is Role.DATA and not m.valid
+               and m.block_id not in streamed]
         report.old_count = len(old)
         report.recover_old_s = 0.0
 
@@ -1234,10 +1294,10 @@ class MemoryNodeRecovery:
         sid, pos = meta.stripe_id, meta.xor_id
         if sid < 0:
             return None
-        psrv, prec = self._p_record(sid)
-        if prec is not None and prec.fresh[pos] \
-                and prec.delta_blocks[pos] is not None:
-            return self._start_twin(run, meta, psrv, prec)
+        twin = self._twin_of(meta)
+        if twin is not None:
+            return self._start_twin(run, meta, *twin)
+        psrv = self._p_record(sid)[0]
         # Prefer the P holder's record; fall back to Q's for 2-MN failures.
         # A holder that is itself mid-recovery knows the stripe again but
         # has not re-derived its parity block yet: as good as dead.
@@ -1307,6 +1367,49 @@ class MemoryNodeRecovery:
             self._deliver(run, agg, gathered,
                           sum(s is not None for s in shards)),
             f"rebuild(s{sid}.{pos}@mn{agg.node_id})")
+
+    def _twin_of(self, meta):
+        """(P holder's server, its record) when lost DATA block *meta* is
+        its DELTA block's twin — its P holder is a source, says the
+        position was granted fresh (:attr:`StripeRecord.fresh`) and has a
+        live DELTA block for it — else None."""
+        if meta.stripe_id < 0:
+            return None
+        psrv, prec = self._p_record(meta.stripe_id)
+        pos = meta.xor_id
+        if prec is None or not prec.fresh[pos] \
+                or prec.delta_blocks[pos] is None:
+            return None
+        return psrv, prec
+
+    def _post_twin(self, server, run: _Run) -> None:
+        """Post the next twin of ``run.twins`` onto ``run.twin_reads``.
+        It goes through :meth:`_start_block_reads`, which re-checks the
+        twin rule now: a block no longer fresh is decoded instead."""
+        self._needs(run)
+        started = self._start_block_reads(server, run.twins.pop(0))
+        if started is not None:
+            run.twin_reads.append(started)
+
+    def _stream_twins(self, server, run: _Run):
+        """The twin stream, run beside the driver from the scrub on and
+        waited for only by ``RECOVERED`` (it is on ``run.tails``): it
+        installs the lost blocks whose DELTA twins their P holders have
+        walked.  Until the Index milestone one read is in flight, so the
+        re-apply's key look-ups queue behind at most one block; at the
+        milestone the driver posts every twin left.  Each is installed the
+        moment it lands."""
+        env = self.env
+        report = run.report
+        reads = run.twin_reads
+        while run.twins or reads:
+            if not reads:
+                self._post_twin(server, run)
+                continue
+            index, _value = yield env.any_of(
+                [delivered for _resolver, delivered in reads])
+            self._install(server, reads.pop(index)[0])
+            report.twins_done_at = env.now
 
     def _start_twin(self, run: _Run, meta, psrv, prec):
         """Rebuild lost DATA block *meta* from its DELTA twin: with P's

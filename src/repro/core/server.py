@@ -34,7 +34,7 @@ import numpy as np
 from ..checkpoint.compress import make_compressor
 from ..checkpoint.differential import (CheckpointImage,
                                        DifferentialCheckpointer, xor_bytes)
-from ..cluster.master import Master
+from ..cluster.master import Master, MnState
 from ..cluster.node import MemoryNode
 from ..config import SystemConfig
 from ..ec.stripe import StripeCodec, StripeLayout
@@ -323,7 +323,14 @@ class AcesoServer:
         return grant
 
     def _node_alive(self, node_id: int) -> bool:
-        return self.fabric.is_alive(node_id) and self.servers[node_id].mn.alive
+        """Whether blocks may be placed on *node_id*.  Not while its
+        master state is FAILED: back up before its Meta milestone it
+        allocates from the free list of a reboot — block ids that still
+        hold its lost data — and replicates those records, which its Meta
+        tier then restores in place of the real ones."""
+        return (self.fabric.is_alive(node_id)
+                and self.servers[node_id].mn.alive
+                and self.master.mn_state(node_id) != MnState.FAILED)
 
     def _find_open_position(self) -> Optional[Tuple[int, int]]:
         directory = self.directory

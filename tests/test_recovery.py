@@ -454,6 +454,138 @@ def test_a_fresh_unsealed_block_is_rebuilt_from_its_delta_twin():
     assert data_blocks(mn) == before
 
 
+def twin_setup():
+    """A loaded cluster past a checkpoint round (the scrub and the
+    re-apply take time), the MN with the most DELTA twins, its DATA
+    blocks ({block id: bytes}) and the ids of those its twins serve, and
+    {key: value} of the committed keys whose record lives in one of
+    them."""
+    from repro.memory.address import GlobalAddress
+    from repro.memory.blocks import Role
+    from tests.test_core_versioning import locate_slot
+    cluster, runner, n = loaded_cluster()
+    cluster.run(cluster.env.now + 0.6)
+    expected = snapshot(cluster, n)
+
+    def twins_of(mn):
+        return {meta.block_id for meta in mn.blocks.meta
+                if meta.role is Role.DATA and twin_served(cluster, meta)}
+
+    victim = max(cluster.mns, key=lambda node: len(twins_of(
+        cluster.mns[node])))
+    mn = cluster.mns[victim]
+    twins = twins_of(mn)
+    in_twins = {}
+    for key, value in expected.items():
+        index, bucket, slot = locate_slot(cluster, key)
+        ga = GlobalAddress.unpack(index.read_atomic(bucket, slot).addr)
+        if ga.node_id == victim and mn.blocks.locate(ga.offset)[0] in twins:
+            in_twins[key] = value
+    return cluster, victim, data_blocks(mn), twins, in_twins
+
+
+def test_twins_are_walked_at_their_p_holders_and_streamed_after_the_scrub():
+    """A lost block its DELTA twin serves is no Recover LBlock job: its P
+    holder walks the twin beside its own recent blocks and ships the
+    records homed on the victim, merged under the lost block's address,
+    so every key of a twin is in the index at ``INDEX_RECOVERED``.  The
+    twins' bytes come by one stream: no twin read into the victim is
+    posted before the scrub starts, at most one is in flight before the
+    Index milestone, and after ``RECOVERED`` every twin is byte for byte
+    what it was before the crash."""
+    from repro.memory.address import GlobalAddress
+    from tests.test_core_versioning import locate_slot
+    cluster, victim, before, twins, in_twins = twin_setup()
+    env, recovery = cluster.env, cluster._recovery
+    k = cluster.codec.k
+    homed = [key for key in in_twins if home_of(key, 5) == victim]
+    assert len(twins) > 1 and homed
+    scan, start_twin = recovery._scan_at_holder, recovery._start_twin
+    walked, streamed = [], []       # (holder, owner, block); [posted, landed]
+
+    def hooked_scan(run, rescan, holder, entries):
+        walked.extend((holder.node_id, owner, block_id)
+                      for owner, block_id, _data, _size in entries)
+        yield from scan(run, rescan, holder, entries)
+
+    def hooked_twin(run, meta, psrv, prec):
+        resolver, delivered = start_twin(run, meta, psrv, prec)
+        read = [env.now, None]
+        streamed.append(read)
+        delivered.add_callback(lambda _event: read.__setitem__(1, env.now))
+        return resolver, delivered
+
+    recovery._scan_at_holder = hooked_scan
+    recovery._start_twin = hooked_twin
+    cluster.crash_mn(victim)
+    env.run_until_event(
+        cluster.master.milestone(victim, MnState.INDEX_RECOVERED),
+        limit=env.now + 120)
+    for key in homed:       # the twin's record, at the lost block's address
+        index, bucket, slot = locate_slot(cluster, key)
+        ga = GlobalAddress.unpack(index.read_atomic(bucket, slot).addr)
+        assert ga.node_id == victim
+        assert cluster.mns[victim].blocks.locate(ga.offset)[0] in twins
+    env.run_until_event(cluster.master.milestone(victim, MnState.RECOVERED),
+                        limit=env.now + 120)
+    report = recovery.reports[-1]
+    mn = cluster.mns[victim]
+    assert sorted(block for _h, owner, block in walked
+                  if owner == victim) == sorted(twins)
+    for holder, owner, block_id in walked:
+        if owner == victim:
+            assert holder == cluster.layout.node_of(
+                mn.blocks.meta[block_id].stripe_id, k)
+    assert report.rblock_count == sum(owner != victim
+                                      for _h, owner, _b in walked)
+    assert report.lblock_count >= len(twins) and report.kv_count
+    scrub_start = report.index_done_at - report.apply_s - report.scrub_s
+    assert len(streamed) == len(twins)
+    assert all(posted >= scrub_start - 1e-12 for posted, _l in streamed)
+    early = [read for read in streamed if read[0] < report.index_done_at]
+    assert early and all(later[0] >= earlier[1]
+                         for earlier, later in zip(early, early[1:]))
+    assert report.twins_done_at == max(landed for _p, landed in streamed)
+    assert report.row()["twins_done_ms"] > 0
+    assert data_blocks(mn) == before
+
+
+def test_a_search_between_the_milestones_reads_a_twin_degraded():
+    """The Index milestone does not wait for the twin stream.  With every
+    twin read held on the wire, a SEARCH of a key whose only record lives
+    in a twin not yet installed, issued between the two milestones, is
+    served by a degraded read from the block's stripe; once the reads
+    land every twin is installed byte for byte and every key reads
+    back."""
+    cluster, victim, before, twins, in_twins = twin_setup()
+    env, recovery = cluster.env, cluster._recovery
+    expected = snapshot(cluster, 120)
+    key = next(iter(in_twins))
+    gate, start_twin = env.event(), recovery._start_twin
+
+    def held(run, meta, psrv, prec):
+        resolver, delivered = start_twin(run, meta, psrv, prec)
+        return resolver, env.all_of([delivered, gate])
+
+    recovery._start_twin = held
+    cluster.crash_mn(victim)
+    env.run_until_event(
+        cluster.master.milestone(victim, MnState.INDEX_RECOVERED),
+        limit=env.now + 120)
+    mn = cluster.mns[victim]
+    assert not any(mn.blocks.meta[block_id].valid for block_id in twins)
+    counters = cluster.stats.counters
+    degraded = counters["degraded_reads"]
+    assert cluster.run_op(cluster.clients[0].search(key)) == in_twins[key]
+    assert counters["degraded_reads"] > degraded
+    assert cluster.master.mn_state(victim) == MnState.INDEX_RECOVERED
+    gate.succeed()
+    env.run_until_event(cluster.master.milestone(victim, MnState.RECOVERED),
+                        limit=env.now + 120)
+    assert data_blocks(mn) == before
+    assert verify(cluster, expected) == []
+
+
 @pytest.mark.parametrize("baseline", ["reuse_grant", "rebaselined"])
 def test_a_block_whose_p_baseline_is_not_zero_is_decoded_not_copied(
         baseline):
@@ -819,14 +951,16 @@ def crash_holder_when(cluster, triggers, pick):
 @pytest.mark.parametrize("dies", ["p_holder_while_folding",
                                   "data_holder_mid_rebaseline",
                                   "aggregator_mid_job",
-                                  "holder_mid_scan"])
+                                  "holder_mid_scan",
+                                  "p_holder_mid_twin_scan"])
 def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     """The waits of an aggregated job.  The P holder dying with a fold
     on its EC core fails the fold; a data holder dying before a
     re-baseline's capture fails that job; the aggregator dying after its
     helpers' blocks landed and before it delivered the Q of a P
     re-baseline fails the push, which installs nothing; a holder dying
-    with its Read RBlock scan on its EC core fails the scan, which
+    with its Read RBlock scan on its EC core, or a P holder with its
+    walk of a DELTA twin of the victim's there, fails the scan, which
     merges nothing.  Either way the recovery wipes what it restored and
     restarts its tiers, now a double failure that needs the Q parity,
     and every key reads back
@@ -875,8 +1009,13 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
 
         recovery._push_q = crash_then_push
     else:
-        # the first holder to scan its recent blocks dies while the walk
-        # is on its EC core
+        # the first holder to scan its recent blocks (or to walk a DELTA
+        # twin of the victim's) dies while the walk is on its EC core
+        if dies == "p_holder_mid_twin_scan":
+            from repro.memory.blocks import Role
+            victim = next(node for node, mn in cluster.mns.items() if any(
+                meta.role is Role.DATA and twin_served(cluster, meta)
+                for meta in mn.blocks.meta))
         scan = recovery._scan_at_holder
         second, on_core, merged = [], [], []
 
@@ -885,11 +1024,12 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
             on_core.append(holder.mn.ec_core.backlog() > 0)
             cluster.crash_mn(holder.node_id)
 
-        def crash_mid_scan(run, rescan, holder, metas):
-            if not second:
+        def crash_mid_scan(run, rescan, holder, entries):
+            if not second and (dies == "holder_mid_scan" or any(
+                    owner == run.node for owner, *_rest in entries)):
                 second.append(holder.node_id)
                 cluster.env.process(crash_soon(holder))
-            yield from scan(run, rescan, holder, metas)
+            yield from scan(run, rescan, holder, entries)
             merged.append(holder.node_id)
 
         recovery._scan_at_holder = crash_mid_scan
@@ -906,7 +1046,7 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     if dies == "aggregator_mid_job":
         # every Q installed came from a live aggregator
         assert pushed and all(pushed)
-    if dies == "holder_mid_scan":
+    if dies in ("holder_mid_scan", "p_holder_mid_twin_scan"):
         # the dead holder's scan merged nothing; the others' did
         assert on_core == [True]
         assert merged and second[0] not in merged
@@ -1001,6 +1141,38 @@ def test_a_client_read_of_a_node_in_its_meta_tier_is_degraded():
     assert verify(cluster, expected) == []
 
 
+def test_the_leader_places_no_block_on_a_node_in_its_meta_tier():
+    """The leader's placement trusts what recovery trusts: a node whose
+    master state is FAILED gets no block, although it is back up
+    (``mn.alive``) before its Meta tier.  Placed there, a DATA grant came
+    from the free list of a reboot — ids of blocks that still hold the
+    node's lost data — and its record was replicated, so the Meta tier
+    restored the empty grant in their place: at the parent three of these
+    twelve allocations landed on the victim, over its blocks 0-2, and 64
+    keys were lost.  Now none lands there, and every key reads back."""
+    from repro.chaos.oracle import walk_index
+    cluster, runner, n = loaded_cluster()
+    expected = snapshot(cluster, n)
+    victim = 1
+    hold_meta_tier(cluster, victim, 2e-3)
+    cluster.crash_mn(victim)
+    cluster.run(cluster.env.now + 0.5e-3)
+    leader, client = cluster.leader_server(), cluster.clients[0]
+    assert leader.node_id != victim
+    grants = [cluster.run_op(client._rpc(leader, "alloc_block", client.cli_id,
+                                         256, response_size=128))
+              for _ in range(12)]
+    assert cluster.mns[victim].alive
+    assert cluster.master.mn_state(victim) == MnState.FAILED
+    assert victim not in {grant.data_node for grant in grants}
+    assert victim not in {grant.delta_node for grant in grants}
+    done = cluster.master.milestone(victim, MnState.RECOVERED)
+    cluster.env.run_until_event(done, limit=cluster.env.now + 120)
+    assert verify(cluster, expected) == []
+    _versions, problems = walk_index(cluster)
+    assert not any(problems.values()), problems
+
+
 # --------------------------------------------- the Index tier's data flow
 
 def updated_after_checkpoint(cluster):
@@ -1070,7 +1242,8 @@ def expected_recovery_bytes(cluster, victim):
     Into the NIC: the Meta replica, the checkpoint image, one block per
     lost DATA block and per parity block held — every rebuilt or
     re-encoded block crosses it once — and one read per other MN of the
-    index entries its scan of its recently sealed or open blocks ships:
+    index entries its scan of its recently sealed or open blocks, and of
+    the DELTA twins it holds of the victim's lost recent blocks, ships:
     8 B per block, and 16 B plus the key per record homed on the victim.
     On the fabric at most what a driver pulling every stripe mate
     through that NIC moved: k blocks per lost DATA block (its other
@@ -1089,9 +1262,7 @@ def expected_recovery_bytes(cluster, victim):
     def bulk(size, chunk=_READ_CHUNK):
         return size + -(-size // chunk) * WIRE_HEADER
 
-    def shipped(other, meta):
-        data = bytes(other.blocks.buffer(meta.block_id))
-        size = meta.slot_size
+    def shipped(data, size):
         records = [parse_kv(data[off:off + size])
                    for off in range(0, block_size - size + 1, size)]
         return 8 + sum(16 + len(record.key) for record in records
@@ -1112,11 +1283,23 @@ def expected_recovery_bytes(cluster, victim):
             into += 1
             pulled += sum(loc is not None for loc in data)
     threshold = max(image.index_version - 1, 1)
+
+    def new(mn):
+        return [meta for meta in mn.blocks.meta
+                if meta.role is Role.DATA and (
+                    meta.index_version == 0
+                    or meta.index_version >= threshold)]
+
+    twins = [meta for meta in new(mn) if twin_served(cluster, meta)]
     for s in others:
-        scanned = sum(shipped(s.mn, meta) for meta in s.mn.blocks.meta
-                      if meta.role is Role.DATA and (
-                          meta.index_version == 0
-                          or meta.index_version >= threshold))
+        blocks = s.mn.blocks
+        scanned = sum(shipped(bytes(blocks.buffer(meta.block_id)),
+                              meta.slot_size) for meta in new(s.mn))
+        for meta in twins:
+            psrv, record = p_record(cluster, meta.stripe_id)
+            if psrv is s:
+                scanned += shipped(bytes(blocks.buffer(
+                    record.delta_blocks[meta.xor_id])), meta.slot_size)
         total += bulk(scanned) if scanned else 0
     pushes = 0
     for sid, record in cluster.servers[victim].stripes.items():
@@ -1338,7 +1521,11 @@ def test_apply_pass_costs_no_verb_for_pointers_it_already_holds():
     A slot pointing into a block image recovery has just read, or into
     the node's own Block Area, costs no verb at all — the pass then takes
     no simulated time; pointers into blocks of other nodes that were not
-    rescanned are read over the fabric, all posted at one instant."""
+    rescanned are read over the fabric, all posted at one instant.  The
+    twin stream's one read in flight may be posted in the same window:
+    only reads no larger than a look-up are look-ups."""
+    from repro.core.kvpair import HEADER_SIZE
+    from repro.rdma.verbs import WIRE_HEADER
     # (1) every pointer held: the checkpointed slots of the updated keys
     # point into the clients' open blocks, which are rescanned
     cluster, runner, n = loaded_cluster(keys_per_client=100)
@@ -1375,7 +1562,8 @@ def test_apply_pass_costs_no_verb_for_pointers_it_already_holds():
     report = crash_and_recover(cluster, victim)
     looked_up = [p for p in posts
                  if report.index_done_at - report.apply_s - 1e-12 <= p[0]
-                 < report.index_done_at and p[1] == victim]
+                 < report.index_done_at and p[1] == victim
+                 and p[4] <= HEADER_SIZE + 256 + WIRE_HEADER]
     assert len(looked_up) > 1 and report.apply_s > 0
     assert max(p[0] for p in looked_up) - min(p[0] for p in looked_up) < 1e-12
     assert {p[3] for p in looked_up} == {"recovery"}
