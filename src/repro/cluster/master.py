@@ -38,6 +38,10 @@ class Master:
         self.detection_delay = detection_delay
         self._mn_state: Dict[int, str] = {}
         self._mn_incarnation: Dict[int, int] = {}
+        #: Bumped by every change of an MN's state or incarnation: a
+        #: client that found something writable at one version knows it
+        #: still is while the version reads the same.
+        self.version = 0
         self._milestones: Dict[int, Dict[str, Event]] = {}
         self._recovery_callback: Optional[Callable[[int], None]] = None
         self.failed_cns: Set[int] = set()
@@ -57,6 +61,7 @@ class Master:
     def register_mn(self, node_id: int) -> None:
         self._mn_state[node_id] = MnState.ALIVE
         self._mn_incarnation.setdefault(node_id, 0)
+        self.version += 1
         self._milestones[node_id] = {}
 
     def set_recovery_callback(self, callback: Callable[[int], None]) -> None:
@@ -122,6 +127,7 @@ class Master:
         self._mn_state[node_id] = MnState.FAILED
         self._mn_incarnation[node_id] = \
             self._mn_incarnation.get(node_id, 0) + 1
+        self.version += 1
         self.failure_log.append((self.env.now, "mn", node_id))
         self._notify_failure("mn", node_id)
         self._reset_milestones(node_id)
@@ -144,6 +150,7 @@ class Master:
         its tiers from scratch: client-visible state drops back to FAILED
         (no new detection process — the running recovery retries in place)."""
         self._mn_state[node_id] = MnState.FAILED
+        self.version += 1
         self._reset_milestones(node_id)
 
     def _detect_and_recover(self, node_id: int):
@@ -165,6 +172,7 @@ class Master:
     def reach_milestone(self, node_id: int, state: str) -> None:
         """Recovery code reports progress; wakes every waiter."""
         self._mn_state[node_id] = state
+        self.version += 1
         ev = self._milestones[node_id].get(state)
         if ev is None:
             ev = self.env.event()

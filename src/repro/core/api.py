@@ -59,7 +59,7 @@ from ..index.slot import (
     MetaField,
     slot_version,
 )
-from ..memory.address import GlobalAddress
+from ..memory.address import NODE_BITS, OFFSET_BITS, GlobalAddress
 from ..memory.slab import SIZE_UNIT, SizeClasser
 from ..obs.trace import NULL_SPAN
 from ..rdma.qp import rpc_call
@@ -84,6 +84,10 @@ LOCK_TIMEOUT = 500e-6
 LOCK_POLL = 50e-6
 #: Slots left in the open block when the next one is allocated ahead.
 PREFETCH_MARGIN = 8
+#: Field ranges of the packed words the write path builds with shifts.
+_EPOCH_MASK = (1 << 56) - 1
+_NODE_MASK = (1 << NODE_BITS) - 1
+_OFFSET_MASK = (1 << OFFSET_BITS) - 1
 
 
 class DMClient:
@@ -183,14 +187,17 @@ class DMClient:
             return record.value
         raise RetryBudgetExceeded(f"SEARCH {key!r}")
 
+    # The write ops return ``_write``'s generator, as ``search`` returns
+    # its op's: no frame of their own on every resume of every write.
+
     def insert(self, key: bytes, value: bytes) -> Generator:
-        yield from self._write(key, value, "INSERT")
+        return self._write(key, value, "INSERT")
 
     def update(self, key: bytes, value: bytes) -> Generator:
-        yield from self._write(key, value, "UPDATE")
+        return self._write(key, value, "UPDATE")
 
     def delete(self, key: bytes) -> Generator:
-        yield from self._write(key, b"", "DELETE")
+        return self._write(key, b"", "DELETE")
 
     def _write(self, key: bytes, value: bytes, op: str) -> Generator:
         obs = self.obs
@@ -449,8 +456,10 @@ class DMClient:
 
     def _get_write_slot(self, size_class) -> Generator:
         slot_size = size_class.slot_size
-        block = self.blocks.open_block(slot_size)
-        if block is None:
+        claimed = self.blocks.claim(slot_size)
+        if claimed is None:
+            # No installed block with a slot left: seal the filled one,
+            # install the next (allocated ahead, or now).
             old = self.blocks.retire(slot_size)
             if old is not None:
                 self._seal_async(old)
@@ -458,10 +467,13 @@ class DMClient:
             if block is None:
                 block = yield from self._fetch_block(size_class)
             self.blocks.install(slot_size, block)
-        slot = block.take_slot()
+            slot = block.take_slot()
+            left = block.slots_left()
+        else:
+            block, slot, left = claimed
         # Allocate the next block ahead of time so the allocation RPC
         # chain never sits on the write critical path.
-        if block.slots_left() == PREFETCH_MARGIN:
+        if left == PREFETCH_MARGIN:
             self._start_prefetch(size_class)
         return block, slot
 
@@ -676,54 +688,102 @@ class AcesoClient(DMClient):
 
     def _write_inner(self, key: bytes, value: bytes, op: str,
                      sp) -> Generator:
-        t0 = self.env.now
+        env = self.env
+        t0 = env.now
+        master = self.master
+        cache = self.cache
+        refreshes = cache.policy == "addr_value"
         home = self._home(key)
+        fp = fingerprint8(key)
         cas_count = 0
         retries = 0
         while retries < RETRY_BUDGET:
             # Writes to a failed MN's index range block until its Index
             # Area is recovered (§3.4.1).
-            while not self.master.mn_writable(home):
-                yield self.master.milestone(home, "index_recovered")
-            # Incarnation of the home index the located slot was verified
-            # under: a cached slot address carries the one it was stored
-            # under (taken before the lookup below; no yield in between).
-            cached = self.cache.peek(key)
+            while not master.mn_writable(home):
+                yield master.milestone(home, "index_recovered")
+
+            # --- locate the slot -----------------------------------------
+            # A cache hit is used in one of two ways.  *Trust*: take the
+            # cached Atomic/Meta pair and let the commit CAS catch
+            # staleness — no verb here, and a lost CAS (then
+            # `_resolve_conflict`) when another client wrote the key
+            # since.  *Refresh*: read the 16 B slot at the cached address
+            # first and use the pair just read — one small round trip
+            # more, and the CAS loses only to a true race.  The entry's
+            # ``heat`` picks (trust while no look at the slot found it
+            # changed, and again after two unchanged looks in a row);
+            # only the addr_value cache refreshes — the slot address is
+            # that cache's feature (§3.5.1), and the +CKPT factor step
+            # keeps its verbs.  Without a hit the candidate buckets are
+            # queried.
+            cached = cache.lookup(key)
             if cached is not None and cached.slot_offset < 0:
                 cached = None
-            slot_epoch = (cached.home_epoch if cached is not None
-                          else self.master.mn_incarnation(home))
-            # A cached pair used as it is makes the commit CAS a look at
-            # the slot (a refreshed one, heat > 0, was looked at already);
-            # only a lost CAS moves a heat of 0.
-            trusted = cached if cached is not None and not cached.heat \
-                else None
-            try:
-                located = yield from self._locate_for_write(key, home, op)
-            except NodeFailedError:
-                retries += 1
-                self.cache.invalidate(key)
-                continue
-            if located is None:
-                self.stats.record_error(op)
-                raise KeyNotFoundError(key)
-            (bucket, slot, atomic_word, meta_word, fresh_insert) = located
+            if cached is None:
+                # The incarnation of the home index the located slot is
+                # verified under (no yield before the query below).
+                slot_epoch = master.mn_incarnation(home)
+                trusted = None
+            else:
+                # ... or the one the cached slot address was stored under.
+                slot_epoch = cached.home_epoch
+                # A cached pair used as it is makes the commit CAS a look
+                # at the slot (a refreshed one, heat > 0, was looked at
+                # already); only a lost CAS moves a heat of 0.
+                trusted = None if cached.heat else cached
             index = self._index_of(home)
-            slot_offset = index.slot_offset(bucket, slot)
-            atomic_old = AtomicField.unpack(atomic_word)
-            meta_old = MetaField.unpack(meta_word)
-            fp = fingerprint8(key)
+            if cached is not None and not (cached.heat and refreshes):
+                bucket, slot = cached.bucket, cached.slot
+                atomic_word, meta_word = cached.atomic_word, cached.meta_word
+                # ``index.slot_offset(bucket, slot)``, range checks and
+                # all, as computed when the entry was stored
+                slot_offset = cached.slot_offset
+                fresh_insert = False
+            else:
+                located = None
+                try:
+                    if cached is not None:
+                        # Raises NodeFailedError when the home MN failed
+                        # since the entry was stored.
+                        pair = yield from self._refresh_slot(key, home,
+                                                             cached)
+                        if pair is not None:
+                            located = (cached.bucket, cached.slot, *pair,
+                                       False)
+                        else:
+                            cache.invalidate(key)
+                    if located is None:
+                        located = yield from self._locate_in_buckets(
+                            key, home, op)
+                except NodeFailedError:
+                    retries += 1
+                    cache.invalidate(key)
+                    continue
+                if located is None:
+                    self.stats.record_error(op)
+                    raise KeyNotFoundError(key)
+                bucket, slot, atomic_word, meta_word, fresh_insert = located
+                slot_offset = index.slot_offset(bucket, slot)
+            # ``index.meta_offset``: the Meta word follows the Atomic word
+            # of a wide slot (a compact one has none: that call raises).
+            meta_offset = slot_offset + 8 if index.wide \
+                else index.meta_offset(bucket, slot)
 
             # --- slot-version bookkeeping (Algorithm 1 lines 3-14) -----
+            # On the slot words as ints: ``ver`` is Atomic bits 48-55,
+            # ``epoch`` Meta bits 8-63 (its low bit the lock), ``len``
+            # Meta bits 0-7.  The lock paths decode ``MetaField``s.
             rolled = False
             if fresh_insert:
                 ver_new = 1
                 epoch_eff = 0
             else:
-                if meta_old.locked:
+                if (meta_word >> 8) & 1:
                     with self._phase("lock_wait"):
                         took_over = yield from self._wait_or_takeover(
-                            key, home, bucket, slot, meta_old
+                            key, home, bucket, slot,
+                            MetaField.unpack(meta_word)
                         )
                     retries += 1
                     if not took_over:
@@ -731,21 +791,22 @@ class AcesoClient(DMClient):
                         # the located Atomic/Meta pair is stale, and if
                         # it came from the cache every retry would poll
                         # against the same locked word.
-                        self.cache.invalidate(key)
+                        cache.invalidate(key)
                         continue
                     meta_word = took_over
-                    meta_old = MetaField.unpack(meta_word)
                     # We now hold the lock (odd epoch).
                     rolled = True
-                ver_new = (atomic_old.ver + 1) & 0xFF
-                if atomic_old.ver == 0xFF and not rolled:
+                old_ver = (atomic_word >> 48) & 0xFF
+                ver_new = (old_ver + 1) & 0xFF
+                if old_ver == 0xFF and not rolled:
                     # Rollover: lock the Meta field (epoch -> odd).
+                    meta_old = MetaField.unpack(meta_word)
                     locked_meta = MetaField(meta_old.epoch + 1,
                                             meta_old.len_units)
                     cas_count += 1
                     try:
                         ok, _old = yield self._post_cas(
-                            home, index.meta_offset(bucket, slot),
+                            home, meta_offset,
                             meta_old.pack(), locked_meta.pack(),
                         )
                     except NodeFailedError:
@@ -755,44 +816,58 @@ class AcesoClient(DMClient):
                         # Another client rolled the slot over first; a
                         # cached pair would lose this CAS forever.
                         retries += 1
-                        self.cache.invalidate(key)
-                        yield self.env.timeout(LOCK_POLL)
+                        cache.invalidate(key)
+                        yield env.timeout(LOCK_POLL)
                         continue
-                    meta_old = locked_meta
+                    meta_word = locked_meta.pack()
                     rolled = True
+                epoch_eff = (meta_word >> 8) & _EPOCH_MASK
                 if rolled:
-                    epoch_eff = meta_old.epoch + 1  # the final, even epoch
-                else:
-                    epoch_eff = meta_old.epoch
-            version = slot_version(epoch_eff, ver_new)
+                    epoch_eff += 1  # the final, even epoch
+            # ``slot_version(epoch_eff, ver_new)`` with its range checks
+            if not (0 <= epoch_eff <= _EPOCH_MASK and 0 <= ver_new <= 0xFF):
+                slot_version(epoch_eff, ver_new)  # raises
+            version = (epoch_eff << 8) | ver_new
 
             # --- write the KV pair and its delta out of place ------------
             size_class = self.classer.class_for(
                 kv_wire_size(len(key), len(value))
             )
             block, wslot = yield from self._get_write_slot(size_class)
-            if not self._grant_writable(block):
+            # The grant is checked once per master version (it can only
+            # turn unwritable when the master's state changes).
+            if block.writable_at != master.version \
+                    and not self._grant_writable(block):
                 # A KV/delta write landing now could be overwritten or
                 # clobber another client's block (§3.4.1).  Abandon the
                 # grant and allocate a fresh block.
                 self.blocks.retire_if(size_class.slot_size, block)
                 retries += 1
                 continue
-            old_bytes = block.slot_old_bytes(wslot)
-            wv = wv_toggle(old_bytes[0]) if old_bytes[0] else 1
+            grant = block.grant
+            intra = size_class.slot_offset(wslot)
+            kv_node = grant.data_node
+            kv_offset = grant.data_offset + intra
+            delta_node = grant.delta_node
+            if grant.reused:
+                old_bytes = block.slot_old_bytes(wslot)
+                wv = wv_toggle(old_bytes[0]) if old_bytes[0] else 1
+            else:
+                # A fresh grant's slot was never written: write version
+                # 1, a Slot Version field of 0, and the delta (old ^ new)
+                # is the record itself.
+                old_bytes = None
+                wv = 1
             kv_bytes = encode_kv(key, value, version, size_class.slot_size,
                                  write_version=wv, tombstone=(op == "DELETE"))
-            delta_bytes = (xor_bytes(kv_bytes, old_bytes)
-                           if block.grant.reused else kv_bytes)
-            kv_addr = block.kv_address(wslot)
-            delta_addr = block.delta_address(wslot)
-            writes = [self._post_write(kv_addr.node_id, kv_addr.offset,
-                                       kv_bytes)]
-            if delta_addr is not None:
+            writes = [self._post_write(kv_node, kv_offset, kv_bytes)]
+            if delta_node >= 0:
                 writes.append(self._post_write(
-                    delta_addr.node_id, delta_addr.offset, delta_bytes))
+                    delta_node, grant.delta_offset + intra,
+                    kv_bytes if old_bytes is None
+                    else xor_bytes(kv_bytes, old_bytes)))
             try:
-                yield self.env.all_of(writes)
+                yield env.all_of(writes)
             except NodeFailedError:
                 # A failed MN on the write path: bypass it (§3.4.1) — the
                 # KV write must land, the delta write may be skipped.  The
@@ -807,43 +882,55 @@ class AcesoClient(DMClient):
                     continue
 
             # --- commit: CAS the Atomic field --------------------------
-            new_atomic = AtomicField(fp=fp, ver=ver_new,
-                                     addr=kv_addr.pack())
-            meta_final = MetaField(epoch_eff, size_class.len_units)
+            # ``GlobalAddress.pack``, ``AtomicField.pack`` and
+            # ``MetaField.pack`` written out, each at the point the
+            # NamedTuples packed, each range check kept.
+            if not (0 <= kv_node <= _NODE_MASK
+                    and 0 <= kv_offset <= _OFFSET_MASK):
+                GlobalAddress(kv_node, kv_offset).pack()  # raises
+            kv_addr = (kv_node << OFFSET_BITS) | kv_offset
+            len_units = size_class.len_units
+            meta_final = (epoch_eff << 8) | len_units
+            meta_ok = 0 <= epoch_eff <= _EPOCH_MASK and 0 <= len_units <= 0xFF
             try:
                 if fresh_insert:
+                    if not meta_ok:
+                        MetaField(epoch_eff, len_units).pack()  # raises
                     # Publish the Meta word before the commit CAS so
                     # readers see a valid length.
                     yield self._post_write(
-                        home, index.meta_offset(bucket, slot),
-                        meta_final.pack().to_bytes(8, "little"),
-                    )
+                        home, meta_offset, meta_final.to_bytes(8, "little"))
+                if not (0 <= fp <= 0xFF and 0 <= ver_new <= 0xFF
+                        and 0 <= kv_addr <= ADDR_MASK):
+                    AtomicField(fp, ver_new, kv_addr).pack()  # raises
+                new_word = (fp << 56) | (ver_new << 48) | kv_addr
                 cas_count += 1
                 ok, _observed = yield self._post_cas(
-                    home, slot_offset, atomic_word, new_atomic.pack()
+                    home, slot_offset, atomic_word, new_word
                 )
             except NodeFailedError:
                 retries += 1
                 block.writes_done += 1
                 self._maybe_seal(size_class, block)
-                self.cache.invalidate(key)
+                cache.invalidate(key)
                 continue
             block.writes_done += 1
             if ok:
+                old_addr = atomic_word & ADDR_MASK
+                if not meta_ok:
+                    MetaField(epoch_eff, len_units).pack()  # raises
                 try:
                     if rolled:
                         # Unlock: epoch to the next even value (line 20).
                         cas_count += 1
-                        yield self._post_cas(
-                            home, index.meta_offset(bucket, slot),
-                            meta_old.pack(), meta_final.pack(),
-                        )
+                        yield self._post_cas(home, meta_offset, meta_word,
+                                             meta_final)
                     elif not fresh_insert and \
-                            meta_old.len_units != size_class.len_units:
+                            meta_word & LEN_MASK != len_units:
                         # Size class changed: repair the len (§3.2.2).
                         yield self._post_write(
-                            home, index.meta_offset(bucket, slot),
-                            meta_final.pack().to_bytes(8, "little"),
+                            home, meta_offset,
+                            meta_final.to_bytes(8, "little"),
                         )
                 except NodeFailedError:
                     pass  # commit already landed; recovery fixes the Meta
@@ -853,9 +940,13 @@ class AcesoClient(DMClient):
                 self.stats.bump("commit_conflicts")
                 if trusted is not None:
                     trusted.looked(changed=True)
-                orphan = _Orphan(kv_addr, delta_addr, int.from_bytes(
-                    old_bytes[VERSION_FIELD_OFFSET:VERSION_FIELD_OFFSET + 8],
-                    "little"))
+                orphan = _Orphan(
+                    GlobalAddress(kv_node, kv_offset),
+                    GlobalAddress(delta_node, grant.delta_offset + intra)
+                    if delta_node >= 0 else None,
+                    0 if old_bytes is None else int.from_bytes(
+                        old_bytes[VERSION_FIELD_OFFSET:
+                                  VERSION_FIELD_OFFSET + 8], "little"))
                 # Inserts race for an empty slot and a rollover holds the
                 # Meta lock: neither can be served from the slot alone.
                 keep = not (fresh_insert or rolled)
@@ -866,28 +957,35 @@ class AcesoClient(DMClient):
                         RETRY_BUDGET - retries - 1 if keep else 0)
                     if won is None and rolled:
                         yield self._post_cas(
-                            home, index.meta_offset(bucket, slot),
-                            meta_old.pack(),
-                            MetaField(epoch_eff, meta_old.len_units).pack(),
+                            home, meta_offset, meta_word,
+                            MetaField(epoch_eff,
+                                      meta_word & LEN_MASK).pack(),
                         )
                 cas_count += rounds
                 retries += rounds
                 if won is None:
-                    self.cache.invalidate(key)
+                    cache.invalidate(key)
                     self._maybe_seal(size_class, block)
                     retries += 1
                     continue
-                atomic_old, new_atomic, meta_final = won
-            self._mark_old_obsolete(atomic_old, fresh_insert)
-            self.cache.store(key, CacheEntry(
-                atomic_word=new_atomic.pack(),
-                len_units=size_class.len_units,
-                meta_word=meta_final.pack(),
-                slot_node=home, slot_offset=slot_offset,
-                bucket=bucket, slot=slot,
-            ))
+                atomic_old, new_atomic, meta_won = won
+                old_addr = atomic_old.addr
+                new_word = new_atomic.pack()
+                meta_final = meta_won.pack()
+            if not fresh_insert and old_addr:
+                self._mark_old_obsolete(old_addr)
+            # The entry this write located through, still cached, takes
+            # the new words in place; otherwise a new entry is stored.
+            if cached is None or not cache.store_words(
+                    key, cached, new_word, meta_final, len_units):
+                cache.store(key, CacheEntry(
+                    atomic_word=new_word, len_units=len_units,
+                    meta_word=meta_final,
+                    slot_node=home, slot_offset=slot_offset,
+                    bucket=bucket, slot=slot,
+                ))
             self._maybe_seal(size_class, block)
-            self.stats.record_op(op, self.env.now - t0, cas=cas_count,
+            self.stats.record_op(op, env.now - t0, cas=cas_count,
                                  retries=retries)
             sp.set(retries=retries, cas=cas_count)
             return
@@ -914,37 +1012,6 @@ class AcesoClient(DMClient):
             self.stats.bump("lock_takeovers")
             return takeover.pack()
         return None
-
-    def _locate_for_write(self, key: bytes, home: int, op: str):
-        """Find (bucket, slot, atomic_word, meta_word, fresh_insert).
-
-        A cache hit is used in one of two ways.  *Trust*: return the
-        cached Atomic/Meta pair and let the commit CAS catch staleness —
-        no verb here, and a lost CAS (then `_resolve_conflict`) when
-        another client wrote the key since.  *Refresh*: read the 16 B slot
-        at the cached address first and return the pair just read — one
-        small round trip more, and the CAS loses only to a true race.
-        The entry's ``heat`` picks (trust while no look at the slot found
-        it changed, and again after two unchanged looks in a row); only
-        the addr_value cache refreshes — the slot address is that cache's
-        feature (§3.5.1), and the +CKPT factor step keeps its verbs.
-        Without a hit the candidate buckets are queried.
-
-        Raises ``NodeFailedError`` when a refresh finds the home MN
-        failed since the entry was stored.
-        """
-        cache = self.cache
-        entry = cache.lookup(key)
-        if entry is not None and entry.slot_offset >= 0:
-            if not (entry.heat and cache.policy == "addr_value"):
-                return (entry.bucket, entry.slot, entry.atomic_word,
-                        entry.meta_word, False)
-            pair = yield from self._refresh_slot(key, home, entry)
-            if pair is not None:
-                return (entry.bucket, entry.slot, *pair, False)
-            cache.invalidate(key)
-        located = yield from self._locate_in_buckets(key, home, op)
-        return located
 
     def _refresh_slot(self, key: bytes, home: int,
                       entry: CacheEntry) -> Generator:
@@ -978,15 +1045,18 @@ class AcesoClient(DMClient):
         """Whether KV/delta writes through *block*'s grant may still land:
         false once its data or delta node crashed after the grant was
         issued (the recovered node may re-hand out the space) or while the
-        data node's Block Area is being rebuilt."""
+        data node's Block Area is being rebuilt.  A yes is remembered
+        with the master's version (``OpenBlock.writable_at``)."""
         grant = block.grant
         master = self.master
-        return (
-            master.mn_incarnation(grant.data_node) == block.epoch[0]
-            and (grant.delta_node < 0
-                 or master.mn_incarnation(grant.delta_node) == block.epoch[1])
-            and master.mn_block_writable(grant.data_node)
-        )
+        if (master.mn_incarnation(grant.data_node) == block.epoch[0]
+                and (grant.delta_node < 0
+                     or master.mn_incarnation(grant.delta_node)
+                     == block.epoch[1])
+                and master.mn_block_writable(grant.data_node)):
+            block.writable_at = master.version
+            return True
+        return False
 
     def _stamp_orphan(self, orphan: _Orphan, version: int) -> Generator:
         """Overwrite the Slot Version field of an uncommitted KV pair and
@@ -1082,16 +1152,18 @@ class AcesoClient(DMClient):
                                       dead_intra, now=self.env.now)
         return None, rounds
 
-    def _mark_old_obsolete(self, atomic_old: AtomicField,
-                           fresh_insert: bool) -> None:
-        """Queue the superseded KV pair's bitmap update (§3.3.3 step 1)."""
-        if fresh_insert or atomic_old.addr == 0:
+    def _mark_old_obsolete(self, addr: int) -> None:
+        """Queue the bitmap update of the superseded KV pair at packed
+        *addr*, a slot's ``addr`` field (§3.3.3 step 1)."""
+        # ``GlobalAddress.unpack`` and ``_locate_block_slot`` written out;
+        # a 48-bit slot field is always in unpack's range.
+        node = addr >> OFFSET_BITS
+        try:
+            block_id, intra = self.mns[node].blocks.locate(
+                addr & _OFFSET_MASK)
+        except IndexError:
             return
-        ga = GlobalAddress.unpack(atomic_old.addr)
-        block_id, intra = self._locate_block_slot(ga)
-        if block_id is not None:
-            self.blocks.mark_obsolete(ga.node_id, block_id, intra,
-                                      now=self.env.now)
+        self.blocks.mark_obsolete(node, block_id, intra, now=self.env.now)
 
     # ------------------------------------------------------------------
     # sealing and bitmap flushes

@@ -53,16 +53,19 @@ class OpenBlock:
         else:
             self._reusable = list(range(self.slots))
         self._cursor = 0
+        #: Whether every writable slot has been claimed.  A plain
+        #: attribute, kept by the two claiming methods: the write path
+        #: reads it twice per write.
+        self.exhausted = not self._reusable
         #: Old contents of the block (reused blocks only; fetched once).
         self.old_content: Optional[bytes] = None
         self.writes_done = 0
         #: (data-node, delta-node) crash incarnations at grant time.  A
         #: later crash of either node invalidates the grant's addresses.
         self.epoch: Tuple[int, int] = (0, 0)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._reusable)
+        #: ``Master.version`` at which the grant was last found writable
+        #: (see ``AcesoClient._grant_writable``); -1 before the first look.
+        self.writable_at = -1
 
     def slots_left(self) -> int:
         return len(self._reusable) - self._cursor
@@ -77,6 +80,7 @@ class OpenBlock:
             raise RuntimeError("block exhausted; seal and allocate")
         slot = self._reusable[self._cursor]
         self._cursor += 1
+        self.exhausted = self._cursor == len(self._reusable)
         return slot
 
     def slot_old_bytes(self, slot: int) -> bytes:
@@ -122,6 +126,22 @@ class ClientBlockManager:
         if block is not None and block.exhausted:
             return None
         return block
+
+    def claim(self, slot_size: int) -> Optional[Tuple[OpenBlock, int, int]]:
+        """Claim the next writable slot of the installed *slot_size*
+        block: ``(block, slot, slots left after it)``, or None when no
+        installed block has a slot left.  ``open_block`` plus
+        ``OpenBlock.take_slot`` and ``slots_left`` in one frame, for the
+        write path."""
+        block = self._open.get(slot_size)
+        if block is None or block.exhausted:
+            return None
+        reusable = block._reusable
+        cursor = block._cursor
+        block._cursor = cursor + 1
+        left = len(reusable) - cursor - 1
+        block.exhausted = not left
+        return block, reusable[cursor], left
 
     def install(self, slot_size: int, block: OpenBlock) -> None:
         self._open[slot_size] = block

@@ -43,18 +43,22 @@ VERSION_FIELD_OFFSET = 8
 FLAG_TOMBSTONE = 0x01
 
 _HEADER = struct.Struct("<BBHIQ")
-_CRC = struct.Struct("<I")
 #: Header and checksum (20 bytes) in one pass, for the reader.
 _HEADER_CRC = struct.Struct("<BBHIQI")
-#: The checksum's 2-byte head: flags, low byte of the key length.
+#: The whole 24-byte record head (header, checksum, reserved), for the
+#: writer.
+_RECORD_HEAD = struct.Struct("<BBHIQI4x")
+#: The checksum's 2-byte head: flags, low byte of the key length.  The
+#: checksum is crc32 over that head, then the key, then the value.
 _CRC_HEAD = struct.Struct("<BB")
 _crc32 = zlib.crc32
 _new = tuple.__new__
-
-
-def _payload_crc(flags: int, key: bytes, value: bytes) -> int:
-    seed = _crc32(_CRC_HEAD.pack(flags, len(key) & 0xFF))
-    return _crc32(value, _crc32(key, seed))
+_U64 = (1 << 64) - 1
+#: Zero padding, sliced per record: the largest slot an index ``len``
+#: (8 bits of 64 B units) can name.
+_ZEROS = bytes(0xFF * SIZE_UNIT)
+#: The write-version tail byte, by write version.
+_WV_BYTE = (b"", b"\x01", b"\x02")
 
 
 def kv_wire_size(key_len: int, val_len: int) -> int:
@@ -112,25 +116,31 @@ class KVRecord(NamedTuple):
 
 def encode_kv(key: bytes, value: bytes, slot_version: int, slot_size: int,
               write_version: int = 1, tombstone: bool = False) -> bytes:
-    """Serialize a KV pair into its slab slot (zero-padded to *slot_size*)."""
+    """Serialize a KV pair into its slab slot (zero-padded to *slot_size*).
+
+    One ``struct`` pass for the 24-byte head and one join of key, value,
+    padding and the write-version tail: every write encodes one record.
+    """
     if not key:
         raise ValueError("empty key")
     if write_version not in (1, 2):
         raise ValueError(f"write version must be 1 or 2: {write_version}")
-    need = kv_wire_size(len(key), len(value))
-    if need > slot_size:
-        raise ValueError(f"KV of {need} bytes exceeds slot of {slot_size}")
+    key_len = len(key)
+    val_len = len(value)
+    pad = slot_size - (HEADER_SIZE + key_len + val_len + 1)
+    if pad < 0:
+        raise ValueError(f"KV of {kv_wire_size(key_len, val_len)} bytes "
+                         f"exceeds slot of {slot_size}")
     flags = FLAG_TOMBSTONE if tombstone else 0
-    header = _HEADER.pack(write_version, flags, len(key), len(value),
-                          slot_version & 0xFFFFFFFFFFFFFFFF)
-    body = bytearray(slot_size)
-    body[:_HEADER.size] = header
-    _CRC.pack_into(body, _HEADER.size, _payload_crc(flags, key, value))
-    body[HEADER_SIZE:HEADER_SIZE + len(key)] = key
-    start = HEADER_SIZE + len(key)
-    body[start:start + len(value)] = value
-    body[slot_size - 1] = write_version
-    return bytes(body)
+    crc = _crc32(value, _crc32(key, _crc32(
+        _CRC_HEAD.pack(flags, key_len & 0xFF))))
+    return b"".join((
+        _RECORD_HEAD.pack(write_version, flags, key_len, val_len,
+                          slot_version & _U64, crc),
+        key, value,
+        _ZEROS[:pad] if pad <= len(_ZEROS) else bytes(pad),
+        _WV_BYTE[write_version],
+    ))
 
 
 def parse_kv(buf: bytes) -> Optional[KVRecord]:
@@ -157,7 +167,7 @@ def parse_kv(buf: bytes) -> Optional[KVRecord]:
         return None
     key = bytes(buf[HEADER_SIZE:mid])
     value = bytes(buf[mid:end])
-    # ``_payload_crc``, written out: this runs once per KV read.
+    # The checksum (``encode_kv``'s), written out: once per KV read.
     if crc != _crc32(value, _crc32(key, _crc32(
             _CRC_HEAD.pack(flags, key_len & 0xFF)))):
         return None  # corrupted (e.g. a raced stripe reconstruction)

@@ -41,7 +41,7 @@ class CacheEntry:
     bits and failed the CAS).
 
     A write uses the pair in one of two ways (``AcesoClient.
-    _locate_for_write``): *trust* it and let the commit CAS catch
+    _write_inner``): *trust* it and let the commit CAS catch
     staleness, or *refresh* it with one 16 B READ of the slot first.
     ``heat`` decides, from what this client has seen of the slot: every
     *look* — the validating slot read of a cached SEARCH, a refresh READ,
@@ -129,6 +129,25 @@ class IndexCache:
         self._entries[key] = entry              # lands at the MRU end
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+
+    def store_words(self, key: bytes, entry: CacheEntry, atomic_word: int,
+                    meta_word: int, len_units: int) -> bool:
+        """Store new slot words for *key* into *entry*, the object
+        :meth:`lookup` returned, when it is still the cached one: what
+        :meth:`store` of a copy carrying these words would leave
+        (``home_epoch`` re-stamped, ``heat`` kept, at the MRU end), with
+        no object built.  Returns False, storing nothing, when *entry*
+        was invalidated or replaced since."""
+        entries = self._entries
+        if entries.get(key) is not entry:
+            return False
+        entry.atomic_word = atomic_word
+        entry.meta_word = meta_word
+        entry.len_units = len_units
+        if self._epoch_of is not None and entry.slot_node >= 0:
+            entry.home_epoch = self._epoch_of(entry.slot_node)
+        entries.move_to_end(key)
+        return True
 
     def invalidate(self, key: bytes) -> None:
         self._entries.pop(key, None)

@@ -28,11 +28,8 @@ class SizeClass:
         self.slot_size = slot_size
         self.block_size = block_size
         self.slots_per_block = block_size // slot_size
-
-    @property
-    def len_units(self) -> int:
-        """Value of the index slot's 8-bit ``len`` field."""
-        return self.slot_size // SIZE_UNIT
+        #: Value of the index slot's 8-bit ``len`` field.
+        self.len_units = slot_size // SIZE_UNIT
 
     def slot_offset(self, slot: int) -> int:
         if not 0 <= slot < self.slots_per_block:

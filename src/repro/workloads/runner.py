@@ -83,7 +83,12 @@ class WorkloadRunner:
 
     def _run_fixed(self, client, ops: Iterable[Op]):
         for verb, key, value in ops:
-            yield from self._dispatch(client, verb, key, value)
+            try:
+                yield from _start(client, verb, key, value)
+            except KeyNotFoundError:
+                pass  # expected under racy delete/search mixes
+            except RetryBudgetExceeded:
+                self.cluster.stats.bump("retry_budget_exceeded")
 
     # -- measured phase ----------------------------------------------------------
 
@@ -140,26 +145,12 @@ class WorkloadRunner:
         for verb, key, value in stream:
             if self._gen != gen or not client.alive:
                 return
-            yield from self._dispatch(client, verb, key, value)
-
-    # -- op dispatch -------------------------------------------------------------
-
-    def _dispatch(self, client, verb: str, key: bytes, value: bytes):
-        try:
-            if verb == "SEARCH":
-                yield from client.search(key)
-            elif verb == "UPDATE":
-                yield from client.update(key, value)
-            elif verb == "INSERT":
-                yield from client.insert(key, value)
-            elif verb == "DELETE":
-                yield from client.delete(key)
-            else:
-                raise ValueError(f"unknown verb {verb!r}")
-        except KeyNotFoundError:
-            pass  # expected under racy delete/search mixes
-        except RetryBudgetExceeded:
-            self.cluster.stats.bump("retry_budget_exceeded")
+            try:
+                yield from _start(client, verb, key, value)
+            except KeyNotFoundError:
+                pass  # expected under racy delete/search mixes
+            except RetryBudgetExceeded:
+                self.cluster.stats.bump("retry_budget_exceeded")
 
     def _raise_failures(self) -> None:
         failures = self.env.unexpected_failures()
@@ -173,3 +164,18 @@ class WorkloadRunner:
             raise AssertionError(
                 f"workload process failed: {proc.name}: {proc.value!r}"
             ) from proc.value
+
+
+def _start(client, verb: str, key: bytes, value: bytes):
+    """The client op's generator for one stream entry.  Not a generator
+    itself: the loops above drive the op directly, one frame less on
+    every resume of every op."""
+    if verb == "SEARCH":
+        return client.search(key)
+    if verb == "UPDATE":
+        return client.update(key, value)
+    if verb == "INSERT":
+        return client.insert(key, value)
+    if verb == "DELETE":
+        return client.delete(key)
+    raise ValueError(f"unknown verb {verb!r}")

@@ -191,3 +191,48 @@ def test_memory_distribution_accounting():
     assert dist.total % cluster.config.cluster.block_size == 0 or True
     as_dict = dist.as_dict()
     assert as_dict["total"] == dist.total
+
+
+def test_reuse_grant_write_puts_old_xor_new_in_the_delta_block():
+    """A write into a reused block (§3.3.3) sends its DELTA block the
+    slot's old bytes XOR the new record, and that is what lands there;
+    the KV and delta writes hit the same offset in their blocks."""
+    cluster = make_aceso(blocks_per_mn=20, block_size=8 * 1024, kv_size=256)
+    c = cluster.clients[0]
+    value = b"V" * 150
+    keys = [b"reuse-%04d" % i for i in range(96)]
+    for k in keys:
+        cluster.run_op(c.insert(k, value))
+    slot_size = ((len(keys[0]) + len(value) + 25 + 63) // 64) * 64
+    block = None
+    for _round in range(24):
+        for k in keys:
+            cluster.run_op(c.update(k, value))
+            open_block = c.blocks.open_block(slot_size)
+            if open_block is not None and open_block.grant.reused:
+                block = open_block
+                break
+        if block is not None:
+            break
+        cluster.run(cluster.env.now + 0.02)  # let flushes/reclaim run
+    assert block is not None, "no reused block was installed"
+    grant = block.grant
+    assert grant.delta_node >= 0
+
+    writes = []
+    post_write = c._post_write
+
+    def logged(node, offset, data):
+        writes.append((node, offset, bytes(data)))
+        return post_write(node, offset, data)
+
+    c._post_write = logged
+    cluster.run_op(c.update(keys[0], b"W" * 150))
+    (kv_node, kv_off, kv), (delta_node, delta_off, delta) = writes[:2]
+    assert (kv_node, delta_node) == (grant.data_node, grant.delta_node)
+    intra = kv_off - grant.data_offset
+    assert delta_off - grant.delta_offset == intra
+    old = block.old_content[intra:intra + len(kv)]
+    assert old != bytes(len(kv)), "the reused slot held a record"
+    assert delta == xor_bytes(kv, old)
+    assert cluster.mns[delta_node].read_bytes(delta_off, len(delta)) == delta

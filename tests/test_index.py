@@ -316,6 +316,42 @@ def test_cache_store_carries_heat_until_the_entry_is_dropped():
     assert cache.peek(b"k").heat == 0
 
 
+def test_cache_store_words_leaves_what_store_of_a_copy_leaves():
+    """The post-commit store in place: new words in the looked-up entry,
+    ``home_epoch`` re-stamped, ``heat`` kept, moved to the MRU end —
+    and nothing stored once the entry is no longer the cached one."""
+    epochs = {3: 0}
+
+    def filled():
+        cache = IndexCache("addr_value", capacity=2,
+                           epoch_of=epochs.__getitem__)
+        cache.store(b"k", CacheEntry(atomic_word=1, len_units=1,
+                                     meta_word=7, slot_node=3,
+                                     slot_offset=64, bucket=1, slot=2))
+        cache.store(b"a", CacheEntry(atomic_word=9, len_units=1))
+        entry = cache.lookup(b"k")
+        entry.looked(changed=True)
+        return cache, entry
+
+    copied, entry = filled()
+    in_place, same = filled()
+    epochs[3] = 5
+    copied.store(b"k", CacheEntry(atomic_word=2, len_units=4, meta_word=8,
+                                  slot_node=3, slot_offset=64, bucket=1,
+                                  slot=2))
+    assert in_place.store_words(b"k", same, 2, 8, 4)
+    for cache in (copied, in_place):
+        cache.store(b"b", CacheEntry(atomic_word=10, len_units=1))
+        assert cache.peek(b"a") is None     # k was the MRU: a evicted
+    assert in_place.peek(b"k") is same
+    assert vars(same) == vars(copied.peek(b"k"))
+    assert (same.atomic_word, same.meta_word, same.len_units,
+            same.home_epoch, same.heat) == (2, 8, 4, 5, 2)
+    in_place.invalidate(b"k")
+    assert not in_place.store_words(b"k", same, 3, 8, 4)
+    assert in_place.peek(b"k") is None and same.atomic_word == 2
+
+
 def test_cache_unknown_policy():
     with pytest.raises(ValueError):
         IndexCache("write_back")

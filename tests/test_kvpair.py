@@ -1,5 +1,8 @@
 """Tests for the KV wire format."""
 
+import struct
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -122,3 +125,70 @@ def test_write_version_straddles(key, value):
     for wv in (1, 2):
         buf = encode_kv(key, value, 0, size, write_version=wv)
         assert buf[0] == wv and buf[-1] == wv
+
+
+def reference_encode_kv(key, value, slot_version, slot_size,
+                        write_version=1, tombstone=False):
+    """The encoder as it was before the one-pass rewrite: a zeroed
+    buffer filled by slices, then copied.  ``encode_kv`` must match it
+    byte for byte."""
+    if not key:
+        raise ValueError("empty key")
+    if write_version not in (1, 2):
+        raise ValueError(f"write version must be 1 or 2: {write_version}")
+    need = kv_wire_size(len(key), len(value))
+    if need > slot_size:
+        raise ValueError(f"KV of {need} bytes exceeds slot of {slot_size}")
+    flags = 0x01 if tombstone else 0
+    header = struct.pack("<BBHIQ", write_version, flags, len(key),
+                         len(value), slot_version & 0xFFFFFFFFFFFFFFFF)
+    crc = zlib.crc32(value, zlib.crc32(key, zlib.crc32(
+        struct.pack("<BB", flags, len(key) & 0xFF))))
+    body = bytearray(slot_size)
+    body[:16] = header
+    struct.pack_into("<I", body, 16, crc)
+    body[HEADER_SIZE:HEADER_SIZE + len(key)] = key
+    start = HEADER_SIZE + len(key)
+    body[start:start + len(value)] = value
+    body[slot_size - 1] = write_version
+    return bytes(body)
+
+
+def test_encode_kv_matches_the_reference_encoder():
+    """Every slot size from 64 B to 4 KiB, key and value lengths up to
+    the class's limit (an exact fit included), both write versions,
+    tombstones, and the Slot Versions at the edges of the field."""
+    slot_versions = (0, 1, (1 << 56) + 0x2A, INVALID_SLOT_VERSION, -1)
+    checked = 0
+    for slot_size in (64, 128, 192, 256, 1024, 4096):
+        room = slot_size - kv_wire_size(0, 0)
+        for key_len in sorted({1, 2, 13, room // 2, room}):
+            for val_len in sorted({0, min(1, room - key_len),
+                                   (room - key_len) // 3, room - key_len}):
+                key = bytes((7 * i + key_len) & 0xFF
+                            for i in range(key_len))
+                value = bytes((31 * i + 1) & 0xFF for i in range(val_len))
+                for write_version in (1, 2):
+                    for tombstone in (False, True):
+                        for version in slot_versions:
+                            args = (key, value, version, slot_size,
+                                    write_version, tombstone)
+                            assert encode_kv(*args) \
+                                == reference_encode_kv(*args), args
+                            checked += 1
+    assert checked > 2000
+
+
+@pytest.mark.parametrize("args", [
+    (b"", b"v", 0, 64, 1),              # empty key
+    (b"k", b"v", 0, 64, 3),             # write version
+    (b"k", b"v" * 100, 0, 64, 1),       # too large for the slot
+    (b"k" * 40, b"", 0, 64, 2),         # one byte over an exact fit
+])
+def test_encode_kv_rejects_what_the_reference_rejects(args):
+    with pytest.raises(ValueError) as new:
+        encode_kv(*args)
+    with pytest.raises(ValueError) as old:
+        reference_encode_kv(*args)
+    assert str(new.value) == str(old.value)
+

@@ -72,6 +72,31 @@ def test_mn_recovery_preserves_all_data():
     assert verify(cluster, expected) == []
 
 
+def test_a_grant_from_before_its_node_crashed_is_not_written_through():
+    """A client found its open block writable, then the block's data
+    node crashed and came back: the recovered node may hand that space
+    out again, so the next write abandons the grant.  The write path
+    re-checks a grant only when ``Master.version`` moved, so the crash
+    and the recovery milestones must move it."""
+    cluster = make_aceso()
+    c = cluster.clients[0]
+    key, value = b"grant-key", b"g" * 150
+    cluster.run_op(c.insert(key, value))
+    cluster.run_op(c.update(key, value))
+    block = c.blocks.open_block(192)
+    assert block.writable_at == cluster.master.version
+    node = block.grant.data_node
+    crash_and_recover(cluster, node)
+    cluster.run_op(c.update(key, b"h" * 150))
+    assert c.blocks.open_block(192) is not block
+    start = block.grant.data_offset
+    kv_addr = c.cache.peek(key).atomic_word & ((1 << 48) - 1)
+    assert not (kv_addr >> 40 == node
+                and start <= kv_addr & ((1 << 40) - 1)
+                < start + cluster.config.cluster.block_size)
+    assert cluster.run_op(c.search(key)) == b"h" * 150
+
+
 def test_mn_recovery_after_updates_past_checkpoint():
     """Slot/index versioning (§3.2.2-3.2.3): updates committed after the
     last checkpoint survive via the KV-pair replay."""
