@@ -22,7 +22,6 @@ from .config import (
     aceso_config,
     factor_config,
     fusee_config,
-    paper_scale,
 )
 from .core.store import AcesoCluster
 from .errors import (
@@ -46,7 +45,6 @@ __all__ = [
     "aceso_config",
     "factor_config",
     "fusee_config",
-    "paper_scale",
     "AllocationError",
     "CodingError",
     "ConfigError",

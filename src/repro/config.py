@@ -5,8 +5,7 @@ finish in seconds of wall-clock time: the CloudLab cluster had 5 MNs, 23 CNs
 with 184 clients, 2 MB blocks and a 240 GB pool; we keep the ratios and the
 protocol constants (coding-group size 5, replication factor 3, checkpoint
 interval 500 ms) but shrink counts and block sizes.  Every benchmark states
-the config it runs with, and the full-scale values can be requested via
-:func:`paper_scale`.
+the config it runs with.
 """
 
 from __future__ import annotations
@@ -28,13 +27,9 @@ __all__ = [
     "aceso_config",
     "fusee_config",
     "factor_config",
-    "paper_scale",
-    "paper_nic",
 ]
 
 KIB = 1024
-MIB = 1024 * 1024
-GIB = 1024 * 1024 * 1024
 
 
 @dataclass
@@ -52,7 +47,6 @@ class NICConfig:
     184 clients drive real NICs: **writes are IOPS/atomic-bound with
     bandwidth headroom** (§2.4: "the main bottleneck for write requests
     is the IOPS bound rather than bandwidth") and reads below saturation.
-    Use :func:`paper_nic` for the unscaled values.
     """
 
     iops: float = 3e6                 # small-verb rate (verbs/s)
@@ -63,11 +57,6 @@ class NICConfig:
     bandwidth: float = 6e9            # wire bandwidth (bytes/s)
     rtt: float = 1.5e-6               # propagation round trip (s)
     inline_max: int = 256             # WRITEs <= this skip the src DMA read
-
-
-def paper_nic() -> NICConfig:
-    """The unscaled ConnectX-3 / 56 Gbps numbers of the paper's testbed."""
-    return NICConfig(iops=35e6, atomic_iops=3e6, bandwidth=7e9, rtt=2e-6)
 
 
 @dataclass
@@ -181,10 +170,6 @@ class ClusterConfig:
     nic: NICConfig = field(default_factory=NICConfig)
     cpu: CPUConfig = field(default_factory=CPUConfig)
 
-    @property
-    def num_clients(self) -> int:
-        return self.num_cns * self.clients_per_cn
-
     def validate(self) -> None:
         if self.num_mns < 1 or self.num_cns < 1 or self.clients_per_cn < 1:
             raise ConfigError("cluster needs at least one of each node kind")
@@ -224,10 +209,6 @@ class SystemConfig:
         if self.ft.index_mode == "replication" and \
                 self.ft.replication_factor > self.cluster.num_mns:
             raise ConfigError("more index replicas than MNs")
-
-    def derive(self, **changes) -> "SystemConfig":
-        """Return a copy with top-level fields replaced."""
-        return replace(self, **changes)
 
 
 def aceso_config(**cluster_overrides) -> SystemConfig:
@@ -280,17 +261,3 @@ def factor_config(step: str, **cluster_overrides) -> SystemConfig:
         cfg = replace(cfg, cluster=replace(cfg.cluster, **cluster_overrides))
     cfg.validate()
     return cfg
-
-
-def paper_scale() -> ClusterConfig:
-    """The paper's testbed geometry (for documentation; too big to simulate
-    with real bytes in CI, but usable for analytic sizing)."""
-    return ClusterConfig(
-        num_mns=5,
-        num_cns=23,
-        clients_per_cn=8,
-        block_size=2 * MIB,
-        blocks_per_mn=(240 * GIB // 5) // (2 * MIB),
-        index_buckets=1 << 21,
-        kv_size=1024,
-    )

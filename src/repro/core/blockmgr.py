@@ -99,14 +99,6 @@ class OpenBlock:
             self.grant.data_offset + self.size_class.slot_offset(slot),
         )
 
-    def delta_address(self, slot: int) -> Optional[GlobalAddress]:
-        if self.grant.delta_node < 0:
-            return None
-        return GlobalAddress(
-            self.grant.delta_node,
-            self.grant.delta_offset + self.size_class.slot_offset(slot),
-        )
-
 
 class ClientBlockManager:
     """Per-client registry of open blocks, one per size class, plus the

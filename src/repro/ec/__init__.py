@@ -1,6 +1,6 @@
 """Erasure coding: GF(256), Reed-Solomon, XOR array codes, block stripes."""
 
-from .gf256 import gf_div, gf_inv, gf_mul, gf_pow
+from .gf256 import gf_inv, gf_mul
 from .rs import ReedSolomon
 from .stripe import (
     RSStripeCodec,
@@ -12,10 +12,8 @@ from .stripe import (
 from .xorcode import RDP, XCode, XorArrayCode, is_prime
 
 __all__ = [
-    "gf_div",
     "gf_inv",
     "gf_mul",
-    "gf_pow",
     "ReedSolomon",
     "RSStripeCodec",
     "StripeCodec",

@@ -15,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "gf_mul",
-    "gf_div",
     "gf_inv",
-    "gf_pow",
     "gf_mul_buffer",
     "gf_addmul_buffer",
     "gf_matrix_invert",
@@ -68,22 +66,6 @@ def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse of 0 in GF(256)")
     return int(EXP_TABLE[255 - LOG_TABLE[a]])
-
-
-def gf_div(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return int(EXP_TABLE[(LOG_TABLE[a] - LOG_TABLE[b]) % 255])
-
-
-def gf_pow(a: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if a == 0:
-        return 0
-    return int(EXP_TABLE[(LOG_TABLE[a] * n) % 255])
 
 
 def gf_mul_buffer(scalar: int, buf: np.ndarray) -> np.ndarray:

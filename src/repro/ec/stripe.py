@@ -241,7 +241,3 @@ class StripeLayout:
             raise CodingError(f"position {position} out of stripe")
         return self.members[(stripe_id + position) % self.width]
 
-    def position_on(self, stripe_id: int, node_id: int) -> int:
-        """Which stripe position lands on *node_id* for this stripe."""
-        member = self.members.index(node_id)
-        return (member - stripe_id) % self.width

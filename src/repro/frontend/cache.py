@@ -122,6 +122,3 @@ class ValueCache:
         self._epoch += 1
         self.invalidations += len(self._entries)
         self._entries.clear()
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._entries

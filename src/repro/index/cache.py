@@ -102,11 +102,6 @@ class IndexCache:
         self.hits += 1
         return entry
 
-    def peek(self, key: bytes) -> Optional[CacheEntry]:
-        """The entry :meth:`lookup` would return, without counting a hit
-        or refreshing its LRU position."""
-        return self._entries.get(key)
-
     def store(self, key: bytes, entry: CacheEntry) -> None:
         """Remember a slot.
 

@@ -80,13 +80,6 @@ class RaceIndex:
     def version_offset(self) -> int:
         return self.base + self.index_bytes
 
-    def locate_slot(self, slot_offset: int) -> Tuple[int, int]:
-        """(bucket, slot) of an Atomic-word offset (recovery bookkeeping)."""
-        rel = slot_offset - self.base
-        if rel < 0 or rel >= self.index_bytes or rel % self.slot_size:
-            raise IndexError(f"offset {slot_offset} is not a slot")
-        return rel // self.bucket_size, (rel % self.bucket_size) // self.slot_size
-
     # -- local accessors ------------------------------------------------------
 
     def read_atomic(self, bucket: int, slot: int) -> AtomicField:

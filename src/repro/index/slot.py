@@ -100,10 +100,6 @@ class AtomicField(NamedTuple):
     def empty(self) -> bool:
         return self.addr == 0 and self.fp == 0
 
-    def bumped(self) -> "AtomicField":
-        """Copy with ver incremented modulo 256 (Algorithm 1 line 4)."""
-        return AtomicField(self.fp, (self.ver + 1) & 0xFF, self.addr)
-
 
 class MetaField(NamedTuple):
     """The infrequently-updated half of a wide slot."""
@@ -144,12 +140,3 @@ class CompactSlot:
         if not 0 <= self.addr <= ADDR_MASK:
             raise ValueError(f"addr out of range: {self.addr:#x}")
         return (self.fp << 56) | (self.len_units << 48) | self.addr
-
-    @classmethod
-    def unpack(cls, word: int) -> "CompactSlot":
-        return cls(fp=(word >> 56) & 0xFF, len_units=(word >> 48) & 0xFF,
-                   addr=word & ADDR_MASK)
-
-    @property
-    def empty(self) -> bool:
-        return self.addr == 0 and self.fp == 0

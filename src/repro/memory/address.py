@@ -40,9 +40,3 @@ class GlobalAddress(NamedTuple):
         if not 0 <= packed <= _PACKED_MASK:
             raise ValueError(f"packed address out of range: {packed:#x}")
         return _new(cls, (packed >> OFFSET_BITS, packed & _OFFSET_MASK))
-
-    def __add__(self, delta: int) -> "GlobalAddress":  # type: ignore[override]
-        return GlobalAddress(self.node_id, self.offset + delta)
-
-    def is_null(self) -> bool:
-        return self.pack() == NULL_ADDR

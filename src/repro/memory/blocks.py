@@ -53,14 +53,6 @@ class FreeBitmap:
         self._check(bit)
         self._bytes[bit >> 3] |= 1 << (bit & 7)
 
-    def clear(self, bit: int) -> None:
-        self._check(bit)
-        self._bytes[bit >> 3] &= ~(1 << (bit & 7)) & 0xFF
-
-    def get(self, bit: int) -> bool:
-        self._check(bit)
-        return bool(self._bytes[bit >> 3] & (1 << (bit & 7)))
-
     def _check(self, bit: int) -> None:
         if not 0 <= bit < self.nbits:
             raise IndexError(f"bit {bit} outside bitmap of {self.nbits}")
@@ -75,11 +67,6 @@ class FreeBitmap:
         for i in range(len(self._bytes)):
             self._bytes[i] = 0
 
-    def copy(self) -> "FreeBitmap":
-        out = FreeBitmap(self.nbits)
-        out._bytes[:] = self._bytes
-        return out
-
     def to_bytes(self) -> bytes:
         return bytes(self._bytes)
 
@@ -90,17 +77,6 @@ class FreeBitmap:
             raise ValueError("bitmap payload size mismatch")
         out._bytes[:] = data
         return out
-
-    def merge(self, other: "FreeBitmap") -> None:
-        """OR in another bitmap (bulk client updates, §3.3.3)."""
-        if other.nbits != self.nbits:
-            raise ValueError("bitmap size mismatch")
-        for i, b in enumerate(other._bytes):
-            self._bytes[i] |= b
-
-    def __iter__(self):
-        for bit in range(self.nbits):
-            yield self.get(bit)
 
 
 # Packed record layout: fixed header + variable bitmap + parity extras.
@@ -136,10 +112,6 @@ class BlockMeta:
     # PARITY-only:
     xor_map: int = 0                   # bit i set => data block i encoded in
     delta_addrs: List[int] = field(default_factory=list)  # packed 48-bit
-
-    def is_unfilled(self) -> bool:
-        """Unfilled blocks carry Index Version 0 (§3.2.3)."""
-        return self.index_version == 0
 
     def pack(self) -> bytes:
         """Serialize the record (used for Meta-Area sizing and replication)."""
@@ -344,9 +316,6 @@ class BlockStore:
         if len(data) != self.block_size:
             raise ValueError("block content size mismatch")
         self.buffer(block_id)[:] = data
-
-    def materialised_bytes(self) -> int:
-        return len(self._buffers) * self.block_size
 
     def crash(self) -> None:
         """Lose all volatile state (MN fail-stop).  Every block comes back

@@ -55,10 +55,6 @@ class MemoryRegion:
             raise self._out_of_bounds(offset, len(data))
         self._buf[offset:end] = data
 
-    def fill(self, offset: int, length: int, byte: int = 0) -> None:
-        self._check(offset, length)
-        self._buf[offset:offset + length] = bytes([byte]) * length
-
     def snapshot(self) -> bytes:
         """Copy of the whole region (checkpoint generation)."""
         return bytes(self._buf)
@@ -93,9 +89,3 @@ class MemoryRegion:
             _U64.pack_into(self._buf, offset, new & 0xFFFFFFFFFFFFFFFF)
             return True, old
         return False, old
-
-    def faa_u64(self, offset: int, delta: int) -> int:
-        """Atomic fetch-and-add; returns the value before the add."""
-        old = self.read_u64(offset)
-        self.write_u64(offset, (old + delta) & 0xFFFFFFFFFFFFFFFF)
-        return old

@@ -8,8 +8,6 @@ counts 64-byte units, so every class is a multiple of 64 B.
 
 from __future__ import annotations
 
-from typing import List
-
 __all__ = ["SIZE_UNIT", "SizeClass", "SizeClasser"]
 
 #: Granularity of the index slot's length field (§3.2.2).
@@ -54,6 +52,3 @@ class SizeClasser:
             cls = SizeClass(slot_size, self.block_size)
             self._classes[slot_size] = cls
         return cls
-
-    def known_classes(self) -> List[SizeClass]:
-        return [self._classes[k] for k in sorted(self._classes)]

@@ -153,12 +153,6 @@ class Tracer:
     def now(self) -> float:
         return self._env.now if self._env is not None else 0.0
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.instants.clear()
-        self._open.clear()
-        self._next_id = 0
-
     # -- recording -------------------------------------------------------
 
     def _new_id(self) -> int:

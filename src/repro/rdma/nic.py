@@ -18,15 +18,19 @@ max/multiply arithmetic collapses to one dict subscript on the hot path.
 from __future__ import annotations
 
 from ..config import NICConfig
-from ..sim import Environment, Event, ThroughputServer
+from ..sim import Environment, ThroughputServer
 
 __all__ = ["RNIC"]
 
 
 class _ServiceTimes(dict):
     """``(wire_bytes, doorbells, atomics) -> seconds`` for one NIC, each
-    shape computed on first use.  Cleared when the NIC's costs change
-    (``FailureInjector._scale_nic``)."""
+    shape computed on first use: the occupancy of one message or of a
+    doorbell-batched group.  ``doorbells`` below the number of messages
+    models doorbell batching (the per-message overhead is paid once per
+    doorbell ring); ``atomics`` counts the CAS/FAA messages, each a PCIe
+    read-modify-write at the destination.  Cleared when the NIC's costs
+    change (``FailureInjector._scale_nic``)."""
 
     __slots__ = ("_nic",)
 
@@ -64,24 +68,6 @@ class RNIC:
         #: Label of this NIC's metric series and trace track, set by the
         #: cluster (``Observability.attach_cluster``).
         self.obs_label = self.name
-
-    def service_time(self, wire_bytes: int, *, doorbells: int = 1,
-                     atomics: int = 0) -> float:
-        """Occupancy for one message (or a doorbell-batched group).
-
-        ``doorbells`` < number of messages models doorbell batching: the
-        per-message overhead is paid once per doorbell ring.  ``atomics``
-        counts CAS/FAA messages in the group, each costing a PCIe
-        read-modify-write at the destination.
-        """
-        return self._svc_cache[(wire_bytes, doorbells, atomics)]
-
-    def submit(self, wire_bytes: int, *, doorbells: int = 1) -> Event:
-        """Occupy the NIC for one message; returns its drain event.  (The
-        Fabric folds both NICs' drains into one completion event instead,
-        see ``Fabric._submit``.)"""
-        return self._pipe.submit(
-            self.service_time(wire_bytes, doorbells=doorbells))
 
     def record_submit(self, metrics, service_time: float) -> None:
         """This NIC's series of one submission (tracing on), taken before

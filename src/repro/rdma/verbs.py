@@ -68,37 +68,13 @@ class Verb:
         self.execute = execute                # side effect at completion
         self.signaled = signaled              # selective signaling model
 
-    def wire_size(self) -> int:
-        """Bytes that traverse the wire (payload + headers)."""
-        return self.payload + WIRE_HEADER
-
-    def request_size(self, inline_max: int) -> int:
-        """Bytes the *source* NIC moves for the request.
-
-        READs send only a small request; the payload flows back on the
-        response path (charged to both NICs as the wire size — the model
-        charges the max of request/response once per side, see Fabric).
-        WRITEs at or below ``inline_max`` are inlined: the source skips the
-        DMA fetch, modelled as header-only source cost.
-        """
-        if self.opcode is Opcode.READ:
-            return WIRE_HEADER
-        if self.opcode is Opcode.WRITE and self.payload <= inline_max:
-            return WIRE_HEADER
-        return self.payload + WIRE_HEADER
-
-    def response_size(self) -> int:
-        """Bytes flowing back to the source (READ data or an ACK)."""
-        if self.opcode is Opcode.READ:
-            return self.payload + WIRE_HEADER
-        if self.opcode.is_atomic:
-            return ATOMIC_SIZE + WIRE_HEADER
-        return WIRE_HEADER  # ACK
-
     def src_size(self, inline_max: int) -> int:
-        """``max(request_size, response_size)`` — the source-side occupancy
-        the Fabric charges once per message (computed branch-free per
-        opcode instead of taking the max of two calls)."""
+        """Bytes the source NIC moves for this verb, charged once per
+        message by the Fabric: the larger of the request it sends (only
+        the header for a READ, or for a WRITE of at most ``inline_max``
+        bytes, which is inlined and skips the DMA fetch) and the response
+        it receives (a READ's data, an atomic's old value, else an
+        ACK)."""
         op = self.opcode
         if op is Opcode.READ:
             return self.payload + WIRE_HEADER

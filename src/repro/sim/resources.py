@@ -13,7 +13,7 @@ Two building blocks cover everything the Aceso model needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .engine import Environment, Event
 
@@ -99,9 +99,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)
@@ -115,9 +112,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; returns None when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None

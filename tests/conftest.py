@@ -34,6 +34,12 @@ def make_fusee(replication_factor: int = 3, **overrides):
     return cluster
 
 
+def cached(cache, key):
+    """The entry ``cache.lookup(key)`` would return, read without counting
+    a hit or moving it to the MRU end."""
+    return cache._entries.get(key)
+
+
 #: Case ids of the ``env`` fixture.  The engine once had four interchangeable
 #: event-queue backends and this fixture ran every engine test once per
 #: backend; the queue is now a single heapq inside Environment.  The ids

@@ -11,7 +11,6 @@ from repro.config import (
     aceso_config,
     factor_config,
     fusee_config,
-    paper_scale,
 )
 from repro.errors import ConfigError
 
@@ -102,30 +101,6 @@ def test_replication_factor_bounded_by_mns():
     cfg.ft.replication_factor = 99
     with pytest.raises(ConfigError):
         cfg.validate()
-
-
-def test_num_clients():
-    cfg = ClusterConfig(num_cns=3, clients_per_cn=4)
-    assert cfg.num_clients == 12
-
-
-def test_paper_scale_geometry():
-    paper = paper_scale()
-    assert paper.num_mns == 5
-    assert paper.num_cns == 23
-    assert paper.clients_per_cn == 8
-    assert paper.num_clients == 184
-    assert paper.block_size == 2 * 1024 * 1024
-    # 240 GB pool split over 5 MNs
-    assert paper.blocks_per_mn * paper.block_size == 48 * (1 << 30)
-
-
-def test_derive_replaces_fields():
-    cfg = aceso_config()
-    derived = cfg.derive(seed=99, name="variant")
-    assert derived.seed == 99
-    assert cfg.seed != 99
-    assert derived.cluster is cfg.cluster
 
 
 def test_checkpoint_defaults_match_paper():

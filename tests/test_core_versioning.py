@@ -7,7 +7,7 @@ import pytest
 from repro.index.hashing import home_of
 from repro.index.slot import AtomicField, MetaField, slot_version
 
-from tests.conftest import make_aceso
+from tests.conftest import cached, make_aceso
 
 
 def locate_slot(cluster, key):
@@ -429,40 +429,40 @@ def test_trust_or_refresh_follows_what_the_client_saw():
 
     assert COOL_LOOKS == 2
     # never seen changed: trusted, however often the client itself commits
-    assert c1.cache.peek(key).heat == 0
+    assert cached(c1.cache, key).heat == 0
     assert not refreshes(c1, log1) and not refreshes(c1, log1)
-    assert c1.cache.peek(key).heat == 0
+    assert cached(c1.cache, key).heat == 0
 
     # one change, seen by a SEARCH: the next write refreshes
     cluster.run_op(c0.search(key))
-    assert c0.cache.peek(key).heat == COOL_LOOKS
+    assert cached(c0.cache, key).heat == COOL_LOOKS
     assert cluster.stats.counters["cache_slot_changed"] == 1
     assert refreshes(c0, log0)                  # unchanged look: heat 1
     # ... carried across the post-commit store of a fresh CacheEntry
-    assert c0.cache.peek(key).heat == 1
+    assert cached(c0.cache, key).heat == 1
     # SEARCH looks count: one more unchanged look and the pair is trusted
     cluster.run_op(c0.search(key))
-    assert c0.cache.peek(key).heat == 0
+    assert cached(c0.cache, key).heat == 0
     assert not refreshes(c0, log0)
 
     # a change between two unchanged looks starts the count again
     cluster.run_op(c1.search(key))              # changed
     cluster.run_op(c1.search(key))              # unchanged
-    assert c1.cache.peek(key).heat == 1
+    assert cached(c1.cache, key).heat == 1
     cluster.run_op(c0.update(key, value))       # trusted CAS, pair was fresh
     cluster.run_op(c1.search(key))              # changed
-    assert c1.cache.peek(key).heat == COOL_LOOKS
+    assert cached(c1.cache, key).heat == COOL_LOOKS
     assert refreshes(c1, log1) and refreshes(c1, log1)
     assert not refreshes(c1, log1)
 
     # a trusted commit CAS that loses is a look that found a change
-    assert c0.cache.peek(key).heat == 0
+    assert cached(c0.cache, key).heat == 0
     cluster.run_op(c0.update(key, value))
-    assert c0.cache.peek(key).heat == COOL_LOOKS
+    assert cached(c0.cache, key).heat == COOL_LOOKS
     # invalidation forgets: the re-learnt entry starts trusted
     c0.cache.invalidate(key)
     cluster.run_op(c0.search(key))
-    assert c0.cache.peek(key).heat == 0
+    assert cached(c0.cache, key).heat == 0
     assert not refreshes(c0, log0)
 
 
@@ -615,7 +615,7 @@ def degraded_search_cost():
         cluster.run_op(writer.insert(key, b"x" * 100))
     cluster.run(cluster.env.now + 0.05)             # seal and fold
     for key in keys:
-        ga = GlobalAddress.unpack(writer.cache.peek(key).atomic_word
+        ga = GlobalAddress.unpack(cached(writer.cache, key).atomic_word
                                   & ((1 << 48) - 1))
         block_id, _ = cluster.mns[ga.node_id].blocks.locate(ga.offset)
         meta = cluster.mns[ga.node_id].blocks.meta[block_id]
@@ -743,7 +743,7 @@ def test_cached_locked_meta_word_does_not_livelock():
     key = b"ver-stale-lock"
     cluster.run_op(c0.insert(key, b"x"))
     cluster.run_op(c1.search(key))
-    entry = c1.cache.peek(key)
+    entry = cached(c1.cache, key)
     meta = MetaField.unpack(entry.meta_word)
     entry.meta_word = MetaField(meta.epoch + 1, meta.len_units).pack()
     t0 = cluster.env.now
@@ -763,7 +763,7 @@ def test_cached_pre_rollover_pair_does_not_livelock():
     for i in range(254):
         cluster.run_op(c0.update(key, b"%d" % i))  # ver 0xFF
     cluster.run_op(c1.search(key))
-    assert AtomicField.unpack(c1.cache.peek(key).atomic_word).ver == 0xFF
+    assert AtomicField.unpack(cached(c1.cache, key).atomic_word).ver == 0xFF
     cluster.run_op(c0.update(key, b"rolled"))      # ver 0, epoch 2
     cluster.run_op(c1.update(key, b"after"))
     index, bucket, slot = locate_slot(cluster, key)
@@ -823,7 +823,7 @@ def test_search_sees_through_a_stale_len(stale_units):
     assert log.bucket_queries == 1
     assert 1 <= len(log.verbs) <= 2
     # the cache remembers the record's real size: one KV read next time
-    assert cold.cache.peek(key).len_units * 64 == slot_bytes(key, value)
+    assert cached(cold.cache, key).len_units * 64 == slot_bytes(key, value)
     # and a writer that locates the key through the stale slot repairs it
     cold.cache.invalidate(key)
     cluster.run_op(cold.update(key, value))
@@ -841,7 +841,7 @@ def hot_entry(cluster, key, writer, client):
     cluster.run_op(client.search(key))
     cluster.run_op(writer.update(key, b"seen"))
     cluster.run_op(client.search(key))
-    assert client.cache.peek(key).heat > 0
+    assert cached(client.cache, key).heat > 0
 
 
 def test_refresh_finding_ver_0xff_rolls_over():
@@ -856,7 +856,7 @@ def test_refresh_finding_ver_0xff_rolls_over():
         cluster.run_op(c0.update(key, b"%d" % i))   # ver 0xFD
     hot_entry(cluster, key, c0, c1)                 # ver 0xFE, cached
     cluster.run_op(c0.update(key, b"last"))         # ver 0xFF
-    assert AtomicField.unpack(c1.cache.peek(key).atomic_word).ver == 0xFE
+    assert AtomicField.unpack(cached(c1.cache, key).atomic_word).ver == 0xFE
     log = VerbLog(c1)
     cluster.run_op(c1.update(key, b"rolled"))
     size = slot_bytes(key, b"rolled")
@@ -883,7 +883,7 @@ def test_refresh_finding_the_meta_locked_waits_for_the_lock():
     index, bucket, slot = locate_slot(cluster, key)
     meta = index.read_meta(bucket, slot)
     index.write_meta(bucket, slot, MetaField(meta.epoch + 1, meta.len_units))
-    assert not MetaField.unpack(c1.cache.peek(key).meta_word).locked
+    assert not MetaField.unpack(cached(c1.cache, key).meta_word).locked
     log = VerbLog(c1)
     t0 = cluster.env.now
     cluster.run_op(c1.update(key, b"rescued"))

@@ -14,10 +14,8 @@ from repro.ec import (
     StripeLayout,
     XCode,
     XorStripeCodec,
-    gf_div,
     gf_inv,
     gf_mul,
-    gf_pow,
     is_prime,
     make_codec,
 )
@@ -56,24 +54,9 @@ def test_gf_inverse(a):
     assert gf_mul(a, gf_inv(a)) == 1
 
 
-@given(elements, nonzero)
-def test_gf_div_inverts_mul(a, b):
-    assert gf_div(gf_mul(a, b), b) == a
-
-
 def test_gf_inv_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         gf_inv(0)
-    with pytest.raises(ZeroDivisionError):
-        gf_div(1, 0)
-
-
-@given(nonzero, st.integers(min_value=0, max_value=10))
-def test_gf_pow(a, n):
-    expected = 1
-    for _ in range(n):
-        expected = gf_mul(expected, a)
-    assert gf_pow(a, n) == expected
 
 
 @given(elements)
@@ -382,14 +365,6 @@ def test_layout_positions_distinct_nodes():
     for s in range(10):
         nodes = [layout.node_of(s, j) for j in range(5)]
         assert sorted(nodes) == [0, 1, 2, 3, 4]
-
-
-def test_layout_inverse():
-    layout = StripeLayout([0, 1, 2, 3, 4], 3, 2)
-    for s in range(7):
-        for j in range(5):
-            node = layout.node_of(s, j)
-            assert layout.position_on(s, node) == j
 
 
 def test_layout_size_checked():

@@ -93,7 +93,7 @@ def test_cache_invalidation_on_update_and_delete():
     fe_call(cluster, fe, "UPDATE", key, b"b" * 100)
     assert fe_call(cluster, fe, "SEARCH", key) == b"b" * 100
     fe_call(cluster, fe, "DELETE", key)
-    assert not any(key in lane.cache for lane in fe.lanes)
+    assert not any(key in lane.cache._entries for lane in fe.lanes)
     assert fe_call(cluster, fe, "SEARCH", key) is None
 
 
@@ -105,13 +105,13 @@ def test_cache_dropped_after_mn_failure():
         fe_call(cluster, fe, "INSERT", key, _VALUE)
     doomed = [k for k in keys if home_of(k, num_mns) == 1]
     assert doomed, "expected at least one key homed on mn1"
-    assert any(k in lane.cache for lane in fe.lanes for k in doomed)
+    assert any(k in lane.cache._entries for lane in fe.lanes for k in doomed)
     cluster.crash_mn(1)
     # Recovery may restore older committed state for keys homed there:
     # the failure listener must have dropped every such entry.
-    assert not any(k in lane.cache for lane in fe.lanes for k in doomed)
+    assert not any(k in lane.cache._entries for lane in fe.lanes for k in doomed)
     survivors = [k for k in keys if home_of(k, num_mns) != 1]
-    assert any(k in lane.cache for lane in fe.lanes for k in survivors)
+    assert any(k in lane.cache._entries for lane in fe.lanes for k in survivors)
 
 
 # ------------------------------------------------------------ admission
@@ -273,7 +273,7 @@ def test_value_cache_fill_tokens():
     token = cache.gen(key)
     cache.invalidate(key)                     # delete also staleness
     assert not cache.fill(key, b"v2", token)
-    assert key not in cache
+    assert key not in cache._entries
     token = cache.gen(key)
     cache.clear()                             # failure epoch bump
     assert not cache.fill(key, b"v2", token)
@@ -309,10 +309,11 @@ def test_value_cache_lru_and_home_invalidation():
     cache.put(k1, b"1")
     assert cache.get(k0) == b"0"   # refresh k0
     cache.put(k2, b"2")            # evicts k1 (LRU)
-    assert k1 not in cache and k0 in cache and k2 in cache
+    assert k1 not in cache._entries
+    assert k0 in cache._entries and k2 in cache._entries
     num_mns = 5
     dropped = cache.invalidate_home(home_of(k0, num_mns), num_mns)
-    assert dropped >= 1 and k0 not in cache
+    assert dropped >= 1 and k0 not in cache._entries
 
 
 # ------------------------------------------------------------ determinism

@@ -8,7 +8,7 @@ from repro.index.hashing import home_of
 from repro.memory.blocks import Role
 from repro.workloads import WorkloadRunner, load_ops, micro_stream
 
-from tests.conftest import make_fusee, small_cluster_kwargs
+from tests.conftest import cached, make_fusee, small_cluster_kwargs
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +219,7 @@ def test_mn_crash_serves_kvs_from_a_replica():
     primary = {}
     for key in keys:
         cluster.run_op(writer.insert(key, b"v-" + key))
-        word = writer.cache.peek(key).atomic_word
+        word = cached(writer.cache, key).atomic_word
         primary[key] = GlobalAddress.unpack(word & ((1 << 48) - 1)).node_id
     victim = primary[keys[0]]
     cluster.crash_mn(victim)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import make_aceso
+from tests.conftest import cached, make_aceso
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,7 +67,7 @@ def loaded_cluster(**overrides):
 def kv_location(client):
     from repro.index.slot import AtomicField
     from repro.memory.address import GlobalAddress
-    entry = client.cache.peek(KEY)
+    entry = cached(client.cache, KEY)
     ga = GlobalAddress.unpack(AtomicField.unpack(entry.atomic_word).addr)
     return entry, ga
 
@@ -137,7 +137,7 @@ def trusted_update(client):
 def refreshed_update(client):
     def body():
         # A key seen to be shared: the write reads the slot first.
-        client.cache.peek(KEY).looked(changed=True)
+        cached(client.cache, KEY).looked(changed=True)
         yield from client.update(KEY, VALUE)
     return body
 
@@ -200,7 +200,7 @@ def test_events_per_op_unchanged():
     assert events_per_op(cluster, lambda: client.update(KEY, VALUE)) == 2 + 4
 
     def refreshed_update():
-        client.cache.peek(KEY).looked(changed=True)
+        cached(client.cache, KEY).looked(changed=True)
         return client.update(KEY, VALUE)
 
     # ... and the 16 B slot READ in front, for a key seen to be shared

@@ -21,6 +21,8 @@ from repro.index import (
 )
 from repro.memory import MemoryRegion
 
+from tests.conftest import cached
+
 keys = st.binary(min_size=1, max_size=64)
 
 
@@ -87,8 +89,14 @@ def test_meta_roundtrip(epoch, len_units):
        st.integers(min_value=0, max_value=255),
        st.integers(min_value=0, max_value=(1 << 48) - 1))
 def test_compact_roundtrip(fp, len_units, addr):
-    field = CompactSlot(fp, len_units, addr)
-    assert CompactSlot.unpack(field.pack()) == field
+    """A packed compact slot decodes, through the one bucket decoder
+    clients use, to its fields: ``len`` in the Meta position."""
+    index = make_index(wide=False)
+    word = CompactSlot(fp, len_units, addr).pack()
+    raw = word.to_bytes(8, "little") + bytes(index.bucket_size - 8)
+    atomic, meta = index.slot_words(raw)[0]
+    assert (atomic >> 56, meta, atomic & ((1 << 48) - 1)) == \
+        (fp, len_units, addr)
 
 
 def test_atomic_field_ranges():
@@ -101,14 +109,17 @@ def test_atomic_field_ranges():
 
 
 def test_atomic_bumped_wraps():
-    assert AtomicField(1, 255, 7).bumped().ver == 0
-    assert AtomicField(1, 4, 7).bumped().ver == 5
+    """A commit word carries ``ver`` + 1 modulo 256 (Algorithm 1 line 4)."""
+    index = make_index(wide=True)
+    for old, new in ((255, 0), (4, 5)):
+        word = index.commit_word(1, AtomicField(1, old, 7).pack(), 9, 1)
+        assert AtomicField.unpack(word) == AtomicField(1, new, 9)
 
 
 def test_empty_slot_detection():
     assert AtomicField(0, 0, 0).empty
     assert not AtomicField(1, 0, 0).empty
-    assert CompactSlot(0, 0, 0).empty
+    assert CompactSlot(0, 0, 0).pack() == 0     # iter_slots skips a 0 word
 
 
 def test_meta_lock_flag_is_low_epoch_bit():
@@ -180,14 +191,6 @@ def test_index_version_tail():
     index = make_index()
     index.index_version = 42
     assert index.index_version == 42
-
-
-def test_locate_slot_inverse():
-    index = make_index()
-    offset = index.slot_offset(5, 3)
-    assert index.locate_slot(offset) == (5, 3)
-    with pytest.raises(IndexError):
-        index.locate_slot(offset + 1)
 
 
 def test_parse_bucket_words():
@@ -305,15 +308,15 @@ def test_cache_store_carries_heat_until_the_entry_is_dropped():
     assert first.heat == 2
     second = CacheEntry(atomic_word=2, len_units=1)
     cache.store(b"k", second)                   # replaced after a commit
-    assert cache.peek(b"k") is second and second.heat == 2
+    assert cached(cache, b"k") is second and second.heat == 2
     cache.invalidate(b"k")
     cache.store(b"k", CacheEntry(atomic_word=3, len_units=1))
-    assert cache.peek(b"k").heat == 0
-    cache.peek(b"k").looked(changed=True)
+    assert cached(cache, b"k").heat == 0
+    cached(cache, b"k").looked(changed=True)
     cache.store(b"a", CacheEntry(atomic_word=4, len_units=1))
     cache.store(b"b", CacheEntry(atomic_word=5, len_units=1))   # evicts k
     cache.store(b"k", CacheEntry(atomic_word=6, len_units=1))
-    assert cache.peek(b"k").heat == 0
+    assert cached(cache, b"k").heat == 0
 
 
 def test_cache_store_words_leaves_what_store_of_a_copy_leaves():
@@ -342,14 +345,14 @@ def test_cache_store_words_leaves_what_store_of_a_copy_leaves():
     assert in_place.store_words(b"k", same, 2, 8, 4)
     for cache in (copied, in_place):
         cache.store(b"b", CacheEntry(atomic_word=10, len_units=1))
-        assert cache.peek(b"a") is None     # k was the MRU: a evicted
-    assert in_place.peek(b"k") is same
-    assert vars(same) == vars(copied.peek(b"k"))
+        assert cached(cache, b"a") is None     # k was the MRU: a evicted
+    assert cached(in_place, b"k") is same
+    assert vars(same) == vars(cached(copied, b"k"))
     assert (same.atomic_word, same.meta_word, same.len_units,
             same.home_epoch, same.heat) == (2, 8, 4, 5, 2)
     in_place.invalidate(b"k")
     assert not in_place.store_words(b"k", same, 3, 8, 4)
-    assert in_place.peek(b"k") is None and same.atomic_word == 2
+    assert cached(in_place, b"k") is None and same.atomic_word == 2
 
 
 def test_cache_unknown_policy():

@@ -76,17 +76,6 @@ def test_complete_parents_to_open_span_on_same_track():
     assert after.parent is None  # op closed, stack empty
 
 
-def test_clear_resets_ids_and_open_stacks():
-    tr = Tracer(FakeClock(), enabled=True)
-    with tr.span("a", track="t"):
-        pass
-    tr.clear()
-    assert tr.spans == [] and tr._open == {}
-    with tr.span("b", track="t") as sp:
-        pass
-    assert sp.id == 0
-
-
 # ------------------------------------------------------- chrome exporter
 
 def test_chrome_trace_round_trip_carries_causal_ids():

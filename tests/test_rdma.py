@@ -31,28 +31,36 @@ def test_negative_payload_rejected():
 
 
 def test_wire_size_includes_header():
-    assert Verb(Opcode.READ, 100).wire_size() == 100 + WIRE_HEADER
+    """A READ's data crosses the wire with one header; the source NIC,
+    which receives it, is charged exactly that."""
+    assert Verb(Opcode.READ, 100).src_size(inline_max=256) == \
+        100 + WIRE_HEADER
 
 
 def test_read_request_is_small():
+    """The source is charged a READ's response (its data), which the
+    inline threshold, a request-side rule, does not change."""
     verb = Verb(Opcode.READ, 4096)
-    assert verb.request_size(inline_max=256) == WIRE_HEADER
-    assert verb.response_size() == 4096 + WIRE_HEADER
+    assert verb.src_size(inline_max=256) == 4096 + WIRE_HEADER
+    assert verb.src_size(inline_max=1 << 20) == 4096 + WIRE_HEADER
 
 
 def test_inline_write_skips_source_payload():
     small = Verb(Opcode.WRITE, 64)
     big = Verb(Opcode.WRITE, 4096)
-    assert small.request_size(inline_max=256) == WIRE_HEADER
-    assert big.request_size(inline_max=256) == 4096 + WIRE_HEADER
+    assert small.src_size(inline_max=256) == WIRE_HEADER
+    assert big.src_size(inline_max=256) == 4096 + WIRE_HEADER
 
 
 def test_write_response_is_ack():
-    assert Verb(Opcode.WRITE, 4096).response_size() == WIRE_HEADER
+    """An inlined WRITE costs its source one header: the request skips
+    the payload and the response is a header-only ACK."""
+    assert Verb(Opcode.WRITE, 4096).src_size(inline_max=4096) == \
+        WIRE_HEADER
 
 
 def test_atomic_response_carries_old_value():
-    assert Verb(Opcode.CAS, 8).response_size() == 8 + WIRE_HEADER
+    assert Verb(Opcode.CAS, 8).src_size(inline_max=256) == 8 + WIRE_HEADER
 
 
 # ------------------------------------------------------------------ NIC
@@ -62,37 +70,44 @@ def _nic(env, node_id=0, **overrides):
     return RNIC(env, cfg, node_id)
 
 
+def _completion_times(env, verbs, **nic_overrides):
+    """When each verb, all posted at time 0 from NIC 0 to NIC 1 of a
+    fabric with no propagation delay, completes."""
+    fabric = Fabric(env)
+    cfg = NICConfig(rtt=0.0, **nic_overrides)
+    a, b = (fabric.register(RNIC(env, cfg, i)) for i in range(2))
+    done = []
+    for verb in verbs:
+        fabric.post(a, b, verb).add_callback(
+            lambda _ev: done.append(env.now))
+    env.run()
+    return done
+
+
 def test_small_message_iops_bound(env):
-    nic = _nic(env, iops=1e6, bandwidth=1e12)
-    assert nic.service_time(40) == pytest.approx(1e-6)
+    done = _completion_times(env, [Verb(Opcode.READ, 8)],
+                             iops=1e6, bandwidth=1e12)
+    assert done == [pytest.approx(1e-6)]
 
 
 def test_large_message_bandwidth_bound(env):
-    nic = _nic(env, iops=1e12, bandwidth=1e9)
-    assert nic.service_time(1_000_000) == pytest.approx(1e-3)
+    done = _completion_times(env, [Verb(Opcode.READ, 1_000_000)],
+                             iops=1e12, bandwidth=1e9)
+    assert done == [pytest.approx((1_000_000 + WIRE_HEADER) / 1e9)]
 
 
 def test_doorbell_batching_amortises_op_cost(env):
+    """The service-time shapes the Fabric charges: one message per
+    doorbell pays the per-message cost once per ring."""
     nic = _nic(env, iops=1e6, bandwidth=1e12)
-    batched = nic.service_time(120, doorbells=1)
-    unbatched = nic.service_time(120, doorbells=3)
+    batched = nic._svc_cache[(120, 1, 0)]
+    unbatched = nic._svc_cache[(120, 3, 0)]
     assert unbatched == pytest.approx(3 * batched)
 
 
 def test_nic_fifo_queueing(env):
-    nic = _nic(env, iops=1e6, bandwidth=1e12)
-    done = []
-
-    def proc():
-        ev1 = nic.submit(40)
-        ev2 = nic.submit(40)
-        yield ev1
-        done.append(env.now)
-        yield ev2
-        done.append(env.now)
-
-    env.process(proc())
-    env.run()
+    done = _completion_times(env, [Verb(Opcode.READ, 8)] * 2,
+                             iops=1e6, bandwidth=1e12)
     assert done == [pytest.approx(1e-6), pytest.approx(2e-6)]
 
 

@@ -8,7 +8,7 @@ from repro.index.hashing import home_of
 from repro.workloads import WorkloadRunner, load_ops, micro_stream
 from repro.workloads.micro import micro_key
 
-from tests.conftest import make_aceso, small_cluster_kwargs
+from tests.conftest import cached, make_aceso, small_cluster_kwargs
 
 
 def make_coded(codec="xor", **overrides):
@@ -90,7 +90,7 @@ def test_a_grant_from_before_its_node_crashed_is_not_written_through():
     cluster.run_op(c.update(key, b"h" * 150))
     assert c.blocks.open_block(192) is not block
     start = block.grant.data_offset
-    kv_addr = c.cache.peek(key).atomic_word & ((1 << 48) - 1)
+    kv_addr = cached(c.cache, key).atomic_word & ((1 << 48) - 1)
     assert not (kv_addr >> 40 == node
                 and start <= kv_addr & ((1 << 40) - 1)
                 < start + cluster.config.cluster.block_size)
@@ -1655,8 +1655,10 @@ def test_scrub_drops_a_slot_whose_record_is_now_homed_elsewhere():
     assert block in client.blocks.all_open()    # still open, delta live
     # rewrite A's old offset with B's record, its delta to match
     size = block.size_class.slot_size
-    old_at, delta_at, b_at = (block.kv_address(slot),
-                              block.delta_address(slot), live(key_b))
+    grant = block.grant
+    delta_at = GlobalAddress(grant.delta_node, grant.delta_offset
+                             + block.size_class.slot_offset(slot))
+    old_at, b_at = block.kv_address(slot), live(key_b)
     mns = cluster.mns
     old = mns[old_at.node_id].read_bytes(old_at.offset, size)
     new = mns[b_at.node_id].read_bytes(b_at.offset, size)
@@ -1783,7 +1785,7 @@ def test_restamped_records_survive_each_mn_crash():
     for kv, delta_node in restamped:
         blocks = cluster.mns[kv.node_id].blocks
         block_id, _intra = blocks.locate(kv.offset)
-        if blocks.meta[block_id].is_unfilled():
+        if blocks.meta[block_id].index_version == 0:     # unfilled
             opened = (kv.node_id, delta_node)
         else:
             sealed = (kv.node_id, delta_node)
@@ -1811,7 +1813,7 @@ def stale_hot_entry(cluster, key):
     c0, c1 = cluster.clients[:2]
     hot_entry(cluster, key, c0, c1)
     cluster.run_op(c0.update(key, b"two"))
-    return c0, c1, c1.cache.peek(key)
+    return c0, c1, cached(c1.cache, key)
 
 
 @pytest.mark.parametrize("crash_at", ["refresh_in_flight", "before_cas"])
@@ -1914,7 +1916,7 @@ def test_refresh_of_a_rekeyed_slot_drops_the_entry():
     assert log.verbs[0] == ("READ", 16) and log.bucket_queries == 1
     assert cluster.stats.counters.get("slot_refreshes", 0) == 0
     assert cluster.mns[home].read_bytes(entry.slot_offset, 16) == rekeyed
-    assert c1.cache.peek(key).slot_offset == index.slot_offset(*moved_to)
+    assert cached(c1.cache, key).slot_offset == index.slot_offset(*moved_to)
     assert cluster.run_op(c0.search(key)) == b"three"
     assert cluster.run_op(c0.search(other)) == b"other-value"
 

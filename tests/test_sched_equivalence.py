@@ -1,12 +1,7 @@
-"""Whole-artifact identity of harness runs on the one event queue.
+"""Whole-artifact identity of harness runs (a fig-runner cell, chaos
+scenarios, a YCSB window) on the one event queue:
 
-The engine once had several interchangeable event-queue backends, and
-these tests ran real harness entry points (a fig-runner cell, chaos
-scenarios, a YCSB window) under each, requiring byte-identical
-artifacts.  The queue is now a single heapq inside ``Environment``; the
-tests keep their names and now pin what that contract was protecting:
-
-* BENCH meta still records which queue produced a result;
+* BENCH meta records which queue produced a result;
 * a run repeated in the same process, after a different run in between,
   reproduces its artifact exactly (no state leaks from one simulation
   into the next);
@@ -28,13 +23,10 @@ from repro.obs import Observability
 #: Cells measured with the host clock (see test_determinism).
 _HOST_CLOCK_CELLS = {"test_gbps"}
 
-#: Chaos scenario per case id (the ids once named queue backends): one
-#: CN crash mid-operation, an MN crash during recovery, a gray failure and
-#: a double MN failure.
-_TRACED_SCENARIOS = {"adaptive": "cn_mid_op",
-                     "calendar": "mn_crash_during_recovery",
-                     "flatheap": "gray_slow_nic",
-                     "heapq": "mn_double_flushed"}
+#: Chaos scenarios run traced and untraced: one CN crash mid-operation,
+#: an MN crash during recovery, a gray failure and a double MN failure.
+_TRACED_SCENARIOS = ("cn_mid_op", "mn_crash_during_recovery",
+                     "gray_slow_nic", "mn_double_flushed")
 
 
 def _strip_rows(result):
@@ -60,7 +52,7 @@ def test_bench_meta_records_backend():
 # ---------------------------------------------------- fig-runner cell
 
 @pytest.mark.slow
-def test_fig_runner_identical_across_backends():
+def test_fig_runner_cell_repeats_after_another_cell():
     """One tab02 smoke cell, run again after a different-seed cell: the
     same rows, verdicts and meta."""
     first = run_targets(["tab02"], "smoke", seed=5)[0].result
@@ -78,7 +70,7 @@ def _chaos_bytes(name: str, seed: int, obs=None) -> bytes:
     return json.dumps(report, sort_keys=True).encode()
 
 
-def test_chaos_report_identical_across_backends():
+def test_chaos_report_repeats_after_another_scenario():
     """Fault injection, recovery timelines, invariant verdicts: the whole
     report serialises to the same bytes when the scenario is run again
     after a different one."""
@@ -87,10 +79,9 @@ def test_chaos_report_identical_across_backends():
     assert _chaos_bytes("mn_single_hot", seed=3) == first
 
 
-@pytest.mark.parametrize("name", list(_TRACED_SCENARIOS))
-def test_tracing_neutral_under_each_backend(name):
+@pytest.mark.parametrize("scenario", _TRACED_SCENARIOS)
+def test_tracing_neutral_in_each_failure_kind(scenario):
     """Observability stays a pure observer in every kind of failure."""
-    scenario = _TRACED_SCENARIOS[name]
     plain = _chaos_bytes(scenario, seed=3)
     traced = _chaos_bytes(scenario, seed=3, obs=Observability(enabled=True))
     assert plain == traced
@@ -111,7 +102,7 @@ def _ycsb_window(seed: int):
 
 
 @pytest.mark.slow
-def test_ycsb_window_identical_across_backends():
+def test_ycsb_window_repeats_after_another_window():
     """Full measurement window (per-op latencies, counters, durations),
     run again after a different-seed window."""
     first = _ycsb_window(11)

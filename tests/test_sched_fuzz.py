@@ -9,11 +9,10 @@ events at the instant they fire.  Every drain must dispatch exactly the
 live events with keys up to the stopping point, in key order, and never
 an event that was cancelled.
 
-The engine once had several interchangeable queue backends and this
-battery compared each against the ``heapq`` one; the case ids keep those
-names.  With one queue left, :data:`LOOPS` maps each old id onto one of
-the Environment's dispatch loops, so each id still drains the vectors a
-different way.
+Each vector is drained by one of the Environment's three dispatch loops
+(``run``, ``run(until)``, ``run_until_event``), chosen through
+:data:`LOOPS`, whose keys are the case ids: names of the queue backends
+the engine once had, kept so that every case keeps its id.
 
 Runs a property search too when :mod:`hypothesis` is importable (the
 optional test extra).
@@ -35,7 +34,7 @@ try:
 except ImportError:            # optional dependency: degrade, don't skip
     HAVE_HYPOTHESIS = False
 
-#: Old backend id -> the dispatch loop that drains the vector.
+#: Case id -> the dispatch loop that drains the vector.
 LOOPS = {"adaptive": "run", "calendar": "run_until",
          "flatheap": "run_until_event"}
 
@@ -221,7 +220,7 @@ def test_deep_vector_crosses_rebuilds(backend):
 
 @pytest.mark.parametrize("threshold", [1, 8, 64])
 @pytest.mark.parametrize("seed", [0, 42])
-def test_adaptive_crosses_migration(threshold, seed):
+def test_tie_block_dispatches_first_at_its_instant(threshold, seed):
     """A tie block of *threshold* events queued for one instant before the
     vector starts: those still at that instant when it comes dispatch
     first there, in scheduling order, ahead of all the vector added."""

@@ -173,11 +173,3 @@ def test_store_multiple_getters_fifo(env):
     store.put("y")
     env.run()
     assert got == [("g1", "x"), ("g2", "y")]
-
-
-def test_store_try_get(env):
-    store = Store(env)
-    assert store.try_get() is None
-    store.put(7)
-    assert store.try_get() == 7
-    assert len(store) == 0

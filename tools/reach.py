@@ -19,8 +19,11 @@ counts.  A ``def`` nested in an unreached one is counted in its parent's
 lines, not listed again.  An entry point that exits non-zero is reported
 and fails the run: its reach is still counted, but the run is a bug.
 ``--keep DESIGN.md`` also fails the run on an unreached function the
-keep list in DESIGN.md (the section under :data:`KEEP_HEADING`) does not
-name.
+keep table in DESIGN.md (the section under :data:`KEEP_HEADING`) does not
+name, and on a row of that table that names no ``def`` (a stale row).
+The table's last column lists the kept functions as ``module.py``:
+``Qualname``, ... groups; a function is excused only by its own module
+and qualname, never by a name in the reason column or in parentheses.
 
 Only the standard library is used.
 
@@ -233,17 +236,66 @@ def unreached(reached: Set[Tuple[str, int]]) -> Tuple[int, List[Func]]:
     return total, missing
 
 
-def keep_names(path: str) -> Set[str]:
-    """The backticked names of the keep list in *path*: the section under
-    :data:`KEEP_HEADING`, up to the next heading."""
-    with open(path) as fh:
-        text = fh.read()
+def parse_keep_table(text: str) -> List[Tuple[str, str]]:
+    """(module, qualname) of every function the keep table names: the
+    table in the section under :data:`KEEP_HEADING` (up to the next
+    heading), read from its last column only.  In that column a
+    backticked ``path.py`` (below ``src/repro``) opens a module and each
+    backticked name after it is a qualname in that module; parenthesised
+    text (a test that reaches the function, say) names nothing."""
     start = text.find(KEEP_HEADING)
     if start < 0:
-        raise SystemExit(f"{path}: no {KEEP_HEADING!r} section")
+        raise ValueError(f"no {KEEP_HEADING!r} section")
     section = text[start + len(KEEP_HEADING):].split("\n#", 1)[0]
-    return {name for line in section.splitlines()
-            for name in re.findall(r"`([^`\s]+)`", line)}
+    rows = [line.strip() for line in section.splitlines()
+            if line.strip().startswith("|")]
+    pairs: List[Tuple[str, str]] = []
+    for row in rows[2:]:                  # past the header and its rule
+        cell = row.strip("|").rsplit("|", 1)[-1]
+        while True:
+            bare = re.sub(r"\([^()]*\)", "", cell)
+            if bare == cell:
+                break
+            cell = bare
+        module = None
+        for name in re.findall(r"`([^`\s]+)`", cell):
+            if name.endswith(".py"):
+                module = name
+            elif module is None:
+                raise ValueError(f"{name!r} named before any module: {row}")
+            else:
+                pairs.append((module, name))
+    return pairs
+
+
+def stale_pairs(pairs: List[Tuple[str, str]]) -> List[Tuple[str, str]]:
+    """The keep pairs that name no ``def`` of their module."""
+    defs: Dict[str, Set[str]] = {}
+    stale = []
+    for module, qualname in pairs:
+        if module not in defs:
+            path = os.path.join(PKG, module)
+            defs[module] = ({f.qualname for f, _ in _functions(module)}
+                            if os.path.isfile(path) else set())
+        if qualname not in defs[module]:
+            stale.append((module, qualname))
+    return stale
+
+
+def keep_pairs(path: str) -> Set[Tuple[str, str]]:
+    """The keep table of *path* as (module, qualname) pairs; exits on a
+    missing section or a stale row."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        pairs = parse_keep_table(text)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: {exc}")
+    stale = stale_pairs(pairs)
+    if stale:
+        raise SystemExit(f"{path}: keep table names no def: " + ", ".join(
+            f"{module}: {qualname}" for module, qualname in stale))
+    return set(pairs)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -282,7 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if not entries:
         parser.error("no entry point matches --only")
-    keep = keep_names(args.keep) if args.keep else None
+    keep = keep_pairs(args.keep) if args.keep else None
 
     if args.outputs:
         os.makedirs(args.outputs, exist_ok=True)
@@ -299,7 +351,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{len(out.reached):4d} functions", flush=True)
     total, missing = unreached(reached)
     unnamed = [f for f in missing
-               if keep is not None and f.qualname not in keep]
+               if keep is not None and (f.module, f.qualname) not in keep]
 
     print()
     module = None
