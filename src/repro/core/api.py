@@ -465,7 +465,11 @@ class DMClient:
                 self._seal_async(old)
             block = self._prefetched.pop(slot_size, None)
             if block is None:
+                # Allocation stall: the write waits out the RPC chain.
+                start = self.env.now
                 block = yield from self._fetch_block(size_class)
+                self.stats.bump("alloc_stalls")
+                self.stats.bump("alloc_stall_s", self.env.now - start)
             self.blocks.install(slot_size, block)
             slot = block.take_slot()
             left = block.slots_left()

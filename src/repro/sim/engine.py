@@ -12,11 +12,10 @@ The event queue is one :mod:`heapq` of ``(when, seq, event)`` tuples.
 ``seq`` is a counter assigned when an event is scheduled, so events run in
 ascending ``(time, seq)`` order: two events scheduled for the same instant
 dispatch in the order they were scheduled (FIFO).  That tie-break is
-load-bearing for determinism.  A queued :class:`Timeout` or
-:class:`Deferred` can be cancelled: its ``seq`` joins a tombstone set and
-the entry is skipped when it reaches the top of the heap.  A Deferred can
-also be rescheduled, which tombstones the old entry and queues a fresh
-one (new ``seq``, so it joins the back of any tie at its new instant).
+load-bearing for determinism.  Every scheduled event dispatches exactly
+once: nothing is ever withdrawn from the queue, and a timeout its waiter
+no longer wants simply fires unheeded (:meth:`Process._resume` drops a
+stale wake-up, :class:`AnyOf` fires once).
 An event scheduled *earlier* than the current time is unsupported
 (simulated time never goes backwards; ``Timeout`` rejects negative
 delays).
@@ -57,11 +56,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-#: Sentinel stored in ``Event.callbacks`` once an event is cancelled:
-#: distinguishes "cancelled, never run callbacks" from "already
-#: dispatched" (``None``).  A tuple so accidental ``append`` fails loudly.
-_CANCELLED = ()
-
 _VALUE_OF = attrgetter("_value")
 
 
@@ -92,11 +86,6 @@ class Event:
         return self._ok
 
     @property
-    def cancelled(self) -> bool:
-        """Whether the event was cancelled before dispatch."""
-        return self.callbacks is _CANCELLED
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("value of untriggered event")
@@ -124,11 +113,6 @@ class Event:
         env._push(env.now, self)
         return self
 
-    def cancel(self) -> bool:
-        raise SimulationError(
-            "only queued Timeout/Deferred events can be cancelled"
-        )
-
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
@@ -139,13 +123,12 @@ class Event:
         """Register *cb* to run when this event triggers.
 
         If the event has already triggered and been dispatched, the callback
-        runs immediately (same simulation time).  Callbacks added to a
-        *cancelled* event are dropped: it will never fire.
+        runs immediately (same simulation time).
         """
         callbacks = self.callbacks
         if callbacks is None:
             cb(self)
-        elif callbacks is not _CANCELLED:
+        else:
             callbacks.append(cb)
 
 
@@ -157,7 +140,7 @@ class Timeout(Event):
     rather than chaining through ``Event.__init__``.
     """
 
-    __slots__ = ("delay", "_qseq")
+    __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -168,19 +151,7 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self.delay = delay
-        self._qseq = env._push(env.now + delay, self)
-
-    def cancel(self) -> bool:
-        """Remove this timeout from the queue before it fires.
-
-        Returns True if the timeout was still pending (its callbacks
-        will now never run); False if it had already dispatched.
-        """
-        if self.callbacks is None or self.callbacks is _CANCELLED:
-            return False
-        self.callbacks = _CANCELLED
-        self.env._cancelled.add(self._qseq)
-        return True
+        env._push(env.now + delay, self)
 
 
 class Deferred(Event):
@@ -195,10 +166,12 @@ class Deferred(Event):
     timeout, and a separate trigger push for the result event).
 
     Unlike a Timeout, a Deferred stays untriggered until dispatch, so
-    ``triggered``/``value`` behave like a plain :class:`Event`.
+    ``triggered``/``value`` behave like a plain :class:`Event`.  Like
+    every scheduled event it dispatches exactly once, at the instant it
+    was created for: it cannot be withdrawn or moved.
     """
 
-    __slots__ = ("_resolver", "_args", "_qseq")
+    __slots__ = ("_resolver", "_args")
 
     def __init__(self, env: "Environment", at: float,
                  resolver: Callable[..., Any], args: tuple = ()):
@@ -212,7 +185,7 @@ class Deferred(Event):
         self._triggered = False
         self._resolver = resolver
         self._args = args
-        self._qseq = env._push(at, self)
+        env._push(at, self)
 
     def _run_callbacks(self) -> None:
         try:
@@ -228,36 +201,6 @@ class Deferred(Event):
         if callbacks:
             for cb in callbacks:
                 cb(self)
-
-    def cancel(self) -> bool:
-        """Remove this deferred from the queue before it resolves.
-
-        Returns True if it was still pending (the resolver and callbacks
-        will now never run); False if it had already dispatched.
-        """
-        if self.callbacks is None or self.callbacks is _CANCELLED:
-            return False
-        self.callbacks = _CANCELLED
-        self.env._cancelled.add(self._qseq)
-        return True
-
-    def reschedule(self, at: float) -> "Deferred":
-        """Move an un-fired deferred to resolve at time ``at`` instead.
-
-        The entry is re-queued with a fresh seq, so among events sharing
-        the new timestamp it dispatches *after* ones already scheduled
-        there (the FIFO tie-break treats a reschedule as a new arrival).
-        Raises :class:`SimulationError` if the deferred already fired or
-        was cancelled.
-        """
-        if self._triggered or self.callbacks is None:
-            raise SimulationError("cannot reschedule a fired Deferred")
-        if self.callbacks is _CANCELLED:
-            raise SimulationError("cannot reschedule a cancelled Deferred")
-        env = self.env
-        env._cancelled.add(self._qseq)
-        self._qseq = env._push(at, self)
-        return self
 
 
 class Process(Event):
@@ -329,7 +272,7 @@ class Process(Event):
         callbacks = target.callbacks
         if callbacks is None:
             self._resume(target)
-        elif callbacks is not _CANCELLED:
+        else:
             callbacks.append(self._resume)
 
     def _crash(self, exc: BaseException) -> None:
@@ -406,9 +349,6 @@ class Environment:
         self._queue: List[tuple] = []
         #: Events scheduled so far; the next one's tie-break ``seq``.
         self._seq = 0
-        #: Seqs of cancelled entries still in the heap (tombstones): each
-        #: is dropped, without dispatch, when it reaches the top.
-        self._cancelled: set = set()
         #: Processes that terminated with an uncaught exception.  Harness
         #: code asserts this stays empty so failures never pass silently
         #: (intentional interrupts of crashed-node processes are exempt:
@@ -424,18 +364,12 @@ class Environment:
         """Total events ever scheduled (the engine's work counter)."""
         return self._seq
 
-    @property
-    def pending_count(self) -> int:
-        """Events still queued to dispatch (cancelled ones excluded)."""
-        return len(self._queue) - len(self._cancelled)
-
-    def _push(self, when: float, event: Event) -> int:
+    def _push(self, when: float, event: Event) -> None:
         """Queue *event* to dispatch at *when*, after every event already
-        queued for the same instant; returns its ``seq``."""
+        queued for the same instant."""
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (when, seq, event))
-        return seq
 
     # -- public API ------------------------------------------------------
 
@@ -471,21 +405,14 @@ class Environment:
         drains earlier (so throughput windows are well-defined).
         """
         queue = self._queue
-        cancelled = self._cancelled
         if until is None:
             while queue:
-                when, seq, event = heappop(queue)
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
+                when, _, event = heappop(queue)
                 self.now = when
                 event._run_callbacks()
             return
         while queue and queue[0][0] <= until:
-            when, seq, event = heappop(queue)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
+            when, _, event = heappop(queue)
             self.now = when
             event._run_callbacks()
         if until > self.now:
@@ -503,21 +430,17 @@ class Environment:
         that cap how long they wait without failing the run.
         """
         queue = self._queue
-        cancelled = self._cancelled
         while not event._triggered:
             if not queue or queue[0][0] > limit:
                 if not strict:
                     if limit != float("inf") and limit > self.now:
                         self.now = limit
                     return None
-                if len(queue) == len(cancelled):
+                if not queue:
                     raise SimulationError(
                         "queue drained before event triggered")
                 raise SimulationError(f"time limit {limit} exceeded")
-            when, seq, ev = heappop(queue)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
+            when, _, ev = heappop(queue)
             self.now = when
             ev._run_callbacks()
         if not event._ok:

@@ -158,6 +158,35 @@ def test_client_prefetches_next_block():
         assert cluster.run_op(c.search(b"pf-%04d" % i)) == b"v" * 200
 
 
+def test_write_path_counts_allocation_stalls():
+    """A write that must allocate its next block itself counts one stall
+    and its simulated wait; one whose next block was prefetched counts
+    none."""
+    cluster = make_aceso(block_size=8 * 1024, kv_size=256)
+    stats = cluster.stats
+    slots = 8 * 1024 // 256
+    for c, take_prefetch in zip(cluster.clients, (False, True)):
+        keys = [b"st%d-%04d" % (c.cli_id, i) for i in range(slots + 8)]
+        # The first block is allocated on the write path; the prefetch
+        # of the next fires PREFETCH_MARGIN slots before exhaustion.
+        for key in keys[:slots - 4]:
+            cluster.run_op(c.insert(key, b"v" * 200))
+        cluster.run(cluster.env.now + 0.01)
+        assert 256 in c._prefetched
+        if take_prefetch:
+            del c._prefetched[256]
+        stats.open_window(cluster.env.now)
+        for key in keys[slots - 4:]:
+            cluster.run_op(c.insert(key, b"v" * 200))
+        if take_prefetch:
+            assert stats.counters["alloc_stalls"] == 1
+            assert stats.counters["alloc_stall_s"] > 0
+        else:
+            assert stats.counters["alloc_stalls"] == 0
+            assert stats.counters["alloc_stall_s"] == 0
+        assert cluster.run_op(c.search(keys[-1])) == b"v" * 200
+
+
 def test_cached_search_falls_back_when_slot_vacated():
     """If a cached slot is found empty (e.g. recovery re-placed the key),
     the client must re-query the index, not report not-found."""

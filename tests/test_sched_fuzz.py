@@ -3,11 +3,10 @@
 Random scripts of :class:`Timeout` and :class:`Deferred` events at mixed
 timescales (zero delays force same-instant ties) are run on an
 :class:`Environment` next to a reference model: each event gets a
-``(when, order)`` key when it is scheduled, a reschedule gives it a fresh
-key, a cancel drops it.  Callbacks schedule, cancel and reschedule other
+``(when, order)`` key when it is scheduled.  Callbacks schedule further
 events at the instant they fire.  Every drain must dispatch exactly the
-live events with keys up to the stopping point, in key order, and never
-an event that was cancelled.
+events with keys up to the stopping point, in key order, and a full
+``run()`` must dispatch every event ever scheduled, each exactly once.
 
 Each vector is drained by one of the Environment's three dispatch loops
 (``run``, ``run(until)``, ``run_until_event``), chosen through
@@ -51,19 +50,16 @@ class _Vector:
         self.env = Environment()
         self.order = itertools.count()
         self.ids = itertools.count()
-        #: idx -> (when, order) of every live event, fired or pending.
+        #: idx -> (when, order) of every event, fired or pending.
         self.expected = {}
-        #: idx -> event, for events neither fired nor cancelled.
+        #: idx -> event, for events not fired yet.
         self.pending = {}
-        self.pool = []         # idxs, some stale: cheap random pick
-        self.fired = []        # events already dispatched
         self.log = []          # (when, order) in dispatch order
         self.block_when = None  # instant of the tie block, if any
         self.checked = 0       # log entries already checked in order
 
-    def schedule(self, delay: float, when=None, pickable=True) -> int:
-        """Schedule a Timeout or (always, when *when* is given) a Deferred.
-        Events that are not *pickable* are never cancelled or moved."""
+    def schedule(self, delay: float, when=None) -> int:
+        """Schedule a Timeout or (always, when *when* is given) a Deferred."""
         env = self.env
         idx = next(self.ids)
         if when is None and self.rng.random() < 0.5:
@@ -74,64 +70,19 @@ class _Vector:
             ev = Deferred(env, when, lambda: None)
         self.expected[idx] = (when, next(self.order))
         self.pending[idx] = ev
-        if pickable:
-            self.pool.append(idx)
         ev.add_callback(lambda _e: self._fire(idx))
         return idx
 
     def _fire(self, idx: int) -> None:
         key = self.expected[idx]
         assert self.env.now == key[0]
-        self.fired.append(self.pending.pop(idx))
+        self.pending.pop(idx)
         self.log.append(key)
-        r = self.rng.random()
-        if r < 0.25:
+        if self.rng.random() < 0.25:
             self.schedule(self.rng.choice(_DELAYS))
-        elif r < 0.35:
-            self.cancel_one()
-        elif r < 0.45:
-            self.reschedule_one()
-
-    def _pick(self, deferred_only: bool = False):
-        pool = self.pool
-        for _ in range(8):
-            if not pool:
-                return None
-            i = self.rng.randrange(len(pool))
-            idx = pool[i]
-            if idx not in self.pending:        # stale: swap-remove
-                pool[i] = pool[-1]
-                pool.pop()
-                continue
-            if deferred_only and not isinstance(self.pending[idx],
-                                                Deferred):
-                continue
-            return idx
-        return None
-
-    def cancel_one(self) -> None:
-        if self.fired and self.rng.random() < 0.2:
-            assert self.rng.choice(self.fired).cancel() is False
-            return
-        idx = self._pick()
-        if idx is None:
-            return
-        ev = self.pending.pop(idx)
-        del self.expected[idx]
-        assert ev.cancel() is True
-        assert ev.cancelled
-        assert ev.cancel() is False
-
-    def reschedule_one(self) -> None:
-        idx = self._pick(deferred_only=True)
-        if idx is None:
-            return
-        at = self.env.now + self.rng.choice(_DELAYS) * (1.0 + self.rng.random())
-        self.pending[idx].reschedule(at)
-        self.expected[idx] = (at, next(self.order))
 
     def check_through(self, key) -> None:
-        """Every live event with a key up to *key* fired, in key order,
+        """Every event with a key up to *key* fired, in key order,
         and nothing after it did.
 
         Each event fires at most once (``_fire`` pops it from
@@ -151,7 +102,7 @@ class _Vector:
         if loop == "run":
             env.run()
             self.check_through((float("inf"), 0))
-            assert env.pending_count == 0
+            assert len(self.log) == env.scheduled_count
         elif loop == "run_until":
             until = env.now + rng.choice(_DELAYS) * (1.0 + rng.random())
             env.run(until=until)
@@ -168,7 +119,7 @@ class _Vector:
             else:
                 # Strict run up to a fresh Deferred at the limit, which
                 # ties with any earlier-scheduled peers there.
-                idx = self.schedule(0.0, when=limit, pickable=False)
+                idx = self.schedule(0.0, when=limit)
                 env.run_until_event(self.pending[idx])
                 assert env.now == limit
                 self.check_through(self.expected[idx])
@@ -184,12 +135,8 @@ def _drive(loop: str, rng: random.Random, nops: int, tie_block: int = 0):
         vec.schedule(0.0, when=vec.block_when)
     for _ in range(nops):
         r = rng.random()
-        if r < 0.55 or not vec.pending:
+        if r < 0.80 or not vec.pending:
             vec.schedule(rng.choice(_DELAYS) * (1.0 + rng.random()))
-        elif r < 0.70:
-            vec.cancel_one()
-        elif r < 0.80:
-            vec.reschedule_one()
         elif r < 0.90:
             vec.drain(loop)
         else:
@@ -197,8 +144,7 @@ def _drive(loop: str, rng: random.Random, nops: int, tie_block: int = 0):
     vec.env.run()
     vec.check_through((float("inf"), 0))
     assert vec.log == sorted(vec.expected.values())
-    assert vec.env.pending_count == 0
-    assert vec.env.scheduled_count == next(vec.order)
+    assert len(vec.log) == vec.env.scheduled_count == next(vec.order)
     return vec
 
 
@@ -222,42 +168,12 @@ def test_deep_vector_crosses_rebuilds(backend):
 @pytest.mark.parametrize("seed", [0, 42])
 def test_tie_block_dispatches_first_at_its_instant(threshold, seed):
     """A tie block of *threshold* events queued for one instant before the
-    vector starts: those still at that instant when it comes dispatch
-    first there, in scheduling order, ahead of all the vector added."""
+    vector starts: they dispatch first at that instant, in scheduling
+    order, ahead of all the vector added there."""
     vec = _drive("run", random.Random(seed), nops=3000, tie_block=threshold)
     at_block = [k for k in vec.log if k[0] == vec.block_when]
-    head = [k for k in at_block if k[1] < threshold]
-    assert at_block[:len(head)] == head == sorted(head)
-    kept = [i for i in range(threshold)        # neither cancelled nor moved
-            if i in vec.expected and vec.expected[i][1] < threshold]
-    assert len(head) == len(kept)
-
-
-def test_adaptive_in_batch_cancel_across_migration():
-    """While the queue grows, an earlier callback at an instant cancels a
-    later peer at that instant: the peer never fires, a second cancel
-    reports False, and work pushed at the same instant runs after the
-    surviving peers."""
-    env = Environment()
-    order = []
-    peers = []
-
-    def first(_e):
-        order.append(0)
-        for i in range(20):
-            env.defer(1.0 + i * 1e-9, lambda _e, i=i: order.append(100 + i))
-        env.defer(0.0, lambda _e: order.append(99))
-        assert peers[2].cancel() is True
-        assert peers[2].cancel() is False
-        assert env.pending_count == 22     # peer 1, 20 later, 1 now
-
-    peers.append(env.defer(1.0, first))
-    for i in (1, 2):
-        peers.append(env.defer(1.0, lambda _e, i=i: order.append(i)))
-    env.run()
-    assert order == [0, 1, 99] + [100 + i for i in range(20)]
-    assert peers[2].cancelled
-    assert env.pending_count == 0
+    assert at_block[:threshold] == [(vec.block_when, i)
+                                    for i in range(threshold)]
 
 
 # --------------------------------------------------- hypothesis search

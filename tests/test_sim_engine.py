@@ -417,155 +417,7 @@ def test_many_processes_scale(env):
     assert counter == sorted(counter)
 
 
-# ------------------------------------------------- cancellation edges
-
-def test_cancel_mid_queue_prevents_callback(env):
-    fired = []
-    t1 = env.defer(1.0, lambda e: fired.append(1))
-    t2 = env.defer(2.0, lambda e: fired.append(2))
-    t3 = env.defer(3.0, lambda e: fired.append(3))
-    assert t2.cancel() is True
-    assert t2.cancelled
-    env.run()
-    assert fired == [1, 3]
-    assert env.now == 3.0
-    assert not t1.cancelled and not t3.cancelled
-
-
-def test_cancel_after_fire_returns_false(env):
-    t = env.timeout(1.0)
-    env.run()
-    assert t.cancel() is False
-    assert not t.cancelled
-
-
-def test_double_cancel_returns_false(env):
-    t = env.timeout(1.0)
-    assert t.cancel() is True
-    assert t.cancel() is False
-    env.run()
-
-
-def test_cancelled_timeout_drops_late_callbacks(env):
-    t = env.timeout(1.0)
-    t.cancel()
-    seen = []
-    t.add_callback(lambda e: seen.append(e))   # silently dropped
-    env.run()
-    assert seen == []
-
-
-def test_cancel_drops_live_count_but_not_push_count(env):
-    t = env.timeout(1.0)
-    env.timeout(2.0)
-    pushes = env.scheduled_count
-    assert env.pending_count == 2
-    t.cancel()
-    assert env.pending_count == 1
-    assert env.scheduled_count == pushes   # pushes is monotonic
-    env.run()
-    assert env.now == 2.0
-    assert env.pending_count == 0
-
-
-def test_base_event_cancel_rejected(env):
-    ev = env.event()
-    with pytest.raises(SimulationError):
-        ev.cancel()
-
-
-def test_run_until_advances_past_cancelled_tail(env):
-    """A cancelled entry beyond `until` must not hold the clock back."""
-    t = env.timeout(5.0)
-    env.timeout(1.0)
-    t.cancel()
-    env.run(until=10.0)
-    assert env.now == 10.0
-
-
-# ------------------------------------------------- deferred reschedule
-
-def test_reschedule_moves_firing_time(env):
-    d = Deferred(env, 5.0, lambda: "v")
-    d.reschedule(2.0)
-    fired = []
-    d.add_callback(lambda e: fired.append(env.now))
-    env.run()
-    assert fired == [2.0]
-    assert d.value == "v"
-    assert env.now == 2.0          # the stale entry at 5.0 is skipped
-
-
-def test_reschedule_later_also_works(env):
-    d = Deferred(env, 1.0, lambda: None)
-    d.reschedule(7.0)
-    env.run()
-    assert d.triggered
-    assert env.now == 7.0
-
-
-def test_reschedule_fired_deferred_rejected(env):
-    d = Deferred(env, 1.0, lambda: None)
-    env.run()
-    with pytest.raises(SimulationError):
-        d.reschedule(2.0)
-
-
-def test_reschedule_cancelled_deferred_rejected(env):
-    d = Deferred(env, 1.0, lambda: None)
-    d.cancel()
-    with pytest.raises(SimulationError):
-        d.reschedule(2.0)
-
-
-def test_reschedule_goes_to_back_of_fifo_tie(env):
-    """A reschedule is a fresh arrival: among events at the same
-    timestamp it dispatches last."""
-    order = []
-    a = Deferred(env, 3.0, lambda: order.append("a"))
-    Deferred(env, 3.0, lambda: order.append("b"))
-    a.reschedule(3.0)              # same instant, but now behind b
-    env.run()
-    assert order == ["b", "a"]
-
-
-def test_cancelled_deferred_resolver_never_runs(env):
-    ran = []
-    d = Deferred(env, 1.0, lambda: ran.append(1))
-    assert d.cancel() is True
-    env.run()
-    assert ran == []
-    assert not d.triggered
-
-
 # ------------------------------------------------- same-instant ordering
-
-def test_same_time_cancel_from_earlier_callback_never_fires(env):
-    """A cancel issued by an earlier callback at the same timestamp
-    suppresses a later peer that is already queued for that instant."""
-    fired = []
-    victim = [None]
-    env.defer(1.0, lambda e: victim[0].cancel())
-    victim[0] = env.defer(1.0, lambda e: fired.append("victim"))
-    env.run()
-    assert fired == []
-    assert victim[0].cancelled
-    assert env.now == 1.0
-
-
-def test_same_time_reschedule_from_callback_fires_once(env):
-    """Rescheduling a same-timestamp peer from a callback moves it behind
-    everything queued for that instant; it never double-fires."""
-    fired = []
-    d = [None]
-    env.defer(1.0, lambda e: d[0].reschedule(1.0))
-    d[0] = Deferred(env, 1.0, lambda: fired.append(env.now))
-    d[0].add_callback(lambda e: None)
-    env.run()
-    assert fired == [1.0]
-    assert d[0].triggered
-    assert env.now == 1.0
-
 
 def test_callback_scheduling_same_instant_joins_dispatch(env):
     """New work pushed at the current timestamp from a callback still
@@ -650,6 +502,7 @@ def test_seeded_ties_dispatch_in_time_then_creation_order():
     assert len(log) - len({when for when, _ in log}) > 250   # ties
     assert log == sorted(created)
     assert env.scheduled_count == len(created)
+    assert len(log) == env.scheduled_count       # each dispatched once
 
     # run(until): events at exactly `until` run, later ones wait
     env, created, log = _tie_storm()
