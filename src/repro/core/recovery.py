@@ -6,31 +6,26 @@ scan their KV pairs and re-apply each index slot to the KV pair with the
 highest Slot Version), then Block Area (decode the remaining lost blocks,
 finally re-derive parity state in the background).  Functionality returns
 after the Index milestone — writes at full speed, reads degraded — which
-is what minimises user disruption.
+is what minimises user disruption.  The tiers' stages are one table,
+:data:`STAGES`: one call ends a stage, the end of a tier's last stage is
+its milestone, and the report, the trace and Table 2 read those ends.
 
 Every lost or re-encoded block is rebuilt at a survivor, so it crosses
-the recovering node's NIC once (partial-parallel repair): each job picks
-as *aggregator* the surviving holder of its stripe with the fewest
-recovery bytes in flight on its NIC, the other holders' blocks go to it
-by one-sided READs, its EC core decodes or encodes them, and the
-recovering node reads back the one block that results.  Live deltas are
-folded into P by their holder.  A lost unsealed block granted fresh is
-its DELTA block's twin (P's baseline for it is zero) and is read from
-the P holder as it is, with nothing decoded.  The Index tier's rescan of
-the blocks written since the checkpoint runs where the bytes are: each
-live holder walks its own, and each P holder the DELTA twins it holds of
-the recovering node's lost blocks, on its EC core and ships only the
-records homed on the recovering node (a few bytes each instead of whole
-blocks), while a block of the node's own that has no twin, or of another
-failed node, is walked once where it is rebuilt; the checkpoint read and
-those scans run under the rebuilds.  The twins' bytes follow in one
-stream beside the driver that the Index milestone does not wait for.
-No node whose master state is FAILED is a source of anything:
-back up before its Meta milestone, it holds only the zeros of a reboot.
-Slot keys come from records already held, and every stage keeps two
-jobs in flight per surviving MN — the Block tier's decodes and parity
-re-baselines as one pool — so the survivors' NICs together are the
-floor.  DESIGN.md §5 has the byte table.
+the recovering node's NIC once (partial-parallel repair): each job's
+*aggregator* is the surviving holder of its stripe with the fewest
+recovery bytes in flight on its NIC; it reads the other holders'
+blocks, its EC core decodes or encodes them, and the recovering node
+reads back the one block that results.  Live deltas are folded into P
+by their holder; a lost unsealed block granted fresh is read from its
+DELTA twin at the P holder as it is.  The Index tier's rescan runs where
+the bytes are: each live holder walks its own recent blocks, and each P
+holder the twins it holds, and ships only the records homed on the
+recovering node, under the rebuilds and the checkpoint read; the twins'
+bytes follow in one stream the Index milestone does not wait for.  No
+node whose master state is FAILED is a source of anything: back up
+before its Meta milestone, it holds only the zeros of a reboot.  Every
+stage keeps two jobs in flight per surviving MN, so the survivors' NICs
+together are the floor.  DESIGN.md §5 has the data flow and its bytes.
 
 Compute-node recovery (§3.4.2) restarts a client, re-finds its unfilled
 blocks via the ``CLI ID`` metadata field, checks every KV/delta pair's
@@ -58,8 +53,8 @@ from .kvpair import HEADER_SIZE, kv_wire_size, parse_kv, wv_consistent
 from .server import (CONTROL_RPC_TIMEOUT, DirStripe, StripeDirectory,
                      StripeRecord)
 
-__all__ = ["RecoveryReport", "MemoryNodeRecovery", "restart_client",
-           "rebuild_directory"]
+__all__ = ["STAGES", "TIERS", "RecoveryReport", "MemoryNodeRecovery",
+           "restart_client", "rebuild_directory"]
 
 _READ_CHUNK = 32 * 1024
 #: Candidates with an implausibly large epoch are corruption, not commits
@@ -75,60 +70,53 @@ _SCAN_BLOCK_BYTES = 8
 _SCAN_ENTRY_BYTES = 8 + 4 + 2 + 2
 
 
+#: The stages of one MN recovery (§3.4.1) in the order they end, each
+#: with its tier.  A stage runs from the end of the stage before it in
+#: its tier (a tier's first stage: from when the tier began) to:
+STAGES = (("read_meta", "meta"),        # the Meta Area restored
+          ("recover_lblock", "index"),  # the last decoded LBlock installed
+          ("read_rblock", "index"),     # the last holder scan merged
+          ("read_ckpt", "index"),       # the checkpoint image restored
+          ("scan_tail", "index"),       # the last walk off the EC core
+          ("scrub", "index"),           # the dangling slots cleared
+          ("apply", "index"),           # every slot re-applied
+          ("recover_old", "block"),     # the last old block installed
+          ("rebaseline", "block"))      # the re-baselines and tails done
+#: Each tier's milestone, in tier order: reached when its last stage ends.
+TIERS = {"meta": MnState.META_RECOVERED, "index": MnState.INDEX_RECOVERED,
+         "block": MnState.RECOVERED}
+_LAST = {tier: stage for stage, tier in STAGES}
+
+
 @dataclass
 class RecoveryReport:
     """Timing breakdown of one MN recovery (Table 2 / Figs. 16, 18, 20).
 
-    The ``*_s`` stage fields are wall-clock and, for a recovery that ran
-    its tiers once and was not held between them, partition
-    ``total_time`` (:meth:`stages`); after a tier restart they describe
-    the last attempt.  The Index tier starts the checkpoint read and the
-    holders' scans (Read RBlock, and the P holders' walks of the DELTA
-    twins) beside Recover LBlock, so its stages are the slices between
-    the moments each kind of work is done: ``recover_lblock_s`` runs to
-    the last *decoded* LBlock installed (0 when every LBlock is a twin),
-    ``read_rblock_s`` is the rest up to the last holder scan merged (and
-    the blocks of any other failed node rebuilt), and ``read_ckpt_s``
-    the rest up to the image landing.  ``lblock_count`` counts the twins
-    too; ``rblock_count`` does not.  The twins' bytes are installed by a
-    stream beside the driver that starts with the scrub and that only
-    ``RECOVERED`` waits for: ``twins_done_at`` is when the last landed.
-    ``scan_kv_s`` is CPU, not
-    wall-clock, summed over the cores that walked: a holder's walk
-    is part of ``read_rblock_s``, and of the recovering node's own only
-    ``scan_tail_s`` is exposed.  The Block tier runs its old-block
-    decodes and parity re-baselines as one job pool: ``recover_old_s``
-    ends when the last old block was installed, and ``rebaseline_s`` is
-    the rest of the tier, re-baselines that overlapped the decodes
-    having started inside ``recover_old_s``.
-    """
+    It keeps when each tier of the last attempt began and when each of
+    its stages (:data:`STAGES`) ended; the milestones, the tier timeline
+    and the stage durations (:meth:`stages`) derive from those.  For a
+    recovery that ran its tiers once and was not held between them the
+    stages partition ``total_time``; after a tier restart they and the
+    counts describe the last attempt, and a Block tier held by
+    ``hold_block_phase`` begins after the hold.  ``lblock_count`` counts
+    the DELTA twins too; ``rblock_count`` does not."""
 
     node_id: int = -1
     started_at: float = 0.0
-    # tier completion (absolute sim times)
-    meta_done_at: float = 0.0
-    index_done_at: float = 0.0
-    blocks_done_at: float = 0.0
-    #: When the twin stream installed its last block (0.0: no twin).
+    #: tier -> when it began; stage -> when it ended (absolute sim times).
+    begun: Dict[str, float] = field(default_factory=dict)
+    ended: Dict[str, float] = field(default_factory=dict)
+    #: When the twin stream (:meth:`MemoryNodeRecovery._stream_twins`)
+    #: installed its last block (0.0: no twin).
     twins_done_at: float = 0.0
-    # per-stage durations (Table 2's columns)
-    read_meta_s: float = 0.0
-    read_ckpt_s: float = 0.0
-    recover_lblock_s: float = 0.0
     lblock_count: int = 0
-    read_rblock_s: float = 0.0
     rblock_count: int = 0
-    #: Scan KV: seconds of EC-core time walking ``kv_count`` records, on
-    #: whichever core walked (the holder's for a live holder's block).
+    #: Scan KV: CPU seconds walking ``kv_count`` records, summed over the
+    #: EC cores that walked: a holder's walk is part of ``read_rblock``,
+    #: of the recovering node's own only ``scan_tail`` is on the clock.
     scan_kv_s: float = 0.0
     kv_count: int = 0
-    #: Scan time still outstanding when the last block image had arrived.
-    scan_tail_s: float = 0.0
-    scrub_s: float = 0.0
-    apply_s: float = 0.0
-    recover_old_s: float = 0.0
     old_count: int = 0
-    rebaseline_s: float = 0.0
     applied_slots: int = 0
     scrubbed_slots: int = 0
     lost_bytes: int = 0
@@ -142,6 +130,14 @@ class RecoveryReport:
     helper_nic_busy_s: float = 0.0
     #: Tier restarts forced by a dependency dying mid-recovery.
     attempts: int = 1
+
+    def done_at(self, tier: str) -> float:
+        """When *tier* reached its milestone (0.0: not yet)."""
+        return self.ended.get(_LAST[tier], 0.0)
+
+    meta_done_at = property(lambda self: self.done_at("meta"))
+    index_done_at = property(lambda self: self.done_at("index"))
+    blocks_done_at = property(lambda self: self.done_at("block"))
 
     @property
     def meta_time(self) -> float:
@@ -162,25 +158,18 @@ class RecoveryReport:
     def timeline(self) -> List[Tuple[str, float, float]]:
         """Ordered (tier, start, end) triples of the three milestones;
         the tier durations sum exactly to :attr:`total_time`."""
-        return [
-            ("tier.meta", self.started_at, self.meta_done_at),
-            ("tier.index", self.meta_done_at, self.index_done_at),
-            ("tier.block", self.index_done_at, self.blocks_done_at),
-        ]
+        ends = [self.done_at(tier) for tier in TIERS]
+        return [(f"tier.{tier}", start, end) for tier, start, end
+                in zip(TIERS, [self.started_at] + ends, ends)]
 
     def stages(self) -> List[Tuple[str, float]]:
-        """Wall-clock stages in the order they end."""
-        return [
-            ("read_meta", self.read_meta_s),
-            ("recover_lblock", self.recover_lblock_s),
-            ("read_rblock", self.read_rblock_s),
-            ("read_ckpt", self.read_ckpt_s),
-            ("scan_tail", self.scan_tail_s),
-            ("scrub", self.scrub_s),
-            ("apply", self.apply_s),
-            ("recover_old", self.recover_old_s),
-            ("rebaseline", self.rebaseline_s),
-        ]
+        """(stage, wall-clock seconds) in the order they end."""
+        rows, ends = [], {}     # tier -> the end of its last stage so far
+        for stage, tier in STAGES:
+            start = ends.get(tier, self.begun.get(tier, 0.0))
+            ends[tier] = self.ended.get(stage, 0.0)
+            rows.append((stage, ends[tier] - start))
+        return rows
 
     def row(self) -> Dict[str, float]:
         """Table 2's row for this recovery: its columns, then the stages
@@ -213,12 +202,9 @@ def rebuild_directory(cluster) -> StripeDirectory:
             continue
         for sid, record in server.stripes.items():
             max_sid = max(max_sid, sid)
-            stripe = directory.stripes.get(sid)
-            if stripe is None:
-                stripe = DirStripe(stripe_id=sid,
-                                   data=[None] * coding.k,
-                                   parity=[(-1, -1)] * coding.m)
-                directory.stripes[sid] = stripe
+            stripe = directory.stripes.setdefault(sid, DirStripe(
+                stripe_id=sid, data=[None] * coding.k,
+                parity=[(-1, -1)] * coding.m))
             stripe.parity[record.parity_index] = (server.node_id,
                                                   record.parity_block)
             for j, loc in enumerate(record.data):
@@ -235,26 +221,11 @@ def rebuild_directory(cluster) -> StripeDirectory:
 
 
 @dataclass
-class _Rescan:
-    """What the Index tier keeps of the blocks it rescans."""
-
-    #: key -> (Slot Version, record, packed address, slot size) of the
-    #: best KV pair per key homed on the lost node.
-    best: Dict[bytes, tuple] = field(default_factory=dict)
-    #: (owner, block id) -> {intra-block offset: record}, homed records
-    #: only, one entry per rescanned block (the scrub tells "rescanned,
-    #: nothing homed there" from "not rescanned" by it).
-    records: Dict[Tuple[int, int], Dict[int, object]] = \
-        field(default_factory=dict)
-    #: Completion of the scan CPU time submitted so far.
-    cpu_done: Optional[object] = None
-
-
-@dataclass
 class _Run:
     """One attempt at recovering one MN: what its jobs charge and leave
-    running."""
+    running, and its stages' ends."""
 
+    cluster: object
     node: int
     report: RecoveryReport
     #: Recovery bytes in flight on each MN's NIC for this attempt, each
@@ -266,13 +237,59 @@ class _Run:
     tails: list = field(default_factory=list)
     #: Lost blocks scanned at their P holders whose DELTA twins the twin
     #: stream has yet to post (:meth:`MemoryNodeRecovery._stream_twins`),
-    #: and the (resolver, delivered event) of each posted one not yet
+    #: and the (job, delivered event) of each posted one not yet
     #: installed.
     twins: list = field(default_factory=list)
     twin_reads: list = field(default_factory=list)
     #: Set when the attempt lost a dependency: its jobs still in flight
     #: change nothing from then on.
     over: bool = False
+    #: What the Index tier keeps of the blocks it rescans: key -> (Slot
+    #: Version, record, packed address, slot size) of the best KV pair
+    #: per key homed on the lost node; (owner, block id) -> {intra-block
+    #: offset: record}, homed records only, one entry per rescanned block
+    #: (the scrub tells "rescanned, nothing homed there" from "not
+    #: rescanned" by it); the completion of the scan CPU time submitted
+    #: so far.
+    best: Dict[bytes, tuple] = field(default_factory=dict)
+    rescanned: Dict[Tuple[int, int], Dict[int, object]] = \
+        field(default_factory=dict)
+    scan_done: Optional[object] = None
+    #: (node, block id) -> allocation generation of every DATA block when
+    #: its node's rescan set was built: the scrub tells a block re-granted
+    #: since by it (:meth:`MemoryNodeRecovery._scrub_index`).
+    data_gens: Dict[Tuple[int, int], int] = field(default_factory=dict)
+
+    def begin(self, tier: str) -> None:
+        """Begin *tier* now: its first stage runs from here."""
+        self.report.begun[tier] = self.cluster.env.now
+
+    def end(self, stage: str) -> None:
+        """End *stage* now (a stage ended again ends at the last call);
+        ending its tier's last stage reaches the tier's milestone."""
+        self.report.ended[stage] = self.cluster.env.now
+        tier = dict(STAGES)[stage]
+        if _LAST[tier] == stage:
+            self.cluster.master.reach_milestone(self.node, TIERS[tier])
+
+
+@dataclass
+class _Job:
+    """The rebuild of lost DATA block *meta* of node *owner*, as started:
+    the parity-holder record it was planned on (*reference*), the node
+    whose EC core decodes it (*agg*; the P holder for a twin), the k + m
+    *shards* (None: not gathered) and the live *deltas* by position it
+    gathered, and a twin's *content*, captured when it started."""
+
+    owner: int
+    meta: object
+    sid: int
+    pos: int
+    agg: int
+    reference: StripeRecord
+    shards: list
+    deltas: Dict[int, bytes] = field(default_factory=dict)
+    content: Optional[bytes] = None
 
 
 class MemoryNodeRecovery:
@@ -286,8 +303,6 @@ class MemoryNodeRecovery:
         #: Index milestone until it triggers — experiments use this to
         #: hold the system in the degraded-read window (Fig. 14).
         self.hold_block_phase = None
-        #: The current attempt of each recovering MN.
-        self._runs: Dict[int, _Run] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -339,16 +354,25 @@ class MemoryNodeRecovery:
                 by_class.get("recovery", 0) - before
         return reads
 
+    def _read_blocks(self, run: _Run, dst, holders) -> list:
+        """Post the READs of one block from each of *holders* but *dst*
+        into *dst*; returns their events."""
+        size = self.cluster.config.cluster.block_size
+        return [read for srv in holders if srv is not dst
+                for read in self._post_reads(run, dst.node_id, srv.node_id,
+                                             size)]
+
     def _read_remote(self, run: _Run, node: int, size: int):
         """Bulk-read *size* bytes from *node* into the recovering server."""
         if size > 0:
             yield self.env.all_of(self._post_reads(run, run.node, node, size))
 
-    def _pipelined(self, server, jobs, start, finish):
+    def _pipelined(self, server, started, finish):
         """The pipeline of §3.4.1 (remark 1), for any stage of jobs that
-        gather blocks and compute on them.  ``start(job)`` posts one job
-        and returns ``(state, delivered event)``, or None for a job with
-        nothing to do; ``finish(state)`` consumes what was delivered.
+        gather blocks and compute on them.  *started* posts the next job
+        each time it is drawn from, and yields its ``(state, delivered
+        event)``, or None for a job with nothing to do; ``finish(state)``
+        consumes what was delivered.
         Two jobs are in flight per surviving MN of the coding group: a
         job loads its aggregator's NIC with about k blocks and each other
         holder's with one, so one job per survivor keeps every survivor's
@@ -357,8 +381,7 @@ class MemoryNodeRecovery:
         buffering).  The next job starts as soon as any one is delivered
         — the oldest may sit behind a later job's blocks in its
         aggregator's NIC queue."""
-        cluster = self.cluster
-        window = 2 * max(1, sum(1 for node in cluster.layout.members
+        window = 2 * max(1, sum(1 for node in self.cluster.layout.members
                                 if node != server.node_id
                                 and self._is_source(node)))
         pending: List[tuple] = []
@@ -368,11 +391,10 @@ class MemoryNodeRecovery:
                 [delivered for _state, delivered in pending])
             finish(pending.pop(index)[0])
 
-        for job in jobs:
-            started = start(job)
-            if started is None:
+        for job in started:
+            if job is None:
                 continue
-            pending.append(started)
+            pending.append(job)
             if len(pending) >= window:
                 yield from finish_one()
         while pending:
@@ -440,11 +462,12 @@ class MemoryNodeRecovery:
         bytes0 = bytes_by_class.get("recovery", 0)
         busy0 = {i: other.nic.busy_time for i, other in cluster.mns.items()}
         while True:
+            run = _Run(cluster, node_id, report)
             try:
-                yield from self._recover_once(node_id, report)
+                yield from self._recover_once(server, run)
                 break
             except NodeFailedError:
-                self._runs[node_id].over = True
+                run.over = True
                 if report.attempts >= 6:
                     raise RecoveryError(
                         f"mn{node_id} recovery kept losing dependencies "
@@ -465,13 +488,9 @@ class MemoryNodeRecovery:
         report.helper_nic_busy_s = max(busy.values(), default=0.0)
         return report
 
-    def _recover_once(self, node_id: int, report: RecoveryReport):
+    def _recover_once(self, server, run: _Run):
         cluster = self.cluster
-        mn = cluster.mns[node_id]
-        server = cluster.servers[node_id]
-        run = self._runs[node_id] = _Run(node_id, report)
-
-        mn.reset_for_recovery()
+        server.mn.reset_for_recovery()
         server.reset_after_crash()
         server.start_rpc()
 
@@ -483,27 +502,19 @@ class MemoryNodeRecovery:
             leader.directory = rebuild_directory(cluster)
 
         yield from self._recover_meta(server, run)
-        cluster.master.reach_milestone(node_id, MnState.META_RECOVERED)
-        report.meta_done_at = self.env.now
-
         yield from self._recover_index(server, run)
-        cluster.master.reach_milestone(node_id, MnState.INDEX_RECOVERED)
-        report.index_done_at = self.env.now
         # Until a twin is installed its DELTA block is the only live copy
         # of the block: every one left goes on the wire ahead of the
         # Block tier, whose old blocks still have a second parity.
         while run.twins:
-            self._post_twin(server, run)
+            self._post_twin(run)
 
         if self.hold_block_phase is not None \
                 and not self.hold_block_phase.triggered:
             yield self.hold_block_phase
 
         yield from self._recover_blocks(server, run)
-        cluster.master.reach_milestone(node_id, MnState.RECOVERED)
-        report.blocks_done_at = self.env.now
-
-        self._trace_recovery(report)
+        self._trace_recovery(run.report)
         server.start()  # resume the checkpoint loop
 
     def _trace_recovery(self, report: RecoveryReport) -> None:
@@ -515,31 +526,25 @@ class MemoryNodeRecovery:
         track = f"recover.mn{report.node_id}"
         for phase, start, end in report.timeline():
             obs.tracer.complete(phase, "recovery", track, start, end)
-        obs.tracer.instant("meta_recovered", cat="recovery", track=track,
-                           at=report.meta_done_at)
-        obs.tracer.instant("index_recovered", cat="recovery", track=track,
-                           at=report.index_done_at)
-        obs.tracer.instant("recovered", cat="recovery", track=track,
-                           at=report.blocks_done_at,
-                           total_ms=round(report.total_time * 1e3, 4))
+        for tier, milestone in TIERS.items():
+            args = {"total_ms": round(report.total_time * 1e3, 4)} \
+                if milestone == MnState.RECOVERED else {}
+            obs.tracer.instant(milestone, cat="recovery", track=track,
+                               at=report.done_at(tier), **args)
 
     # -- tier 1: Meta Area -------------------------------------------------------
 
     def _recover_meta(self, server, run: _Run):
         cluster = self.cluster
         node_id = server.node_id
-        report = run.report
-        holder = None
-        for other in self._sources(excluding=node_id):
-            if node_id in other.mn.meta_replicas:
-                holder = other
-                break
-        t0 = self.env.now
+        holder = next((other for other in self._sources(excluding=node_id)
+                       if node_id in other.mn.meta_replicas), None)
+        run.begin("meta")
+        blocks = server.mn.blocks
         if holder is not None:
             replicas = holder.mn.meta_replicas[node_id]
             total = len(replicas) * server.mn.meta_record_size
             yield from self._read_remote(run, holder.node_id, total)
-            blocks = server.mn.blocks
             for block_id, meta in replicas.items():
                 restored = meta.copy()
                 restored.valid = restored.role is Role.FREE
@@ -556,18 +561,15 @@ class MemoryNodeRecovery:
         self._rebuild_parity_records(server)
         # Free list last: only after DATA, PARITY and DELTA blocks have
         # all been re-claimed may the remainder be handed out again.
-        blocks = server.mn.blocks
         blocks._free = []
         for meta in blocks.meta:
             if meta.role is Role.FREE:
                 meta.valid = True  # nothing of it is lost
                 blocks._free.append(meta.block_id)
         blocks._free.reverse()
-        report.read_meta_s = self.env.now - t0
-        report.lost_bytes = sum(
-            cluster.config.cluster.block_size
-            for m in server.mn.blocks.meta if m.role is not Role.FREE
-        )
+        run.report.lost_bytes = cluster.config.cluster.block_size * (
+            len(blocks.meta) - len(blocks._free))
+        run.end("read_meta")
 
     def _restore_meta_from_parity_holders(self, server) -> None:
         """Rebuild skeleton DATA and PARITY metadata from surviving
@@ -580,41 +582,38 @@ class MemoryNodeRecovery:
         their self-describing headers."""
         node_id = server.node_id
         blocks = server.mn.blocks
-        seen = set()
         for other in self._sources(excluding=node_id):
             for sid, record in other.stripes.items():
                 for pos, loc in enumerate(record.data):
                     if loc is None or loc[0] != node_id:
                         continue
-                    block_id = loc[1]
-                    if block_id in seen:
-                        continue
-                    seen.add(block_id)
-                    meta = blocks.meta[block_id]
-                    if meta.role is not Role.FREE:
-                        continue  # already restored from the replica
-                    meta.role = Role.DATA
-                    meta.valid = False
-                    meta.stripe_id = sid
-                    meta.xor_id = pos
-                    meta.index_version = 0  # unknown: scan it
-                    meta.slot_size = 0      # unknown: generic scan
-                    meta.slots = 0
+                    meta = blocks.meta[loc[1]]
+                    if self._claim(meta, Role.DATA, sid, pos):
+                        meta.index_version = 0  # unknown: scan it
+                        meta.slot_size = 0      # unknown: generic scan
+                        meta.slots = 0
         # Parity blocks this node held, from the rebuilt directory.
         directory = self.cluster.leader_server().directory
         k = self.cluster.codec.k
         if directory is not None:
             for sid, stripe in directory.stripes.items():
                 for parity_index, loc in enumerate(stripe.parity):
-                    if loc is None or loc[0] != node_id or loc[1] < 0:
-                        continue
-                    meta = blocks.meta[loc[1]]
-                    if meta.role is not Role.FREE:
-                        continue  # already restored from the replica
-                    meta.role = Role.PARITY
-                    meta.valid = False
-                    meta.stripe_id = sid
-                    meta.xor_id = k + parity_index
+                    if loc is not None and loc[0] == node_id and loc[1] >= 0:
+                        self._claim(blocks.meta[loc[1]], Role.PARITY, sid,
+                                    k + parity_index)
+
+    @staticmethod
+    def _claim(meta, role, sid: int, xor_id: int) -> bool:
+        """Re-claim a FREE block as a *role* block at position *xor_id*
+        of stripe *sid* whose bytes are lost; whether it was FREE (a
+        block already restored from the replica is left as it is)."""
+        if meta.role is not Role.FREE:
+            return False
+        meta.role = role
+        meta.valid = False
+        meta.stripe_id = sid
+        meta.xor_id = xor_id
+        return True
 
     def _rebuild_parity_records(self, server) -> None:
         """Re-create this node's parity-holder stripe records from the
@@ -634,33 +633,19 @@ class MemoryNodeRecovery:
                 parity_block=meta.block_id, data=data, sealed=sealed,
             )
             if parity_index == 0:
-                for j in range(k):
-                    addr = (meta.delta_addrs[j]
-                            if j < len(meta.delta_addrs) else 0)
+                for j, addr in enumerate(meta.delta_addrs[:k]):
                     if addr:
-                        ga = GlobalAddress.unpack(addr)
-                        block_id, _intra = server.mn.blocks.locate(ga.offset)
+                        _mn, block_id, _intra = self._locate(addr)
                         record.delta_blocks[j] = block_id
                         # Re-claim the DELTA block id: the replica that
                         # named it may predate the crash, and leaving it
                         # FREE would let the allocator re-grant space the
                         # fill cycle's clients still write deltas into.
-                        dmeta = server.mn.blocks.meta[block_id]
-                        if dmeta.role is Role.FREE:
-                            dmeta.role = Role.DELTA
-                            dmeta.valid = False
-                            dmeta.stripe_id = sid
-                            dmeta.xor_id = j
+                        self._claim(server.mn.blocks.meta[block_id],
+                                    Role.DELTA, sid, j)
             server.stripes[sid] = record
 
     # -- tier 2: Index Area --------------------------------------------------------
-
-    def _find_ckpt_image(self, node_id: int):
-        for other in self._sources(excluding=node_id):
-            image = other.mn.ckpt_images.get(node_id)
-            if image is not None:
-                return other, image
-        return None, None
 
     def _recover_index(self, server, run: _Run):
         """The Index tier.  The checkpoint image's Index Version is known
@@ -669,21 +654,18 @@ class MemoryNodeRecovery:
         and the P holders' walks of the DELTA twins) start at once,
         beside the driver, and Recover LBlock decodes the other lost new
         blocks under them; the image is restored once both are done,
-        before the scrub.  The stages end in that order:
-        ``recover_lblock_s`` runs to the last decoded LBlock installed,
-        ``read_rblock_s`` is the rest up to the last holder scan merged
-        (and the blocks of other failed nodes rebuilt), ``read_ckpt_s``
-        the rest up to the image landing.  The twins' bytes come after,
-        by the twin stream (:meth:`_stream_twins`), which starts with the
-        scrub."""
+        before the scrub, with which the twin stream starts
+        (:meth:`_stream_twins`)."""
         cluster = self.cluster
         node_id = server.node_id
         report = run.report
         scan_rate = cluster.config.cluster.cpu.scan_rate
-        ec_core = server.mn.ec_core
-        t0 = self.env.now
-        holder, image = self._find_ckpt_image(node_id)
-        if image is not None:
+        run.begin("index")
+        holder = next((other for other in self._sources(excluding=node_id)
+                       if other.mn.ckpt_images.get(node_id) is not None),
+                      None)
+        if holder is not None:
+            image = holder.mn.ckpt_images[node_id]
             ckpt_iv = image.index_version
             ckpt_read = self._aside(
                 self._read_remote(run, holder.node_id, len(image.data)),
@@ -702,44 +684,38 @@ class MemoryNodeRecovery:
                 meta.index_version == 0 or meta.index_version >= threshold
             )
 
-        # Allocation generations of every DATA block when its node's
-        # rescan set is built.  Recovery takes simulated time with
-        # clients still running, so a block that is FREE now can be
-        # re-granted as DATA (and look perfectly live) by the time the
-        # scrub inspects it — the scrub compares against this snapshot to
-        # catch that.
-        data_gens: Dict[Tuple[int, int], int] = {}
-
         def inventory(mn_id: int) -> list:
-            """*mn_id*'s DATA blocks into ``data_gens``; returns its new
-            ones."""
+            """*mn_id*'s DATA blocks into ``run.data_gens``; returns its
+            new ones."""
             new = []
             for meta in cluster.mns[mn_id].blocks.meta:
                 if meta.role is Role.DATA:
-                    data_gens[(mn_id, meta.block_id)] = meta.alloc_gen
+                    run.data_gens[(mn_id, meta.block_id)] = meta.alloc_gen
                     if is_new(meta):
                         new.append(meta)
             return new
+
+        # The counts are this attempt's.
+        report.kv_count = report.rblock_count = 0
+        report.applied_slots = report.scrubbed_slots = 0
+        report.twins_done_at = 0.0
 
         # Scan KV runs under the reads: every block image is walked the
         # moment it is at hand, and the walk's CPU time goes to the
         # walking node's EC core right then, so it is spent while later
         # blocks are still on the wire.
-        rescan = _Rescan()
-        report.kv_count = report.rblock_count = 0  # of this attempt
-        report.twins_done_at = 0.0
-
         def scan(owner: int, meta, data: bytes) -> None:
             walked, homed = self._homed_records(node_id, data,
                                                 meta.slot_size)
-            self._merge(rescan, owner, meta.block_id, homed)
+            self._merge(run, owner, meta.block_id, homed)
             report.kv_count += walked
-            rescan.cpu_done = ec_core.submit(walked / scan_rate)
+            run.scan_done = server.mn.ec_core.submit(walked / scan_rate)
 
-        def install_and_scan(resolver):
-            content = self._install(server, resolver)
+        def finish(job):
+            content = self._land(server, job)
             if content is not None:
-                scan(node_id, resolver["meta"], content)
+                scan(job.owner, job.meta, content)
+                report.rblock_count += job.owner != node_id
 
         # The new local blocks: one that is its DELTA block's twin is
         # walked at its P holder and installed by the twin stream; every
@@ -756,9 +732,8 @@ class MemoryNodeRecovery:
                     (meta, twin[1].delta_blocks[meta.xor_id]))
                 run.twins.append(meta)
 
-        # Read RBlock: each source walks its own new, valid blocks at once,
-        # and the DELTA twins it holds of this node's lost blocks, and
-        # ships only the records homed on this node.  New blocks of a
+        # Read RBlock: each source walks its own new, valid blocks and the
+        # twins it holds at once (:meth:`_scan_at_holder`).  New blocks of a
         # node past its Meta tier but not yet rebuilt, and those of
         # another failed node (a concurrent two-MN recovery), are
         # reconstructed transiently from their stripes instead; a failed
@@ -779,35 +754,20 @@ class MemoryNodeRecovery:
                         for meta, dblk in twins.get(other.node_id, ())]
             if entries:
                 scans.append(self._aside(
-                    self._scan_at_holder(run, rescan, other, entries),
+                    self._scan_at_holder(run, other, entries),
                     f"rblock-scan@mn{other.node_id}"))
             return [meta for meta in new if not meta.valid]
-
-        def start_rblock(job):
-            owner, meta = job
-            started = self._start_block_reads(server, meta)
-            if started is None:
-                return None
-            return (owner, started[0]), started[1]
-
-        def finish_rblock(state):
-            owner, resolver = state  # rebuilt, not installed
-            content = self._resolve_content(resolver)
-            if content is not None:
-                scan(owner, resolver["meta"], content)
-                report.rblock_count += 1
 
         others = [srv for i, srv in cluster.servers.items() if i != node_id]
         rebuilds = {other.node_id: split(other) for other in others
                     if self._is_source(other.node_id)}
 
         # Recover LBlock: decode the new local blocks without a twin.
-        yield from self._pipelined(
-            server, decoded, partial(self._start_block_reads, server),
-            install_and_scan)
-        t1 = self.env.now
-        report.recover_lblock_s = t1 - t0
+        yield from self._pipelined(server, (
+            self._start_block_reads(run, node_id, meta) for meta in decoded),
+            finish)
         report.lblock_count = len(local_new)
+        run.end("recover_lblock")
 
         for other in others:
             other_id = other.node_id
@@ -815,12 +775,11 @@ class MemoryNodeRecovery:
                 yield cluster.master.milestone(other_id,
                                                MnState.META_RECOVERED)
                 rebuilds[other_id] = split(other)
-            yield from self._pipelined(
-                server, ((other_id, meta) for meta in rebuilds[other_id]),
-                start_rblock, finish_rblock)
+            yield from self._pipelined(server, (
+                self._start_block_reads(run, other_id, meta)
+                for meta in rebuilds[other_id]), finish)
         yield self.env.all_of(scans)
-        t2 = self.env.now
-        report.read_rblock_s = t2 - t1
+        run.end("read_rblock")
 
         # Read Checkpoint: whatever of the image read is left.
         if ckpt_read is not None:
@@ -829,27 +788,24 @@ class MemoryNodeRecovery:
         alive_ivs = [s.mn.index.index_version
                      for s in self._sources(excluding=node_id)]
         server.mn.index.index_version = max(alive_ivs + [ckpt_iv + 1])
-        t3 = self.env.now
-        report.read_ckpt_s = t3 - t2
+        run.end("read_ckpt")
 
         # Scan KV: whatever of the walks the reads did not hide.
         report.scan_kv_s = report.kv_count / scan_rate
-        if rescan.cpu_done is not None:
-            yield rescan.cpu_done
-        t4 = self.env.now
-        report.scan_tail_s = t4 - t3
+        if run.scan_done is not None:
+            yield run.scan_done
+        run.end("scan_tail")
         if run.twins:
             run.tails.append(self._aside(self._stream_twins(server, run),
                                          f"twins@mn{node_id}"))
 
         # Scrub restored entries dangling into rescanned blocks.
-        yield from self._scrub_index(server, rescan, data_gens, report)
-        t5 = self.env.now
-        report.scrub_s = t5 - t4
+        yield from self._scrub_index(server, run)
+        run.end("scrub")
 
         # Re-apply each slot to its highest-versioned KV pair.
-        yield from self._apply_candidates(server, rescan, report)
-        report.apply_s = self.env.now - t5
+        yield from self._apply_candidates(server, run)
+        run.end("apply")
 
     @staticmethod
     def _walk_records(data: bytes, slot_size: int):
@@ -898,14 +854,14 @@ class MemoryNodeRecovery:
                 homed.append((off, size, record))
         return walked, homed
 
-    def _merge(self, rescan: "_Rescan", owner: int, block_id: int,
+    def _merge(self, run: _Run, owner: int, block_id: int,
                homed: list) -> None:
-        """Take one rescanned block's homed records into *rescan*: by
+        """Take one rescanned block's homed records into *run*: by
         position for the scrub and the re-apply pass, and as the best
         (highest Slot Version) KV pair of their key."""
         base = self.cluster.mns[owner].blocks.offset_of(block_id)
-        best = rescan.best
-        records = rescan.records[(owner, block_id)] = {}
+        best = run.best
+        records = run.rescanned[(owner, block_id)] = {}
         for off, slot_size, record in homed:
             records[off] = record
             if record.invalidated:
@@ -919,8 +875,7 @@ class MemoryNodeRecovery:
                 best[record.key] = (record.slot_version, record, addr,
                                     slot_size)
 
-    def _scan_at_holder(self, run: _Run, rescan: "_Rescan", holder,
-                        entries):
+    def _scan_at_holder(self, run: _Run, holder, entries):
         """The Index tier's walk at one live *holder*, run beside the
         driver.  *entries* are (owner, block id, bytes, slot size): the
         holder's own new blocks (Read RBlock), and the DELTA twins it
@@ -930,7 +885,7 @@ class MemoryNodeRecovery:
         the records homed on the recovering node; the recovering node
         reads those entries (per block its id and entry count, per record
         its offset, slot size, Slot Version and key), and only once they
-        landed are they merged into *rescan*.  Fails with
+        landed are they merged into *run*.  Fails with
         :class:`NodeFailedError` when the holder died on the way or the
         attempt was restarted, so a stale job merges nothing."""
         walked = size = 0
@@ -948,13 +903,12 @@ class MemoryNodeRecovery:
                                                holder.node_id, size))
         self._needs(run, holder)
         for owner, block_id, homed in scanned:
-            self._merge(rescan, owner, block_id, homed)
+            self._merge(run, owner, block_id, homed)
         run.report.kv_count += walked
         run.report.rblock_count += sum(owner != run.node
                                        for owner, _block, _homed in scanned)
 
-    def _scrub_index(self, server, rescan: "_Rescan", data_gens,
-                     report: RecoveryReport):
+    def _scrub_index(self, server, run: _Run):
         """Drop restored slots whose pointed-to record was reclaimed away.
 
         The checkpoint may be up to one round stale, so a restored entry
@@ -975,18 +929,18 @@ class MemoryNodeRecovery:
         and stay as restored — with one exception: a block that was
         freed (or repurposed as parity/delta space) holds no live record
         by definition, yet it escapes the rescan set precisely because
-        nobody has written it since.  A
-        restored pointer into such a block is stale, and if left in
-        place it would silently go corrupt the moment the allocator
-        hands the space to a new writer — so those slots are cleared
-        here too, from block metadata alone.  The block's *current* role
-        is not enough to detect this: recovery takes simulated time with
-        clients still running, so a freed block can already have been
-        re-granted as DATA (but not rewritten) by the time this check
-        runs.  The staleness test therefore also compares the block's
-        allocation generation against the ``data_gens`` snapshot taken
-        when the rescan set was built — any grant since then (fresh or
-        reuse) makes every restored pointer into the block stale.
+        nobody has written it since.  A restored pointer into such a
+        block is stale, and if left in place it would silently go corrupt
+        the moment the allocator hands the space to a new writer — so
+        those slots are cleared here too, from block metadata alone.
+        The block's *current* role is not enough to detect this:
+        recovery takes simulated time with clients still running, so a
+        freed block can already have been re-granted as DATA (but not
+        rewritten) by the time this check runs.  The staleness test
+        therefore also compares the block's allocation generation against
+        the ``run.data_gens`` snapshot taken when the rescan set was
+        built — any grant since then (fresh or reuse) makes every
+        restored pointer into the block stale.
         """
         index = server.mn.index
         checked = 0
@@ -995,23 +949,19 @@ class MemoryNodeRecovery:
             if atomic.empty:
                 continue
             checked += 1
-            ga = GlobalAddress.unpack(atomic.addr)
-            owner_mn = self.cluster.mns.get(ga.node_id)
-            if owner_mn is None:
+            where = self._locate(atomic.addr)
+            if where is None:
                 continue
-            try:
-                block_id, intra = owner_mn.blocks.locate(ga.offset)
-            except IndexError:
-                block_id = None  # outside any block area
+            owner_mn, block_id, intra = where
             stale = False
-            if self._is_source(ga.node_id):
+            if self._is_source(owner_mn.node_id):
                 bmeta = None if block_id is None \
                     else owner_mn.blocks.meta[block_id]
                 stale = (bmeta is None or bmeta.role is not Role.DATA
-                         or data_gens.get((ga.node_id, block_id))
+                         or run.data_gens.get((owner_mn.node_id, block_id))
                          != bmeta.alloc_gen)
             if not stale:
-                records = rescan.records.get((ga.node_id, block_id))
+                records = run.rescanned.get((owner_mn.node_id, block_id))
                 if records is None:
                     continue  # not rescanned: as restored
                 record = records.get(intra)
@@ -1021,13 +971,25 @@ class MemoryNodeRecovery:
                 index.write_atomic(bucket, slot,
                                    AtomicField(fp=0, ver=0, addr=0))
                 index.write_meta(bucket, slot, MetaField(0, 0))
-                report.scrubbed_slots += 1
+                run.report.scrubbed_slots += 1
         if checked:
             yield server.mn.ec_core.submit(
                 checked / self.cluster.config.cluster.cpu.scan_rate)
 
-    def _apply_candidates(self, server, rescan: "_Rescan",
-                          report: RecoveryReport):
+    def _locate(self, addr: int):
+        """(owner MN, block id, intra-block offset) of packed address
+        *addr*: block id and offset None outside the owner's Block Area,
+        the whole None when no MN has the address's node id."""
+        ga = GlobalAddress.unpack(addr)
+        owner_mn = self.cluster.mns.get(ga.node_id)
+        if owner_mn is None:
+            return None
+        try:
+            return (owner_mn, *owner_mn.blocks.locate(ga.offset))
+        except IndexError:
+            return owner_mn, None, None
+
+    def _apply_candidates(self, server, run: _Run):
         """Point each index slot at the KV pair with the highest version.
 
         Fingerprints collide, so before a candidate takes a slot of its
@@ -1036,9 +998,8 @@ class MemoryNodeRecovery:
         pass writes are added as it goes, so a later candidate of the
         same fingerprint and bucket pair sees the earlier one."""
         index = server.mn.index
-        candidates = rescan.best
-        slot_keys = yield from self._slot_keys(server, rescan)
-        for key, (version, record, addr, slot_size) in candidates.items():
+        slot_keys = yield from self._slot_keys(server, run)
+        for key, (version, record, addr, slot_size) in run.best.items():
             epoch, ver = split_slot_version(version)
             fp = fingerprint8(key)
             len_units = slot_size // 64
@@ -1074,9 +1035,9 @@ class MemoryNodeRecovery:
                              MetaField(epoch=epoch & ~1,
                                        len_units=len_units))
             slot_keys[(bucket, slot)] = key
-            report.applied_slots += 1
+            run.report.applied_slots += 1
 
-    def _slot_keys(self, server, rescan: "_Rescan"):
+    def _slot_keys(self, server, run: _Run):
         """Key of the KV pair behind every occupied slot a candidate
         could collide with: ``{(bucket, slot): key or None}``.
 
@@ -1093,12 +1054,11 @@ class MemoryNodeRecovery:
         unknown, the key's newer KV pair would take a second slot and
         the old one would shadow it.  A pointer whose bytes cannot be
         had or do not parse resolves to None: no candidate matches it."""
-        cluster = self.cluster
         index = server.mn.index
         keys: Dict[Tuple[int, int], Optional[bytes]] = {}
         remote = []  # (bucket, slot), target MN, offset, length
         lost = []    # (bucket, slot), own block's meta, intra offset, length
-        for key in rescan.best:
+        for key in run.best:
             fp = fingerprint8(key)
             for bucket in index.candidate_buckets(key):
                 for slot in range(index.bucket_slots):
@@ -1107,50 +1067,46 @@ class MemoryNodeRecovery:
                             or (bucket, slot) in keys:
                         continue
                     keys[(bucket, slot)] = None
-                    ga = GlobalAddress.unpack(atomic.addr)
-                    target = cluster.mns.get(ga.node_id)
-                    if target is None:
+                    where = self._locate(atomic.addr)
+                    if where is None or where[1] is None:
                         continue
-                    try:
-                        block_id, intra = target.blocks.locate(ga.offset)
-                    except IndexError:
-                        continue
-                    held = rescan.records.get((ga.node_id, block_id))
+                    target, block_id, intra = where
+                    held = run.rescanned.get((target.node_id, block_id))
                     if held is not None:
                         record = held.get(intra)
                         keys[(bucket, slot)] = record.key if record else None
                         continue
                     length = max(index.read_meta(bucket, slot).len_units,
                                  1) * 64
+                    offset = target.blocks.offset_of(block_id) + intra
                     if target is not server.mn:
-                        remote.append(((bucket, slot), target, ga.offset,
+                        remote.append(((bucket, slot), target, offset,
                                        length))
                     elif target.blocks.meta[block_id].valid:
                         keys[(bucket, slot)] = self._key_at(
-                            target, ga.offset, length)
+                            target, offset, length)
                     else:
                         lost.append(((bucket, slot),
                                      target.blocks.meta[block_id], intra,
                                      length))
-        keys.update((yield from self._fetch_slot_keys(server, remote, lost)))
+        keys.update((yield from self._fetch_slot_keys(server, run, remote,
+                                                      lost)))
         return keys
 
-    def _fetch_slot_keys(self, server, remote, lost):
+    def _fetch_slot_keys(self, server, run: _Run, remote, lost):
         """The slot keys that cost verbs: *remote* records are one READ
         each, slots of *lost* blocks of the node's own a degraded read
         each.  Every plan is asked for before the first is waited for,
         and likewise every read.  A read that fails leaves its slot
         out."""
         cluster = self.cluster
-        run = self._runs[server.node_id]
-        nic = server.mn.nic
         asked = [
             (where, self._aside(self._call(
-                nic, psrv, "degraded_plan", meta.stripe_id, meta.xor_id,
-                intra, length, response_size=256),
+                server.mn.nic, psrv, "degraded_plan", meta.stripe_id,
+                meta.xor_id, intra, length, response_size=256),
                 f"slot-plan(s{meta.stripe_id}@mn{psrv.node_id})"))
             for where, meta, intra, length in lost
-            for psrv, prec in [self._p_record(meta.stripe_id)]
+            for psrv, prec in [self._parity(meta.stripe_id)]
             if prec is not None]
         plans = []
         for where, asking in asked:
@@ -1205,48 +1161,41 @@ class MemoryNodeRecovery:
         blocks first, then the re-baselines of the parity this node holds
         (not critical, §3.4.1 — functionality returned at the Index
         milestone), with no drain between them, so the survivors' NICs
-        stay busy across the seam.  ``recover_old_s`` ends when the last
-        old block was installed; ``rebaseline_s`` is the rest — the
-        re-baselines still in flight then and the grace periods and Q
-        pushes they left running beside the driver, and the twins still
-        on the wire (:meth:`_stream_twins`), which are no old blocks."""
-        report = run.report
-        t0 = self.env.now
-        streamed = {resolver["meta"].block_id
-                    for resolver, _delivered in run.twin_reads}
+        stay busy across the seam.  ``rebaseline`` ends once the grace
+        periods and Q pushes left running beside the driver and the twins
+        still on the wire (:meth:`_stream_twins`) are done too."""
+        run.begin("block")
+        streamed = {job.meta.block_id for job, _delivered in run.twin_reads}
         old = [m for m in server.mn.blocks.meta
                if m.role is Role.DATA and not m.valid
                and m.block_id not in streamed]
-        report.old_count = len(old)
-        report.recover_old_s = 0.0
+        run.report.old_count = len(old)
+        run.end("recover_old")
 
         def jobs():
             for meta in old:
-                yield self._start_block_reads, meta
+                yield self._start_block_reads(run, server.node_id, meta)
             for stripe in list(server.stripes.items()):
-                yield self._start_rebaseline, stripe
+                yield self._start_rebaseline(run, server, stripe)
 
-        def finish(resolver):
-            if resolver is None:  # a re-baseline installed at its capture
-                return
-            self._install(server, resolver)
-            report.recover_old_s = self.env.now - t0
+        def finish(job):
+            if job is not None:  # None: a re-baseline, installed at capture
+                self._land(server, job)
+                run.end("recover_old")
 
-        yield from self._pipelined(server, jobs(),
-                                   lambda job: job[0](server, job[1]),
-                                   finish)
+        yield from self._pipelined(server, jobs(), finish)
         yield self.env.all_of(run.tails)
-        report.rebaseline_s = self.env.now - t0 - report.recover_old_s
+        run.end("rebaseline")
 
-    def _install(self, server, resolver) -> Optional[bytes]:
-        """Decode one gathered lost DATA block into the recovering node's
-        Block Area; returns its contents, or None when the survivors'
-        shards could not rebuild it."""
-        content = self._resolve_content(resolver)
-        if content is not None:
-            meta = resolver["meta"]
-            server.mn.blocks.set_block(meta.block_id, content)
-            meta.valid = True
+    def _land(self, server, job: _Job) -> Optional[bytes]:
+        """The contents of *job*'s block once delivered — a twin's as
+        captured, any other's decoded (:meth:`_decode`) — installed in
+        the recovering node's Block Area when the block is its own;
+        None when the survivors' shards could not rebuild it."""
+        content = job.content or self._decode(job)
+        if content is not None and job.owner == server.node_id:
+            server.mn.blocks.set_block(job.meta.block_id, content)
+            job.meta.valid = True
         return content
 
     def _deliver(self, run: _Run, agg, gathered: list, blocks: int,
@@ -1270,9 +1219,9 @@ class MemoryNodeRecovery:
                 run, run.node, agg.node_id,
                 self.cluster.config.cluster.block_size))
 
-    def _start_block_reads(self, server, meta):
-        """Start the rebuild of one lost block; returns (resolver,
-        delivered event) or None when unrecoverable.
+    def _start_block_reads(self, run: _Run, owner: int, meta):
+        """Start the rebuild of lost block *meta* of node *owner*; returns
+        (job, delivered event) or None when unrecoverable.
 
         A block granted fresh whose DELTA block is live is its DELTA
         block's twin (:attr:`StripeRecord.fresh`): the recovering node
@@ -1288,30 +1237,21 @@ class MemoryNodeRecovery:
         captured here, at one instant; the aggregator is the holder of
         any of those blocks with the fewest recovery bytes in flight, and
         reads the rest."""
-        cluster = self.cluster
-        codec = cluster.codec
-        run = self._runs[server.node_id]
+        codec = self.cluster.codec
         sid, pos = meta.stripe_id, meta.xor_id
         if sid < 0:
             return None
         twin = self._twin_of(meta)
         if twin is not None:
-            return self._start_twin(run, meta, *twin)
-        psrv = self._p_record(sid)[0]
+            return self._start_twin(run, owner, meta, *twin)
         # Prefer the P holder's record; fall back to Q's for 2-MN failures.
         # A holder that is itself mid-recovery knows the stripe again but
         # has not re-derived its parity block yet: as good as dead.
-        p_node = cluster.layout.node_of(sid, codec.k)
-        records = []
-        for j in range(codec.m):
-            srv = cluster.servers.get(cluster.layout.node_of(sid, codec.k + j))
-            record = None
-            if srv is not None and self._is_source(srv.node_id):
-                record = srv.stripes.get(sid)
-                if record is not None and not \
-                        srv.mn.blocks.meta[record.parity_block].valid:
-                    record = None
-            records.append(record)
+        parity = [self._parity(sid, j) for j in range(codec.m)]
+        records = [record if record is not None
+                   and srv.mn.blocks.meta[record.parity_block].valid
+                   else None for srv, record in parity]
+        psrv = parity[0][0]
         primary = records[0]
         reference = primary or (records[1] if len(records) > 1 else None)
         if reference is None:
@@ -1319,11 +1259,8 @@ class MemoryNodeRecovery:
         shards: List[Optional[bytes]] = [None] * (codec.k + codec.m)
         deltas: Dict[int, bytes] = {}
         holders = []  # the server of each block to gather, one per block
-        for j in range(codec.k):
-            loc = reference.data[j]
-            if j == pos or loc is None:
-                continue
-            srv = self._data_source(loc)
+        for j, loc in enumerate(reference.data):
+            srv = self._data_source(loc) if j != pos else None
             if srv is not None:
                 shards[j] = bytes(srv.mn.blocks.buffer(loc[1]))
                 holders.append(srv)
@@ -1341,8 +1278,7 @@ class MemoryNodeRecovery:
             for parity_index, record in enumerate(records):
                 if record is None or (single and parity_index > 0):
                     continue
-                srv = cluster.servers[
-                    cluster.layout.node_of(sid, codec.k + parity_index)]
+                srv = parity[parity_index][0]
                 shards[codec.k + parity_index] = bytes(
                     srv.mn.blocks.buffer(record.parity_block))
                 holders.append(srv)
@@ -1352,18 +1288,12 @@ class MemoryNodeRecovery:
                         deltas[j] = bytes(psrv.mn.blocks.buffer(dblk))
                         holders.append(psrv)
         agg = self._aggregator(run, holders + [psrv] * fold)
-        block_size = cluster.config.cluster.block_size
-        gathered = [self._aside(self._fold_parity(run, agg, psrv, sid),
-                                f"fold-parity(s{sid}@mn{p_node})")] \
-            if fold else []
-        for srv in holders:
-            if srv is not agg:
-                gathered += self._post_reads(run, agg.node_id, srv.node_id,
-                                             block_size)
-        resolver = {"meta": meta, "sid": sid, "pos": pos, "agg": agg.node_id,
-                    "reference": reference, "shards": shards,
-                    "deltas": deltas}
-        return resolver, self._aside(
+        gathered = ([self._aside(self._fold_parity(run, agg, psrv, sid),
+                                 f"fold-parity(s{sid}@mn{psrv.node_id})")]
+                    if fold else []) + self._read_blocks(run, agg, holders)
+        job = _Job(owner, meta, sid, pos, agg.node_id, reference, shards,
+                   deltas)
+        return job, self._aside(
             self._deliver(run, agg, gathered,
                           sum(s is not None for s in shards)),
             f"rebuild(s{sid}.{pos}@mn{agg.node_id})")
@@ -1373,21 +1303,19 @@ class MemoryNodeRecovery:
         its DELTA block's twin — its P holder is a source, says the
         position was granted fresh (:attr:`StripeRecord.fresh`) and has a
         live DELTA block for it — else None."""
-        if meta.stripe_id < 0:
-            return None
-        psrv, prec = self._p_record(meta.stripe_id)
+        psrv, prec = self._parity(meta.stripe_id)
         pos = meta.xor_id
         if prec is None or not prec.fresh[pos] \
                 or prec.delta_blocks[pos] is None:
             return None
         return psrv, prec
 
-    def _post_twin(self, server, run: _Run) -> None:
+    def _post_twin(self, run: _Run) -> None:
         """Post the next twin of ``run.twins`` onto ``run.twin_reads``.
         It goes through :meth:`_start_block_reads`, which re-checks the
         twin rule now: a block no longer fresh is decoded instead."""
         self._needs(run)
-        started = self._start_block_reads(server, run.twins.pop(0))
+        started = self._start_block_reads(run, run.node, run.twins.pop(0))
         if started is not None:
             run.twin_reads.append(started)
 
@@ -1400,41 +1328,38 @@ class MemoryNodeRecovery:
         milestone the driver posts every twin left.  Each is installed the
         moment it lands."""
         env = self.env
-        report = run.report
         reads = run.twin_reads
         while run.twins or reads:
             if not reads:
-                self._post_twin(server, run)
+                self._post_twin(run)
                 continue
             index, _value = yield env.any_of(
-                [delivered for _resolver, delivered in reads])
-            self._install(server, reads.pop(index)[0])
-            report.twins_done_at = env.now
+                [delivered for _job, delivered in reads])
+            self._land(server, reads.pop(index)[0])
+            run.report.twins_done_at = env.now
 
-    def _start_twin(self, run: _Run, meta, psrv, prec):
+    def _start_twin(self, run: _Run, owner: int, meta, psrv, prec):
         """Rebuild lost DATA block *meta* from its DELTA twin: with P's
         baseline zero for the position, the DELTA block holds the data
         block's current bytes, so one block-sized read from the P holder
         into the recovering node rebuilds it — no shard gathered, no fold,
-        no decode.  Contents are captured now, like a decode's shards;
-        returns (resolver, delivered event), the resolver keyed as a
-        decode's with nothing gathered."""
+        no decode.  Contents are captured now, like a decode's shards,
+        into the job; returns (job, delivered event), which fails when
+        the P holder died on the way or the attempt was restarted."""
         codec = self.cluster.codec
         sid, pos = meta.stripe_id, meta.xor_id
-        content = bytes(psrv.mn.blocks.buffer(prec.delta_blocks[pos]))
+        job = _Job(owner, meta, sid, pos, psrv.node_id, prec,
+                   [None] * (codec.k + codec.m), content=bytes(
+                       psrv.mn.blocks.buffer(prec.delta_blocks[pos])))
         reads = self._post_reads(run, run.node, psrv.node_id,
                                  self.cluster.config.cluster.block_size)
-        resolver = {"meta": meta, "sid": sid, "pos": pos,
-                    "agg": psrv.node_id, "reference": prec,
-                    "shards": [None] * (codec.k + codec.m), "deltas": {},
-                    "twin": content}
-        return resolver, self._aside(self._await_reads(run, psrv, reads),
-                                     f"twin(s{sid}.{pos}@mn{psrv.node_id})")
 
-    def _await_reads(self, run: _Run, srv, reads):
-        """Wait for *reads* from *srv*, then check the job still counts."""
-        yield self.env.all_of(reads)
-        self._needs(run, srv)
+        def landed():
+            yield self.env.all_of(reads)
+            self._needs(run, psrv)
+
+        return job, self._aside(landed(),
+                                f"twin(s{sid}.{pos}@mn{psrv.node_id})")
 
     def _fold_parity(self, run: _Run, agg, psrv, sid: int):
         """The P holder of stripe *sid* folds the stripe's live deltas into
@@ -1446,32 +1371,24 @@ class MemoryNodeRecovery:
             yield from psrv.h_fold_parity(sid)
             return
         yield from self._call(agg.mn.nic, psrv, "fold_parity", sid)
-        yield self.env.all_of(self._post_reads(
-            run, agg.node_id, psrv.node_id,
-            self.cluster.config.cluster.block_size))
+        yield self.env.all_of(self._read_blocks(run, agg, [psrv]))
 
-    def _resolve_content(self, resolver):
+    def _decode(self, job: _Job) -> Optional[bytes]:
         """Pure decode: reconstruct a lost block's current contents from
-        the gathered shard/delta bytes (no simulated time); a twin's
-        contents are its DELTA block's."""
-        if "twin" in resolver:
-            return resolver["twin"]
+        the shard and delta bytes its job gathered (no simulated time);
+        None when the survivors' shards cannot rebuild it."""
         codec = self.cluster.codec
-        pos = resolver["pos"]
-        shards = resolver["shards"]
-        deltas = resolver["deltas"]
+        pos, shards, deltas = job.pos, job.shards, job.deltas
         block_size = self.cluster.config.cluster.block_size
-        # Fold unsealed shards to their last-encoded state.
+        # Fold unsealed shards to their last-encoded state; positions
+        # never allocated contribute zero blocks.
         folded = list(shards)
         for j in range(codec.k):
-            if j == pos or folded[j] is None:
+            if j == pos:
                 continue
-            if j in deltas:
+            if folded[j] is not None and j in deltas:
                 folded[j] = xor_bytes(folded[j], deltas[j])
-        # Positions never allocated contribute zero blocks.
-        reference = resolver["reference"]
-        for j in range(codec.k):
-            if j != pos and folded[j] is None and reference.data[j] is None:
+            elif folded[j] is None and job.reference.data[j] is None:
                 folded[j] = bytes(block_size)
         try:
             recon = codec.reconstruct(folded)
@@ -1482,7 +1399,7 @@ class MemoryNodeRecovery:
             content = xor_bytes(content, deltas[pos])
         return content
 
-    def _start_rebaseline(self, server, stripe):
+    def _start_rebaseline(self, run: _Run, server, stripe):
         """Start the rebuild of one parity block held on the recovered
         node; returns (None, delivered event).
 
@@ -1499,35 +1416,28 @@ class MemoryNodeRecovery:
         block.  Clients keep writing meanwhile, so the capture must not
         straddle them: the reads are only charged, and once they landed
         and were encoded the blocks are copied at a single simulation
-        instant (:meth:`_rebaseline_p`, :meth:`_rebaseline_q`).  Grace
-        periods and Q pushes run beside the driver, on ``run.tails``."""
-        cluster = self.cluster
-        run = self._runs[server.node_id]
+        instant (:meth:`_capture`).  Grace periods and Q pushes run
+        beside the driver, on ``run.tails``."""
         sid, record = stripe
-        sources = []  # (position, data owner, block id)
-        for j, loc in enumerate(record.data):
-            srv = self._data_source(loc)
-            if srv is not None:
-                sources.append((j, srv, loc[1]))
+        sources = [(j, srv, loc[1])     # (position, data owner, block id)
+                   for j, loc in enumerate(record.data)
+                   for srv in [self._data_source(loc)] if srv is not None]
         holders = [srv for _j, srv, _block_id in sources]
         if record.parity_index == 0:
             capture = self._rebaseline_p
-            qsrv = self._q_holder(sid)
-            candidates = holders + ([qsrv] if qsrv else [])
+            qsrv, qrec = self._parity(sid, 1)
+            candidates = holders + ([qsrv] if qrec is not None else [])
         else:
             capture = self._rebaseline_q
-            psrv, prec = self._p_record(sid)
+            psrv, prec = self._parity(sid)
             holders += [psrv for j, _srv, _block_id in sources
                         if prec is not None
                         and prec.delta_blocks[j] is not None]
             candidates = holders
         agg = self._aggregator(run, candidates) if candidates else server
-        block_size = cluster.config.cluster.block_size
-        gathered = [read for srv in holders if srv is not agg
-                    for read in self._post_reads(
-                        run, agg.node_id, srv.node_id, block_size)]
         return None, self._aside(
-            self._deliver(run, agg, gathered, cluster.codec.k,
+            self._deliver(run, agg, self._read_blocks(run, agg, holders),
+                          self.cluster.codec.k,
                           partial(capture, run, server, agg, sid, record,
                                   sources)),
             f"rebaseline(s{sid}@mn{agg.node_id})")
@@ -1542,31 +1452,37 @@ class MemoryNodeRecovery:
         meta = srv.mn.blocks.meta[loc[1]]
         return srv if meta.role is Role.DATA and meta.valid else None
 
-    def _p_record(self, sid: int):
-        """(P holder's server, its record of stripe *sid*); the record is
-        None when the holder is no source or does not know the stripe."""
-        psrv = self.cluster.servers.get(
-            self.cluster.layout.node_of(sid, self.cluster.codec.k))
-        if psrv is None or not self._is_source(psrv.node_id):
-            return psrv, None
-        return psrv, psrv.stripes.get(sid)
-
-    def _q_holder(self, sid: int):
-        """The server a re-baselined P stripe's Q goes to: its Q holder
-        when alive and knowing the stripe, else None."""
+    def _parity(self, sid: int, j: int = 0):
+        """(server, its record of stripe *sid*) of the *j*-th parity holder
+        (0: P, 1: Q); the record is None when the holder is no source or
+        does not know the stripe, and both are when there is no such one."""
         cluster = self.cluster
-        if cluster.codec.m < 2:
-            return None
-        qsrv = cluster.servers.get(
-            cluster.layout.node_of(sid, cluster.codec.k + 1))
-        if qsrv is None or not self._is_source(qsrv.node_id) \
-                or sid not in qsrv.stripes:
-            return None
-        return qsrv
+        if j >= cluster.codec.m:
+            return None, None
+        srv = cluster.servers.get(
+            cluster.layout.node_of(sid, cluster.codec.k + j))
+        if srv is None or not self._is_source(srv.node_id):
+            return srv, None
+        return srv, srv.stripes.get(sid)
 
     #: Grace period for fabric writes already in flight when a parity
     #: re-baseline captures its data blocks (one write latency, padded).
     _REBASE_GRACE = 10e-6
+
+    def _capture(self, run: _Run, agg, sources, holder, record) -> list:
+        """A re-baseline's capture, once *agg* and every source still count
+        (:meth:`_needs`): per source (position, server, block id, its
+        bytes now, its slot size, and the buffer of the live DELTA block
+        *holder* keeps for the position under *record*, or None)."""
+        self._needs(run, agg, *(srv for _j, srv, _block_id in sources))
+        captured = []
+        for j, srv, block_id in sources:
+            dblk = None if record is None else record.delta_blocks[j]
+            captured.append((
+                j, srv, block_id, bytes(srv.mn.blocks.buffer(block_id)),
+                srv.mn.blocks.meta[block_id].slot_size,
+                None if dblk is None else holder.mn.blocks.buffer(dblk)))
+        return captured
 
     def _rebaseline_p(self, run: _Run, server, agg, sid, record, sources):
         """Recovered P holder: folded := current, deltas restart at zero.
@@ -1589,21 +1505,17 @@ class MemoryNodeRecovery:
         cluster = self.cluster
         codec = cluster.codec
         block_size = cluster.config.cluster.block_size
-        self._needs(run, agg, *(srv for _j, srv, _block_id in sources))
         # ---- single-instant capture: datas, parity, delta reset -------
         datas = [bytes(block_size)] * codec.k
         rezero: List[Tuple[object, int, int]] = []  # (delta buf, off, size)
-        for j, srv, block_id in sources:
-            data_now = bytes(srv.mn.blocks.buffer(block_id))
+        for j, srv, block_id, data_now, slot_size, dbuf in self._capture(
+                run, agg, sources, server, record):
             datas[j] = data_now
-            dblk = record.delta_blocks[j]
-            if dblk is None:
+            if dbuf is None:
                 continue
-            dbuf = server.mn.blocks.buffer(dblk)
             # Re-claimed by _rebuild_parity_records with valid = False;
             # its bytes become defined here, so readers may use it again.
-            server.mn.blocks.meta[dblk].valid = True
-            slot_size = srv.mn.blocks.meta[block_id].slot_size
+            server.mn.blocks.meta[record.delta_blocks[j]].valid = True
             if not slot_size:
                 dbuf[:] = bytes(block_size)
                 continue
@@ -1646,20 +1558,18 @@ class MemoryNodeRecovery:
         happens only once the position's forwarded Q contribution has
         landed — one still on the wire leaves it unsealed.  Such a Q is
         neither pushed nor installed again."""
-        qsrv = self._q_holder(sid)
-        if qsrv is None:
-            return False
-        qsealed = qsrv.stripes[sid].sealed
-        return all(sealed[j] and qsealed[j]
-                   for j, loc in enumerate(record.data) if loc is not None)
+        qrec = self._parity(sid, 1)[1]
+        return qrec is not None and all(
+            sealed[j] and qrec.sealed[j]
+            for j, loc in enumerate(record.data) if loc is not None)
 
     def _push_q(self, run: _Run, agg, sid: int, q: bytes, record):
         """Install the Q matching a re-baselined P at its holder: pushed
         from the aggregator, or a local copy when that is the holder.  A
         push whose aggregator died on the way installs nothing.  A Q that
         is already current is not pushed at all (:meth:`_q_is_current`)."""
-        qsrv = self._q_holder(sid)
-        if qsrv is None:
+        qsrv, qrec = self._parity(sid, 1)
+        if qrec is None:
             return
         if qsrv is not agg:
             self._needs(run, agg)
@@ -1684,53 +1594,37 @@ class MemoryNodeRecovery:
         their shard did not are re-folded with the late delta (a changed
         shard means a fresh post-capture write instead, whose folded
         state *is* the captured shard)."""
-        cluster = self.cluster
-        codec = cluster.codec
-        block_size = cluster.config.cluster.block_size
-        psrv, prec = self._p_record(sid)
-        self._needs(run, agg, *(srv for _j, srv, _block_id in sources))
-        # ---- single-instant capture of shards and deltas --------------
-        datas = [bytes(block_size)] * codec.k
-        shards: Dict[int, bytes] = {}
-        deltas: Dict[int, Tuple[object, bytes, int]] = {}
-        for j, srv, block_id in sources:
-            shard = bytes(srv.mn.blocks.buffer(block_id))
-            shards[j] = shard
+        codec = self.cluster.codec
+        datas = [bytes(self.cluster.config.cluster.block_size)] * codec.k
+        late = []  # the capture of each source with a live delta, + bytes
+        for j, srv, block_id, shard, slot_size, dbuf in self._capture(
+                run, agg, sources, *self._parity(sid)):
             datas[j] = shard
-            if prec is None:
-                continue
-            dblk = prec.delta_blocks[j]
-            if dblk is None:
-                continue
-            dbytes = bytes(psrv.mn.blocks.buffer(dblk))
-            slot_size = srv.mn.blocks.meta[block_id].slot_size
-            deltas[j] = (psrv.mn.blocks.buffer(dblk), dbytes, slot_size)
-            datas[j] = xor_bytes(shard, dbytes)
+            if dbuf is not None:
+                dbytes = bytes(dbuf)
+                datas[j] = xor_bytes(shard, dbytes)
+                late.append((j, srv, block_id, shard, slot_size, dbuf,
+                             dbytes))
 
         def settle():
             # ---- grace: re-fold slots whose delta arrived late --------
-            if deltas:
+            if late:
                 yield self.env.timeout(self._REBASE_GRACE)
                 self._needs(run)
-            for j, (dbuf, dbytes, slot_size) in deltas.items():
+            for j, srv, block_id, shard, slot_size, dbuf, dbytes in late:
                 if not slot_size:
                     continue
                 now = bytes(dbuf)
                 if now == dbytes:
                     continue
-                shard = shards[j]
-                srv_blk = next(((s, b) for p, s, b in sources if p == j),
-                               None)
+                current = srv.mn.blocks.buffer(block_id)
                 folded = bytearray(datas[j])
                 for off in range(0, len(now), slot_size):
                     if now[off:off + slot_size] == dbytes[off:off + slot_size]:
                         continue
-                    if srv_blk is not None:
-                        cur_shard = bytes(
-                            srv_blk[0].mn.blocks.buffer(srv_blk[1])
-                        )[off:off + slot_size]
-                        if cur_shard != shard[off:off + slot_size]:
-                            continue  # fresh write, not a late delta
+                    if current[off:off + slot_size] \
+                            != shard[off:off + slot_size]:
+                        continue  # fresh write, not a late delta
                     folded[off:off + slot_size] = xor_bytes(
                         shard[off:off + slot_size],
                         now[off:off + slot_size])

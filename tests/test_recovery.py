@@ -56,6 +56,11 @@ def verify(cluster, expected):
     return mismatches
 
 
+def stage_s(report, name):
+    """Wall-clock seconds of recovery stage *name* (:data:`STAGES`)."""
+    return dict(report.stages())[name]
+
+
 def crash_and_recover(cluster, node_id, limit=120.0):
     cluster.crash_mn(node_id)
     done = cluster.master.milestone(node_id, MnState.RECOVERED)
@@ -203,7 +208,7 @@ def test_crash_during_traffic_and_degraded_reads():
 
 def log_block_reads(cluster):
     """Hook the recovery driver: one (recovery-class bytes posted with
-    the call, resolver) pair per lost block whose rebuild was started —
+    the call, job) pair per lost block whose rebuild was started —
     the aggregator's reads of the other holders' blocks — and the stripe
     id of every holder-side fold asked for (an aggregator other than the
     P holder reads the folded block later, when the fold RPC has
@@ -212,9 +217,9 @@ def log_block_reads(cluster):
     start, fold = recovery._start_block_reads, recovery._fold_parity
     reads, folds = [], []
 
-    def hooked(server, meta):
+    def hooked(run, owner, meta):
         before = fabric.bytes_by_class.get("recovery", 0)
-        started = start(server, meta)
+        started = start(run, owner, meta)
         if started is not None:
             posted = fabric.bytes_by_class.get("recovery", 0) - before
             reads.append((posted, started[0]))
@@ -229,15 +234,15 @@ def log_block_reads(cluster):
     return reads, folds
 
 
-def gathered_from(cluster, resolver):
+def gathered_from(cluster, job):
     """The node each block a rebuild gathered sits on: its data shards,
     its parity blocks and the live DELTA blocks (on the P holder)."""
-    k, sid = cluster.codec.k, resolver["sid"]
-    shards, data = resolver["shards"], resolver["reference"].data
+    k, sid = cluster.codec.k, job.sid
+    shards, data = job.shards, job.reference.data
     return ([data[j][0] for j in range(k) if shards[j] is not None]
             + [cluster.layout.node_of(sid, k + i)
                for i in range(cluster.codec.m) if shards[k + i] is not None]
-            + [cluster.layout.node_of(sid, k)] * len(resolver["deltas"]))
+            + [cluster.layout.node_of(sid, k)] * len(job.deltas))
 
 
 def data_blocks(mn):
@@ -270,7 +275,7 @@ def twin_served(cluster, meta):
 
 def decoded(reads):
     """The rebuilds of *reads* that decode (not copied from a twin)."""
-    return [(posted, r) for posted, r in reads if "twin" not in r]
+    return [(posted, r) for posted, r in reads if r.content is None]
 
 
 def test_single_failure_reads_only_the_shards_it_needs():
@@ -300,23 +305,23 @@ def test_single_failure_reads_only_the_shards_it_needs():
     report = crash_and_recover(cluster, victim)
     assert len(reads) >= len(before) > 0
     folded, fold_reads = [], 0
-    for posted, resolver in decoded(reads):
-        shards, reference = resolver["shards"], resolver["reference"]
+    for posted, job in decoded(reads):
+        shards, reference = job.shards, job.reference
         others = [j for j in range(k)
-                  if j != resolver["pos"] and reference.data[j] is not None]
+                  if j != job.pos and reference.data[j] is not None]
         assert all(shards[j] is not None for j in others)
         assert shards[k] is not None and shards[k + 1] is None
-        assert resolver["deltas"] == {}
-        holders = gathered_from(cluster, resolver)
-        assert resolver["agg"] in holders and victim not in holders
-        fold = bool(live_deltas(cluster, resolver["sid"]))
-        p_node = cluster.layout.node_of(resolver["sid"], k)
+        assert job.deltas == {}
+        holders = gathered_from(cluster, job)
+        assert job.agg in holders and victim not in holders
+        fold = bool(live_deltas(cluster, job.sid))
+        p_node = cluster.layout.node_of(job.sid, k)
         # the folded P is read once its holder is done, not with the call
-        assert posted == sum(node != resolver["agg"] and not (
+        assert posted == sum(node != job.agg and not (
             fold and node == p_node) for node in holders) * per_block
         if fold:
-            folded.append(resolver["sid"])
-            fold_reads += resolver["agg"] != p_node
+            folded.append(job.sid)
+            fold_reads += job.agg != p_node
     assert folds == folded and folds                    # open blocks
     served = sum(s.mn.rpc.requests_served for s in cluster.servers.values())
     assert served >= fold_reads
@@ -325,7 +330,7 @@ def test_single_failure_reads_only_the_shards_it_needs():
     gathered = (sum(posted for posted, _r in decoded(reads))
                 + fold_reads * per_block)
     assert gathered == sum(
-        sum(s is not None for s in r["shards"]) - 1
+        sum(s is not None for s in r.shards) - 1
         for _p, r in decoded(reads)) * per_block
     assert report.recovery_bytes >= gathered + len(reads) * per_block
     assert data_blocks(cluster.mns[victim]) == before
@@ -353,19 +358,19 @@ def test_a_second_erasure_still_reads_the_live_deltas():
         done = cluster.master.milestone(victim, MnState.RECOVERED)
         cluster.env.run_until_event(done, limit=cluster.env.now + 240)
     double = [(posted, r) for posted, r in reads
-              if r["sid"] == sid and r["shards"][k + 1] is not None]
+              if r.sid == sid and r.shards[k + 1] is not None]
     assert double
-    for posted, resolver in double:
-        assert resolver["shards"][k] is not None and resolver["deltas"]
-        holders = gathered_from(cluster, resolver)
-        assert len(holders) == (sum(s is not None for s in resolver["shards"])
-                                + len(resolver["deltas"]))
-        assert posted == sum(node != resolver["agg"]
+    for posted, job in double:
+        assert job.shards[k] is not None and job.deltas
+        holders = gathered_from(cluster, job)
+        assert len(holders) == (sum(s is not None for s in job.shards)
+                                + len(job.deltas))
+        assert posted == sum(node != job.agg
                              for node in holders) * per_block
     # the stripe is folded for again only once it is down to one erasure
     assert folds.count(sid) == sum(
         1 for _posted, r in reads
-        if r["sid"] == sid and r["shards"][k + 1] is None)
+        if r.sid == sid and r.shards[k + 1] is None)
 
 
 @pytest.mark.parametrize("codec", ["xor", "rs"])
@@ -433,7 +438,7 @@ def test_rebuilt_blocks_are_byte_identical_for_any_number_of_live_deltas(
                 for b in [record.parity_block] + delta_blocks
                 if b is not None]
     assert seen == set(range(k + 1))
-    assert any("twin" in r for _posted, r in reads)
+    assert any(r.content is not None for _posted, r in reads)
 
 
 def test_a_fresh_unsealed_block_is_rebuilt_from_its_delta_twin():
@@ -468,13 +473,13 @@ def test_a_fresh_unsealed_block_is_rebuilt_from_its_delta_twin():
 
     cluster.codec.reconstruct = counted
     crash_and_recover(cluster, victim)
-    copied = [(posted, r) for posted, r in reads if "twin" in r]
-    assert {r["meta"].block_id for _posted, r in copied} == twins
-    for posted, resolver in copied:
+    copied = [(posted, r) for posted, r in reads if r.content is not None]
+    assert {r.meta.block_id for _posted, r in copied} == twins
+    for posted, job in copied:
         assert posted == per_block
-        assert resolver["agg"] == cluster.layout.node_of(resolver["sid"], k)
-        assert resolver["shards"] == [None] * len(resolver["shards"])
-        assert resolver["sid"] not in folds
+        assert job.agg == cluster.layout.node_of(job.sid, k)
+        assert job.shards == [None] * len(job.shards)
+        assert job.sid not in folds
     assert len(decodes) == len(reads) - len(copied) > 0
     assert data_blocks(mn) == before
 
@@ -528,17 +533,17 @@ def test_twins_are_walked_at_their_p_holders_and_streamed_after_the_scrub():
     scan, start_twin = recovery._scan_at_holder, recovery._start_twin
     walked, streamed = [], []       # (holder, owner, block); [posted, landed]
 
-    def hooked_scan(run, rescan, holder, entries):
+    def hooked_scan(run, holder, entries):
         walked.extend((holder.node_id, owner, block_id)
                       for owner, block_id, _data, _size in entries)
-        yield from scan(run, rescan, holder, entries)
+        yield from scan(run, holder, entries)
 
-    def hooked_twin(run, meta, psrv, prec):
-        resolver, delivered = start_twin(run, meta, psrv, prec)
+    def hooked_twin(run, owner, meta, psrv, prec):
+        job, delivered = start_twin(run, owner, meta, psrv, prec)
         read = [env.now, None]
         streamed.append(read)
         delivered.add_callback(lambda _event: read.__setitem__(1, env.now))
-        return resolver, delivered
+        return job, delivered
 
     recovery._scan_at_holder = hooked_scan
     recovery._start_twin = hooked_twin
@@ -564,7 +569,8 @@ def test_twins_are_walked_at_their_p_holders_and_streamed_after_the_scrub():
     assert report.rblock_count == sum(owner != victim
                                       for _h, owner, _b in walked)
     assert report.lblock_count >= len(twins) and report.kv_count
-    scrub_start = report.index_done_at - report.apply_s - report.scrub_s
+    scrub_start = (report.index_done_at - stage_s(report, "apply")
+                   - stage_s(report, "scrub"))
     assert len(streamed) == len(twins)
     assert all(posted >= scrub_start - 1e-12 for posted, _l in streamed)
     early = [read for read in streamed if read[0] < report.index_done_at]
@@ -588,9 +594,9 @@ def test_a_search_between_the_milestones_reads_a_twin_degraded():
     key = next(iter(in_twins))
     gate, start_twin = env.event(), recovery._start_twin
 
-    def held(run, meta, psrv, prec):
-        resolver, delivered = start_twin(run, meta, psrv, prec)
-        return resolver, env.all_of([delivered, gate])
+    def held(run, owner, meta, psrv, prec):
+        job, delivered = start_twin(run, owner, meta, psrv, prec)
+        return job, env.all_of([delivered, gate])
 
     recovery._start_twin = held
     cluster.crash_mn(victim)
@@ -654,9 +660,9 @@ def test_a_block_whose_p_baseline_is_not_zero_is_decoded_not_copied(
     reads, _folds = log_block_reads(cluster)
     crash_and_recover(cluster, grant.data_node)
     rebuilt = [r for _posted, r in reads
-               if r["meta"].block_id == grant.data_block]
-    assert len(rebuilt) == 1 and "twin" not in rebuilt[0]
-    assert rebuilt[0]["shards"][cluster.codec.k] is not None
+               if r.meta.block_id == grant.data_block]
+    assert len(rebuilt) == 1 and rebuilt[0].content is None
+    assert rebuilt[0].shards[cluster.codec.k] is not None
     assert data_blocks(mn) == before
 
 
@@ -683,7 +689,7 @@ def test_two_mn_failures_recover_sealed_data():
     assert mismatches == []
     # a second lost shard or a dead P holder still needs the Q parity
     k = cluster.codec.k
-    assert any(r["shards"][k + 1] is not None for _posted, r in reads)
+    assert any(r.shards[k + 1] is not None for _posted, r in reads)
 
 
 def test_two_mn_crash_unsealed_window():
@@ -988,9 +994,9 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     walk of a DELTA twin of the victim's there, fails the scan, which
     merges nothing.  Either way the recovery wipes what it restored and
     restarts its tiers, now a double failure that needs the Q parity,
-    and every key reads back
-    (every written block is sealed; the live DELTA blocks the dead P
-    holder takes with it belong to prefetched, still empty blocks)."""
+    the report counts the last attempt's work only, and every key reads
+    back (every written block is sealed; the live DELTA blocks the dead
+    P holder takes with it belong to prefetched, still empty blocks)."""
     from repro.chaos.oracle import walk_index
     cluster, runner, n = loaded_cluster(keys_per_client=128)
     cluster.run(cluster.env.now + 0.1)  # drain seal + fold + Q forwards
@@ -1025,7 +1031,7 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
         second, pushed = [], []
 
         def crash_then_push(run, agg, sid, q, record):
-            if not second and agg is not recovery._q_holder(sid):
+            if not second and agg is not recovery._parity(sid, 1)[0]:
                 second.append(agg.node_id)
                 yield cluster.env.timeout(50e-6)    # the hand-back landed
                 cluster.crash_mn(agg.node_id)
@@ -1049,12 +1055,12 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
             on_core.append(holder.mn.ec_core.backlog() > 0)
             cluster.crash_mn(holder.node_id)
 
-        def crash_mid_scan(run, rescan, holder, entries):
+        def crash_mid_scan(run, holder, entries):
             if not second and (dies == "holder_mid_scan" or any(
                     owner == run.node for owner, *_rest in entries)):
                 second.append(holder.node_id)
                 cluster.env.process(crash_soon(holder))
-            yield from scan(run, rescan, holder, entries)
+            yield from scan(run, holder, entries)
             merged.append(holder.node_id)
 
         recovery._scan_at_holder = crash_mid_scan
@@ -1067,7 +1073,13 @@ def test_dependency_crash_in_a_new_stage_restarts_tiers(dies):
     report = next(r for r in cluster._recovery.reports
                   if r.node_id == victim)
     assert report.attempts == 2
-    assert any(r["shards"][k + 1] is not None for _posted, r in reads)
+    assert any(r.shards[k + 1] is not None for _posted, r in reads)
+    if dies in ("data_holder_mid_rebaseline", "aggregator_mid_job"):
+        # the restart wiped an Index tier that had run to its end: the
+        # counts are the last attempt's, which re-applied each key once,
+        # to a slot of its own
+        occupied = sum(1 for _slot in cluster.mns[victim].index.iter_slots())
+        assert 0 < report.applied_slots <= occupied
     if dies == "aggregator_mid_job":
         # every Q installed came from a live aggregator
         assert pushed and all(pushed)
@@ -1235,10 +1247,26 @@ def log_posts(cluster):
 
 def test_report_stages_add_up():
     """The wall-clock stages of the report partition the recovery: no
-    simulated time is spent outside a named stage."""
+    simulated time is spent outside a named stage.  They are the stage
+    table's, in its order, which is the order they end in: each tier's
+    milestone is the end of its last stage, and Table 2 has a column
+    per stage, in table order."""
+    from repro.bench.fig_recovery import TAB02_COLUMNS
+    from repro.core.recovery import STAGES, TIERS
     cluster, runner, n = loaded_cluster()
     updated_after_checkpoint(cluster)
     report = crash_and_recover(cluster, 1)
+    names = [stage for stage, _tier in STAGES]
+    assert [stage for stage, _seconds in report.stages()] == names
+    ends = [report.ended[stage] for stage in names]
+    assert ends == sorted(ends)
+    last = {tier: stage for stage, tier in STAGES}
+    assert list(last) == list(TIERS) == ["meta", "index", "block"]
+    assert report.meta_done_at == report.ended[last["meta"]]
+    assert report.index_done_at == report.ended[last["index"]]
+    assert report.blocks_done_at == report.ended[last["block"]]
+    assert [column for column in TAB02_COLUMNS
+            if column[:-3] in names] == [f"{stage}_ms" for stage in names]
     stages = dict(report.stages())
     assert abs(sum(stages.values()) - report.total_time) < 1e-6
     assert abs(stages["read_meta"] - report.meta_time) < 1e-9
@@ -1248,7 +1276,7 @@ def test_report_stages_add_up():
     # Scan KV is CPU time; only its tail, if any, is on the clock
     scan_rate = cluster.config.cluster.cpu.scan_rate
     assert report.scan_kv_s == report.kv_count / scan_rate > 0
-    assert report.scan_tail_s < report.scan_kv_s
+    assert stage_s(report, "scan_tail") < report.scan_kv_s
     row = report.row()
     for stage, seconds in stages.items():
         assert row[f"{stage}_ms"] == seconds * 1e3
@@ -1365,7 +1393,8 @@ def test_recovery_runs_at_the_recovering_nics_line_rate():
     lookups = sum(p[4] for p in posts
                   if p[1] == victim and p[3] == "recovery"
                   and p[4] == HEADER_SIZE + 256 + WIRE_HEADER
-                  and p[0] >= report.index_done_at - report.apply_s - 1e-12)
+                  and p[0] >= report.index_done_at
+                  - stage_s(report, "apply") - 1e-12)
     assert report.recovering_nic_bytes == into + lookups
     assert report.recovering_nic_bytes < report.recovery_bytes \
         <= pulled + lookups
@@ -1451,14 +1480,14 @@ def test_block_tier_is_one_job_pool():
     """The Block tier's old-block decodes and parity re-baselines share
     one pool: the first re-baseline is posted before the last decode is
     delivered (no drain between the two), every old block is installed
-    by ``index_done_at + recover_old_s``, and no stage of the recovery
+    by the end of ``recover_old``, and no stage of the recovery
     ever has more than two jobs per survivor in flight."""
     from repro.memory.blocks import Role
     cluster, runner, n = loaded_cluster(keys_per_client=600)
     cluster.run(cluster.env.now + 1.6)  # checkpoints: old blocks exist
     expected = snapshot(cluster, n)
     recovery, env = cluster._recovery, cluster.env
-    deliver, install = recovery._deliver, recovery._install
+    deliver, land = recovery._deliver, recovery._land
     blocks = recovery._recover_blocks
     posted, delivered, installed, old = [], [], {}, []
     in_flight, peak = [0], [0]
@@ -1476,9 +1505,9 @@ def test_block_tier_is_one_job_pool():
 
         return body()
 
-    def hooked_install(server, resolver):
-        installed[resolver["meta"].block_id] = env.now
-        return install(server, resolver)
+    def hooked_land(server, job):
+        installed[job.meta.block_id] = env.now
+        return land(server, job)
 
     def hooked_blocks(server, run):
         old.extend(m.block_id for m in server.mn.blocks.meta
@@ -1486,7 +1515,7 @@ def test_block_tier_is_one_job_pool():
         yield from blocks(server, run)
 
     recovery._deliver = hooked_deliver
-    recovery._install = hooked_install
+    recovery._land = hooked_land
     recovery._recover_blocks = hooked_blocks
     victim = 1
     report = crash_and_recover(cluster, victim)
@@ -1498,7 +1527,7 @@ def test_block_tier_is_one_job_pool():
                    if kind == "old" and t >= block_tier)
     assert block_tier <= first_rebaseline < last_old
     done_at = max(installed[block_id] for block_id in old)
-    assert done_at == block_tier + report.recover_old_s
+    assert done_at == block_tier + stage_s(report, "recover_old")
     assert all(cluster.mns[victim].blocks.meta[b].valid for b in old)
     assert peak[0] <= 2 * survivors
     assert verify(cluster, expected) == []
@@ -1529,7 +1558,7 @@ def test_same_fingerprint_keys_sharing_a_bucket_pair_applied_in_one_pass():
         mn.ckpt_images.pop(victim, None)
     posts = log_posts(cluster)
     report = crash_and_recover(cluster, victim)
-    assert report.applied_slots == 2 and report.apply_s == 0
+    assert report.applied_slots == 2 and stage_s(report, "apply") == 0
     assert not [p for p in posts if p[1] == p[2]]       # no loopback verb
     _index, bucket_a, slot_a = locate_slot(cluster, first)
     assert cluster.run_op(client.search(first)) == b"first"
@@ -1567,7 +1596,7 @@ def test_apply_pass_costs_no_verb_for_pointers_it_already_holds():
     victim = home_of(next(iter(written)), 5)
     posts = log_posts(cluster)
     report = crash_and_recover(cluster, victim)
-    assert report.applied_slots > 0 and report.apply_s == 0
+    assert report.applied_slots > 0 and stage_s(report, "apply") == 0
     assert not [p for p in posts if p[1] == p[2]]
     assert not [p for p in posts if p[3] == "client"]
     assert verify(cluster, written) == []
@@ -1586,16 +1615,17 @@ def test_apply_pass_costs_no_verb_for_pointers_it_already_holds():
     posts = log_posts(cluster)
     report = crash_and_recover(cluster, victim)
     looked_up = [p for p in posts
-                 if report.index_done_at - report.apply_s - 1e-12 <= p[0]
-                 < report.index_done_at and p[1] == victim
+                 if report.index_done_at - stage_s(report, "apply") - 1e-12
+                 <= p[0] < report.index_done_at and p[1] == victim
                  and p[4] <= HEADER_SIZE + 256 + WIRE_HEADER]
-    assert len(looked_up) > 1 and report.apply_s > 0
+    assert len(looked_up) > 1 and stage_s(report, "apply") > 0
     assert max(p[0] for p in looked_up) - min(p[0] for p in looked_up) < 1e-12
     assert {p[3] for p in looked_up} == {"recovery"}
     assert not [p for p in posts if p[1] == p[2]]
     # one round trip for all of them, not one each
     nic = cluster.config.cluster.nic
-    assert report.apply_s <= nic.rtt + len(looked_up) / nic.iops + 1e-9
+    assert stage_s(report, "apply") \
+        <= nic.rtt + len(looked_up) / nic.iops + 1e-9
     assert verify(cluster, written) == []
 
 

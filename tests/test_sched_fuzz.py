@@ -9,9 +9,8 @@ events with keys up to the stopping point, in key order, and a full
 ``run()`` must dispatch every event ever scheduled, each exactly once.
 
 Each vector is drained by one of the Environment's three dispatch loops
-(``run``, ``run(until)``, ``run_until_event``), chosen through
-:data:`LOOPS`, whose keys are the case ids: names of the queue backends
-the engine once had, kept so that every case keeps its id.
+(``run``, ``run(until)``, ``run_until_event``), named in :data:`LOOPS`;
+each name is the case id.
 
 Runs a property search too when :mod:`hypothesis` is importable (the
 optional test extra).
@@ -33,9 +32,8 @@ try:
 except ImportError:            # optional dependency: degrade, don't skip
     HAVE_HYPOTHESIS = False
 
-#: Case id -> the dispatch loop that drains the vector.
-LOOPS = {"adaptive": "run", "calendar": "run_until",
-         "flatheap": "run_until_event"}
+#: The dispatch loops a vector is drained by.
+LOOPS = ("run", "run_until", "run_until_event")
 
 #: Delay palette: zero (same-instant FIFO ties), ns/us clusters, ms
 #: outliers and one delay that outlives every other.
@@ -150,18 +148,18 @@ def _drive(loop: str, rng: random.Random, nops: int, tie_block: int = 0):
 
 # ------------------------------------------------- fixed-vector battery
 
-@pytest.mark.parametrize("backend", list(LOOPS))
+@pytest.mark.parametrize("loop", LOOPS)
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42, 1234])
-def test_fixed_vectors(backend, seed):
-    vec = _drive(LOOPS[backend], random.Random(seed), nops=3000)
+def test_fixed_vectors(loop, seed):
+    vec = _drive(loop, random.Random(seed), nops=3000)
     assert len(vec.log) > 1000
     assert len(vec.log) > len(set(k[0] for k in vec.log))   # ties ran
 
 
-@pytest.mark.parametrize("backend", list(LOOPS))
-def test_deep_vector_crosses_rebuilds(backend):
+@pytest.mark.parametrize("loop", LOOPS)
+def test_deep_vector_crosses_rebuilds(loop):
     """A long vector: thousands of pending entries at once."""
-    _drive(LOOPS[backend], random.Random(99), nops=20_000)
+    _drive(loop, random.Random(99), nops=20_000)
 
 
 @pytest.mark.parametrize("threshold", [1, 8, 64])
@@ -184,5 +182,5 @@ if HAVE_HYPOTHESIS:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            nops=st.integers(min_value=1, max_value=800))
     def test_property_search(seed, nops):
-        for loop in LOOPS.values():
+        for loop in LOOPS:
             _drive(loop, random.Random(seed), nops=nops)
