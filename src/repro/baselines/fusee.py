@@ -231,7 +231,7 @@ class FuseeClient(DMClient):
                 self.stats.record_op(op, self.env.now - t0, cas=cas_count,
                                      retries=retries)
                 sp.set(retries=retries, cas=cas_count)
-                return
+                return True
             # Loser: our replicated KV slots become garbage we can reuse.
             self.stats.bump("commit_conflicts")
             self._free_slots.setdefault(size_class.slot_size, []).append(

@@ -18,13 +18,17 @@ format.  A protocol peer supplies ``_write_inner`` (its write path) and
 write path is Algorithm 1: out-of-place KV + delta writes, then a single
 RDMA_CAS on the slot's Atomic field as the commit point, with the 8-bit
 ``ver`` / 56-bit ``epoch`` slot-versioning protocol (lock the Meta field
-on rollover; on CAS failure re-stamp the orphan KV pair with the next
-Slot Version and CAS again, invalidating it only when the slot alone
-cannot decide the retry).  The slot read that opens Algorithm 1 is one
-16 B READ at the cached slot address, and is skipped while the client has
-not seen another writer change the key (``CacheEntry.heat``).  With the
-``addr_value`` cache policy (§3.5.1) a SEARCH hit costs one KV read plus
-one 16 B slot-validation read and never re-queries the index.  Degraded
+on rollover).  A writer whose commit CAS loses to another commit of the
+key made during its op is *overwritten*: it invalidates its orphan KV
+pair and returns, linearized just before the winner.  One whose CAS lost
+against a word trusted from an earlier op re-stamps the orphan with the
+next Slot Version and CASes once more; the slow path (invalidate, start
+over) is left for what the slot alone cannot decide.  The slot read that
+opens Algorithm 1 is one 16 B READ at the cached slot address, and is
+skipped while the client has not seen another writer change the key
+(``CacheEntry.heat``).  With the ``addr_value`` cache policy (§3.5.1) a
+SEARCH hit costs one KV read plus one 16 B slot-validation read and never
+re-queries the index.  Degraded
 reads (§3.4.1): when a KV's block is still lost after an MN's Index-Area
 recovery, the client fetches a read plan from the stripe's P-parity
 server and rebuilds just the slot region element-wise.  Filled blocks are
@@ -84,6 +88,9 @@ LOCK_TIMEOUT = 500e-6
 LOCK_POLL = 50e-6
 #: Slots left in the open block when the next one is allocated ahead.
 PREFETCH_MARGIN = 8
+#: ``_resolve_conflict``'s outcome for a write linearized just before the
+#: concurrent commit its CAS lost to.
+_OVERWRITTEN = "overwritten"
 #: Field ranges of the packed words the write path builds with shifts.
 _EPOCH_MASK = (1 << 56) - 1
 _NODE_MASK = (1 << NODE_BITS) - 1
@@ -189,6 +196,9 @@ class DMClient:
 
     # The write ops return ``_write``'s generator, as ``search`` returns
     # its op's: no frame of their own on every resume of every write.
+    # The generator returns True when the value committed, False when it
+    # was overwritten: linearized just before a concurrent commit of the
+    # same key, so never visible to a reader.
 
     def insert(self, key: bytes, value: bytes) -> Generator:
         return self._write(key, value, "INSERT")
@@ -744,6 +754,7 @@ class AcesoClient(DMClient):
                 # all, as computed when the entry was stored
                 slot_offset = cached.slot_offset
                 fresh_insert = False
+                read_in_op = False
             else:
                 located = None
                 try:
@@ -769,6 +780,9 @@ class AcesoClient(DMClient):
                     raise KeyNotFoundError(key)
                 bucket, slot, atomic_word, meta_word, fresh_insert = located
                 slot_offset = index.slot_offset(bucket, slot)
+                # The pair was read in this op: a lost commit CAS lost to
+                # a commit made since.
+                read_in_op = True
             # ``index.meta_offset``: the Meta word follows the Atomic word
             # of a wide slot (a compact one has none: that call raises).
             meta_offset = slot_offset + 8 if index.wide \
@@ -909,7 +923,7 @@ class AcesoClient(DMClient):
                     AtomicField(fp, ver_new, kv_addr).pack()  # raises
                 new_word = (fp << 56) | (ver_new << 48) | kv_addr
                 cas_count += 1
-                ok, _observed = yield self._post_cas(
+                ok, observed = yield self._post_cas(
                     home, slot_offset, atomic_word, new_word
                 )
             except NodeFailedError:
@@ -939,8 +953,8 @@ class AcesoClient(DMClient):
                 except NodeFailedError:
                     pass  # commit already landed; recovery fixes the Meta
             else:
-                # --- CAS lost: re-stamp the orphan KV and CAS again, or
-                # invalidate it (line 18) and start over -----------------
+                # --- CAS lost: overwritten, or re-stamp the orphan KV and
+                # CAS again, or invalidate it (line 18) and start over ----
                 self.stats.bump("commit_conflicts")
                 if trusted is not None:
                     trusted.looked(changed=True)
@@ -951,14 +965,15 @@ class AcesoClient(DMClient):
                     0 if old_bytes is None else int.from_bytes(
                         old_bytes[VERSION_FIELD_OFFSET:
                                   VERSION_FIELD_OFFSET + 8], "little"))
-                # Inserts race for an empty slot and a rollover holds the
-                # Meta lock: neither can be served from the slot alone.
-                keep = not (fresh_insert or rolled)
                 with self._phase("cas_retry"):
                     won, rounds = yield from self._resolve_conflict(
                         home, slot_offset, slot_epoch, fp, size_class,
                         block, orphan,
-                        RETRY_BUDGET - retries - 1 if keep else 0)
+                        # Inserts race for an empty slot and a rollover
+                        # holds the Meta lock: neither can be served from
+                        # the slot alone.
+                        not (fresh_insert or rolled),
+                        observed if read_in_op else None)
                     if won is None and rolled:
                         yield self._post_cas(
                             home, meta_offset, meta_word,
@@ -967,6 +982,15 @@ class AcesoClient(DMClient):
                         )
                 cas_count += rounds
                 retries += rounds
+                if won is _OVERWRITTEN:
+                    # The entry stays; the next write refreshes it.
+                    if cached is not None:
+                        cached.looked(changed=True)
+                    self._maybe_seal(size_class, block)
+                    self.stats.record_op(op, env.now - t0, cas=cas_count,
+                                         retries=retries)
+                    sp.set(retries=retries, cas=cas_count, overwritten=True)
+                    return False
                 if won is None:
                     cache.invalidate(key)
                     self._maybe_seal(size_class, block)
@@ -992,7 +1016,7 @@ class AcesoClient(DMClient):
             self.stats.record_op(op, env.now - t0, cas=cas_count,
                                  retries=retries)
             sp.set(retries=retries, cas=cas_count)
-            return
+            return True
         raise RetryBudgetExceeded(f"{op} {key!r} exceeded {RETRY_BUDGET} retries")
 
     def _wait_or_takeover(self, key, home, bucket, slot, meta_locked):
@@ -1091,70 +1115,107 @@ class AcesoClient(DMClient):
 
     def _resolve_conflict(self, home: int, slot_offset: int,
                           slot_epoch: int, fp: int, size_class,
-                          block: OpenBlock, orphan: _Orphan,
-                          budget: int) -> Generator:
-        """Conflict path of Algorithm 1: commit the KV pair already
-        written instead of writing a new one.
+                          block: OpenBlock, orphan: _Orphan, keep: bool,
+                          lost_to: Optional[int]) -> Generator:
+        """Conflict path of Algorithm 1, after a lost commit CAS.
 
-        Each round re-reads the 16 B slot, re-stamps the orphan with the
-        successor of the Slot Version it found and CASes again — three
-        small round trips, no bucket query, no KV-sized verb, no new
-        block slot.  The orphan is unreferenced until its CAS wins, so
-        changing its version is invisible to readers; to recovery it is
-        an in-flight write of the stamped version, as it was before the
-        first CAS.
+        *lost_to* is the word that CAS found when the word it expected
+        was read in this op, else None (a word trusted from an earlier
+        op).  The first change to a word this op read is a commit of this
+        key by another writer (index recovery bumps the home incarnation,
+        and the rollover lock lives in the Meta word), so it happened
+        inside this op's interval.  The write is then *overwritten*:
+        linearized just before that commit, its orphan — never published,
+        so seen by no reader — invalidated (Algorithm 1 line 18).
 
-        Returns ``(commit, rounds)``: ``commit`` is ``(superseded Atomic,
-        new Atomic, Meta)`` when a CAS won.  Otherwise the orphan has been
-        invalidated (Algorithm 1 line 18) and ``commit`` is None: the
-        caller starts over with a bucket query.  That happens after
-        *budget* rounds, when the slot needs or holds the rollover lock,
-        was vacated or re-keyed, records another size class than this
-        write (the re-read ``len`` may predate a winner's repair still in
-        flight, and a commit here never repairs it), when the home index
-        or the block grant went through a crash, or on a node failure.
+        A loss against a trusted word may predate the op.  That writer
+        re-reads the 16 B slot, re-stamps the orphan with the successor
+        of the Slot Version it found and CASes once more — three small
+        round trips, no bucket query, no KV-sized verb, no new block
+        slot.  The orphan is unreferenced until a CAS wins, so changing
+        its version is invisible to readers; to recovery it is an
+        in-flight write of the stamped version, as it was before the
+        first CAS.  This CAS follows the re-read, so losing it is an
+        overwrite too.
+
+        Returns ``(outcome, rounds)``, ``rounds`` the re-stamp CASes made
+        (0 or 1).  ``outcome`` is ``(superseded Atomic, new Atomic,
+        Meta)`` when the re-stamp CAS won, or ``_OVERWRITTEN``.  Otherwise
+        the orphan has been invalidated and ``outcome`` is None: the
+        caller starts over with a bucket query.  That happens when not
+        *keep* (a fresh INSERT or a rollover), when the slot needs or
+        holds the rollover lock, was vacated or re-keyed, records another
+        size class than this write (the re-read ``len`` may predate a
+        winner's repair still in flight, and a commit here never repairs
+        it), when the home index or the block grant went through a crash,
+        or on a node failure.
         """
-        master = self.master
         rounds = 0
-        while rounds < budget:
-            try:
-                raw = yield self._post_read(home, slot_offset, WIDE_SLOT_SIZE)
-            except NodeFailedError:
-                break
-            atomic_word, meta_word = WIDE_SLOT.unpack(raw)
-            atomic = AtomicField.unpack(atomic_word)
-            meta = MetaField.unpack(meta_word)
-            if (atomic.fp != fp or atomic.addr == 0 or atomic.ver == 0xFF
-                    or meta.locked
-                    or meta.len_units != size_class.len_units
-                    or not master.mn_writable(home)
-                    or master.mn_incarnation(home) != slot_epoch
-                    or not self._grant_writable(block)):
-                break
-            rounds += 1
-            self.stats.bump("restamp_retries")
-            new_atomic = AtomicField(fp=fp, ver=atomic.ver + 1,
-                                     addr=orphan.kv.pack())
-            stamped = yield from self._stamp_orphan(
-                orphan, slot_version(meta.epoch, new_atomic.ver))
-            if not stamped:
-                break
-            try:
-                ok, _observed = yield self._post_cas(
-                    home, slot_offset, atomic_word, new_atomic.pack())
-            except NodeFailedError:
-                break
-            if ok:
-                return (atomic, new_atomic, meta), rounds
-            self.stats.bump("commit_conflicts")
-        # Give up: never leave the orphan carrying a committable version.
+        if keep and lost_to is None:
+            rounds, won, lost_to = yield from self._restamp(
+                home, slot_offset, slot_epoch, fp, size_class, block, orphan)
+            if won is not None:
+                return won, rounds
+        master = self.master
+        overwritten = (keep and lost_to is not None
+                       and lost_to >> 56 == fp and lost_to & ADDR_MASK != 0
+                       and master.mn_writable(home)
+                       and master.mn_incarnation(home) == slot_epoch)
+        # Never leave the orphan carrying a committable version: stamp it
+        # invalid (line 18) unless its grant went stale (the space may
+        # already belong to another writer).
+        stamped = False
         if self._grant_writable(block):
-            yield from self._stamp_orphan(orphan, INVALID_SLOT_VERSION)
+            stamped = yield from self._stamp_orphan(orphan,
+                                                    INVALID_SLOT_VERSION)
         dead_block, dead_intra = self._locate_block_slot(orphan.kv)
         if dead_block is not None:
             self.blocks.mark_obsolete(orphan.kv.node_id, dead_block,
                                       dead_intra, now=self.env.now)
+        if overwritten and stamped:
+            self.stats.bump("overwritten")
+            return _OVERWRITTEN, rounds
         return None, rounds
+
+    def _restamp(self, home: int, slot_offset: int, slot_epoch: int,
+                 fp: int, size_class, block: OpenBlock,
+                 orphan: _Orphan) -> Generator:
+        """The re-stamp round of `_resolve_conflict`: re-read the slot,
+        re-stamp the orphan, CAS.  Returns ``(rounds, commit, lost_to)``:
+        ``rounds`` is 1 when the CAS was posted, ``commit`` ``(superseded
+        Atomic, new Atomic, Meta)`` when it won, ``lost_to`` the word it
+        found when it lost (else None)."""
+        try:
+            raw = yield self._post_read(home, slot_offset, WIDE_SLOT_SIZE)
+        except NodeFailedError:
+            return 0, None, None
+        atomic_word, meta_word = WIDE_SLOT.unpack(raw)
+        atomic = AtomicField.unpack(atomic_word)
+        meta = MetaField.unpack(meta_word)
+        master = self.master
+        if (atomic.fp != fp or atomic.addr == 0 or atomic.ver == 0xFF
+                or meta.locked
+                or meta.len_units != size_class.len_units
+                or not master.mn_writable(home)
+                or master.mn_incarnation(home) != slot_epoch
+                or not self._grant_writable(block)):
+            return 0, None, None
+        self.stats.bump("restamp_retries")
+        new_atomic = AtomicField(fp=fp, ver=atomic.ver + 1,
+                                 addr=orphan.kv.pack())
+        stamped = yield from self._stamp_orphan(
+            orphan, slot_version(meta.epoch, new_atomic.ver))
+        if not stamped:
+            return 0, None, None
+        try:
+            ok, observed = yield self._post_cas(
+                home, slot_offset, atomic_word, new_atomic.pack())
+        except NodeFailedError:
+            return 1, None, None
+        if ok:
+            return 1, (atomic, new_atomic, meta), None
+        self.stats.bump("commit_conflicts")
+        return 1, None, observed
 
     def _mark_old_obsolete(self, addr: int) -> None:
         """Queue the bitmap update of the superseded KV pair at packed

@@ -353,11 +353,11 @@ class FrontEnd:
             yield from self.durability.write_prelude(client, lane.cn_id,
                                                      req)
             if req.verb == "INSERT":
-                yield from client.insert(key, value)
+                committed = yield from client.insert(key, value)
             elif req.verb == "UPDATE":
-                yield from client.update(key, value)
+                committed = yield from client.update(key, value)
             elif req.verb == "DELETE":
-                yield from client.delete(key)
+                committed = yield from client.delete(key)
             else:
                 raise ValueError(f"unknown verb {req.verb!r}")
         except KeyNotFoundError:
@@ -378,7 +378,12 @@ class FrontEnd:
             lane.cache.invalidate(key)
             self._finish_value(req, None, "ok")
         else:
-            lane.cache.put(key, value)
+            # An overwritten value was never visible: caching it would
+            # serve it after the commit that beat it.
+            if committed:
+                lane.cache.put(key, value)
+            else:
+                lane.cache.invalidate(key)
             self._finish_value(req, value, "ok")
 
     def _wal_loop(self, lane: Lane):

@@ -1,7 +1,5 @@
 """Slot-versioning protocol tests (Algorithm 1, §3.2.2)."""
 
-import random
-
 import pytest
 
 from repro.index.hashing import home_of
@@ -134,25 +132,32 @@ def test_lock_takeover_after_timeout():
 
 def test_concurrent_updates_same_key_linearizable():
     """Zipf-style contention: many clients update one key; the final
-    value must be the last committed one and every CAS conflict must
-    have been resolved by retry."""
+    value must be the last committed one and every update must either
+    commit or be overwritten by a concurrent commit."""
     cluster = make_aceso(num_cns=4, clients_per_cn=2)
     key = b"ver-hot"
     cluster.run_op(cluster.clients[0].insert(key, b"init"))
     env = cluster.env
     procs = []
+    committed = []
     for i, client in enumerate(cluster.clients):
         def writer(client=client, i=i):
             for j in range(10):
-                yield from client.update(key, b"c%d-%d" % (i, j))
+                committed.append(
+                    (yield from client.update(key, b"c%d-%d" % (i, j))))
         procs.append(env.process(writer()))
     env.run_until_event(env.all_of(procs))
     assert cluster.env.unexpected_failures() == []
-    # total committed updates = 80; version advanced by exactly 80.
+    # 80 updates, each committed or overwritten; the version advanced by
+    # exactly the number of commits.
+    commits = committed.count(True)
+    assert len(committed) == 80
+    assert commits + cluster.stats.counters.get("overwritten", 0) == 80
     index, bucket, slot = locate_slot(cluster, key)
     meta = index.read_meta(bucket, slot)
     atomic = index.read_atomic(bucket, slot)
-    assert slot_version(meta.epoch, atomic.ver) == slot_version(0, 1) + 80
+    assert slot_version(meta.epoch, atomic.ver) \
+        == slot_version(0, 1) + commits
     # the value is one of the writers' final writes
     final = cluster.run_op(cluster.clients[0].search(key))
     assert final.endswith(b"-9")
@@ -270,10 +275,9 @@ class VerbLog:
                 + 2 * queries * self.bucket_size, rpcs)
 
 
-def run_writers(cluster, key, writers, between=None):
+def run_writers(cluster, key, writers):
     """Run one update loop per (client, values) pair concurrently; returns
-    the longest single UPDATE of *key* in simulated seconds.  *between*,
-    a generator function of the client, runs after each update."""
+    the longest single UPDATE of *key* in simulated seconds."""
     env = cluster.env
     longest = [0.0]
 
@@ -282,8 +286,6 @@ def run_writers(cluster, key, writers, between=None):
             t0 = env.now
             yield from client.update(key, value)
             longest[0] = max(longest[0], env.now - t0)
-            if between is not None:
-                yield from between(client)
 
     procs = [env.process(loop(c, v)) for c, v in writers]
     env.run_until_event(env.all_of(procs))
@@ -369,11 +371,13 @@ def test_op_cost_update_shared_key():
 
 
 def test_op_cost_of_a_lost_commit_cas():
-    """Two closed-loop writers on one key: each *true* lost CAS — one that
-    loses although the pair was just refreshed, or trusted for good
-    reason — still costs 1 x 16 B READ + 2 x 8 B WRITE + 1 CAS: no bucket
-    query, no KV-sized verb, no second block slot.  Every other 16 B READ
-    is a refresh."""
+    """Two closed-loop writers on one key.  A *true* race — a commit CAS
+    that loses although its pair was read in this op — is an overwrite:
+    READ 16, KV + delta WRITE, CAS lost, 2 x WRITE 8 invalidating the
+    orphan = 6 verbs, 4 round trips, 1 CAS, and the op returns.  A
+    trusted stale pair keeps its row (1 x 16 B READ + 2 x 8 B WRITE + 1
+    CAS more), plus at most one overwrite.  No bucket query, no KV-sized
+    verb twice, no second block slot."""
     key = b"cost-race"
     cluster, c0, c1, log0, log1 = shared_key(key, b"x" * 100)
     cluster.run_op(c0.update(key, b"x" * 100))   # open a block each
@@ -382,32 +386,55 @@ def test_op_cost_of_a_lost_commit_cas():
     open_blocks = [c.blocks.open_block(size) for c in (c0, c1)]
     left = [b.slots_left() for b in open_blocks]
     cluster.stats.open_window(cluster.env.now)
-    n = 6
-    run_writers(cluster, key, [(c0, [b"a" * 100] * n), (c1, [b"b" * 100] * n)])
+    env, n = cluster.env, 6
+    rows = {True: [], False: []}      # (verbs, round trips) per op
+
+    def loop(client, log, value):
+        for _ in range(n):
+            committed = yield from client.update(key, value)
+            rows[committed].append(log.take())
+
+    procs = [env.process(loop(c0, log0, b"a" * 100)),
+             env.process(loop(c1, log1, b"b" * 100))]
+    env.run_until_event(env.all_of(procs))
+    assert env.unexpected_failures() == []
+
+    kv_delta_cas = [("WRITE", size), ("WRITE", size), ("CAS", 8)]
+    restamp = [("READ", 16), ("WRITE", 8), ("WRITE", 8), ("CAS", 8)]
+    refreshed = [("READ", 16)] + kv_delta_cas
+    invalidate = [("WRITE", 8), ("WRITE", 8)]
+    assert set(map(repr, rows[True])) <= {
+        repr((kv_delta_cas, 2)), repr((refreshed, 3)),
+        repr((kv_delta_cas + restamp, 5))}
+    assert set(map(repr, rows[False])) <= {
+        repr((refreshed + invalidate, 4)),
+        repr((kv_delta_cas + restamp + invalidate, 6))}
+    assert (refreshed + invalidate, 4) in rows[False]
 
     counters = cluster.stats.counters
     lost = counters["commit_conflicts"]
-    refreshes = counters["slot_refreshes"]
-    assert lost >= 2 and refreshes >= 2
-    assert counters["restamp_retries"] == lost
-    verbs = log0.verbs + log1.verbs
-    assert sorted(set(verbs)) == [("CAS", 8), ("READ", 16), ("WRITE", 8),
-                                  ("WRITE", size)]
+    restamps = counters.get("restamp_retries", 0)
+    overwritten = counters["overwritten"]
+    assert overwritten == len(rows[False]) >= 2
+    assert lost == restamps + overwritten
+    verbs = [verb for row, _ in rows[True] + rows[False] for verb in row]
     assert verbs.count(("WRITE", size)) == 2 * 2 * n   # KV + delta, once
-    assert verbs.count(("CAS", 8)) == 2 * n + lost
-    assert verbs.count(("READ", 16)) == refreshes + lost
-    assert verbs.count(("WRITE", 8)) == 2 * lost
+    assert verbs.count(("CAS", 8)) == 2 * n + restamps
+    assert verbs.count(("READ", 16)) \
+        == counters["slot_refreshes"] + restamps
+    assert verbs.count(("WRITE", 8)) == 2 * (restamps + overwritten)
     assert log0.bucket_queries == log1.bucket_queries == 0
-    # one block slot per op, however many CASes it lost
+    # one block slot per op, however its CAS went
     assert [b.slots_left() for b in open_blocks] == [x - n for x in left]
     update = cluster.stats.per_op["UPDATE"]
     assert update.ops == 2 * n
-    assert update.cas_issued == 2 * n + lost
-    assert update.retries == lost               # a refresh is not a retry
+    assert update.cas_issued == 2 * n + restamps
+    assert update.retries == restamps           # a refresh is not a retry
     # the orphans that won are ordinary records now
     index, bucket, slot = locate_slot(cluster, key)
     atomic, meta = index.read_atomic(bucket, slot), index.read_meta(bucket, slot)
-    assert slot_version(meta.epoch, atomic.ver) == slot_version(0, 3) + 2 * n
+    assert slot_version(meta.epoch, atomic.ver) \
+        == slot_version(0, 3) + len(rows[True])
     assert cluster.run_op(c0.search(key)) in (b"a" * 100, b"b" * 100)
 
 
@@ -659,15 +686,15 @@ def test_op_cost_table(system, op):
     assert op_cost(system, op) == OP_COSTS[system, op]
 
 
-def committed_versions(cluster, key):
-    """Hook the home MN's CAS: the Slot Version stored in the KV pair each
+def commit_log(cluster, key):
+    """Hook the home MN's CAS: (instant, record) of the KV pair each
     successful commit CAS on *key*'s slot points at, in commit order."""
     from repro.core.kvpair import parse_kv
     from repro.memory.address import GlobalAddress
     index, bucket, slot = locate_slot(cluster, key)
     home = cluster.mns[home_of(key, cluster.config.cluster.num_mns)]
     offset = index.slot_offset(bucket, slot)
-    versions = []
+    commits = []
     cas_u64 = home.cas_u64
 
     def hooked(off, expected, new):
@@ -676,23 +703,29 @@ def committed_versions(cluster, key):
             ga = GlobalAddress.unpack(AtomicField.unpack(new).addr)
             length = index.read_meta(bucket, slot).len_units * 64
             raw = cluster.mns[ga.node_id].read_bytes(ga.offset, length)
-            versions.append(parse_kv(raw).slot_version)
+            commits.append((cluster.env.now, parse_kv(raw)))
         return result
 
     home.cas_u64 = hooked
-    return versions
+    return commits
 
 
 def test_hot_key_through_three_rollovers():
-    """4 writers + 1 reader on one key across three ``ver`` rollovers:
-    nobody exhausts the retry budget, nobody has to take a lock over, no
-    UPDATE stalls for a lock timeout, committed versions only grow."""
+    """4 closed-loop writers with no think time + 1 reader on one key
+    across three ``ver`` rollovers: nobody exhausts the retry budget,
+    nobody has to take a lock over, no UPDATE stalls for a lock timeout,
+    committed versions only grow, and every UPDATE commits or is
+    overwritten."""
     from repro.core.api import LOCK_TIMEOUT
     cluster = make_aceso(num_cns=5, clients_per_cn=1, blocks_per_mn=256)
     key = b"ver-hot-roll"
     writers, reader = cluster.clients[:4], cluster.clients[4]
     cluster.run_op(writers[0].insert(key, b"init"))
-    versions = committed_versions(cluster, key)
+    # Every writer starts with a cached pair it trusts: the first lost
+    # CASes take the re-stamp path.
+    for client in writers[1:]:
+        cluster.run_op(client.search(key))
+    commits = commit_log(cluster, key)
     env = cluster.env
     reads = []
     done = [False]
@@ -702,27 +735,19 @@ def test_hot_key_through_three_rollovers():
             reads.append((yield from reader.search(key)))
 
     reader_proc = env.process(read_loop())
-    per_writer = 200
-    # Seeded think time between a writer's updates.  The commit protocol
-    # is lock-free, not wait-free: closed loops with no other work form a
-    # convoy on the home NIC's atomics and, in a simulator without jitter,
-    # the writer whose retry round is slowest loses every volley.
-    rngs = {c.cli_id: random.Random(c.cli_id) for c in writers}
-
-    def think(client):
-        yield env.timeout(rngs[client.cli_id].uniform(0, 16e-6))
-
+    # About 45 % of the updates are overwritten: 460 each is ~830 commits.
+    per_writer = 460
     longest = run_writers(
         cluster, key,
         [(c, [b"w%d-%03d" % (i, j) for j in range(per_writer)])
-         for i, c in enumerate(writers)],
-        between=think)
+         for i, c in enumerate(writers)])
     done[0] = True
     env.run_until_event(reader_proc)
     assert env.unexpected_failures() == []
 
-    commits = 4 * per_writer
-    assert len(versions) == commits
+    writes = 4 * per_writer
+    versions = [record.slot_version for _at, record in commits]
+    assert len(versions) + cluster.stats.counters["overwritten"] == writes
     assert all(a < b for a, b in zip(versions, versions[1:]))
     assert versions[-1] >> 8 == 2 * 3          # three rollovers, epoch += 2
     assert cluster.stats.counters.get("lock_takeovers", 0) == 0
@@ -731,6 +756,65 @@ def test_hot_key_through_three_rollovers():
     assert reads and all(v == b"init" or v.startswith(b"w") for v in reads)
     index, bucket, slot = locate_slot(cluster, key)
     assert not index.read_meta(bucket, slot).locked
+
+
+@pytest.mark.parametrize("n_writers", [2, 4])
+def test_shared_key_writers_make_bounded_progress(n_writers):
+    """Closed-loop writers on one key with no think time, and a reader,
+    for 5 sim-ms.  Every writer keeps completing UPDATEs, none waits a
+    lock timeout: a commit CAS lost to a commit made inside the op is an
+    overwrite, and the op returns.  It is linearized just before that
+    commit — its interval holds a winning commit CAS on the key — and no
+    SEARCH ever returns its value."""
+    from repro.core.api import LOCK_TIMEOUT
+    cluster = make_aceso(num_cns=n_writers + 1, clients_per_cn=1,
+                         blocks_per_mn=128)
+    key = b"ver-progress"
+    writers, reader = cluster.clients[:-1], cluster.clients[-1]
+    cluster.run_op(writers[0].insert(key, b"init"))
+    commits = commit_log(cluster, key)
+    env = cluster.env
+    end = env.now + 5e-3
+    ops = {c.cli_id: [] for c in writers}   # (start, end, value, committed)
+    reads = []
+    done = [False]
+
+    def write_loop(client, i):
+        j = 0
+        while env.now < end:
+            value = b"w%d-%05d" % (i, j)
+            t0 = env.now
+            committed = yield from client.update(key, value)
+            ops[client.cli_id].append((t0, env.now, value, committed))
+            j += 1
+
+    def read_loop():
+        while not done[0]:
+            reads.append((yield from reader.search(key)))
+
+    reader_proc = env.process(read_loop())
+    procs = [env.process(write_loop(c, i)) for i, c in enumerate(writers)]
+    env.run_until_event(env.all_of(procs))
+    done[0] = True
+    env.run_until_event(reader_proc)
+    assert env.unexpected_failures() == []
+
+    assert all(len(done_ops) >= 100 for done_ops in ops.values()), \
+        {cli: len(done_ops) for cli, done_ops in ops.items()}
+    every = [op for done_ops in ops.values() for op in done_ops]
+    assert max(t1 - t0 for t0, t1, _v, _c in every) < LOCK_TIMEOUT
+    committed = {v for _t0, _t1, v, ok in every if ok}
+    overwritten = [(t0, t1, v) for t0, t1, v, ok in every if not ok]
+    assert overwritten
+    assert len(overwritten) == cluster.stats.counters["overwritten"]
+    # each committed value won exactly one commit CAS
+    assert sorted(record.value for _at, record in commits) == sorted(committed)
+    assert cluster.run_op(reader.search(key)) == commits[-1][1].value
+    assert reads and set(reads) <= committed | {b"init"}
+    assert not set(reads) & {value for _t0, _t1, value in overwritten}
+    commit_times = [at for at, _record in commits]
+    for t0, t1, _value in overwritten:
+        assert any(t0 <= at <= t1 for at in commit_times), (t0, t1)
 
 
 def test_cached_locked_meta_word_does_not_livelock():

@@ -302,6 +302,32 @@ def test_read_fill_cannot_overwrite_concurrent_write():
     assert lane.cache.stale_fills >= 1
 
 
+def test_racing_updates_leave_the_lane_cache_coherent():
+    """Two dispatchers of one lane race UPDATEs on one key.  A write that
+    returned overwritten was linearized before the commit that beat it,
+    so the lane must not cache its value: afterwards the cached value,
+    if any, is what a SEARCH through the core reads."""
+    cluster, fe = make_frontend(clients_per_cn=2)
+    key = micro_key(7, 61)
+    load_core_keys(cluster, [key])
+    lane = fe._lane_for(key)
+    assert len(lane.clients) == 2
+    env, core = cluster.env, cluster.clients[0]
+
+    def race(rnd):
+        first = fe.submit("t0", "UPDATE", key, b"a%03d" % rnd * 25)
+        yield env.timeout(1e-7)         # the other dispatcher takes this
+        second = fe.submit("t0", "UPDATE", key, b"b%03d" % rnd * 25)
+        yield env.all_of([first.done, second.done])
+
+    for rnd in range(20):
+        cluster.run_op(race(rnd))
+        direct = cluster.run_op(core.search(key))
+        assert lane.cache._entries.get(key, direct) == direct, rnd
+        assert fe_call(cluster, fe, "SEARCH", key) == direct
+    assert cluster.stats.counters["overwritten"] > 0
+
+
 def test_value_cache_lru_and_home_invalidation():
     cache = ValueCache(capacity=2)
     k0, k1, k2 = micro_key(1, 0), micro_key(1, 1), micro_key(1, 2)

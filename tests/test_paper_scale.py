@@ -44,3 +44,23 @@ def test_fig8_paper_scale_records_write_ratio_verdict():
     assert verdicts["aceso wins all writes"]["ok"]
     # fig9 rides along in the same run; make sure it carried rows.
     assert len(lat.rows) == 8
+
+
+def test_ycsb_a_paper_scale_holds_steady_over_the_window():
+    """184 clients on YCSB-A's shared Zipf keys: throughput read over a
+    5 ms and a 20 ms window agrees within 3 %, and no UPDATE exhausts its
+    retry budget.  A writer whose commit CAS loses to a concurrent commit
+    of its key is overwritten and returns, so hot keys form no convoy
+    that grows with the window."""
+    from dataclasses import replace
+
+    from repro.bench.common import build_cluster, ycsb_result
+
+    mops = []
+    for window in (0.005, 0.020):
+        scale = replace(SCALES["paper"], duration=window)
+        result = ycsb_result(build_cluster("aceso", scale), scale, "A")
+        assert result.counters.get("retry_budget_exceeded", 0) == 0
+        assert result.counters["overwritten"] > 0
+        mops.append(result.total_mops)
+    assert abs(mops[1] / mops[0] - 1) <= 0.03, mops

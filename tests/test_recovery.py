@@ -1752,17 +1752,15 @@ def test_checkpointed_slot_into_a_block_still_lost_is_not_duplicated():
 
 # ------------------------------------------- re-stamped records (conflicts)
 
-def test_restamped_records_survive_each_mn_crash():
-    """A contended burst commits KV pairs whose Slot Version was re-stamped
-    after a lost CAS, in blocks since sealed and in blocks still open.
-    Crashing the MN that holds such a record, the one holding its delta
-    and parity, and the key's home MN must each lose nothing: every key
-    reads the value last committed, the index walks clean, and every
-    block of the crashed MN is rebuilt byte for byte (the delta was
-    patched by XOR, so the parity stayed linear)."""
+def contended_burst():
+    """Four clients updating six hot keys, then a round of stale trusted
+    pairs.  Returns ``(cluster, expected, stamps)``: the value each key
+    reads after seals and folds settled, and per kind — ``"restamped"``
+    (a lost CAS re-stamped with a committable version) and
+    ``"overwritten"`` (the orphan of an op that returned overwritten) —
+    the (KV address, delta node) of each such orphan."""
     import random
 
-    from repro.chaos.oracle import walk_index
     from repro.index.slot import INVALID_SLOT_VERSION
 
     cluster = make_aceso(num_cns=4, clients_per_cn=1, blocks_per_mn=128)
@@ -1770,16 +1768,25 @@ def test_restamped_records_survive_each_mn_crash():
     keys = [b"hot-%d" % i for i in range(6)]
     for key in keys:
         cluster.run_op(cluster.clients[0].insert(key, b"init"))
-    restamped = []          # (KV address, delta node) of re-stamp writes
+    stamps = {"restamped": [], "overwritten": []}
+    invalidated = {}        # client -> its latest orphan stamped invalid
 
     def record_stamps(client):
         stamp = client._stamp_orphan
 
         def hooked(orphan, version):
+            at = (orphan.kv, orphan.delta.node_id)
             if version != INVALID_SLOT_VERSION:
-                restamped.append((orphan.kv, orphan.delta.node_id))
+                stamps["restamped"].append(at)
+            else:
+                invalidated[client.cli_id] = at
             return stamp(orphan, version)
         client._stamp_orphan = hooked
+
+    def update(client, key, value):
+        committed = yield from client.update(key, value)
+        if not committed:
+            stamps["overwritten"].append(invalidated[client.cli_id])
 
     rounds = 70             # > 2 blocks of 32 slots per client
     last = {key: set() for key in keys}   # each writer's final value
@@ -1789,7 +1796,7 @@ def test_restamped_records_survive_each_mn_crash():
         for j in range(rounds):
             for key in keys:
                 value = b"%s-c%d-%03d" % (key, client.cli_id, j)
-                yield from client.update(key, value)
+                yield from update(client, key, value)
                 if j == rounds - 1:
                     last[key].add(value)
                 yield env.timeout(rng.uniform(0, 4e-6))
@@ -1798,21 +1805,47 @@ def test_restamped_records_survive_each_mn_crash():
         record_stamps(client)
     procs = [env.process(writer(c)) for c in cluster.clients]
     env.run_until_event(env.all_of(procs))
+    # Most losses in the burst are overwrites: a re-stamp needs a pair
+    # trusted from an earlier op.  Each client re-learns each key from a
+    # SEARCH (a new entry is trusted), its neighbour commits, and its
+    # UPDATE loses the trusted CAS and re-stamps into its open block.
+    clients = cluster.clients
+    for i, client in enumerate(clients):
+        neighbour = clients[(i + 1) % len(clients)]
+        for key in keys:
+            client.cache.invalidate(key)
+            cluster.run_op(client.search(key))
+            cluster.run_op(update(neighbour, key, key + b"-stale"))
+            value = b"%s-c%d-last" % (key, client.cli_id)
+            cluster.run_op(update(client, key, value))
+            last[key] = {value}
     assert env.unexpected_failures() == []
     cluster.run(env.now + 0.01)          # seals and folds settle
-    assert cluster.stats.counters["restamp_retries"] == len(restamped) > 0
+    assert cluster.stats.counters["restamp_retries"] \
+        == len(stamps["restamped"]) > 0
+    assert cluster.stats.counters["overwritten"] \
+        == len(stamps["overwritten"]) > 0
 
     reader = cluster.clients[0]
     expected = {key: cluster.run_op(reader.search(key)) for key in keys}
     for key, value in expected.items():
         assert value in last[key]        # some writer's final update
+    return cluster, expected, stamps
+
+
+def crash_each_holder(cluster, expected, stamped):
+    """Crash, one at a time, the MN holding one *stamped* orphan in a block
+    since sealed and one in a block still open, the MNs holding their
+    deltas and parity, and the home MNs of two of *expected*'s keys.
+    After each recovery every key reads its expected value, the index
+    walks clean, and every block of the crashed MN is rebuilt byte for
+    byte."""
+    from repro.chaos.oracle import walk_index
 
     _versions, problems = walk_index(cluster)
     assert not any(problems.values()), problems
-
-    # One re-stamped record in a block since sealed, one in an open block.
     sealed = opened = None
-    for kv, delta_node in restamped:
+    for kv, delta_node in stamped:
         blocks = cluster.mns[kv.node_id].blocks
         block_id, _intra = blocks.locate(kv.offset)
         if blocks.meta[block_id].index_version == 0:     # unfilled
@@ -1820,7 +1853,7 @@ def test_restamped_records_survive_each_mn_crash():
         else:
             sealed = (kv.node_id, delta_node)
     assert sealed is not None and opened is not None
-    homes = tuple(home_of(key, 5) for key in keys[:2])
+    homes = tuple(home_of(key, 5) for key in list(expected)[:2])
 
     for victim in dict.fromkeys(sealed + opened + homes):
         mn = cluster.mns[victim]
@@ -1832,6 +1865,28 @@ def test_restamped_records_survive_each_mn_crash():
         for block_id, content in before.items():
             assert bytes(mn.blocks.buffer(block_id)) == content, \
                 (victim, block_id)
+
+
+def test_restamped_records_survive_each_mn_crash():
+    """A contended burst commits KV pairs whose Slot Version was re-stamped
+    after a lost CAS, in blocks since sealed and in blocks still open.
+    Crashing the MN that holds such a record, the one holding its delta
+    and parity, and the key's home MN must each lose nothing: every key
+    reads the value last committed, the index walks clean, and every
+    block of the crashed MN is rebuilt byte for byte (the delta was
+    patched by XOR, so the parity stayed linear)."""
+    cluster, expected, stamps = contended_burst()
+    crash_each_holder(cluster, expected, stamps["restamped"])
+
+
+def test_overwritten_orphans_survive_each_mn_crash():
+    """The orphans of overwritten UPDATEs — stamped invalid, their deltas
+    patched by XOR, never published — in sealed and in open blocks:
+    crashing each holder resurfaces no overwritten value (every key reads
+    the value last committed), the index walks clean, and every rebuilt
+    block is byte-identical."""
+    cluster, expected, stamps = contended_burst()
+    crash_each_holder(cluster, expected, stamps["overwritten"])
 
 
 # ------------------------------------- refreshed cache entries and crashes
