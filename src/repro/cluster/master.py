@@ -50,6 +50,9 @@ class Master:
         #: failure-report time (before detection delay) — the serving
         #: front-end uses this to invalidate caches and reroute queues.
         self._failure_listeners: List[Callable[[str, int], None]] = []
+        #: Called with an MN's id when its failure is declared, a
+        #: ``detection_delay`` after the report (before recovery starts).
+        self._detection_listeners: List[Callable[[int], None]] = []
         #: When False, detection still flips client-visible state but
         #: recovery waits for an explicit :meth:`trigger_recovery` —
         #: transient-failure experiments use this to model a delayed
@@ -72,6 +75,11 @@ class Master:
                              listener: Callable[[str, int], None]) -> None:
         """Register an observer for failure reports (kind, node_id)."""
         self._failure_listeners.append(listener)
+
+    def add_detection_listener(self,
+                               listener: Callable[[int], None]) -> None:
+        """Register an observer of declared MN failures (node_id)."""
+        self._detection_listeners.append(listener)
 
     def _notify_failure(self, kind: str, node_id: int) -> None:
         for listener in self._failure_listeners:
@@ -155,6 +163,8 @@ class Master:
 
     def _detect_and_recover(self, node_id: int):
         yield self.env.timeout(self.detection_delay)
+        for listener in self._detection_listeners:
+            listener(node_id)
         if self.auto_recover and self._recovery_callback is not None:
             self._recovery_callback(node_id)
 

@@ -76,6 +76,9 @@ class ClusterBase:
         for i in range(cluster.num_mns):
             self.mns[i] = MemoryNode(self.env, self.fabric, i, config)
             self.master.register_mn(i)
+        # A declared MN failure fails the RPCs its server still owed.
+        self.master.add_detection_listener(
+            lambda node: self.mns[node].rpc.fail_waiting())
 
         self.cns: Dict[int, ComputeNode] = {}
         for j in range(cluster.num_cns):

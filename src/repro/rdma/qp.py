@@ -54,6 +54,9 @@ class RpcServer:
         self._handlers: Dict[str, Callable] = {}
         self._process: Optional[Process] = None
         self.requests_served = 0
+        #: Requests accepted and not yet answered — in the inbox or in
+        #: the running handler — by ``id``, in arrival order.
+        self._waiting: Dict[int, RpcRequest] = {}
 
     def register(self, method: str, handler: Callable) -> None:
         if method in self._handlers:
@@ -70,6 +73,7 @@ class RpcServer:
         # A restart is a fresh machine: requests still queued for the loop
         # that died are gone, and so is its parked ``get`` — left in the
         # store it would swallow the first request sent to the new loop.
+        self.fail_waiting()
         self.inbox = Store(self.env)
         self._process = self.env.process(self._loop(), name=f"rpc@{self.nic.name}")
         return self._process
@@ -77,6 +81,22 @@ class RpcServer:
     def stop(self) -> None:
         if self._process is not None and self._process.is_alive:
             self._process.interrupt("rpc server stopped")
+
+    def accept(self, request: RpcRequest) -> None:
+        """A request landed on this node: queue it for the serving loop."""
+        self._waiting[id(request)] = request
+        self.inbox.put(request)
+
+    def fail_waiting(self) -> None:
+        """The node failed: every request it accepted and has not
+        answered fails its caller with :class:`NodeFailedError` now,
+        rather than when the caller's timeout runs out."""
+        waiting, self._waiting = self._waiting, {}
+        for request in waiting.values():
+            if not request.reply_event.triggered:
+                request.reply_event.succeed(NodeFailedError(
+                    self.nic.node_id,
+                    f"rpc {request.method}: server failed"))
 
     def _loop(self) -> Generator:
         while True:
@@ -102,6 +122,7 @@ class RpcServer:
                     # never kill the serving loop.
                     result = exc
             self.requests_served += 1
+            self._waiting.pop(id(request), None)
             self._reply(request, result)
 
     def _reply(self, request: RpcRequest, result: Any) -> None:
@@ -123,8 +144,10 @@ def rpc_call(env: Environment, fabric: Fabric, src: RNIC, server: RpcServer,
              track: Optional[str] = None) -> Generator:
     """Issue one RPC; yields until the response arrives.
 
-    Raises :class:`NodeFailedError` if no response arrives within *timeout*
-    (crashed server) or if the handler returned an error.  ``track`` names
+    Raises :class:`NodeFailedError` if the handler returned an error, if
+    the server's node is declared failed before it answers
+    (:meth:`RpcServer.fail_waiting`), or if no response arrives within
+    *timeout* (a server that is slow, or lost the reply).  ``track`` names
     the trace track of the emitted RPC span (default: the caller's NIC).
     """
     obs = fabric.obs
@@ -143,7 +166,7 @@ def rpc_call(env: Environment, fabric: Fabric, src: RNIC, server: RpcServer,
                          response_size=response_size)
 
     def enqueue() -> None:
-        server.inbox.put(request)
+        server.accept(request)
 
     verb = Verb(Opcode.SEND, request_size, enqueue)
     post_ev = fabric.post(src, server.nic, verb, traffic_class="rpc",

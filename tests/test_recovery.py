@@ -2038,3 +2038,44 @@ def test_dead_delta_node_does_not_resend_the_kv_write():
     assert block.writes_done == written + 1
     assert cluster.stats.per_op["UPDATE"].retries == 0
     assert cluster.run_op(client.search(key)) == b"u" * 900
+
+
+def test_rpc_to_a_crashed_mn_fails_when_the_crash_is_declared():
+    """An MN crashes the instant a leader's sub-RPC of a client's block
+    allocation lands in its inbox.  The sub-RPC fails when the master
+    declares the crash (``detection_delay`` later), not when its control
+    timeout (10 ms) runs out, so the leader's serving loop is free again
+    and the client's allocation settles within 1 ms of the crash."""
+    from repro.core.kvpair import kv_wire_size
+    cluster = make_aceso()
+    env = cluster.env
+    client = cluster.clients[0]
+    leader = client._leader().mn.node_id
+    crashed = []
+
+    def hook(node, inbox):
+        put = inbox.put
+
+        def landed(request):
+            put(request)
+            if request.method.startswith("_srv_") and not crashed:
+                crashed.append((env.now, node))
+                cluster.crash_mn(node)
+        inbox.put = landed
+
+    for node, mn in cluster.mns.items():
+        if node != leader:                  # the leader calls itself direct
+            hook(node, mn.rpc.inbox)
+    settled = []
+
+    def allocate():
+        size_class = client.classer.class_for(kv_wire_size(8, 100))
+        block = yield from client._fetch_block(size_class)
+        settled.append((env.now, block))
+
+    env.run_until_event(env.process(allocate()))
+    assert env.unexpected_failures() == []
+    assert crashed
+    (crash_at, victim), (at, block) = crashed[0], settled[0]
+    assert cluster.master.detection_delay < at - crash_at < 1e-3
+    assert victim not in (block.grant.data_node, block.grant.delta_node)
