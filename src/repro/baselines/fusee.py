@@ -171,7 +171,7 @@ class FuseeClient(DMClient):
         entry = self.cache.lookup(key)
         if entry is not None and entry.slot_offset >= 0:
             return (entry.bucket, entry.slot, entry.atomic_word,
-                    entry.meta_word, False)
+                    entry.meta_word, False, 0)
         located = yield from self._locate_in_buckets(key, home, op)
         return located
 
@@ -190,7 +190,7 @@ class FuseeClient(DMClient):
             if located is None:
                 self.stats.record_error(op)
                 raise KeyNotFoundError(key)
-            bucket, slot, atomic_word, meta_word, fresh_insert = located
+            bucket, slot, atomic_word, meta_word, fresh_insert, _ = located
             index = self._index_of(home)
             slot_offset = index.slot_offset(bucket, slot)
 
