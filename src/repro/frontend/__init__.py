@@ -2,21 +2,20 @@
 
 Sits between workload generators and the Aceso core: per-CN request
 queues with adaptive batching, a CN-local value cache with invalidation
-on writes and failures, per-tenant admission control and SLO accounting,
-and pluggable durability modes (native / wal / quorum) as a scenario
-axis.  ``python -m repro.frontend`` replays a multi-tenant Twitter mix
-and emits ``BENCH_frontend.json`` with per-tenant SLO verdicts.
+on writes and failures, and per-tenant admission control and SLO
+accounting.  Writes are acknowledged at Aceso's commit CAS.
+``python -m repro.frontend`` replays a multi-tenant Twitter mix and
+emits ``BENCH_frontend.json`` with per-tenant SLO verdicts.
 """
 
 from .bench import default_tenants, run_frontend
 from .cache import ValueCache
 from .chaos import run_frontend_chaos
-from .request import DURABILITY_MODES, FrontEndConfig, Request, TenantSpec
+from .request import FrontEndConfig, Request, TenantSpec
 from .serving import FrontEnd, Lane
 from .slo import SLOBook
 
 __all__ = [
-    "DURABILITY_MODES",
     "FrontEnd",
     "FrontEndConfig",
     "Lane",

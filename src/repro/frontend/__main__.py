@@ -1,9 +1,8 @@
 """CLI: ``python -m repro.frontend`` — multi-tenant serving replay.
 
-Replays the stock three-tenant Twitter mix through the serving front-end
-once per requested durability mode, prints the per-tenant SLO table, and
-writes ``BENCH_frontend.json``.  Exits non-zero if any non-noisy shape
-verdict failed.
+Replays the stock three-tenant Twitter mix through the serving front-end,
+prints the per-tenant SLO table, and writes ``BENCH_frontend.json``.
+Exits non-zero if any non-noisy shape verdict failed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import sys
 from ..bench.common import SCALES
 from ..obs import flight
 from .bench import run_frontend
-from .request import DURABILITY_MODES
 
 
 def main(argv=None) -> int:
@@ -28,10 +26,6 @@ def main(argv=None) -> int:
                         help="benchmark geometry (default: smoke)")
     parser.add_argument("--seed", type=int, default=0,
                         help="workload RNG seed (default: 0)")
-    parser.add_argument("--durability", action="append",
-                        choices=DURABILITY_MODES, default=None,
-                        help="durability mode(s) to replay "
-                             "(repeatable; default: all three)")
     parser.add_argument("--json-dir", default=".",
                         help="directory for BENCH_frontend.json "
                              "(default: .)")
@@ -48,10 +42,8 @@ def main(argv=None) -> int:
     os.environ.setdefault(flight.ENV_DIR, args.json_dir)
     os.makedirs(args.json_dir, exist_ok=True)
 
-    modes = tuple(args.durability) if args.durability else DURABILITY_MODES
     result = run_frontend(scale_name=args.scale, seed=args.seed,
-                          durability=modes, trace=args.trace,
-                          chaos=not args.no_chaos)
+                          trace=args.trace, chaos=not args.no_chaos)
     print(result.render())
     if not args.no_json:
         path = result.write_json(args.json_dir)

@@ -1,11 +1,11 @@
 """Multi-tenant Twitter-trace replay through the serving front-end.
 
 Three tenants with distinct Twitter cluster mixes (§4.1) submit open-loop
-Poisson traffic to one Aceso cluster behind the :class:`FrontEnd`; the
-replay repeats once per durability mode so the knob's cost shows up as a
-column-for-column comparison.  Per-tenant p50/p99/p999 are judged against
-each tenant's SLO contract, and a chaos scenario driven *through* the
-front-end re-checks the oracle's zero-loss invariants.
+Poisson traffic to one Aceso cluster behind the :class:`FrontEnd`, which
+acknowledges each write at Aceso's commit CAS.  Per-tenant p50/p99/p999
+are judged against each tenant's SLO contract, and a chaos scenario
+driven *through* the front-end re-checks the oracle's zero-loss
+invariants.
 
 Everything derives from the seed and the virtual clock: the emitted
 ``BENCH_frontend.json`` is byte-identical across runs with the same seed,
@@ -15,14 +15,14 @@ tracing on or off.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..bench.common import SCALES, FigureResult, Scale, build_cluster
 from ..obs import flight, obs_provenance
 from ..sim import sched_provenance
 from ..workloads import WorkloadRunner, twitter_stream, ycsb_load_ops
 from .chaos import run_frontend_chaos
-from .request import DURABILITY_MODES, FrontEndConfig, TenantSpec
+from .request import TenantSpec
 from .serving import FrontEnd
 
 __all__ = ["default_tenants", "run_frontend"]
@@ -62,10 +62,9 @@ def _tenant_driver(env, fe: FrontEnd, spec: TenantSpec, stream, rng, stop):
         fe.submit(spec.name, verb, key, value)
 
 
-def _run_mode(scale: Scale, seed: int, mode: str,
-              tenants: Sequence[TenantSpec],
-              obs) -> Tuple[FrontEnd, object]:
-    """One full replay of every tenant against one durability mode."""
+def _replay(scale: Scale, seed: int, tenants: Sequence[TenantSpec],
+            obs) -> FrontEnd:
+    """One full replay of every tenant through a fresh cluster."""
     cluster = build_cluster("aceso", scale, obs=obs)
     runner = WorkloadRunner(cluster)
     runner.load([
@@ -73,7 +72,7 @@ def _run_mode(scale: Scale, seed: int, mode: str,
                       scale.kv_size - 64, seed=seed)
         for c in cluster.clients
     ])
-    fe = FrontEnd(cluster, FrontEndConfig(durability=mode))
+    fe = FrontEnd(cluster)
     for spec in tenants:
         fe.add_tenant(spec)
     fe.start()
@@ -102,17 +101,16 @@ def _run_mode(scale: Scale, seed: int, mode: str,
     if failures:
         proc = failures[0]
         flight.dump_on_failure("frontend-engine-failure", context={
-            "mode": mode, "seed": seed,
+            "seed": seed,
             "first": proc.name, "error": repr(proc.value),
         })
         raise AssertionError(
             f"front-end process failed: {proc.name}: {proc.value!r}"
         ) from proc.value
-    return fe, cluster
+    return fe
 
 
 def run_frontend(scale_name: str = "smoke", seed: int = 0,
-                 durability: Sequence[str] = DURABILITY_MODES,
                  trace: bool = False, chaos: bool = True,
                  tenants: Optional[Sequence[TenantSpec]] = None,
                  ) -> FigureResult:
@@ -121,87 +119,44 @@ def run_frontend(scale_name: str = "smoke", seed: int = 0,
     specs = list(tenants) if tenants is not None else default_tenants()
     result = FigureResult(
         figure="frontend",
-        title="Serving front-end: multi-tenant Twitter replay "
-              "across durability modes",
-        columns=["mode", "tenant", "trace", "rate_kops", "submitted",
-                 "served", "served_kops", "hits", "shed", "errors",
-                 "p50_us", "p99_us", "p999_us", "slo"],
+        title="Serving front-end: multi-tenant Twitter replay",
+        columns=["tenant", "trace", "rate_kops", "submitted", "served",
+                 "served_kops", "hits", "shed", "errors", "p50_us",
+                 "p99_us", "p999_us", "slo"],
         notes="SLO columns judge each tenant's p50/p99/p999 contract; "
-              "wal/quorum rows show the extra ack-path cost Aceso's "
-              "native scheme avoids.",
+              "writes are acknowledged at Aceso's commit CAS.",
     )
-    mode_counters = {}
-    p50_by_mode = {}
-    for mode in durability:
-        obs = None
-        if trace:
-            from ..obs import Observability
-            obs = Observability(enabled=True)
-        fe, cluster = _run_mode(scale, seed, mode, specs, obs)
-        for spec in specs:
-            row = fe.slo.row(spec)
-            row["slo"] = "PASS" if row.pop("slo") else "FAIL"
-            result.add(mode=mode, **row)
-        lanes = fe.lane_counters()
-        durability_work = {
-            k: int(v) for k, v in sorted(cluster.stats.counters.items())
-            if k.startswith("fe_")
-        }
-        mode_counters[mode] = {**lanes, **durability_work}
-        p50_by_mode[mode] = {
-            spec.name: fe.slo.row(spec)["p50_us"] for spec in specs
-        }
-        if mode == "native":
-            for spec in specs:
-                ok = fe.slo.slo_ok(spec)
-                result.add_verdict(f"slo:{spec.name}", ok,
-                                   fe.slo.slo_detail(spec))
-                if not ok:
-                    # SLO flipped to FAIL: keep the flight ring for the
-                    # postmortem ("what was the cluster doing?").
-                    flight.dump_on_failure(
-                        f"slo-{spec.name}-s{seed}",
-                        context={"tenant": spec.name, "seed": seed,
-                                 "mode": mode,
-                                 "detail": fe.slo.slo_detail(spec)})
-            result.add_verdict(
-                "client cache serves hits",
-                lanes["cache_hits"] > 0,
-                f"{lanes['cache_hits']} hits / "
-                f"{lanes['cache_misses']} misses",
-            )
-            result.add_verdict(
-                "adaptive batching engages under load",
-                lanes["max_batch"] > 1,
-                f"max batch {lanes['max_batch']}, "
-                f"{lanes['batches']} batches for "
-                f"{lanes['batched_requests']} requests",
-            )
-        elif mode == "wal":
-            result.add_verdict(
-                "wal mode pays append+flush work",
-                durability_work.get("fe_wal_appends", 0) > 0,
-                f"{durability_work.get('fe_wal_appends', 0)} appends, "
-                f"{durability_work.get('fe_wal_flushes', 0)} flushes",
-            )
-        elif mode == "quorum":
-            result.add_verdict(
-                "quorum mode pays echo writes",
-                durability_work.get("fe_quorum_echoes", 0) > 0,
-                f"{durability_work.get('fe_quorum_echoes', 0)} echoes",
-            )
-    if "native" in p50_by_mode:
-        for other in ("wal", "quorum"):
-            if other in p50_by_mode:
-                native = p50_by_mode["native"]["compute"]
-                cost = p50_by_mode[other]["compute"]
-                result.add_verdict(
-                    f"native ack path beats {other} "
-                    "(compute-tenant write p50)",
-                    native <= cost,
-                    f"native {native:.1f}us vs {other} {cost:.1f}us",
-                    noisy=True,
-                )
+    obs = None
+    if trace:
+        from ..obs import Observability
+        obs = Observability(enabled=True)
+    fe = _replay(scale, seed, specs, obs)
+    for spec in specs:
+        row = fe.slo.row(spec)
+        row["slo"] = "PASS" if row.pop("slo") else "FAIL"
+        result.add(**row)
+    for spec in specs:
+        ok = fe.slo.slo_ok(spec)
+        result.add_verdict(f"slo:{spec.name}", ok, fe.slo.slo_detail(spec))
+        if not ok:
+            # SLO flipped to FAIL: keep the flight ring for the
+            # postmortem ("what was the cluster doing?").
+            flight.dump_on_failure(
+                f"slo-{spec.name}-s{seed}",
+                context={"tenant": spec.name, "seed": seed,
+                         "detail": fe.slo.slo_detail(spec)})
+    lanes = fe.lane_counters()
+    result.add_verdict(
+        "client cache serves hits",
+        lanes["cache_hits"] > 0,
+        f"{lanes['cache_hits']} hits / {lanes['cache_misses']} misses",
+    )
+    result.add_verdict(
+        "adaptive batching engages under load",
+        lanes["max_batch"] > 1,
+        f"max batch {lanes['max_batch']}, {lanes['batches']} batches for "
+        f"{lanes['batched_requests']} requests",
+    )
     if chaos:
         report = run_frontend_chaos(seed=seed + 1)
         failed = sorted(c["invariant"] for c in report["checks"]
@@ -224,9 +179,8 @@ def run_frontend(scale_name: str = "smoke", seed: int = 0,
     result.meta.update({
         "seed": seed,
         "scale": scale_name,
-        "durability": list(durability),
         "tenants": [spec.name for spec in specs],
-        "counters": mode_counters,
+        "counters": lanes,
         **sched_provenance(),
         **obs_provenance(),
     })

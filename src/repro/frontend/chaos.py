@@ -116,8 +116,7 @@ def run_frontend_chaos(seed: int = 1, obs=None) -> dict:
     cfg = aceso_config(**_GEOMETRY)
     cluster = AcesoCluster(cfg, obs=obs)
     env = cluster.env
-    fe = FrontEnd(cluster, FrontEndConfig(durability="native",
-                                          cache_capacity=256))
+    fe = FrontEnd(cluster, FrontEndConfig(cache_capacity=256))
     writers = []
     for idx in range(2):
         spec = fe.add_tenant(TenantSpec(

@@ -9,29 +9,14 @@ from ..errors import ConfigError
 
 __all__ = ["FrontEndConfig", "Request", "TenantSpec"]
 
-DURABILITY_MODES = ("native", "wal", "quorum")
-
 
 @dataclass
 class FrontEndConfig:
     """Tuning knobs of the serving layer.
 
-    ``durability`` selects the scenario axis the front-end adds around
-    Aceso's native checkpoint+versioning scheme:
-
-    * ``native`` — acknowledge at Aceso's commit CAS (the paper's
-      protocol, no extra work);
-    * ``wal``    — append a WAL record to a per-lane log region before
-      the core write, with a background flush/truncate loop (the
-      KVStore-style log+snapshot design);
-    * ``quorum`` — after the commit, echo the value to ``write_quorum-1``
-      additional memory nodes before acknowledging, and validate reads
-      against ``read_quorum-1`` extra replicas (tunable R/W quorums).
-
-    Every mode acknowledges a write only after Aceso's commit CAS has
-    landed, so the chaos oracle's acked-write invariants hold regardless
-    of the knob — the modes differ in *extra* cost, which is the point of
-    the comparison (Aceso's native scheme gets durability for free).
+    A write is acknowledged at Aceso's commit CAS: checkpointing, Slot
+    Versions and erasure coding make it durable there, so the front-end
+    adds no fabric work of its own to the ack path.
     """
 
     #: Target queueing+service latency; the adaptive batcher lingers at
@@ -42,22 +27,10 @@ class FrontEndConfig:
     cache_capacity: int = 4096
     #: Local service time of a front-end cache hit (no fabric traffic).
     cache_hit_time: float = 0.3e-6
-    durability: str = "native"
-    wal_record_size: int = 128
-    wal_flush_interval: float = 2e-3
-    write_quorum: int = 2
-    read_quorum: int = 1
 
     def validate(self) -> None:
-        if self.durability not in DURABILITY_MODES:
-            raise ConfigError(
-                f"unknown durability mode {self.durability!r}; "
-                f"pick one of {DURABILITY_MODES}"
-            )
         if self.latency_target <= 0 or self.max_batch < 1:
             raise ConfigError("latency_target/max_batch out of range")
-        if self.write_quorum < 1 or self.read_quorum < 1:
-            raise ConfigError("quorums must be >= 1")
 
 
 @dataclass

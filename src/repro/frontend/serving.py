@@ -18,8 +18,8 @@ The :class:`FrontEnd` sits between workload generators and the KV core:
   doorbells per request), idle lanes serve singles at minimum latency;
 * **execution** — consecutive SEARCHes in a batch resolve through
   :meth:`AcesoClient.search_many` (doorbell-batched verb groups); writes
-  run through the core write path wrapped by the durability policy, and
-  are acknowledged only after Aceso's commit CAS;
+  run through the core write path and are acknowledged at Aceso's
+  commit CAS;
 * **failure handling** — a master failure listener reroutes a crashed
   CN's queued requests to surviving lanes, fails its in-flight batch
   (indeterminate for the caller), and invalidates cached values homed on
@@ -42,7 +42,6 @@ from ..errors import (
 from ..index.hashing import hash64
 from ..sim import Interrupt
 from .cache import ValueCache
-from .durability import DurabilityPolicy
 from .request import FrontEndConfig, Request, TenantSpec
 from .slo import SLOBook
 
@@ -104,7 +103,6 @@ class FrontEnd:
         self.config = config if config is not None else FrontEndConfig()
         self.config.validate()
         self.slo = slo if slo is not None else SLOBook()
-        self.durability = DurabilityPolicy(cluster, self.config)
         self.tenants: Dict[str, TenantSpec] = {}
         self._inflight: Dict[str, int] = {}
         self.lanes: List[Lane] = []
@@ -138,12 +136,6 @@ class FrontEnd:
                 # Registered with the client so a CN crash interrupts the
                 # dispatcher mid-batch (in-flight requests fail over).
                 client._procs.append(proc)
-            if self.config.durability == "wal" and lane.clients:
-                wal_proc = self.env.process(
-                    self._wal_loop(lane),
-                    name=f"fe.wal.cn{lane.cn_id}",
-                )
-                lane.clients[0]._procs.append(wal_proc)
 
     # -- submission ------------------------------------------------------
 
@@ -329,14 +321,10 @@ class FrontEnd:
             except (NodeFailedError, RetryBudgetExceeded) as exc:
                 self._finish_error(req, exc)
                 return
-            yield from self.durability.read_epilogue(client, [req.key])
             lane.cache.fill(req.key, value, tokens[req.key])
             self._finish_value(req, value, "ok")
             return
         outcomes = yield from client.search_many([r.key for r in todo])
-        ok_keys = [r.key for r in todo
-                   if outcomes[r.key][0] == "ok"]
-        yield from self.durability.read_epilogue(client, ok_keys)
         for req in todo:
             kind, payload = outcomes[req.key]
             if kind == "ok":
@@ -350,8 +338,6 @@ class FrontEnd:
     def _execute_write(self, lane: Lane, client, req: Request):
         key, value = req.key, req.value
         try:
-            yield from self.durability.write_prelude(client, lane.cn_id,
-                                                     req)
             if req.verb == "INSERT":
                 committed = yield from client.insert(key, value)
             elif req.verb == "UPDATE":
@@ -370,10 +356,6 @@ class FrontEnd:
             lane.cache.invalidate(key)
             self._finish_error(req, exc)
             return
-        try:
-            yield from self.durability.write_epilogue(client, req)
-        except NodeFailedError:
-            pass  # the commit landed; echoes to dead replicas are moot
         if req.verb == "DELETE":
             lane.cache.invalidate(key)
             self._finish_value(req, None, "ok")
@@ -385,13 +367,6 @@ class FrontEnd:
             else:
                 lane.cache.invalidate(key)
             self._finish_value(req, value, "ok")
-
-    def _wal_loop(self, lane: Lane):
-        try:
-            yield from self.durability.flush_loop(lane.clients[0],
-                                                  lane.cn_id)
-        except Interrupt:
-            return
 
     # -- reporting -------------------------------------------------------
 

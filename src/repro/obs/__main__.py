@@ -54,6 +54,22 @@ def _run_traced_ycsb(system: str, scale_name: str, workload: str):
     return obs, cluster
 
 
+def _frontend_stage(scale_name: str) -> str:
+    """The demo's serving-lane stage: one replay of the stock tenants
+    through the front-end, traced into its own bundle.  Returns the lines
+    to print; the served count is the SLO book's, so it covers the
+    measured window only."""
+    from ..frontend.bench import _replay, default_tenants
+    fe_obs = Observability(enabled=True)
+    fe = _replay(SCALES[scale_name], 0, default_tenants(), fe_obs)
+    served = sum(fe.slo.row(spec)["served"] for spec in fe.tenants.values())
+    ops = fe_obs.tracer.spans_by(cat="op")
+    return (f"[front-end lane: counters "
+            f"{json.dumps(fe.lane_counters(), sort_keys=True)}]\n"
+            f"[front-end traced {len(ops)} client op spans; "
+            f"{served} requests served in the measured window]")
+
+
 def demo_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs demo",
@@ -110,20 +126,8 @@ def demo_main(argv=None) -> int:
         print(render_attribution(tables))
 
     if not args.no_frontend and args.system == "aceso":
-        # A serving-lane stage: one native-mode tenant replay through
-        # the front-end, traced into its own bundle.
-        from ..frontend.bench import _run_mode, default_tenants
-        fe_obs = Observability(enabled=True)
-        fe, fe_cluster = _run_mode(SCALES[args.scale], 0, "native",
-                                   default_tenants(), fe_obs)
-        served = sum(fe.lane_counters().get(k, 0)
-                     for k in ("served", "cache_hits")) or \
-            fe.lane_counters().get("served", 0)
-        print(f"\n[front-end lane: counters "
-              f"{json.dumps(fe.lane_counters(), sort_keys=True)}]")
-        ops = fe_obs.tracer.spans_by(cat="op")
-        print(f"[front-end traced {len(ops)} client op spans; "
-              f"{served or len(ops)} requests served]")
+        print()
+        print(_frontend_stage(args.scale))
 
     if not args.no_chaos and args.system == "aceso":
         # A chaos stage through the same observability stack: the

@@ -40,16 +40,8 @@ def cached(cache, key):
     return cache._entries.get(key)
 
 
-#: Case ids of the ``env`` fixture.  The engine once had four interchangeable
-#: event-queue backends and this fixture ran every engine test once per
-#: backend; the queue is now a single heapq inside Environment.  The ids
-#: are kept so every case keeps its name, and each builds the same
-#: Environment.
-ENV_IDS = ["adaptive", "calendar", "flatheap", "heapq"]
-
-
-@pytest.fixture(params=ENV_IDS)
-def env(request) -> Environment:
+@pytest.fixture
+def env() -> Environment:
     return Environment()
 
 

@@ -17,6 +17,16 @@ from repro.rdma import (
 from repro.sim import Environment, ThroughputServer
 
 
+#: The engine once had four interchangeable event-queue backends and this
+#: fixture ran every case once per backend; the queue is now a single heapq
+#: inside Environment.  The ids are kept so every case keeps its name until
+#: this file's identical cases are folded, and each builds the same
+#: Environment.
+@pytest.fixture(params=["adaptive", "calendar", "flatheap", "heapq"])
+def env(request) -> Environment:
+    return Environment()
+
+
 # ------------------------------------------------------------------ verbs
 
 def test_atomic_verbs_require_8_bytes():

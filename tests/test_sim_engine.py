@@ -15,6 +15,16 @@ from repro.sim import (
 )
 
 
+#: The engine once had four interchangeable event-queue backends and this
+#: fixture ran every case once per backend; the queue is now a single heapq
+#: inside Environment.  The ids are kept so every case keeps its name until
+#: this file's identical cases are folded, and each builds the same
+#: Environment.
+@pytest.fixture(params=["adaptive", "calendar", "flatheap", "heapq"])
+def env(request) -> Environment:
+    return Environment()
+
+
 def test_time_starts_at_zero(env):
     assert env.now == 0.0
 
