@@ -10,8 +10,19 @@ from repro.cluster import (
     estimate_meta_record_size,
 )
 from repro.errors import NodeFailedError
+from repro.sim import Environment
 
 from tests.conftest import make_aceso
+
+
+#: The engine once had four interchangeable event-queue backends and this
+#: fixture ran every case once per backend; the queue is now a single heapq
+#: inside Environment.  The ids are kept so every case keeps its name until
+#: this file's identical cases are folded, and each builds the same
+#: Environment.
+@pytest.fixture(params=["adaptive", "calendar", "flatheap", "heapq"])
+def env(request) -> Environment:
+    return Environment()
 
 
 # ---------------------------------------------------------------- nodes
